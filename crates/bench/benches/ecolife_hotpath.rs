@@ -11,16 +11,17 @@
 //! (`tests/hotpath.rs`); headline numbers land in `BENCH_ecolife.json`.
 //!
 //! Smoke mode (`ECOLIFE_BENCH_SMOKE=1`, the CI `bench-smoke` job): a
-//! tiny-trace run of both paths that *asserts* record-for-record
-//! equality and prints timings — bench drift fails the build — without
-//! the multi-minute full measurement.
+//! tiny-trace run of both paths on the five-region fleet with squeezed
+//! pools and priced transfers that *asserts* record-for-record equality
+//! and that the overflow path transferred, and prints timings — bench
+//! drift fails the build — without the multi-minute full measurement.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use ecolife_bench::report::BenchJson;
-use ecolife_carbon::{CarbonIntensityTrace, Region};
+use ecolife_carbon::{CarbonIntensityTrace, CiBundle, Region, TransferCost};
 use ecolife_core::{EcoLife, EcoLifeConfig};
 use ecolife_hw::{skus, Fleet};
-use ecolife_sim::{next_arrival_gaps_strategy, ShardOptions, Simulation};
+use ecolife_sim::{next_arrival_gaps_strategy, ShardOptions, SimConfig, Simulation};
 use ecolife_trace::{SynthTraceConfig, Trace, WorkloadCatalog};
 use std::time::Instant;
 
@@ -54,19 +55,33 @@ fn smoke() {
         ..SynthTraceConfig::small(7)
     }
     .generate(&WorkloadCatalog::sebs());
-    let ci = CarbonIntensityTrace::synthetic(Region::Caiso, 90, 7);
-    // Squeezed pools so the overflow/transfer-ranking path runs too.
-    let fleet = skus::fleet_three_generations().with_uniform_keepalive_budget_mib(4 * 1024);
-    let sim = Simulation::new(&trace, &ci, fleet.clone());
+    // The ten-node five-region fleet with squeezed pools and priced
+    // transfers, so the overflow path — the warm-pool ranking read from
+    // the tables, the memoized priced transfer ranking — runs too.
+    let bundle = CiBundle::synthetic_all(90, 7);
+    let fleet = skus::fleet_five_regions().with_uniform_keepalive_budget_mib(3 * 1024);
+    let transfer = TransferCost {
+        egress_kwh_per_mib: 2.0e-9,
+        latency_ms: 50,
+    };
+    let sim = Simulation::try_new_regional(&trace, &bundle, fleet.clone())
+        .expect("five-region bundle covers the fleet")
+        .with_config(SimConfig::default().with_transfer_cost(transfer));
+    let priced = EcoLifeConfig::default().with_transfer_cost(transfer);
+    let run = |config: EcoLifeConfig| sim.run(&mut EcoLife::new(fleet.clone(), config));
 
     let mut fast_metrics = None;
-    let cached_ms = wall_ms(|| fast_metrics = Some(sim.run(&mut cached(&fleet))));
+    let cached_ms = wall_ms(|| fast_metrics = Some(run(priced.clone())));
     let mut ref_metrics = None;
-    let uncached_ms = wall_ms(|| ref_metrics = Some(sim.run(&mut uncached(&fleet))));
+    let uncached_ms = wall_ms(|| ref_metrics = Some(run(priced.clone().without_cached_tables())));
     let (fast, reference) = (fast_metrics.unwrap(), ref_metrics.unwrap());
     assert_eq!(
         fast.records, reference.records,
         "smoke: cached tables changed a decision"
+    );
+    assert!(
+        fast.transfers > 0,
+        "smoke: the overflow path never transferred"
     );
     assert_eq!(fast.transfers, reference.transfers);
     assert_eq!(fast.evicted_functions, reference.evicted_functions);

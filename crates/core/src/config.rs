@@ -28,11 +28,13 @@ pub struct EcoLifeConfig {
     /// `Some(Generation::Old.into())` = Eco-Old,
     /// `Some(Generation::New.into())` = Eco-New (Fig. 12).
     pub restrict_to: Option<NodeId>,
-    /// Serve the decision hot path through the precomputed
+    /// Serve the decision hot path and the warm-pool adjustment through
+    /// the precomputed
     /// [`ObjectiveTables`](crate::objective::ObjectiveTables) (per-node
     /// constants + per-minute CI composites + per-decision fitness grid)
     /// instead of recomputing fleet-wide scans inside every particle
-    /// evaluation. Decisions are bit-identical either way (pinned by
+    /// evaluation and for every resident of an overflowing pool.
+    /// Decisions are bit-identical either way (pinned by
     /// `tests/hotpath.rs`); disabling this selects the uncached
     /// reference path, kept for the bit-identity pin and the
     /// `ecolife_hotpath` before/after bench.

@@ -24,8 +24,14 @@
 //! composites), the whole per-decision fitness landscape is precomputed
 //! into reusable scratch so DPSO particle evaluations are table lookups,
 //! and per-function state lives in a slot vector keyed by the raw
-//! function id. Decisions are bit-identical to the uncached reference
-//! loop (`EcoLifeConfig::without_cached_tables`), pinned by
+//! function id. The overflow ranking is served from the same tables:
+//! each candidate's keep-alive benefit is one row lookup (O(residents)
+//! per overflow instead of fleet-wide cost-model rescans per resident),
+//! the transfer ranking is memoized per minute, and the tables' epoch
+//! is refreshed from the engine's intensity snapshot, because degraded
+//! decisions install keep-alives without a `decide`. Decisions and
+//! plans are bit-identical to the uncached reference loop
+//! (`EcoLifeConfig::without_cached_tables`), pinned by
 //! `tests/hotpath.rs`.
 
 use crate::config::EcoLifeConfig;
@@ -40,7 +46,7 @@ use ecolife_sim::{
     Decision, InvocationCtx, KeepAliveChoice, OverflowAction, OverflowCtx, Scheduler, MINUTE_MS,
 };
 use ecolife_trace::stats::SignalDelta;
-use ecolife_trace::{FunctionId, Trace, WorkloadCatalog};
+use ecolife_trace::{FunctionId, FunctionProfile, Trace, WorkloadCatalog};
 
 /// Per-function KDM state: the preserved optimizer plus the predictor.
 struct FunctionState {
@@ -503,42 +509,56 @@ impl Scheduler for EcoLife {
         if !self.config.warm_pool_adjustment {
             return OverflowAction::Drop;
         }
-        // Transfer-target ranking: memoized per (node, minute) on the hot
-        // path — intensities are minute-resolution, so overflow storms
-        // within a minute reuse one fleet sort. (The `AdjustPlan` owns its
-        // ranking, hence the clone of the ≤ fleet-size id vector.)
-        let targets = if self.config.cached_tables {
-            self.tables
-                .transfer_ranking(ctx.location, ctx.t_ms, &ctx.ci_by_node)
-                .to_vec()
-        } else {
-            self.tables
-                .cost()
-                .transfer_ranking(ctx.location, &ctx.ci_by_node)
-        };
+        let Self {
+            config,
+            tables,
+            catalog,
+            states,
+            ..
+        } = self;
+        // A single-node variant (Eco-Old / Eco-New) never spills onto the
+        // rest of the fleet: displaced containers are evicted, so it
+        // needs no transfer ranking.
+        let spill = config.restrict_to.is_none();
         // Rank candidates by benefit × P(reuse within 5 minutes): the
         // online predictor distinguishes drumbeat functions from ones
         // that have gone quiet.
-        let states = &self.states;
         let weight = |func: FunctionId| -> f64 {
             states
                 .get(func)
                 .map(|s| s.predictor.p_warm(5 * MINUTE_MS))
                 .unwrap_or(0.75)
         };
-        let mut plan = priority_adjustment_with_targets(
-            self.tables.cost(),
-            &self.catalog,
-            ctx,
-            &weight,
-            targets,
-        );
-        if self.config.restrict_to.is_some() {
-            // A single-node variant (Eco-Old / Eco-New) never spills onto
-            // the rest of the fleet: displaced containers are evicted.
-            plan.transfer_targets = Some(vec![]);
+        // Hot path: benefits are row lookups and the transfer ranking is
+        // memoized per (node, minute). The epoch comes from the engine's
+        // snapshot — a degraded decision installs keep-alives without a
+        // `decide`, so no refresh may have seen this minute. (The
+        // `AdjustPlan` owns its ranking, hence the clone of the ≤
+        // fleet-size id vector.)
+        let cached = config.cached_tables;
+        if cached {
+            tables.refresh_from_snapshot(ctx.t_ms, &ctx.ci_by_node);
         }
-        OverflowAction::Adjust(plan)
+        let targets = match (spill, cached) {
+            (false, _) => Vec::new(),
+            (true, true) => tables.transfer_ranking(ctx.location).to_vec(),
+            (true, false) => tables
+                .cost()
+                .transfer_ranking(ctx.location, &ctx.ci_by_node),
+        };
+        let benefit = |func: FunctionId, f: &FunctionProfile| -> f64 {
+            let b = if cached {
+                tables.keepalive_benefit(ctx.location, func, f)
+            } else {
+                tables
+                    .cost()
+                    .keepalive_benefit(ctx.location, f, &ctx.ci_by_node)
+            };
+            weight(func) * b
+        };
+        OverflowAction::Adjust(priority_adjustment_with_targets(
+            catalog, ctx, benefit, targets,
+        ))
     }
 }
 

@@ -210,15 +210,59 @@ impl CostModel {
 
     // -- composite scores ----------------------------------------------------
 
+    /// `λs·(S_r/S_max) + λc·(SC_r/SC_max)`: the one operation order every
+    /// EPDM score — scanned here or recombined from cached intermediates
+    /// by [`ObjectiveTables`] — is built with.
+    #[inline]
+    fn fscore(&self, s_ms: f64, s_max: f64, sc_g: f64, sc_max: f64) -> f64 {
+        self.lambda_s * (s_ms / s_max) + self.lambda_c * (sc_g / sc_max)
+    }
+
+    /// The queue-aware EPDM term `λs·(Q_r/S_max)`, added after the
+    /// [`fscore`](Self::fscore).
+    #[inline]
+    fn queue_term(&self, queue_ms: u64, s_max: f64) -> f64 {
+        self.lambda_s * (queue_ms as f64 / s_max)
+    }
+
     /// The EPDM execution-placement score for a *cold* execution on `r`
     /// (Sec. IV-D): `fscore = λs·S_r/S_max + λc·SC_r/SC_max`, with `r`'s
     /// carbon priced at its own grid's intensity.
     pub fn epdm_score(&self, r: impl Into<NodeId>, f: &FunctionProfile, ci_by_node: &[f64]) -> f64 {
         let r = r.into();
-        let s = self.cold_service_ms(r, f) as f64 / self.s_max(f);
-        let sc = self.cold_service_carbon_g(r, f, self.ci_at(ci_by_node, r))
-            / self.sc_max(f, ci_by_node);
-        self.lambda_s * s + self.lambda_c * sc
+        self.fscore(
+            self.cold_service_ms(r, f) as f64,
+            self.s_max(f),
+            self.cold_service_carbon_g(r, f, self.ci_at(ci_by_node, r)),
+            self.sc_max(f, ci_by_node),
+        )
+    }
+
+    /// Every node's EPDM score in id order — [`CostModel::epdm_score`],
+    /// plus [`CostModel::epdm_score_queued`]'s backlog term when
+    /// `queue_ms` is given — with `S_max` and `SC_max` computed once per
+    /// scan instead of once per node (bit-identical: the same values in
+    /// the same operation order).
+    fn epdm_scores<'a>(
+        &'a self,
+        f: &'a FunctionProfile,
+        ci_by_node: &'a [f64],
+        queue_ms: Option<&'a [u64]>,
+    ) -> impl Iterator<Item = f64> + 'a {
+        let s_max = self.s_max(f);
+        let sc_max = self.sc_max(f, ci_by_node);
+        self.fleet.ids().map(move |r| {
+            let score = self.fscore(
+                self.cold_service_ms(r, f) as f64,
+                s_max,
+                self.cold_service_carbon_g(r, f, self.ci_at(ci_by_node, r)),
+                sc_max,
+            );
+            match queue_ms {
+                Some(q) => score + self.queue_term(q[r.index()], s_max),
+                None => score,
+            }
+        })
     }
 
     /// EPDM choice for a cold execution: the `fscore`-minimizing fleet
@@ -233,21 +277,7 @@ impl CostModel {
         ci_by_node: &[f64],
         allowed: Option<NodeId>,
     ) -> NodeId {
-        match allowed {
-            Some(l) => l,
-            None => {
-                let mut best = NodeId(0);
-                let mut best_score = self.epdm_score(best, f, ci_by_node);
-                for l in self.fleet.ids().skip(1) {
-                    let score = self.epdm_score(l, f, ci_by_node);
-                    if score < best_score {
-                        best = l;
-                        best_score = score;
-                    }
-                }
-                best
-            }
-        }
+        allowed.unwrap_or_else(|| first_min(self.epdm_scores(f, ci_by_node, None)))
     }
 
     /// Queue-aware EPDM score: the cold-placement `fscore` plus the
@@ -266,7 +296,7 @@ impl CostModel {
         queue_ms: u64,
     ) -> f64 {
         let r = r.into();
-        self.epdm_score(r, f, ci_by_node) + self.lambda_s * (queue_ms as f64 / self.s_max(f))
+        self.epdm_score(r, f, ci_by_node) + self.queue_term(queue_ms, self.s_max(f))
     }
 
     /// Queue-aware [`CostModel::epdm_choice`]: the same strict-less scan
@@ -285,21 +315,7 @@ impl CostModel {
         allowed: Option<NodeId>,
         queue_ms: &[u64],
     ) -> NodeId {
-        match allowed {
-            Some(l) => l,
-            None => {
-                let mut best = NodeId(0);
-                let mut best_score = self.epdm_score_queued(best, f, ci_by_node, queue_ms[0]);
-                for l in self.fleet.ids().skip(1) {
-                    let score = self.epdm_score_queued(l, f, ci_by_node, queue_ms[l.index()]);
-                    if score < best_score {
-                        best = l;
-                        best_score = score;
-                    }
-                }
-                best
-            }
-        }
+        allowed.unwrap_or_else(|| first_min(self.epdm_scores(f, ci_by_node, Some(queue_ms))))
     }
 
     /// The full expected objective of choosing (`l`, `k`) for `f`, given
@@ -415,6 +431,21 @@ impl CostModel {
     }
 }
 
+/// The node of the first minimum of `scores` (one per node, in id
+/// order): the strict-less scan from node 0 every EPDM choice uses, so
+/// ties resolve to the lowest id.
+fn first_min(mut scores: impl Iterator<Item = f64>) -> NodeId {
+    let mut best_score = scores.next().expect("fleet is non-empty");
+    let mut best = 0;
+    for (i, score) in scores.enumerate() {
+        if score < best_score {
+            best = i + 1;
+            best_score = score;
+        }
+    }
+    NodeId(best as u32)
+}
+
 /// Milliseconds per minute — the CI-series resolution, and therefore
 /// the rate at which the tables' CI-dependent composites can move.
 use ecolife_sim::MINUTE_MS;
@@ -464,17 +495,23 @@ struct FunctionTables {
     epdm_best: NodeId,
 }
 
-/// Cached view over a [`CostModel`]: the EcoLife decision hot path reads
-/// every fleet-wide scan (`s_max`, `sc_max`, `kc_max`, EPDM ranking,
-/// transfer ranking) through this layer instead of recomputing it inside
-/// every DPSO particle evaluation.
+/// Cached view over a [`CostModel`]: EcoLife's decision hot path and its
+/// warm-pool adjustment read every fleet-wide scan (`s_max`, `sc_max`,
+/// `kc_max`, EPDM ranking, keep-alive benefit, transfer ranking) through
+/// this layer instead of recomputing it inside every DPSO particle
+/// evaluation or for every resident of an overflowing pool.
 ///
 /// Scope of validity: intensities are minute-resolution
 /// ([`ecolife_carbon::CarbonIntensityTrace::at`] is piecewise-constant
 /// per minute), so the CI-dependent composites are keyed on the simulated
-/// minute and refreshed lazily. All cached composites are built with the
-/// exact operation order of the corresponding `CostModel` method —
-/// results are bit-identical to the uncached path (pinned by
+/// minute and refreshed lazily. The epoch moves from either side of the
+/// scheduler: [`ObjectiveTables::refresh`] reads the run's provider in
+/// `decide`, [`ObjectiveTables::refresh_from_snapshot`] takes the
+/// engine's per-node snapshot in `on_pool_overflow` (an overflow can
+/// land at a minute no `decide` saw — degraded decisions bypass the
+/// scheduler but still install keep-alives). All cached composites are
+/// built with the exact operation order of the corresponding `CostModel`
+/// method — results are bit-identical to the uncached path (pinned by
 /// `tests/hotpath.rs` and the unit tests below).
 #[derive(Debug, Clone)]
 pub struct ObjectiveTables {
@@ -510,7 +547,8 @@ impl ObjectiveTables {
     }
 
     /// Intensity on every node's grid at the current epoch (valid after
-    /// [`ObjectiveTables::refresh`]).
+    /// [`ObjectiveTables::refresh`] or
+    /// [`ObjectiveTables::refresh_from_snapshot`]).
     #[inline]
     pub fn ci_by_node(&self) -> &[f64] {
         &self.ci_by_node
@@ -524,19 +562,35 @@ impl ObjectiveTables {
         self.transfer.iter_mut().for_each(|slot| *slot = None);
     }
 
-    /// Bring the per-node intensity vector up to `t_ms`'s minute. Cheap
-    /// when the minute is unchanged (the common case: every invocation
-    /// within a minute shares one epoch).
+    /// Bring the per-node intensity vector up to `t_ms`'s minute, reading
+    /// the run's provider. Cheap when the minute is unchanged (the common
+    /// case: every invocation within a minute shares one epoch).
     pub fn refresh(&mut self, ci: &CiProvider<'_>, t_ms: u64) {
+        self.set_epoch(t_ms, |id| ci.at(id, t_ms));
+    }
+
+    /// [`ObjectiveTables::refresh`] from the engine's per-node snapshot at
+    /// `t_ms` (`OverflowCtx::ci_by_node`) instead of the provider.
+    pub fn refresh_from_snapshot(&mut self, t_ms: u64, ci_by_node: &[f64]) {
+        self.set_epoch(t_ms, |id| ci_by_node[id.index()]);
+        debug_assert_eq!(
+            self.ci_by_node,
+            ci_by_node,
+            "intensity moved within minute {}",
+            t_ms / MINUTE_MS
+        );
+    }
+
+    /// The one epoch routine: when `t_ms` starts a new minute, re-read
+    /// every node's intensity through `ci_at`.
+    fn set_epoch(&mut self, t_ms: u64, ci_at: impl Fn(NodeId) -> f64) {
         let minute = t_ms / MINUTE_MS;
         if self.minute == Some(minute) {
             return;
         }
         self.minute = Some(minute);
         self.ci_by_node.clear();
-        let fleet = self.cost.fleet();
-        self.ci_by_node
-            .extend(fleet.ids().map(|id| ci.at(id, t_ms)));
+        self.ci_by_node.extend(self.cost.fleet().ids().map(ci_at));
     }
 
     /// Ensure the row for `func` exists with CI-dependent composites at
@@ -637,22 +691,8 @@ impl ObjectiveTables {
             .map(|l| t.ka_max_energy_kwh[l] * self.ci_by_node[l] + t.ka_max_embodied_g[l])
             .fold(0.0f64, f64::max)
             .max(1e-12);
-        // == `epdm_choice(f, ci, None)`: strict-less scan from node 0.
-        let score = |l: usize| -> f64 {
-            let s = t.cold_ms[l] as f64 / t.s_max;
-            let sc = t.cold_carbon_g[l] / t.sc_max;
-            cost.lambda_s * s + cost.lambda_c * sc
-        };
-        let mut best = 0usize;
-        let mut best_score = score(0);
-        for l in 1..n {
-            let sc = score(l);
-            if sc < best_score {
-                best = l;
-                best_score = sc;
-            }
-        }
-        t.epdm_best = NodeId(best as u32);
+        // == `epdm_choice(f, ci, None)`.
+        t.epdm_best = first_min((0..n).map(|l| t.epdm_score(cost, l)));
         t.minute = self.minute;
     }
 
@@ -698,25 +738,26 @@ impl ObjectiveTables {
                     return row.epdm_best;
                 }
                 let cost = &self.cost;
-                let score = |l: usize| -> f64 {
-                    let s = row.cold_ms[l] as f64 / row.s_max;
-                    let sc = row.cold_carbon_g[l] / row.sc_max;
-                    cost.lambda_s * s
-                        + cost.lambda_c * sc
-                        + cost.lambda_s * (queue_ms[l] as f64 / row.s_max)
-                };
-                let mut best = 0usize;
-                let mut best_score = score(0);
-                for l in 1..cost.fleet().len() {
-                    let sc = score(l);
-                    if sc < best_score {
-                        best = l;
-                        best_score = sc;
-                    }
-                }
-                NodeId(best as u32)
+                first_min(
+                    (0..cost.fleet().len())
+                        .map(|l| row.epdm_score(cost, l) + cost.queue_term(queue_ms[l], row.s_max)),
+                )
             }
         }
+    }
+
+    /// Cached [`CostModel::keepalive_benefit`] of keeping `func` warm on
+    /// `l` at the current epoch: the warm-pool adjustment's per-candidate
+    /// score as a row lookup instead of fleet-wide `S_max`/`SC_max`/EPDM
+    /// rescans (bit-identical: the row's exact intermediates, recombined
+    /// in the uncached method's operation order).
+    pub fn keepalive_benefit(&mut self, l: NodeId, func: FunctionId, f: &FunctionProfile) -> f64 {
+        let idx = self.ensure_row(func, f);
+        let row = self.rows[idx].as_deref().expect("row built");
+        let (cold, l) = (row.epdm_best.index(), l.index());
+        let ds = (row.cold_ms[cold] as f64 - row.warm_ms[l] as f64) / row.s_max;
+        let dc = (row.cold_carbon_g[cold] - row.warm_carbon_g[l]) / row.sc_max;
+        self.cost.lambda_s * ds + self.cost.lambda_c * dc
     }
 
     /// Fill `out` with the expected objective of every `(node, grid
@@ -793,26 +834,39 @@ impl ObjectiveTables {
         }
     }
 
-    /// Memoized [`CostModel::transfer_ranking`]: the ranking depends only
-    /// on `(exclude, per-node intensity vector)`, and the intensity
-    /// vector is constant within a minute — so overflow storms within a
-    /// reconciliation period reuse one sort instead of re-ranking the
-    /// fleet per displaced container. `ci_by_node` must be the intensity
-    /// snapshot at `t_ms` (what the engine hands `OverflowCtx`).
-    pub fn transfer_ranking(
-        &mut self,
-        exclude: NodeId,
-        t_ms: u64,
-        ci_by_node: &[f64],
-    ) -> &[NodeId] {
-        let minute = t_ms / MINUTE_MS;
-        let Self { cost, transfer, .. } = self;
+    /// Memoized [`CostModel::transfer_ranking`] at the current epoch: the
+    /// ranking depends only on `(exclude, per-node intensity vector)`,
+    /// and the intensity vector is constant within a minute — so overflow
+    /// storms within a minute reuse one sort instead of re-ranking the
+    /// fleet per displaced container.
+    pub fn transfer_ranking(&mut self, exclude: NodeId) -> &[NodeId] {
+        let minute = self.minute.expect("refresh() must run before a ranking");
+        let Self {
+            cost,
+            transfer,
+            ci_by_node,
+            ..
+        } = self;
         let slot = &mut transfer[exclude.index()];
         let stale = !matches!(slot, Some((m, _)) if *m == minute);
         if stale {
             *slot = Some((minute, cost.transfer_ranking(exclude, ci_by_node)));
         }
         &slot.as_ref().expect("just filled").1
+    }
+}
+
+impl FunctionTables {
+    /// [`CostModel::epdm_score`] on node `l` from this row's
+    /// intermediates at its epoch.
+    #[inline]
+    fn epdm_score(&self, cost: &CostModel, l: usize) -> f64 {
+        cost.fscore(
+            self.cold_ms[l] as f64,
+            self.s_max,
+            self.cold_carbon_g[l],
+            self.sc_max,
+        )
     }
 }
 
@@ -1016,6 +1070,130 @@ mod tests {
     }
 
     #[test]
+    fn epdm_scan_matches_the_naive_per_node_scan() {
+        // The scan hoists `S_max`/`SC_max` out of the per-node loop; each
+        // score must still be bit-equal to the per-node `epdm_score`
+        // (which recomputes both), and the choice the naive strict-less
+        // scan's.
+        let naive_choice = |scores: &[f64]| {
+            let mut best = 0;
+            for l in 1..scores.len() {
+                if scores[l] < scores[best] {
+                    best = l;
+                }
+            }
+            NodeId(best as u32)
+        };
+        let catalog = WorkloadCatalog::sebs();
+        let fleets = [
+            Fleet::from(skus::pair_a()),
+            skus::fleet_three_generations(),
+            skus::fleet_five_regions(),
+        ];
+        for fleet in fleets {
+            let n = fleet.len();
+            let ci_vectors: [Vec<f64>; 4] = [
+                vec![300.0; n],
+                vec![0.0; n],
+                (0..n).map(|i| 40.0 + 97.0 * i as f64).collect(),
+                (0..n).map(|i| 900.0 - 61.0 * i as f64).collect(),
+            ];
+            let queues: [Vec<u64>; 3] = [
+                vec![0; n],
+                (0..n as u64).map(|i| (i * 7_919) % 20_000).collect(),
+                (0..n as u64)
+                    .map(|i| if i == 0 { 5_000_000 } else { 0 })
+                    .collect(),
+            ];
+            for (lambda_s, lambda_c) in [(0.5, 0.5), (0.2, 0.8)] {
+                let cost = CostModel::new(
+                    fleet.clone(),
+                    CarbonModel::default(),
+                    lambda_s,
+                    lambda_c,
+                    50,
+                    600_000,
+                );
+                for ci in &ci_vectors {
+                    for (func, f) in catalog.iter() {
+                        let naive: Vec<f64> =
+                            fleet.ids().map(|l| cost.epdm_score(l, f, ci)).collect();
+                        let scan: Vec<f64> = cost.epdm_scores(f, ci, None).collect();
+                        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(bits(&scan), bits(&naive), "n={n} f={func} ci={ci:?}");
+                        assert_eq!(cost.epdm_choice(f, ci, None), naive_choice(&naive));
+                        for q in &queues {
+                            let naive: Vec<f64> = fleet
+                                .ids()
+                                .map(|l| cost.epdm_score_queued(l, f, ci, q[l.index()]))
+                                .collect();
+                            let scan: Vec<f64> = cost.epdm_scores(f, ci, Some(q)).collect();
+                            assert_eq!(bits(&scan), bits(&naive), "n={n} f={func} q={q:?}");
+                            assert_eq!(
+                                cost.epdm_choice_queued(f, ci, None, q),
+                                naive_choice(&naive)
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn tables_keepalive_benefit_is_bit_identical_on_five_regions() {
+        use ecolife_carbon::{CiBundle, CiProvider};
+        let fleet = skus::fleet_five_regions();
+        let cost = CostModel::new(fleet.clone(), CarbonModel::default(), 0.5, 0.5, 50, 600_000);
+        let bundle = CiBundle::synthetic_all(120, 17);
+        let provider = CiProvider::from_bundle(&bundle, &fleet).unwrap();
+        let catalog = WorkloadCatalog::sebs();
+        // One table only ever moves its epoch from the engine's snapshot,
+        // so every row in it is first built on the overflow path; the
+        // other alternates between the provider and the snapshot, and its
+        // rows are first built by `decide`-side lookups.
+        let mut overflow_only = ObjectiveTables::new(cost.clone());
+        let mut mixed = ObjectiveTables::new(cost.clone());
+        let minutes = [
+            0u64,
+            59_999,
+            60_000,
+            7 * 60_000 + 5,
+            42 * 60_000,
+            119 * 60_000,
+        ];
+        for (i, t_ms) in minutes.into_iter().enumerate() {
+            let ci_by_node = provider.at_each_node(t_ms);
+            overflow_only.refresh_from_snapshot(t_ms, &ci_by_node);
+            if i % 2 == 0 {
+                mixed.refresh(&provider, t_ms);
+            } else {
+                mixed.refresh_from_snapshot(t_ms, &ci_by_node);
+            }
+            assert_eq!(overflow_only.ci_by_node(), &ci_by_node[..]);
+            assert_eq!(mixed.ci_by_node(), &ci_by_node[..]);
+            for (func, f) in catalog.iter() {
+                mixed.epdm_choice(func, f, None);
+            }
+            for (func, f) in catalog.iter() {
+                for l in fleet.ids() {
+                    let want = cost.keepalive_benefit(l, f, &ci_by_node);
+                    for (name, tables) in
+                        [("overflow-only", &mut overflow_only), ("mixed", &mut mixed)]
+                    {
+                        let got = tables.keepalive_benefit(l, func, f);
+                        assert_eq!(
+                            got.to_bits(),
+                            want.to_bits(),
+                            "{name} t={t_ms} f={func} l={l}: {got} vs {want}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn tables_reproduce_queued_choice_bit_for_bit() {
         use ecolife_carbon::{CarbonIntensityTrace, CiProvider};
         let fleet = skus::fleet_three_generations();
@@ -1175,7 +1353,7 @@ mod tests {
             let ci_by_node = provider.at_each_node(t_ms);
             for l in fleet.ids().collect::<Vec<_>>() {
                 assert_eq!(
-                    tables.transfer_ranking(l, t_ms, &ci_by_node),
+                    tables.transfer_ranking(l),
                     &cost.transfer_ranking(l, &ci_by_node)[..],
                     "t={t_ms} exclude={l}"
                 );

@@ -10,11 +10,20 @@
 //! keep-alive first — so displaced containers land on the least costly
 //! pool with room (the two-node case: "evicted function is kept warm in
 //! the other generation's memory if there is enough space").
+//!
+//! One packing routine, [`priority_adjustment_with_targets`], serves
+//! every caller; what differs is where each candidate's benefit comes
+//! from. EcoLife's hot path reads it from its
+//! [`ObjectiveTables`](crate::objective::ObjectiveTables) rows (one
+//! lookup per resident) together with the memoized transfer ranking;
+//! the brute-force baselines and EcoLife's uncached reference path
+//! compute [`CostModel::keepalive_benefit`] directly. Both give
+//! bit-identical densities, hence identical plans.
 
 use crate::objective::CostModel;
 use ecolife_hw::NodeId;
 use ecolife_sim::{AdjustPlan, OverflowCtx};
-use ecolife_trace::{FunctionId, WorkloadCatalog};
+use ecolife_trace::{FunctionId, FunctionProfile, WorkloadCatalog};
 
 /// Build the adjustment plan for an overflow, with every candidate's
 /// cold-vs-warm benefit weighted equally (used by the brute-force
@@ -24,38 +33,29 @@ pub fn priority_adjustment(
     catalog: &WorkloadCatalog,
     ctx: &OverflowCtx<'_>,
 ) -> AdjustPlan {
-    priority_adjustment_weighted(cost, catalog, ctx, &|_| 1.0)
+    priority_adjustment_with_targets(
+        catalog,
+        ctx,
+        |_, f| cost.keepalive_benefit(ctx.location, f, &ctx.ci_by_node),
+        cost.transfer_ranking(ctx.location, &ctx.ci_by_node),
+    )
 }
 
-/// Build the adjustment plan for an overflow.
+/// Build the adjustment plan for an overflow from each candidate's
+/// weighted keep-alive benefit and a precomputed transfer-target ranking.
 ///
-/// Packing is by priority *density* (benefit per MiB): with a hard memory
+/// `weighted_benefit(func, profile)` is the benefit of keeping `func`
+/// warm on `ctx.location`, scaled by the probability its warm container
+/// is actually reused — EcoLife feeds its online `P(warm)` estimate
+/// here, so a huge-benefit container for a function that has gone quiet
+/// ranks below a modest container for a drumbeat function. Packing is
+/// by priority *density* (weighted benefit per MiB): with a hard memory
 /// budget, value per byte is the quantity that maximizes total retained
-/// benefit under greedy packing. `reuse_weight` scales each function's
-/// benefit by the probability its warm container is actually reused —
-/// EcoLife feeds its online `P(warm)` estimate here, so a huge-benefit
-/// container for a function that has gone quiet ranks below a modest
-/// container for a drumbeat function.
-pub fn priority_adjustment_weighted(
-    cost: &CostModel,
-    catalog: &WorkloadCatalog,
-    ctx: &OverflowCtx<'_>,
-    reuse_weight: &dyn Fn(FunctionId) -> f64,
-) -> AdjustPlan {
-    let targets = cost.transfer_ranking(ctx.location, &ctx.ci_by_node);
-    priority_adjustment_with_targets(cost, catalog, ctx, reuse_weight, targets)
-}
-
-/// [`priority_adjustment_weighted`] with a precomputed transfer-target
-/// ranking — the ranking depends only on `(overflowing node, per-node
-/// intensity)` and intensities move at most once per minute, so EcoLife
-/// serves it from the [`ObjectiveTables`](crate::objective::ObjectiveTables)
-/// memo instead of re-sorting the fleet on every displaced container.
+/// benefit under greedy packing.
 pub fn priority_adjustment_with_targets(
-    cost: &CostModel,
     catalog: &WorkloadCatalog,
     ctx: &OverflowCtx<'_>,
-    reuse_weight: &dyn Fn(FunctionId) -> f64,
+    mut weighted_benefit: impl FnMut(FunctionId, &FunctionProfile) -> f64,
     transfer_targets: Vec<NodeId>,
 ) -> AdjustPlan {
     struct Candidate {
@@ -66,29 +66,17 @@ pub fn priority_adjustment_with_targets(
     }
 
     let pool = ctx.cluster.pool(ctx.location);
-    let ci_by_node = &ctx.ci_by_node;
-    let mut candidates: Vec<Candidate> = pool
-        .iter()
-        .map(|c| {
-            let f = catalog.profile(c.func);
-            Candidate {
-                func: c.func,
-                memory_mib: c.memory_mib,
-                density: reuse_weight(c.func) * cost.keepalive_benefit(ctx.location, f, ci_by_node)
-                    / c.memory_mib.max(1) as f64,
-                incoming: false,
-            }
+    let residents = pool.iter().map(|c| (c.func, c.memory_mib, false));
+    let incoming = (ctx.incoming_func, ctx.incoming_memory_mib, true);
+    let mut candidates: Vec<Candidate> = residents
+        .chain(std::iter::once(incoming))
+        .map(|(func, memory_mib, incoming)| Candidate {
+            func,
+            memory_mib,
+            density: weighted_benefit(func, catalog.profile(func)) / memory_mib.max(1) as f64,
+            incoming,
         })
         .collect();
-    let incoming_profile = catalog.profile(ctx.incoming_func);
-    candidates.push(Candidate {
-        func: ctx.incoming_func,
-        memory_mib: ctx.incoming_memory_mib,
-        density: reuse_weight(ctx.incoming_func)
-            * cost.keepalive_benefit(ctx.location, incoming_profile, ci_by_node)
-            / ctx.incoming_memory_mib.max(1) as f64,
-        incoming: true,
-    });
 
     // Highest benefit density first; ties broken by function id for
     // determinism.

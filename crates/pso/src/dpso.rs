@@ -105,12 +105,19 @@ impl DynamicPso {
     /// Randomly redistribute the first half of the swarm; reset the
     /// redistributed particles' personal bests (their old memories refer
     /// to a stale environment) but keep the global best as an anchor.
+    /// Rewrites the particles' buffers in place: perception fires on the
+    /// per-invocation decision path, so it allocates nothing.
     fn redistribute_half(&mut self) {
-        let half = self.inner.particles.len() / 2;
-        let space = self.inner.space.clone();
-        for p in self.inner.particles.iter_mut().take(half) {
-            p.position = space.sample(&mut self.inner.rng);
-            p.velocity = vec![0.0; space.dims()];
+        let Pso {
+            space,
+            particles,
+            rng,
+            ..
+        } = &mut self.inner;
+        let half = particles.len() / 2;
+        for p in particles.iter_mut().take(half) {
+            space.sample_into(rng, &mut p.position);
+            p.velocity.fill(0.0);
             p.best_position.clone_from(&p.position);
             p.best_fitness = f64::INFINITY;
         }

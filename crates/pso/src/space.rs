@@ -99,10 +99,18 @@ impl SearchSpace {
 
     /// Sample a uniform random position.
     pub fn sample(&self, rng: &mut SmallRng) -> Vec<f64> {
-        self.bounds
-            .iter()
-            .map(|(lo, hi)| rng.gen_range(*lo..=*hi))
-            .collect()
+        let mut x = vec![0.0; self.dims()];
+        self.sample_into(rng, &mut x);
+        x
+    }
+
+    /// [`SearchSpace::sample`] into an existing buffer: the same draws,
+    /// one per dimension in order, without allocating.
+    pub fn sample_into(&self, rng: &mut SmallRng, out: &mut [f64]) {
+        assert_eq!(out.len(), self.dims(), "sample buffer has the wrong length");
+        for (xi, (lo, hi)) in out.iter_mut().zip(&self.bounds) {
+            *xi = rng.gen_range(*lo..=*hi);
+        }
     }
 
     /// Per-dimension extent (hi − lo).
@@ -234,6 +242,33 @@ mod tests {
             let x = s.sample(&mut rng);
             assert!(s.contains(&x), "{x:?} escaped");
         }
+    }
+
+    #[test]
+    fn sample_into_draws_the_same_sequence_as_sample() {
+        let s = SearchSpace::new(vec![(-5.0, 5.0), (0.0, 1.0), (100.0, 200.0)]);
+        let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let (mut a, mut b, mut c) = (
+            SmallRng::seed_from_u64(9),
+            SmallRng::seed_from_u64(9),
+            SmallRng::seed_from_u64(9),
+        );
+        let mut buf = vec![f64::NAN; s.dims()];
+        for _ in 0..50 {
+            s.sample_into(&mut b, &mut buf);
+            // One `gen_range` per dimension, in dimension order.
+            let drawn: Vec<f64> = s
+                .bounds()
+                .iter()
+                .map(|(lo, hi)| a.gen_range(*lo..=*hi))
+                .collect();
+            assert_eq!(bits(&buf), bits(&drawn));
+            assert_eq!(bits(&buf), bits(&s.sample(&mut c)));
+        }
+        // All three generators advanced by exactly the same draws.
+        let next = a.gen::<f64>().to_bits();
+        assert_eq!(b.gen::<f64>().to_bits(), next);
+        assert_eq!(c.gen::<f64>().to_bits(), next);
     }
 
     #[test]
