@@ -39,6 +39,13 @@
 //! compile-time dead code, which is why telemetry lives here as a
 //! generic rather than a `SimConfig` field — `SimConfig` is `Copy`, and
 //! monomorphization is what makes the disabled path cost nothing.
+//!
+//! With an enabled sink, sealing is the part of a run that scales with
+//! the event count. It works in place: the input-derived skeleton is
+//! appended to the collected body, [`finalize`] sorts that one vector
+//! without a scratch buffer (keys are unique, so the unstable sort is
+//! exact), and each event is serialized, hashed (SHA-NI where the CPU has
+//! it) and sealed into one reused buffer before the sink sees it.
 
 use crate::cluster::Cluster;
 use crate::container::WarmContainer;
@@ -2240,9 +2247,8 @@ impl<'r> Engine<'r> {
     /// per-region CI observations. Both engine paths derive these from
     /// the global trace, so they are identical by construction
     /// (telemetry periods are the trace's *active minutes*, independent
-    /// of [`ShardOptions::period_ms`]).
-    fn skeleton_events(&self) -> EventList {
-        let mut events: EventList = Vec::new();
+    /// of [`ShardOptions::period_ms`]). Appended to `events`.
+    fn push_skeleton_events(&self, events: &mut EventList) {
         events.push((
             EventKey::new(0, lane::RUN_STARTED, 0, 0),
             Event::RunStarted {
@@ -2413,15 +2419,21 @@ impl<'r> Engine<'r> {
                 }
             }
         }
-        events
     }
 
     /// Merge the run body with the input-derived skeleton, cap with
     /// [`Event::RunEnded`], and hand the whole collection to
     /// [`finalize`] for sorting, numbering, hash-chaining, and emission.
-    fn finish_stream<K: EventSink>(&self, body: EventList, metrics: &RunMetrics, sink: &mut K) {
-        let mut stream = self.skeleton_events();
-        stream.extend(body);
+    /// Appending the skeleton (a few events per active minute) to the
+    /// body, not the body to the skeleton, avoids building a second
+    /// O(events) vector.
+    fn finish_stream<K: EventSink>(
+        &self,
+        mut stream: EventList,
+        metrics: &RunMetrics,
+        sink: &mut K,
+    ) {
+        self.push_skeleton_events(&mut stream);
         stream.push((
             EventKey::new(self.trace.len() as u64, lane::RUN_ENDED, 0, 0),
             Event::RunEnded {

@@ -20,7 +20,9 @@
 //!
 //! [`JsonlSink`]: ecolife_telemetry::JsonlSink
 
-use ecolife_telemetry::{diff_lines, pretty, str_field, u64_field, verify_lines, ChainWalker};
+use ecolife_telemetry::{diff_lines, pretty, str_field, u64_field, ChainWalker};
+use std::fs::File;
+use std::io::{BufRead, BufReader, Read, Seek, SeekFrom};
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
@@ -33,14 +35,46 @@ fn usage() -> ExitCode {
     ExitCode::from(64)
 }
 
+fn cannot_read(path: &str, e: impl std::fmt::Display) -> ExitCode {
+    eprintln!("ecolife-trace: cannot read {path}: {e}");
+    ExitCode::from(66)
+}
+
 fn read_lines(path: &str) -> Result<Vec<String>, ExitCode> {
     match std::fs::read_to_string(path) {
         Ok(text) => Ok(text.lines().map(str::to_string).collect()),
-        Err(e) => {
-            eprintln!("ecolife-trace: cannot read {path}: {e}");
-            Err(ExitCode::from(66))
+        Err(e) => Err(cannot_read(path, e)),
+    }
+}
+
+/// Walk the hash chain of the file at `path` one line at a time, so
+/// memory stays bounded by the longest line whatever the stream's size.
+fn verify(path: &str) -> Result<ExitCode, ExitCode> {
+    let mut reader = BufReader::new(File::open(path).map_err(|e| cannot_read(path, e))?);
+    let mut walker = ChainWalker::new();
+    let mut line = String::new();
+    loop {
+        line.clear();
+        let read = reader
+            .read_line(&mut line)
+            .map_err(|e| cannot_read(path, e))?;
+        if read == 0 {
+            break;
+        }
+        // The line terminators `str::lines` strips.
+        let text = line.strip_suffix('\n').unwrap_or(&line);
+        let text = text.strip_suffix('\r').unwrap_or(text);
+        if let Err(e) = walker.push(text) {
+            eprintln!("{path}: {e}");
+            return Ok(ExitCode::from(2));
         }
     }
+    let summary = walker.summary();
+    println!(
+        "ok: {} events, chain tip {} ({path})",
+        summary.events, summary.tip
+    );
+    Ok(ExitCode::SUCCESS)
 }
 
 /// The instant a line is "about", for `--from`/`--to`: its `t_ms` when
@@ -118,44 +152,49 @@ fn parse_u64_arg(args: &mut std::slice::Iter<'_, String>, flag: &str) -> Result<
 /// line through a [`ChainWalker`] (incremental hash-chain verify — exit
 /// 2 the moment a link breaks or the file is truncated), and echo the
 /// verified lines to stdout (the last `n` of the initial backlog, then
-/// everything as it lands). Status goes to stderr so stdout stays pure
-/// JSONL. Stops at `RunEnded`, or after `max_polls` consecutive idle
-/// polls when `max_polls > 0`.
+/// everything as it lands). Each poll reads only the bytes past what it
+/// has consumed, so a long follow costs O(stream), not O(stream²).
+/// Status goes to stderr so stdout stays pure JSONL. Stops at
+/// `RunEnded`, or after `max_polls` consecutive idle polls when
+/// `max_polls > 0`.
 fn tail_follow(path: &str, n: usize, poll_ms: u64, max_polls: u64) -> Result<ExitCode, ExitCode> {
     let mut walker = ChainWalker::new();
-    let mut consumed = 0usize;
+    // Bytes of the file read so far; `pending` holds those not yet
+    // consumed as lines (a writer may be mid-line).
+    let mut offset = 0u64;
+    let mut pending: Vec<u8> = Vec::new();
     let mut backlog_shown = false;
     let mut idle = 0u64;
     loop {
-        let text = match std::fs::read_to_string(path) {
-            Ok(text) => text,
+        match File::open(path) {
+            Ok(mut file) => {
+                let len = file.metadata().map_err(|e| cannot_read(path, e))?.len();
+                if len < offset {
+                    eprintln!(
+                        "{path}: truncated while following ({} events verified, \
+                         {offset} bytes read, file now {len} bytes)",
+                        walker.events()
+                    );
+                    return Ok(ExitCode::from(2));
+                }
+                let read = file
+                    .seek(SeekFrom::Start(offset))
+                    .and_then(|_| file.read_to_end(&mut pending))
+                    .map_err(|e| cannot_read(path, e))?;
+                offset += read as u64;
+            }
             // Not-yet-created counts as an idle poll: the writer may
             // still be opening the sink.
-            Err(_) if consumed == 0 => String::new(),
-            Err(e) => {
-                eprintln!("ecolife-trace: cannot read {path}: {e}");
-                return Err(ExitCode::from(66));
-            }
-        };
-        // A writer may be mid-line; only lines sealed by '\n' count.
-        let complete = match text.rfind('\n') {
-            Some(end) => &text[..end],
-            None => "",
-        };
-        let lines: Vec<&str> = if complete.is_empty() {
-            Vec::new()
-        } else {
-            complete.lines().collect()
-        };
-        if lines.len() < consumed {
-            eprintln!(
-                "{path}: truncated while following ({} events verified, now {} lines)",
-                consumed,
-                lines.len()
-            );
-            return Ok(ExitCode::from(2));
+            Err(_) if offset == 0 => {}
+            Err(e) => return Err(cannot_read(path, e)),
         }
-        let fresh = &lines[consumed..];
+        // Only lines sealed by '\n' count; the rest waits for the next poll.
+        let complete = pending
+            .iter()
+            .rposition(|&b| b == b'\n')
+            .map_or(0, |i| i + 1);
+        let text = std::str::from_utf8(&pending[..complete]).map_err(|e| cannot_read(path, e))?;
+        let fresh: Vec<&str> = text.lines().collect();
         let print_from = if backlog_shown {
             0
         } else {
@@ -178,8 +217,9 @@ fn tail_follow(path: &str, n: usize, poll_ms: u64, max_polls: u64) -> Result<Exi
                 return Ok(ExitCode::SUCCESS);
             }
         }
-        consumed = lines.len();
-        if !fresh.is_empty() {
+        let got_lines = !fresh.is_empty();
+        pending.drain(..complete);
+        if got_lines {
             backlog_shown = true;
             idle = 0;
         } else {
@@ -282,20 +322,7 @@ fn run() -> Result<ExitCode, ExitCode> {
             let [_, path] = args.as_slice() else {
                 return Err(usage());
             };
-            let lines = read_lines(path)?;
-            match verify_lines(lines.iter().map(String::as_str)) {
-                Ok(summary) => {
-                    println!(
-                        "ok: {} events, chain tip {} ({path})",
-                        summary.events, summary.tip
-                    );
-                    Ok(ExitCode::SUCCESS)
-                }
-                Err(e) => {
-                    eprintln!("{path}: {e}");
-                    Ok(ExitCode::from(2))
-                }
-            }
+            verify(path)
         }
         "diff" => {
             let [_, left_path, right_path] = args.as_slice() else {

@@ -15,8 +15,9 @@
 
 use crate::event::{Event, EventKey};
 use crate::json::{field, write_payload};
-use crate::sha256::sha256_hex;
+use crate::sha256::{sha256, to_hex};
 use crate::sink::EventSink;
+use std::fmt::Write;
 
 /// `prev` of the first event.
 pub const GENESIS: &str = "0000000000000000000000000000000000000000000000000000000000000000";
@@ -39,35 +40,39 @@ pub struct ChainSummary {
     pub tip: String,
 }
 
-/// The head of a line: everything the hash covers.
-fn serialize_head(seq: u64, prev: &str, event: &Event) -> String {
-    let mut head = String::with_capacity(192);
-    head.push_str("{\"seq\":");
-    head.push_str(&seq.to_string());
-    head.push_str(",\"prev\":\"");
-    head.push_str(prev);
-    head.push_str("\",\"type\":\"");
-    head.push_str(event.type_name());
-    head.push('"');
-    write_payload(event, &mut head);
-    head.push('}');
-    head
+/// Append the head of a line — everything the hash covers — to `out`.
+fn write_head(out: &mut String, seq: u64, prev: &str, event: &Event) {
+    out.push_str("{\"seq\":");
+    write!(out, "{seq}").expect("writing to a String cannot fail");
+    out.push_str(",\"prev\":\"");
+    out.push_str(prev);
+    out.push_str("\",\"type\":\"");
+    out.push_str(event.type_name());
+    out.push('"');
+    write_payload(event, out);
+    out.push('}');
 }
 
-/// Close a head into the written line: swap the trailing `}` for
-/// `,"hash":"…"}`.
-fn seal(head: &str, hash: &str) -> String {
-    let mut line = String::with_capacity(head.len() + 75);
-    line.push_str(&head[..head.len() - 1]);
-    line.push_str(",\"hash\":\"");
-    line.push_str(hash);
-    line.push_str("\"}");
-    line
-}
-
-/// `,"hash":"<hex64>"}` — what [`seal`] appends in place of the head's
+/// `,"hash":"<hex64>"}` — what sealing puts in place of the head's
 /// closing brace.
 const SEAL_LEN: usize = 9 + 64 + 2;
+
+/// Serialize and seal `ev.event` at `ev.seq` in place: `ev.hash` holds
+/// the previous event's hash on entry and this event's on return, and
+/// `ev.line` is overwritten with the sealed line. Both buffers keep their
+/// capacity, so a stream of any length allocates them once.
+fn seal_in_place(ev: &mut SequencedEvent) {
+    ev.line.clear();
+    write_head(&mut ev.line, ev.seq, &ev.hash, &ev.event);
+    let mut hex = [0; 64];
+    let hash = to_hex(&sha256(ev.line.as_bytes()), &mut hex);
+    ev.hash.clear();
+    ev.hash.push_str(hash);
+    ev.line.pop();
+    ev.line.push_str(",\"hash\":\"");
+    ev.line.push_str(hash);
+    ev.line.push_str("\"}");
+}
 
 /// Sort the collected events into canonical order, assign sequence
 /// numbers, hash-chain, and emit through `sink`.
@@ -75,32 +80,39 @@ const SEAL_LEN: usize = 9 + 64 + 2;
 /// Keys must be unique (the engine's emission discipline guarantees it;
 /// debug builds assert it): uniqueness is what makes the serialized
 /// stream independent of collection order, and therefore byte-identical
-/// between the sequential and sharded engines.
+/// between the sequential and sharded engines. It also makes the
+/// unstable sort exact — with no equal keys there is only one sorted
+/// order, the one a stable sort would give — so the sort needs no
+/// scratch buffer beside the O(events) collection.
+///
+/// Every event is serialized, hashed and sealed into one reused
+/// [`SequencedEvent`], so finalization allocates nothing per event
+/// beyond what the [`Event`] itself owns.
 pub fn finalize<K: EventSink>(mut events: Vec<(EventKey, Event)>, sink: &mut K) -> ChainSummary {
-    events.sort_by_key(|(key, _)| *key);
+    events.sort_unstable_by_key(|(key, _)| *key);
     debug_assert!(
         events.windows(2).all(|w| w[0].0 < w[1].0),
         "duplicate event key: stream order would be ambiguous"
     );
 
     let n = events.len() as u64;
-    let mut prev = GENESIS.to_string();
+    let mut sealed = SequencedEvent {
+        seq: 0,
+        // Replaced by the first event before anything is emitted.
+        event: Event::PeriodStarted { minute: 0 },
+        hash: GENESIS.to_string(),
+        line: String::with_capacity(512),
+    };
     for (seq, (_, event)) in events.into_iter().enumerate() {
-        let head = serialize_head(seq as u64, &prev, &event);
-        let hash = sha256_hex(head.as_bytes());
-        let line = seal(&head, &hash);
-        sink.emit(&SequencedEvent {
-            seq: seq as u64,
-            event,
-            hash: hash.clone(),
-            line,
-        });
-        prev = hash;
+        sealed.seq = seq as u64;
+        sealed.event = event;
+        seal_in_place(&mut sealed);
+        sink.emit(&sealed);
     }
     sink.flush();
     ChainSummary {
         events: n,
-        tip: prev,
+        tip: sealed.hash,
     }
 }
 
@@ -126,10 +138,20 @@ impl std::fmt::Display for ChainError {
 /// Incremental chain verification: feed lines one at a time as they
 /// appear (a live `tail --follow`, a streaming reader) and fail at the
 /// first break. [`verify_lines`] is a walk over a complete stream.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct ChainWalker {
     prev: String,
     count: u64,
+    /// Scratch for the head being re-hashed, reused across lines.
+    head: String,
+}
+
+impl PartialEq for ChainWalker {
+    /// Walkers are equal when they reached the same point of a chain;
+    /// the scratch buffer is not part of that.
+    fn eq(&self, other: &Self) -> bool {
+        self.prev == other.prev && self.count == other.count
+    }
 }
 
 impl ChainWalker {
@@ -137,6 +159,7 @@ impl ChainWalker {
         ChainWalker {
             prev: GENESIS.to_string(),
             count: 0,
+            head: String::new(),
         }
     }
 
@@ -155,8 +178,9 @@ impl ChainWalker {
     /// number. On success the walker advances; on failure it is
     /// unchanged (the same line can be retried after repair).
     pub fn push(&mut self, line: &str) -> Result<(), ChainError> {
+        let count = self.count;
         let err = |reason: String| ChainError {
-            seq: self.count,
+            seq: count,
             reason,
             line: line.to_string(),
         };
@@ -167,10 +191,11 @@ impl ChainWalker {
             .and_then(|h| h.strip_prefix('"'))
             .and_then(|h| h.strip_suffix('"'))
             .ok_or_else(|| err("missing hash field".into()))?;
-        let mut head = String::with_capacity(line.len());
-        head.push_str(&line[..line.len() - SEAL_LEN]);
-        head.push('}');
-        let recomputed = sha256_hex(head.as_bytes());
+        self.head.clear();
+        self.head.push_str(&line[..line.len() - SEAL_LEN]);
+        self.head.push('}');
+        let mut hex = [0; 64];
+        let recomputed = to_hex(&sha256(self.head.as_bytes()), &mut hex);
         if recomputed != embedded {
             return Err(err(format!(
                 "hash mismatch: line claims {embedded}, content hashes to {recomputed}"
@@ -195,7 +220,8 @@ impl ChainWalker {
                 self.count
             )));
         }
-        self.prev = recomputed;
+        self.prev.clear();
+        self.prev.push_str(recomputed);
         self.count += 1;
         Ok(())
     }
@@ -233,8 +259,295 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::lane;
+    use crate::event::{lane, ReleaseCause};
+    use crate::sha256::sha256_hex;
     use crate::sink::CaptureSink;
+    use proptest::prelude::*;
+
+    /// The allocating writer `finalize` used before sealing in place: the
+    /// oracle the in-place writer must match byte for byte.
+    fn serialize_head(seq: u64, prev: &str, event: &Event) -> String {
+        let mut head = String::with_capacity(192);
+        head.push_str("{\"seq\":");
+        head.push_str(&seq.to_string());
+        head.push_str(",\"prev\":\"");
+        head.push_str(prev);
+        head.push_str("\",\"type\":\"");
+        head.push_str(event.type_name());
+        head.push('"');
+        write_payload(event, &mut head);
+        head.push('}');
+        head
+    }
+
+    /// Close a head into the written line: swap the trailing `}` for
+    /// `,"hash":"…"}`.
+    fn seal(head: &str, hash: &str) -> String {
+        let mut line = String::with_capacity(head.len() + 75);
+        line.push_str(&head[..head.len() - 1]);
+        line.push_str(",\"hash\":\"");
+        line.push_str(hash);
+        line.push_str("\"}");
+        line
+    }
+
+    /// Every `Event` variant, its fields drawn from the given values
+    /// (`u32` fields take `u` truncated, so `u64::MAX` gives `u32::MAX`).
+    fn every_variant(u: u64, i: i64, f: f64, label: &str, flag: bool) -> Vec<Event> {
+        let v = u as u32;
+        let s = || label.to_string();
+        let mut events = vec![
+            Event::RunStarted {
+                invocations: u,
+                functions: u,
+                nodes: u,
+                horizon_ms: u,
+            },
+            Event::PeriodStarted { minute: u },
+            Event::PeriodEnded { minute: u },
+            Event::CiObserved {
+                region: s(),
+                t_ms: u,
+                gco2_per_kwh: f,
+            },
+            Event::DecisionMade {
+                index: u,
+                func: v,
+                t_ms: u,
+                exec_node: v,
+                warm: flag,
+                ka_node: i,
+                ka_ms: u,
+            },
+            Event::ColdStarted {
+                index: u,
+                func: v,
+                node: v,
+                t_ms: u,
+                service_ms: u,
+                service_g: f,
+                energy_kwh: f,
+            },
+            Event::WarmHit {
+                index: u,
+                func: v,
+                node: v,
+                t_ms: u,
+                service_ms: u,
+                service_g: f,
+                energy_kwh: f,
+            },
+            Event::Expired {
+                node: v,
+                func: v,
+                since_ms: u,
+                expiry_ms: u,
+                keepalive_g: f,
+                energy_kwh: f,
+            },
+            Event::Transferred {
+                func: v,
+                from: v,
+                to: v,
+                t_ms: u,
+                egress_g: f,
+                latency_ms: u,
+            },
+            Event::MembershipChanged {
+                node: v,
+                t_ms: u,
+                joined: flag,
+            },
+            Event::Revoked {
+                node: v,
+                func: v,
+                t_ms: u,
+                keepalive_g: f,
+                energy_kwh: f,
+            },
+            Event::Enqueued {
+                index: u,
+                func: v,
+                node: v,
+                t_ms: u,
+                depth: v,
+            },
+            Event::Dequeued {
+                index: u,
+                func: v,
+                node: v,
+                start_ms: u,
+                queue_ms: u,
+            },
+            Event::AdmissionRejected {
+                index: u,
+                func: v,
+                node: v,
+                t_ms: u,
+                depth: v,
+            },
+            Event::NodeCrashed {
+                node: v,
+                t_ms: u,
+                recover_ms: u,
+            },
+            Event::NodeRecovered { node: v, t_ms: u },
+            Event::CiStale {
+                region: s(),
+                t_ms: u,
+                until_ms: u,
+            },
+            Event::CiRestored {
+                region: s(),
+                t_ms: u,
+            },
+            Event::PartitionStarted {
+                regions: s(),
+                t_ms: u,
+                until_ms: u,
+            },
+            Event::PartitionHealed {
+                regions: s(),
+                t_ms: u,
+            },
+            Event::TransferRetried {
+                func: v,
+                node: v,
+                t_ms: u,
+                attempt: v,
+                backoff_ms: u,
+            },
+            Event::CrashRejected {
+                index: u,
+                func: v,
+                node: v,
+                t_ms: u,
+            },
+            Event::RunEnded {
+                invocations: u,
+                transfers: u,
+                evictions: u,
+                revocations: u,
+                expired: u,
+            },
+        ];
+        for cause in [
+            ReleaseCause::Reused,
+            ReleaseCause::Replaced,
+            ReleaseCause::Displaced,
+            ReleaseCause::Crashed,
+        ] {
+            events.push(Event::Released {
+                cause,
+                node: v,
+                func: v,
+                since_ms: u,
+                end_ms: u,
+                keepalive_g: f,
+                energy_kwh: f,
+            });
+        }
+        events
+    }
+
+    /// Events keyed in the given order, so `finalize` keeps it.
+    fn keyed(events: Vec<Event>) -> Vec<(EventKey, Event)> {
+        events
+            .into_iter()
+            .enumerate()
+            .map(|(i, e)| (EventKey::new(i as u64, lane::INVOCATION, 0, 0), e))
+            .collect()
+    }
+
+    #[test]
+    fn in_place_writer_matches_the_allocating_oracle() {
+        let ints = [0, 1, 59_999, u64::MAX];
+        let signed = [-1, 0, i64::MIN, i64::MAX, 7];
+        let floats = [
+            0.0,
+            -0.0,
+            1.0 / 3.0,
+            f64::from_bits(1), // smallest subnormal
+            f64::MIN_POSITIVE / 3.0,
+            2.5e-7,
+            f64::MAX,
+        ];
+        let labels = [
+            "CAL",
+            "",
+            "a\"b\\c",
+            "tab\tnl\ncr\r",
+            "bell\u{7}esc\u{1b}",
+            "Zürich",
+        ];
+        let mut events = Vec::new();
+        for (k, &u) in ints.iter().enumerate() {
+            for (j, &f) in floats.iter().enumerate() {
+                let i = signed[(k + j) % signed.len()];
+                let label = labels[(k + j) % labels.len()];
+                events.extend(every_variant(u, i, f, label, j % 2 == 0));
+            }
+        }
+        let mut cap = CaptureSink::default();
+        let summary = finalize(keyed(events.clone()), &mut cap);
+
+        let mut prev = GENESIS.to_string();
+        for (seq, event) in events.iter().enumerate() {
+            let head = serialize_head(seq as u64, &prev, event);
+            let hash = sha256_hex(head.as_bytes());
+            let got = &cap.events[seq];
+            assert_eq!(got.seq, seq as u64);
+            assert_eq!(&got.event, event);
+            assert_eq!(got.line, seal(&head, &hash), "seq {seq}");
+            assert_eq!(got.hash, hash, "seq {seq}");
+            prev = hash;
+        }
+        assert_eq!(summary.events, events.len() as u64);
+        assert_eq!(summary.tip, prev);
+        assert_eq!(
+            verify_lines(cap.lines()).expect("sealed stream verifies"),
+            summary
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Any permutation of a unique-key event set finalizes to the
+        /// same lines and the same tip: the unstable sort is exact.
+        #[test]
+        fn any_permutation_finalizes_identically(
+            raw in prop::collection::vec((0u64..40, 0u8..17, 0u32..3, 0u64..1_000), 1..120),
+            shuffle_seed in 1u64..u64::MAX,
+        ) {
+            let mut keys: Vec<(EventKey, u64)> = raw
+                .into_iter()
+                .map(|(pos, lane, a, v)| (EventKey::new(pos, lane, a, 0), v))
+                .collect();
+            keys.sort_by_key(|(k, _)| *k);
+            keys.dedup_by_key(|(k, _)| *k);
+            let events: Vec<(EventKey, Event)> = keys
+                .iter()
+                .map(|&(key, v)| {
+                    let variants = every_variant(v, -(v as i64), v as f64 / 7.0, "FRA", v % 2 == 0);
+                    (key, variants[(v as usize) % variants.len()].clone())
+                })
+                .collect();
+            let mut shuffled = events.clone();
+            let mut x = shuffle_seed;
+            for i in (1..shuffled.len()).rev() {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                shuffled.swap(i, (x % (i as u64 + 1)) as usize);
+            }
+            let (mut a, mut b) = (CaptureSink::default(), CaptureSink::default());
+            let sa = finalize(events, &mut a);
+            let sb = finalize(shuffled, &mut b);
+            prop_assert_eq!(a.lines(), b.lines());
+            prop_assert_eq!(sa, sb);
+        }
+    }
 
     fn sample_events() -> Vec<(EventKey, Event)> {
         vec![

@@ -30,7 +30,7 @@
 //!   an emission counter for per-invocation and reconciliation ops).
 //!
 //! Keys are unique per run (debug-asserted in [`crate::finalize`]), so
-//! the stable sort admits exactly one serialization.
+//! sorting admits exactly one serialization.
 
 /// Lane constants for [`EventKey`]: the within-`pos` ordering of event
 /// classes. `PERIOD_ENDED < PERIOD_STARTED` because at a boundary index

@@ -10,46 +10,46 @@
 //! values are a bug upstream (debug-asserted).
 
 use crate::event::Event;
+use std::fmt::Write;
 
-/// Append `"key":value` (with a leading comma) for a u64.
-fn push_u64(out: &mut String, key: &str, v: u64) {
+/// Append `,"key":` — every field's prefix.
+fn push_key(out: &mut String, key: &str) {
     out.push_str(",\"");
     out.push_str(key);
     out.push_str("\":");
-    out.push_str(&v.to_string());
+}
+
+/// Append `"key":value` (with a leading comma) for a u64. `write!`
+/// prints exactly what `to_string` prints, without the temporary.
+fn push_u64(out: &mut String, key: &str, v: u64) {
+    push_key(out, key);
+    write!(out, "{v}").expect("writing to a String cannot fail");
 }
 
 fn push_i64(out: &mut String, key: &str, v: i64) {
-    out.push_str(",\"");
-    out.push_str(key);
-    out.push_str("\":");
-    out.push_str(&v.to_string());
+    push_key(out, key);
+    write!(out, "{v}").expect("writing to a String cannot fail");
 }
 
 fn push_bool(out: &mut String, key: &str, v: bool) {
-    out.push_str(",\"");
-    out.push_str(key);
-    out.push_str("\":");
+    push_key(out, key);
     out.push_str(if v { "true" } else { "false" });
 }
 
-/// Append a float in shortest-roundtrip form: `v.to_string()` produces
-/// the fewest digits that parse back bit-exactly (and never scientific
+/// Append a float in shortest-roundtrip form: `Display` produces the
+/// fewest digits that parse back bit-exactly (and never scientific
 /// notation), which is what makes hash chains platform-stable.
 fn push_f64(out: &mut String, key: &str, v: f64) {
     debug_assert!(v.is_finite(), "non-finite {key} in event stream: {v}");
-    out.push_str(",\"");
-    out.push_str(key);
-    out.push_str("\":");
-    out.push_str(&v.to_string());
+    push_key(out, key);
+    write!(out, "{v}").expect("writing to a String cannot fail");
 }
 
 /// Append a string value. Event strings (region labels, causes, type
 /// names) are controlled ASCII, but escape defensively anyway.
 fn push_str(out: &mut String, key: &str, v: &str) {
-    out.push_str(",\"");
-    out.push_str(key);
-    out.push_str("\":\"");
+    push_key(out, key);
+    out.push('"');
     for c in v.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -58,7 +58,7 @@ fn push_str(out: &mut String, key: &str, v: &str) {
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                write!(out, "\\u{:04x}", c as u32).expect("writing to a String cannot fail");
             }
             c => out.push(c),
         }
@@ -320,8 +320,14 @@ pub fn write_payload(event: &Event, out: &mut String) {
 /// labels/hex, numbers have no commas); this is a field *extractor* for
 /// the one format the sink writes, not a JSON parser.
 pub fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
+    // The first `"key":`, matched in place.
+    let k = key.as_bytes();
+    let start = line
+        .as_bytes()
+        .windows(k.len() + 3)
+        .position(|w| w[0] == b'"' && w[1..=k.len()] == *k && w[k.len() + 1..] == *b"\":")?
+        + k.len()
+        + 3;
     let rest = &line[start..];
     let end = rest.find(",\"").unwrap_or_else(|| {
         // Last field: drop the closing brace.
@@ -367,6 +373,46 @@ mod tests {
         // Last field: extractor must stop at the closing brace.
         let kwh: f64 = field(&line, "energy_kwh").unwrap().parse().unwrap();
         assert_eq!(kwh.to_bits(), 2.5e-7f64.to_bits());
+    }
+
+    #[test]
+    fn field_matches_whole_keys_only() {
+        let line = "{\"seq\":3,\"exec_node\":1,\"t_ms\":5,\"ms\":6}";
+        assert_eq!(field(line, "node"), None);
+        assert_eq!(field(line, "exec_node"), Some("1"));
+        assert_eq!(field(line, "ms"), Some("6"));
+        assert_eq!(field(line, "seq"), Some("3"));
+        assert_eq!(field(line, ""), None);
+        assert_eq!(field("", "seq"), None);
+    }
+
+    /// The writers print numbers exactly as `to_string` does.
+    #[test]
+    fn numbers_print_as_to_string() {
+        let expect = |written: String, text: String| assert_eq!(written, format!(",\"k\":{text}"));
+        for v in [0, 1, 10, 1 << 53, u64::MAX] {
+            let mut s = String::new();
+            push_u64(&mut s, "k", v);
+            expect(s, v.to_string());
+        }
+        for v in [0, -1, i64::MIN, i64::MAX] {
+            let mut s = String::new();
+            push_i64(&mut s, "k", v);
+            expect(s, v.to_string());
+        }
+        for v in [
+            0.0,
+            -0.0,
+            1.0 / 3.0,
+            f64::from_bits(1),
+            f64::MIN_POSITIVE,
+            2.5e-7,
+            f64::MAX,
+        ] {
+            let mut s = String::new();
+            push_f64(&mut s, "k", v);
+            expect(s, v.to_string());
+        }
     }
 
     /// Shortest-roundtrip: every finite f64 serialized by the sink

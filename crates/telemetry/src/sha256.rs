@@ -2,6 +2,22 @@
 //! offline stand-ins: the container has no registry access, and the hash
 //! chain must not depend on one. One-shot over small inputs (event lines
 //! are a few hundred bytes), checked against the standard test vectors.
+//!
+//! Two compression functions share one padding routine:
+//!
+//! * on x86-64 CPUs with the SHA extensions (`sha`, plus the SSE levels
+//!   its shuffles need), [`sha256`] runs the `sha256rnds2`/`sha256msg1`/
+//!   `sha256msg2` instructions — detected at run time, once per call
+//!   through std's cached feature probe, so one binary serves every CPU;
+//! * everywhere else it runs the portable scalar `compress`, which is
+//!   also the tests' oracle (they call it directly, so the fallback is
+//!   exercised on SHA-capable hosts too).
+//!
+//! Digests cannot differ between the two: both compute the same FIPS
+//! 180-4 function of the same padded blocks, and the tests pin the
+//! hardware path to the scalar one for every input length up to several
+//! blocks plus random multi-block inputs. Chain tips are therefore
+//! independent of which CPU sealed the stream.
 
 const K: [u32; 64] = [
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
@@ -64,25 +80,114 @@ fn compress(state: &mut [u32; 8], block: &[u8]) {
     }
 }
 
-/// SHA-256 digest of `data`.
-pub fn sha256(data: &[u8]) -> [u8; 32] {
-    let mut state = H0;
-    let mut chunks = data.chunks_exact(64);
-    for block in &mut chunks {
-        compress(&mut state, block);
+/// The SHA-NI compression function.
+#[cfg(target_arch = "x86_64")]
+mod ni {
+    use super::K;
+    use std::arch::x86_64::*;
+
+    /// Whether this CPU has every feature [`compress_blocks`] enables.
+    #[inline]
+    pub(super) fn detected() -> bool {
+        is_x86_feature_detected!("sha")
+            && is_x86_feature_detected!("sse2")
+            && is_x86_feature_detected!("ssse3")
+            && is_x86_feature_detected!("sse4.1")
     }
 
+    /// `W[i..i + 4]` for the next four rounds from the previous sixteen
+    /// message words (`w0` oldest).
+    #[inline]
+    #[target_feature(enable = "sha,sse2,ssse3")]
+    fn schedule(w0: __m128i, w1: __m128i, w2: __m128i, w3: __m128i) -> __m128i {
+        let t = _mm_add_epi32(_mm_sha256msg1_epu32(w0, w1), _mm_alignr_epi8(w3, w2, 4));
+        _mm_sha256msg2_epu32(t, w3)
+    }
+
+    /// Compress every 64-byte block of `blocks` into `state`.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support `sha`, `sse2`, `ssse3` and `sse4.1`
+    /// ([`detected`]).
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    pub(super) unsafe fn compress_blocks(state: &mut [u32; 8], blocks: &[u8]) {
+        debug_assert_eq!(blocks.len() % 64, 0);
+        // Byte-swaps each 32-bit lane: message words are big-endian.
+        let bswap = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
+        // SAFETY: `state` is 32 readable bytes; loadu has no alignment
+        // requirement.
+        let (dcba, hgfe) = unsafe {
+            let p = state.as_ptr().cast::<__m128i>();
+            (_mm_loadu_si128(p), _mm_loadu_si128(p.add(1)))
+        };
+        // The instructions keep the working variables as ABEF and CDGH.
+        let cdab = _mm_shuffle_epi32(dcba, 0xb1);
+        let efgh = _mm_shuffle_epi32(hgfe, 0x1b);
+        let mut abef = _mm_alignr_epi8(cdab, efgh, 8);
+        let mut cdgh = _mm_blend_epi16(efgh, cdab, 0xf0);
+
+        for block in blocks.chunks_exact(64) {
+            let (abef_in, cdgh_in) = (abef, cdgh);
+            // SAFETY: `block` is 64 readable bytes; loadu has no alignment
+            // requirement.
+            let mut w = unsafe {
+                let p = block.as_ptr().cast::<__m128i>();
+                [
+                    _mm_loadu_si128(p),
+                    _mm_loadu_si128(p.add(1)),
+                    _mm_loadu_si128(p.add(2)),
+                    _mm_loadu_si128(p.add(3)),
+                ]
+            };
+            for word in &mut w {
+                *word = _mm_shuffle_epi8(*word, bswap);
+            }
+            for i in 0..16 {
+                if i >= 4 {
+                    w[i % 4] = schedule(w[i % 4], w[(i + 1) % 4], w[(i + 2) % 4], w[(i + 3) % 4]);
+                }
+                // SAFETY: `K` is 256 readable bytes; `i < 16`.
+                let k = unsafe { _mm_loadu_si128(K.as_ptr().cast::<__m128i>().add(i)) };
+                let wk = _mm_add_epi32(w[i % 4], k);
+                // Two rounds on the low words, two on the high ones.
+                cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+                abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0e));
+            }
+            abef = _mm_add_epi32(abef, abef_in);
+            cdgh = _mm_add_epi32(cdgh, cdgh_in);
+        }
+
+        let feba = _mm_shuffle_epi32(abef, 0x1b);
+        let dchg = _mm_shuffle_epi32(cdgh, 0xb1);
+        let dcba = _mm_blend_epi16(feba, dchg, 0xf0);
+        let hgef = _mm_alignr_epi8(dchg, feba, 8);
+        // SAFETY: `state` is 32 writable bytes; storeu has no alignment
+        // requirement.
+        unsafe {
+            let p = state.as_mut_ptr().cast::<__m128i>();
+            _mm_storeu_si128(p, dcba);
+            _mm_storeu_si128(p.add(1), hgef);
+        }
+    }
+}
+
+/// SHA-256 of `data` with `compress_blocks` applied to every 64-byte
+/// block: the message's whole blocks, then its padded tail.
+fn digest(data: &[u8], mut compress_blocks: impl FnMut(&mut [u32; 8], &[u8])) -> [u8; 32] {
+    let mut state = H0;
+    let whole = data.len() - data.len() % 64;
+    compress_blocks(&mut state, &data[..whole]);
+
     // Padding: 0x80, zeros, 64-bit big-endian bit length.
-    let rem = chunks.remainder();
+    let rem = &data[whole..];
     let mut tail = [0u8; 128];
     tail[..rem.len()].copy_from_slice(rem);
     tail[rem.len()] = 0x80;
     let tail_len = if rem.len() < 56 { 64 } else { 128 };
     let bit_len = (data.len() as u64) * 8;
     tail[tail_len - 8..tail_len].copy_from_slice(&bit_len.to_be_bytes());
-    for block in tail[..tail_len].chunks_exact(64) {
-        compress(&mut state, block);
-    }
+    compress_blocks(&mut state, &tail[..tail_len]);
 
     let mut out = [0u8; 32];
     for (i, word) in state.iter().enumerate() {
@@ -91,35 +196,72 @@ pub fn sha256(data: &[u8]) -> [u8; 32] {
     out
 }
 
+/// SHA-256 through the portable compression function.
+fn sha256_scalar(data: &[u8]) -> [u8; 32] {
+    digest(data, |state, blocks| {
+        for block in blocks.chunks_exact(64) {
+            compress(state, block);
+        }
+    })
+}
+
+/// SHA-256 digest of `data`: the SHA-NI kernel where the CPU has it,
+/// the scalar one otherwise (see the module docs).
+pub fn sha256(data: &[u8]) -> [u8; 32] {
+    #[cfg(target_arch = "x86_64")]
+    if ni::detected() {
+        return digest(data, |state, blocks| {
+            // SAFETY: `detected` confirmed every feature the kernel enables.
+            unsafe { ni::compress_blocks(state, blocks) }
+        });
+    }
+    sha256_scalar(data)
+}
+
+/// Write `digest` as lowercase hex into `out` and return it as text.
+pub(crate) fn to_hex<'a>(digest: &[u8; 32], out: &'a mut [u8; 64]) -> &'a str {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
+    for (pair, b) in out.chunks_exact_mut(2).zip(digest) {
+        pair[0] = DIGITS[(b >> 4) as usize];
+        pair[1] = DIGITS[(b & 0xf) as usize];
+    }
+    std::str::from_utf8(out).expect("hex digits are ASCII")
+}
+
 /// Lowercase hex digest of `data` — the form event lines embed.
 pub fn sha256_hex(data: &[u8]) -> String {
-    let digest = sha256(data);
-    let mut s = String::with_capacity(64);
-    for b in digest {
-        s.push(char::from_digit((b >> 4) as u32, 16).unwrap());
-        s.push(char::from_digit((b & 0xf) as u32, 16).unwrap());
-    }
-    s
+    to_hex(&sha256(data), &mut [0; 64]).to_string()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn hex(digest: [u8; 32]) -> String {
+        to_hex(&digest, &mut [0; 64]).to_string()
+    }
+
+    /// The FIPS vectors through both the dispatched and the scalar path,
+    /// so the fallback is tested on SHA-NI hosts too.
     #[test]
     fn fips_vectors() {
-        assert_eq!(
-            sha256_hex(b""),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
-        );
-        assert_eq!(
-            sha256_hex(b"abc"),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
-        );
-        assert_eq!(
-            sha256_hex(b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"),
-            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
-        );
+        for (input, want) in [
+            (
+                &b""[..],
+                "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            ),
+            (
+                b"abc",
+                "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
+            ),
+            (
+                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+                "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
+            ),
+        ] {
+            assert_eq!(sha256_hex(input), want);
+            assert_eq!(hex(sha256_scalar(input)), want);
+        }
     }
 
     #[test]
@@ -132,6 +274,7 @@ mod tests {
             sha256_hex(&data),
             "c2a908d98f5df987ade41b5fce213067efbcc21ef2240212a41e54b5e7c28ae5"
         );
+        assert_eq!(hex(sha256_scalar(&data)), sha256_hex(&data));
     }
 
     #[test]
@@ -151,5 +294,28 @@ mod tests {
             sha256_hex(&[0u8; 64]),
             "f5a5fd42d16a20302798ef6ed309979b43003d2320d9f0e8ea9831a92759fb4b"
         );
+    }
+
+    /// The dispatched digest equals the scalar one for every length
+    /// 0..=300 (every padding case, up to five blocks) and for random
+    /// multi-block inputs.
+    #[test]
+    fn dispatched_path_equals_scalar() {
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let mut byte = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x as u8
+        };
+        let data: Vec<u8> = (0..300).map(|_| byte()).collect();
+        for n in 0..=data.len() {
+            assert_eq!(sha256(&data[..n]), sha256_scalar(&data[..n]), "length {n}");
+        }
+        for _ in 0..64 {
+            let n = 64 + (byte() as usize) * 16 + (byte() as usize);
+            let data: Vec<u8> = (0..n).map(|_| byte()).collect();
+            assert_eq!(sha256(&data), sha256_scalar(&data), "length {n}");
+        }
     }
 }

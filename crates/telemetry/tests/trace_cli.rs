@@ -326,3 +326,25 @@ fn follow_exits_two_on_a_broken_chain() {
         String::from_utf8_lossy(&out.stderr)
     );
 }
+
+#[test]
+fn follow_exits_two_when_the_file_is_truncated() {
+    use std::io::{BufRead, BufReader};
+    let lines = chained_lines();
+    let path = scratch_path("truncated");
+    std::fs::write(&path, format!("{}\n{}\n", lines[0], lines[1])).unwrap();
+    let mut child = follow_cmd(&path, &["--max-polls", "500"]).spawn().unwrap();
+    // Wait until both lines are echoed, i.e. consumed, before cutting
+    // the file back to its first line.
+    let mut echoed = BufReader::new(child.stdout.take().unwrap()).lines();
+    for line in &lines[..2] {
+        assert_eq!(&echoed.next().unwrap().unwrap(), line);
+    }
+    std::fs::write(&path, format!("{}\n", lines[0])).unwrap();
+    let out = child.wait_with_output().unwrap();
+    std::fs::remove_file(&path).ok();
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+    assert!(stderr.contains("truncated"), "stderr: {stderr}");
+    assert!(stderr.contains("2 events verified"), "stderr: {stderr}");
+}
