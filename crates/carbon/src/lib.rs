@@ -32,5 +32,5 @@ pub mod transfer;
 pub use bundle::{CiBundle, CiError, CiProvider, StalenessPolicy};
 pub use footprint::CarbonFootprint;
 pub use intensity::{CarbonIntensityTrace, Region, RegionProfile};
-pub use model::{CarbonModel, CarbonModelConfig};
+pub use model::{CarbonModel, CarbonModelConfig, KeepaliveCoeffs};
 pub use transfer::TransferCost;

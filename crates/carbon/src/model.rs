@@ -16,6 +16,7 @@
 //! (`PowerDraw`), standing in for the paper's RAPL measurements.
 
 use crate::footprint::CarbonFootprint;
+use ecolife_hw::cpu::watts_ms_to_kwh;
 use ecolife_hw::{HardwareNode, PowerDraw};
 
 /// Model configuration knobs for the robustness studies (Sec. VI-C).
@@ -99,8 +100,23 @@ impl CarbonModel {
         CarbonFootprint::new(operational_g, embodied_g)
     }
 
+    /// The duration- and intensity-independent half of
+    /// [`CarbonModel::keepalive_phase`] for `func_mem_mib` on `node`.
+    #[inline]
+    pub fn keepalive_coeffs(&self, node: &HardwareNode, func_mem_mib: u64) -> KeepaliveCoeffs {
+        KeepaliveCoeffs {
+            power_w: PowerDraw::keepalive(node, func_mem_mib).total_w(),
+            core_embodied_g: node.cpu.embodied_per_core_g(),
+            dram_share_embodied_g: node.dram.embodied_g * node.dram.usage_share(func_mem_mib),
+            lifetime_ms: node.lifetime_ms as f64,
+            cpu_factor: self.embodied_factor_cpu(),
+            dram_factor: self.embodied_factor_dram(),
+        }
+    }
+
     /// Footprint of a keep-alive phase: one reserved core plus the warm
     /// container's memory share, lasting `duration_ms`.
+    #[inline]
     pub fn keepalive_phase(
         &self,
         node: &HardwareNode,
@@ -108,17 +124,8 @@ impl CarbonModel {
         duration_ms: u64,
         ci_g_per_kwh: f64,
     ) -> CarbonFootprint {
-        let energy_kwh = PowerDraw::keepalive(node, func_mem_mib).energy_kwh(duration_ms);
-        let operational_g = energy_kwh * ci_g_per_kwh;
-        let embodied_g = node
-            .cpu
-            .embodied_for_one_core_g(duration_ms, node.lifetime_ms)
-            * self.embodied_factor_cpu()
-            + node
-                .dram
-                .embodied_for_share_g(func_mem_mib, duration_ms, node.lifetime_ms)
-                * self.embodied_factor_dram();
-        CarbonFootprint::new(operational_g, embodied_g)
+        self.keepalive_coeffs(node, func_mem_mib)
+            .phase(duration_ms, ci_g_per_kwh)
     }
 
     /// Energy (kWh) of an active phase — the quantity the Energy-Opt
@@ -133,13 +140,66 @@ impl CarbonModel {
     }
 
     /// Energy (kWh) of a keep-alive phase.
+    #[inline]
     pub fn keepalive_energy_kwh(
         &self,
         node: &HardwareNode,
         func_mem_mib: u64,
         duration_ms: u64,
     ) -> f64 {
-        PowerDraw::keepalive(node, func_mem_mib).energy_kwh(duration_ms)
+        self.keepalive_coeffs(node, func_mem_mib)
+            .energy_kwh(duration_ms)
+    }
+}
+
+/// The keep-alive footprint of one memory size on one node with every
+/// per-(node, size) constant resolved: the attributed power, the embodied
+/// grams of one core and of the DRAM share over the node's lifetime, and
+/// the embodied factors. [`KeepaliveCoeffs::phase`] is the one place the
+/// keep-alive formula is evaluated; callers that price many durations
+/// for the same container (the KDM fitness landscape) build the
+/// coefficients once and skip the per-call divisions that derive them.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct KeepaliveCoeffs {
+    /// One idle core plus the memory share at idle power (W).
+    power_w: f64,
+    /// Embodied grams of one core (`EC_CPU / Core_num`).
+    core_embodied_g: f64,
+    /// Embodied grams of the DRAM share (`M_f/M_DRAM · EC_DRAM`).
+    dram_share_embodied_g: f64,
+    /// The node's lifetime (ms) as the divisor of both embodied terms.
+    lifetime_ms: f64,
+    /// [`CarbonModelConfig`] multipliers on the CPU and DRAM embodied
+    /// terms.
+    cpu_factor: f64,
+    dram_factor: f64,
+}
+
+impl KeepaliveCoeffs {
+    /// Energy (kWh) drawn over `duration_ms`.
+    #[inline]
+    pub fn energy_kwh(&self, duration_ms: u64) -> f64 {
+        watts_ms_to_kwh(self.power_w, duration_ms)
+    }
+
+    /// Embodied grams attributed over `duration_ms`:
+    /// `core·d/LT·f_cpu + share·d/LT·f_dram`, each product in the order
+    /// the per-component helpers in `ecolife-hw` use.
+    #[inline]
+    pub fn embodied_g(&self, duration_ms: u64) -> f64 {
+        let d = duration_ms as f64;
+        self.core_embodied_g * d / self.lifetime_ms * self.cpu_factor
+            + self.dram_share_embodied_g * d / self.lifetime_ms * self.dram_factor
+    }
+
+    /// Footprint of keeping the container warm for `duration_ms` at
+    /// `ci_g_per_kwh`: operational `energy × CI` plus embodied.
+    #[inline]
+    pub fn phase(&self, duration_ms: u64, ci_g_per_kwh: f64) -> CarbonFootprint {
+        CarbonFootprint::new(
+            self.energy_kwh(duration_ms) * ci_g_per_kwh,
+            self.embodied_g(duration_ms),
+        )
     }
 }
 
@@ -244,6 +304,50 @@ mod tests {
         .keepalive_phase(&p.new, 512, 60_000, 300.0);
         assert!(plat.embodied_g > base.embodied_g);
         assert_eq!(plat.operational_g, base.operational_g);
+    }
+
+    #[test]
+    fn keepalive_coefficients_reproduce_the_component_formula_bit_for_bit() {
+        // The reference is the keep-alive formula spelled out through the
+        // per-component helpers of `ecolife-hw`.
+        let reference = |m: &CarbonModel, node: &HardwareNode, mem: u64, d: u64, ci: f64| {
+            let operational_g = PowerDraw::keepalive(node, mem).energy_kwh(d) * ci;
+            let embodied_g = node.cpu.embodied_for_one_core_g(d, node.lifetime_ms)
+                * m.embodied_factor_cpu()
+                + node.dram.embodied_for_share_g(mem, d, node.lifetime_ms)
+                    * m.embodied_factor_dram();
+            CarbonFootprint::new(operational_g, embodied_g)
+        };
+        let bits = |c: CarbonFootprint| (c.operational_g.to_bits(), c.embodied_g.to_bits());
+        let nodes: Vec<HardwareNode> = skus::Sku::ALL
+            .iter()
+            .map(|&sku| skus::fleet_of(&[sku]).node(ecolife_hw::NodeId(0)).clone())
+            .collect();
+        for (embodied_scale, include_platform_components) in
+            [(1.0, false), (0.9, false), (1.1, true), (1.0, true)]
+        {
+            let m = CarbonModel::new(CarbonModelConfig {
+                embodied_scale,
+                include_platform_components,
+            });
+            for node in &nodes {
+                for mem in [1, 128, 256, 1_000, 3_008, 10_240] {
+                    let coeffs = m.keepalive_coeffs(node, mem);
+                    for d in [0, 1, 999, 60_000, 299_999, 600_000, 86_400_000] {
+                        for ci in [0.0, 1.0 / 3.0, 57.5, 412.25, 900.0] {
+                            let want = bits(reference(&m, node, mem, d, ci));
+                            assert_eq!(bits(m.keepalive_phase(node, mem, d, ci)), want);
+                            assert_eq!(
+                                bits(coeffs.phase(d, ci)),
+                                want,
+                                "{} {mem} {d}",
+                                node.cpu.name
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -3,6 +3,7 @@
 use ecolife_carbon::TransferCost;
 use ecolife_hw::NodeId;
 use ecolife_pso::DpsoConfig;
+use ecolife_sim::MINUTE_MS;
 
 /// All knobs of the EcoLife scheduler. Defaults reproduce the paper's
 /// setup (Sec. V): λs = λc = 0.5, 15 particles, ω ∈ [0.5, 1],
@@ -31,7 +32,8 @@ pub struct EcoLifeConfig {
     /// Serve the decision hot path and the warm-pool adjustment through
     /// the precomputed
     /// [`ObjectiveTables`](crate::objective::ObjectiveTables) (per-node
-    /// constants + per-minute CI composites + per-decision fitness grid)
+    /// constants + per-minute CI composites + per-decision fitness
+    /// landscape)
     /// instead of recomputing fleet-wide scans inside every particle
     /// evaluation and for every resident of an overflowing pool.
     /// Decisions are bit-identical either way (pinned by
@@ -83,9 +85,18 @@ impl Default for EcoLifeConfig {
 }
 
 impl EcoLifeConfig {
-    /// Validate invariants; called by the scheduler constructor.
+    /// Validate invariants; called by the scheduler constructor, so a
+    /// bad configuration fails there and not at the first decision.
     pub fn validate(&self) {
-        assert!(self.lambda_s >= 0.0 && self.lambda_c >= 0.0);
+        assert!(
+            self.lambda_s.is_finite()
+                && self.lambda_c.is_finite()
+                && self.lambda_s >= 0.0
+                && self.lambda_c >= 0.0,
+            "optimization weights must be finite and non-negative, got λs = {}, λc = {}",
+            self.lambda_s,
+            self.lambda_c
+        );
         assert!(
             self.lambda_s + self.lambda_c > 0.0,
             "at least one optimization weight must be positive"
@@ -102,7 +113,13 @@ impl EcoLifeConfig {
             self.keepalive_grid_min.windows(2).all(|w| w[0] < w[1]),
             "grid must be strictly increasing"
         );
+        let longest = self.keepalive_grid_min[self.keepalive_grid_min.len() - 1];
+        assert!(
+            longest.checked_mul(MINUTE_MS).is_some(),
+            "keep-alive grid period of {longest} min overflows u64 milliseconds"
+        );
         assert!(self.pso_iters > 0);
+        self.dpso.validate();
     }
 
     /// The Fig. 10 ablation variant.
@@ -211,6 +228,26 @@ mod tests {
     fn grid_must_increase() {
         let c = EcoLifeConfig {
             keepalive_grid_min: vec![0, 5, 5],
+            ..Default::default()
+        };
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows u64 milliseconds")]
+    fn grid_periods_must_fit_in_milliseconds() {
+        let c = EcoLifeConfig {
+            keepalive_grid_min: vec![0, 10, u64::MAX / MINUTE_MS + 1],
+            ..Default::default()
+        };
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "must be finite and non-negative, got λs = NaN")]
+    fn nan_optimization_weight_is_rejected() {
+        let c = EcoLifeConfig {
+            lambda_s: f64::NAN,
             ..Default::default()
         };
         c.validate();

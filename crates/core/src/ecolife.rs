@@ -19,23 +19,28 @@
 //!    the losers toward the remaining nodes, cheapest keep-alive first.
 //!
 //! The decision loop is the hot path of every million-invocation replay,
-//! so it is allocation-free: fleet-wide objective scans are served from
-//! [`ObjectiveTables`] (per-function constants + per-minute CI
-//! composites), the whole per-decision fitness landscape is precomputed
-//! into reusable scratch so DPSO particle evaluations are table lookups,
-//! and per-function state lives in a slot vector keyed by the raw
-//! function id. The overflow ranking is served from the same tables:
+//! so it is allocation-free and does only the work the swarm reads:
+//! fleet-wide objective scans are served from [`ObjectiveTables`]
+//! (per-function constants + per-minute CI composites); the predictor's
+//! estimates at every grid period are running counts, read as lookups;
+//! the fitness is a reusable [`ObjectiveLandscape`] whose `(node,
+//! period)` cells are computed on a particle's first visit and memoized
+//! for the rest of the decision (a decision's ~130 evaluations touch a
+//! few dozen of the `nodes × grid` cells); the swarm lives in flat
+//! buffers; and per-function state lives in a slot vector keyed by the
+//! raw function id. The overflow ranking is served from the same tables:
 //! each candidate's keep-alive benefit is one row lookup (O(residents)
 //! per overflow instead of fleet-wide cost-model rescans per resident),
-//! the transfer ranking is memoized per minute, and the tables' epoch
-//! is refreshed from the engine's intensity snapshot, because degraded
+//! its reuse weight `P(gap ≤ 5 min)` is a tracked predictor lookup, the
+//! transfer ranking is memoized per minute, and the tables' epoch is
+//! refreshed from the engine's intensity snapshot, because degraded
 //! decisions install keep-alives without a `decide`. Decisions and
 //! plans are bit-identical to the uncached reference loop
 //! (`EcoLifeConfig::without_cached_tables`), pinned by
 //! `tests/hotpath.rs`.
 
 use crate::config::EcoLifeConfig;
-use crate::objective::{CostModel, ObjectiveTables};
+use crate::objective::{CostModel, ObjectiveLandscape, ObjectiveTables};
 use crate::predictor::FunctionPredictor;
 use crate::warmpool::priority_adjustment_with_targets;
 use ecolife_carbon::CarbonModel;
@@ -48,6 +53,11 @@ use ecolife_sim::{
 use ecolife_trace::stats::SignalDelta;
 use ecolife_trace::{FunctionId, FunctionProfile, Trace, WorkloadCatalog};
 
+/// The warm-pool ranking weighs each candidate by `P(gap ≤ 5 min)`: the
+/// online predictor distinguishes drumbeat functions from ones that have
+/// gone quiet. Predictors track it right after the keep-alive grid.
+const OVERFLOW_HORIZON_MS: u64 = 5 * MINUTE_MS;
+
 /// Per-function KDM state: the preserved optimizer plus the predictor.
 struct FunctionState {
     swarm: DynamicPso,
@@ -57,7 +67,8 @@ struct FunctionState {
 impl FunctionState {
     /// Build the per-function state: an independent, deterministically
     /// seeded swarm over the fleet-wide placement space plus a fresh
-    /// arrival predictor.
+    /// arrival predictor tracking the keep-alive grid and
+    /// [`OVERFLOW_HORIZON_MS`].
     fn new(config: &EcoLifeConfig, n_nodes: usize, func: FunctionId) -> Self {
         let dpso_cfg = DpsoConfig {
             base: PsoConfig {
@@ -72,7 +83,14 @@ impl FunctionState {
                 SearchSpace::placement(n_nodes, config.keepalive_grid_min.len()),
                 dpso_cfg,
             ),
-            predictor: FunctionPredictor::new(config.delta_f_window_ms),
+            predictor: FunctionPredictor::new(
+                config.delta_f_window_ms,
+                config
+                    .keepalive_grid_min
+                    .iter()
+                    .map(|m| m * MINUTE_MS)
+                    .chain([OVERFLOW_HORIZON_MS]),
+            ),
         }
     }
 }
@@ -127,14 +145,11 @@ impl FunctionStates {
 /// instead of allocating per invocation.
 #[derive(Default)]
 struct DecideScratch {
-    /// Predictor snapshot over the keep-alive grid.
-    p_warm: Vec<f64>,
-    resident: Vec<f64>,
     /// Per-node executor backlog read for queue-aware placement.
     queue_ms: Vec<u64>,
-    /// The `(node, grid index)` objective landscape of this decision
-    /// (row-major by node) — the fitness the swarm optimizes, as lookups.
-    objective: Vec<f64>,
+    /// This decision's objective landscape — the fitness the swarm
+    /// optimizes.
+    landscape: ObjectiveLandscape,
 }
 
 /// Decode an optimizer position into the keep-alive (node, period-index)
@@ -260,10 +275,10 @@ impl EcoLife {
     }
 
     /// The cached decision hot path: every fleet-wide scan served from
-    /// [`ObjectiveTables`], the whole fitness landscape of the decision
-    /// precomputed once into a scratch grid (at most `nodes × grid`
-    /// entries vs. 100+ particle evaluations), and no per-invocation
-    /// clone of the cost model, profile, or grid.
+    /// [`ObjectiveTables`], the predictor snapshot read from its tracked
+    /// grid, the fitness a lazily memoized landscape (only the cells the
+    /// swarm visits are computed), and no per-invocation clone of the
+    /// cost model, profile, or grid.
     fn decide_cached(&mut self, ctx: &InvocationCtx<'_>, dci: f64) -> Decision {
         let restrict = self.config.restrict_to;
         self.tables.refresh(ctx.ci, ctx.t_ms);
@@ -300,30 +315,21 @@ impl EcoLife {
         state.predictor.record_arrival(ctx.t_ms);
         let df = state.predictor.delta_f();
 
-        // Snapshot the predictor's answers over the whole grid, then
-        // precompute the objective of every decodable (node, period)
-        // choice — the fitness closure is a pure table lookup.
-        scratch.p_warm.clear();
-        scratch.resident.clear();
-        for &m in &config.keepalive_grid_min {
-            scratch.p_warm.push(state.predictor.p_warm(m * MINUTE_MS));
-            scratch
-                .resident
-                .push(state.predictor.expected_resident_ms(m * MINUTE_MS));
-        }
-        tables.fill_objective_grid(
+        // Snapshot the predictor's tracked estimates over the grid into
+        // this decision's landscape; the fitness closure reads (and on a
+        // first visit computes) one memoized cell per evaluation.
+        let predictor = &state.predictor;
+        let landscape = tables.landscape(
             ctx.func,
             ctx.profile,
             &config.keepalive_grid_min,
-            &scratch.p_warm,
-            &scratch.resident,
+            (0..grid_len).map(|i| (predictor.p_warm_at(i), predictor.expected_resident_ms_at(i))),
             restrict,
-            &mut scratch.objective,
+            &mut scratch.landscape,
         );
-        let objective: &[f64] = &scratch.objective;
-        let fitness = move |x: &[f64]| -> f64 {
+        let fitness = |x: &[f64]| -> f64 {
             let (l, idx) = decode_placement(restrict, n_nodes, grid_len, x);
-            objective[l.index() * grid_len + idx]
+            landscape.objective(l, idx)
         };
 
         if config.dynamic_pso {
@@ -392,7 +398,7 @@ impl EcoLife {
         state.predictor.record_arrival(ctx.t_ms);
         let df = state.predictor.delta_f();
 
-        // Snapshot the predictor's answers over the whole grid so the
+        // Snapshot the predictor's scans over the whole grid so the
         // fitness closure has no borrow of `state`.
         let p_warm: Vec<f64> = grid
             .iter()
@@ -520,22 +526,24 @@ impl Scheduler for EcoLife {
         // rest of the fleet: displaced containers are evicted, so it
         // needs no transfer ranking.
         let spill = config.restrict_to.is_none();
-        // Rank candidates by benefit × P(reuse within 5 minutes): the
-        // online predictor distinguishes drumbeat functions from ones
-        // that have gone quiet.
-        let weight = |func: FunctionId| -> f64 {
-            states
-                .get(func)
-                .map(|s| s.predictor.p_warm(5 * MINUTE_MS))
-                .unwrap_or(0.75)
-        };
-        // Hot path: benefits are row lookups and the transfer ranking is
-        // memoized per (node, minute). The epoch comes from the engine's
-        // snapshot — a degraded decision installs keep-alives without a
-        // `decide`, so no refresh may have seen this minute. (The
-        // `AdjustPlan` owns its ranking, hence the clone of the ≤
-        // fleet-size id vector.)
+        // Hot path: benefits are row lookups, the reuse weight a tracked
+        // predictor lookup, and the transfer ranking is memoized per
+        // (node, minute). The epoch comes from the engine's snapshot — a
+        // degraded decision installs keep-alives without a `decide`, so
+        // no refresh may have seen this minute. (The `AdjustPlan` owns
+        // its ranking, hence the clone of the ≤ fleet-size id vector.)
         let cached = config.cached_tables;
+        // Rank candidates by benefit × P(reuse within 5 minutes).
+        let horizon = config.keepalive_grid_min.len();
+        let weight = |func: FunctionId| -> f64 {
+            states.get(func).map_or(0.75, |s| {
+                if cached {
+                    s.predictor.p_warm_at(horizon)
+                } else {
+                    s.predictor.p_warm(OVERFLOW_HORIZON_MS)
+                }
+            })
+        };
         if cached {
             tables.refresh_from_snapshot(ctx.t_ms, &ctx.ci_by_node);
         }
@@ -642,6 +650,15 @@ mod tests {
             skus::pair_a(),
             EcoLifeConfig::default().restricted_to(NodeId(5)),
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "DPSO inertia range is empty")]
+    fn an_inverted_dpso_range_fails_at_construction() {
+        let mut config = EcoLifeConfig::default();
+        config.dpso.omega_min = 1.0;
+        config.dpso.omega_max = 0.5;
+        EcoLife::new(skus::pair_a(), config);
     }
 
     #[test]

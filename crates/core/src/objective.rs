@@ -21,10 +21,20 @@
 //! case, or read it off `InvocationCtx::ci`). Scalar-`ci` leaf methods
 //! (`*_carbon_g`) remain per-node quantities: the caller passes that
 //! node's intensity.
+//!
+//! [`ObjectiveTables`] caches those pieces for the scheduler's hot path,
+//! and [`ObjectiveLandscape`] is one decision's fitness over it: the
+//! expected objective of every `(node, keep-alive period)` choice,
+//! where each cell is computed the first time the swarm decodes a
+//! particle to it and memoized until the next decision. Only the cells
+//! the swarm visits are ever priced (a few dozen of the `nodes × grid`),
+//! and each equals [`CostModel::expected_objective`] bit for bit.
 
-use ecolife_carbon::{CarbonModel, CiProvider, TransferCost};
+use ecolife_carbon::{CarbonModel, CiProvider, KeepaliveCoeffs, TransferCost};
 use ecolife_hw::{Fleet, NodeId, PerfModel};
+use ecolife_pso::decode;
 use ecolife_trace::{FunctionId, FunctionProfile};
+use std::cell::Cell;
 
 /// Cost calculator bound to a hardware fleet and carbon model.
 #[derive(Debug, Clone)]
@@ -475,6 +485,9 @@ struct FunctionTables {
     /// (CI-independent by construction).
     warm_embodied_g: Vec<f64>,
     cold_embodied_g: Vec<f64>,
+    /// Keep-alive coefficients of the function's memory size per node —
+    /// the landscape prices every KC term from them.
+    keepalive: Vec<KeepaliveCoeffs>,
     /// Keep-alive energy/embodied for the full `max_keepalive_ms` —
     /// the `KC_max` ingredients.
     ka_max_energy_kwh: Vec<f64>,
@@ -627,6 +640,7 @@ impl ObjectiveTables {
             cold_energy_kwh: Vec::with_capacity(n),
             warm_embodied_g: Vec::with_capacity(n),
             cold_embodied_g: Vec::with_capacity(n),
+            keepalive: Vec::with_capacity(n),
             ka_max_energy_kwh: Vec::with_capacity(n),
             ka_max_embodied_g: Vec::with_capacity(n),
             s_max: cost.s_max(f),
@@ -657,13 +671,12 @@ impl ObjectiveTables {
                     .active_phase(node, f.memory_mib, cold_ms, 0.0)
                     .embodied_g,
             );
+            let keepalive = carbon.keepalive_coeffs(node, f.memory_mib);
+            t.keepalive.push(keepalive);
             t.ka_max_energy_kwh
-                .push(cost.keepalive_energy_kwh(l, f, cost.max_keepalive_ms));
-            t.ka_max_embodied_g.push(
-                carbon
-                    .keepalive_phase(node, f.memory_mib, cost.max_keepalive_ms, 0.0)
-                    .embodied_g,
-            );
+                .push(keepalive.energy_kwh(cost.max_keepalive_ms));
+            t.ka_max_embodied_g
+                .push(keepalive.embodied_g(cost.max_keepalive_ms));
         }
         t
     }
@@ -760,78 +773,72 @@ impl ObjectiveTables {
         self.cost.lambda_s * ds + self.cost.lambda_c * dc
     }
 
-    /// Fill `out` with the expected objective of every `(node, grid
-    /// index)` keep-alive choice — the whole KDM fitness landscape of one
-    /// decision, so the swarm's 100+ particle evaluations become table
-    /// lookups. `p_warm[i]` / `resident_ms[i]` are the predictor's
-    /// answers for `grid_min[i]`; with `restrict` set only that node's
-    /// stripe is computed (the decode rule never leaves it).
+    /// Reset `out` to the KDM fitness landscape of one decision for
+    /// `func`: the expected objective of every `(node, grid index)`
+    /// keep-alive choice, computed when the swarm first reads it.
+    /// `estimates` yields the predictor's `(P(gap ≤ k), E[min(gap, k)])`
+    /// for each entry of `grid_min`, in order; with `restrict` set the
+    /// decode rule never leaves that node's stripe, so no other cell is
+    /// ever computed.
     ///
-    /// Each entry is numerically identical to
-    /// [`CostModel::expected_objective`] with the same arguments.
-    #[allow(clippy::too_many_arguments)]
-    pub fn fill_objective_grid(
+    /// The per-period half of [`CostModel::expected_objective`] (the
+    /// clamped `P(warm)` and the rounded residency) is settled here, once
+    /// per grid index, and the row's per-node intermediates are copied
+    /// next to it; each cell then recombines them in that method's
+    /// operation order, so every read is bit-identical to it.
+    pub fn landscape<'a>(
         &mut self,
         func: FunctionId,
         f: &FunctionProfile,
         grid_min: &[u64],
-        p_warm: &[f64],
-        resident_ms: &[f64],
+        estimates: impl IntoIterator<Item = (f64, f64)>,
         restrict: Option<NodeId>,
-        out: &mut Vec<f64>,
-    ) {
-        debug_assert_eq!(grid_min.len(), p_warm.len());
-        debug_assert_eq!(grid_min.len(), resident_ms.len());
-        let idx_row = self.ensure_row(func, f);
-        let Self {
-            cost,
-            rows,
-            ci_by_node,
-            minute,
-            ..
-        } = self;
-        let row = rows[idx_row].as_deref().expect("row built");
-        debug_assert_eq!(row.minute, *minute);
-        let n_nodes = row.warm_ms.len();
-        let glen = grid_min.len();
-        out.clear();
-        out.resize(n_nodes * glen, f64::INFINITY);
+        out: &'a mut ObjectiveLandscape,
+    ) -> &'a ObjectiveLandscape {
+        let idx = self.ensure_row(func, f);
+        let row = self.rows[idx].as_deref().expect("row built");
+        debug_assert_eq!(row.minute, self.minute);
 
-        // The cold branch executes where the EPDM would place it —
-        // constant across the whole grid (`expected_objective` recomputes
-        // it per call; the value is identical).
-        let cold_loc = restrict.unwrap_or(row.epdm_best).index();
-        let s_cold = row.cold_ms[cold_loc] as f64;
-        let sc_cold = row.cold_carbon_g[cold_loc];
-
-        let nodes: std::ops::Range<usize> = match restrict {
-            Some(l) => l.index()..l.index() + 1,
-            None => 0..n_nodes,
-        };
-        for l in nodes {
-            let ci_l = ci_by_node[l];
-            let s_warm = row.warm_ms[l] as f64;
-            let sc_warm = row.warm_carbon_g[l];
-            for (idx, &k_min) in grid_min.iter().enumerate() {
-                let k_ms = k_min * MINUTE_MS;
-                let p = if k_ms == 0 {
-                    0.0
-                } else {
-                    p_warm[idx].clamp(0.0, 1.0)
-                };
-                let e_s = p * s_warm + (1.0 - p) * s_cold;
-                let e_sc = p * sc_warm + (1.0 - p) * sc_cold;
-                let resident = resident_ms[idx].clamp(0.0, k_ms as f64);
-                let kc = if k_ms == 0 {
-                    0.0
-                } else {
-                    cost.keepalive_carbon_g(NodeId(l as u32), f, resident.round() as u64, ci_l)
-                };
-                out[l * glen + idx] = cost.lambda_s * e_s / row.s_max
-                    + cost.lambda_c * e_sc / row.sc_max
-                    + cost.lambda_c * kc / row.kc_max;
-            }
+        out.periods.clear();
+        for (&k_min, (p_warm, resident_ms)) in grid_min.iter().zip(estimates) {
+            let k_ms = k_min * MINUTE_MS;
+            out.periods.push(if k_ms == 0 {
+                PeriodTerms {
+                    p_warm: 0.0,
+                    resident_ms: 0,
+                }
+            } else {
+                PeriodTerms {
+                    p_warm: p_warm.clamp(0.0, 1.0),
+                    resident_ms: decode::round_to_u64(resident_ms.clamp(0.0, k_ms as f64)),
+                }
+            });
         }
+        assert_eq!(
+            out.periods.len(),
+            grid_min.len(),
+            "one estimate per grid period"
+        );
+        out.nodes.clear();
+        out.nodes.extend((0..row.warm_ms.len()).map(|l| NodeTerms {
+            s_warm: row.warm_ms[l] as f64,
+            sc_warm: row.warm_carbon_g[l],
+            ci: self.ci_by_node[l],
+            keepalive: row.keepalive[l],
+        }));
+        out.cells.clear();
+        out.cells
+            .resize(out.nodes.len() * out.periods.len(), Cell::new(None));
+
+        out.lambda_s = self.cost.lambda_s;
+        out.lambda_c = self.cost.lambda_c;
+        (out.s_max, out.sc_max, out.kc_max) = (row.s_max, row.sc_max, row.kc_max);
+        // The cold branch executes where the EPDM would place it —
+        // constant across the whole landscape.
+        let cold = restrict.unwrap_or(row.epdm_best).index();
+        out.s_cold = row.cold_ms[cold] as f64;
+        out.sc_cold = row.cold_carbon_g[cold];
+        out
     }
 
     /// Memoized [`CostModel::transfer_ranking`] at the current epoch: the
@@ -867,6 +874,81 @@ impl FunctionTables {
             self.cold_carbon_g[l],
             self.sc_max,
         )
+    }
+}
+
+/// One decision's keep-alive fitness landscape (see
+/// [`ObjectiveTables::landscape`]), reused from decision to decision. A
+/// DPSO decision evaluates ~130 particle positions, which decode to a few
+/// dozen distinct cells of the `nodes × grid` landscape; each is computed
+/// from the decision's terms held here once and memoized for the rest of
+/// the decision.
+#[derive(Debug, Default)]
+pub struct ObjectiveLandscape {
+    lambda_s: f64,
+    lambda_c: f64,
+    /// The function's `S_max`, `SC_max` and `KC_max` at the epoch.
+    s_max: f64,
+    sc_max: f64,
+    kc_max: f64,
+    /// Service time and carbon of the cold branch.
+    s_cold: f64,
+    sc_cold: f64,
+    periods: Vec<PeriodTerms>,
+    nodes: Vec<NodeTerms>,
+    /// The memo, row-major by node: `None` until the cell is first read,
+    /// so any computed value (a NaN from NaN inputs included) is reused.
+    cells: Vec<Cell<Option<f64>>>,
+}
+
+/// The per-period inputs of a landscape cell.
+#[derive(Debug, Clone, Copy)]
+struct PeriodTerms {
+    /// `P(warm)` clamped to `[0, 1]`; 0 for the no-keep-alive period.
+    p_warm: f64,
+    /// The expected residency clamped to `[0, k]` and rounded to whole
+    /// milliseconds — the duration the KC term prices (0 prices nothing).
+    resident_ms: u64,
+}
+
+/// The per-node inputs of a landscape cell.
+#[derive(Debug, Clone, Copy)]
+struct NodeTerms {
+    /// Warm service time (ms) and carbon on the node.
+    s_warm: f64,
+    sc_warm: f64,
+    /// The node's grid intensity and keep-alive coefficients.
+    ci: f64,
+    keepalive: KeepaliveCoeffs,
+}
+
+impl ObjectiveLandscape {
+    /// [`CostModel::expected_objective`] of keeping the function alive on
+    /// `l` for the `idx`-th grid period, bit for bit.
+    #[inline]
+    pub fn objective(&self, l: NodeId, idx: usize) -> f64 {
+        let cell = &self.cells[l.index() * self.periods.len() + idx];
+        if let Some(value) = cell.get() {
+            return value;
+        }
+        let value = self.compute(&self.nodes[l.index()], self.periods[idx]);
+        cell.set(Some(value));
+        value
+    }
+
+    /// A cell's objective in [`CostModel::expected_objective`]'s
+    /// operation order.
+    fn compute(&self, node: &NodeTerms, period: PeriodTerms) -> f64 {
+        let p = period.p_warm;
+        let e_s = p * node.s_warm + (1.0 - p) * self.s_cold;
+        let e_sc = p * node.sc_warm + (1.0 - p) * self.sc_cold;
+        let kc = match period.resident_ms {
+            0 => 0.0,
+            resident => node.keepalive.phase(resident, node.ci).total_g(),
+        };
+        self.lambda_s * e_s / self.s_max
+            + self.lambda_c * e_sc / self.sc_max
+            + self.lambda_c * kc / self.kc_max
     }
 }
 
@@ -1288,50 +1370,74 @@ mod tests {
 
     #[test]
     fn tables_reproduce_expected_objective_bit_for_bit() {
-        use ecolife_carbon::{CarbonIntensityTrace, CiProvider};
-        let fleet = skus::fleet_three_generations();
-        let cost = CostModel::new(fleet.clone(), CarbonModel::default(), 0.5, 0.5, 50, 600_000);
-        let mut tables = ObjectiveTables::new(cost.clone());
-        let ci = CarbonIntensityTrace::synthetic(ecolife_hw::Region::Caiso, 120, 9);
-        let provider = CiProvider::shared(&ci, &fleet);
+        use ecolife_carbon::{CiBundle, CiProvider};
+        let bundle = CiBundle::synthetic_all(120, 9);
         let grid: Vec<u64> = (0..=10).collect();
-        let p_warm: Vec<f64> = grid.iter().map(|&m| 0.08 * m as f64 + 0.05).collect();
-        let resident: Vec<f64> = grid.iter().map(|&m| 0.4 * (m * 60_000) as f64).collect();
+        // Estimates outside [0, 1] and [0, k], residencies that round to
+        // zero or sit on a half millisecond: every clamp and rounding
+        // branch of `expected_objective`.
+        let p_warm = [0.3, -0.2, 0.0, 0.17, 0.5, 1.0, 1.7, 0.99, 0.62, 0.05, 0.875];
+        let resident = [
+            123.0, -5.0, 0.4, 90_000.5, 200_000.0, 1e9, 150_000.25, 0.0, 420_000.5, 539_999.5,
+            600_000.0,
+        ];
         let catalog = WorkloadCatalog::sebs();
-        let mut out = Vec::new();
-        for t_ms in [0u64, 30_000, 61_000, 45 * 60_000] {
-            tables.refresh(&provider, t_ms);
-            let ci_by_node = provider.at_each_node(t_ms);
-            assert_eq!(tables.ci_by_node(), &ci_by_node[..]);
-            for (func, f) in catalog.iter().take(4) {
-                for restrict in [None, Some(NodeId(1))] {
-                    assert_eq!(
-                        tables.epdm_choice(func, f, restrict),
-                        cost.epdm_choice(f, &ci_by_node, restrict)
-                    );
-                    tables.fill_objective_grid(
-                        func, f, &grid, &p_warm, &resident, restrict, &mut out,
-                    );
-                    let nodes: Vec<NodeId> = match restrict {
-                        Some(l) => vec![l],
-                        None => fleet.ids().collect(),
-                    };
-                    for &l in &nodes {
-                        for (idx, &k_min) in grid.iter().enumerate() {
+        let mut landscape = ObjectiveLandscape::default();
+        for fleet in [
+            Fleet::from(skus::pair_a()),
+            skus::fleet_three_generations(),
+            skus::fleet_five_regions(),
+        ] {
+            let n = fleet.len();
+            let cost = CostModel::new(fleet.clone(), CarbonModel::default(), 0.5, 0.5, 50, 600_000);
+            let mut tables = ObjectiveTables::new(cost.clone());
+            let provider = CiProvider::from_bundle(&bundle, &fleet).unwrap();
+            for t_ms in [0u64, 30_000, 61_000, 45 * 60_000] {
+                tables.refresh(&provider, t_ms);
+                let ci_by_node = provider.at_each_node(t_ms);
+                assert_eq!(tables.ci_by_node(), &ci_by_node[..]);
+                for (func, f) in catalog.iter().take(4) {
+                    for restrict in [None, Some(NodeId(1)), Some(NodeId(n as u32 - 1))] {
+                        assert_eq!(
+                            tables.epdm_choice(func, f, restrict),
+                            cost.epdm_choice(f, &ci_by_node, restrict)
+                        );
+                        let cells: Vec<(NodeId, usize)> = match restrict {
+                            Some(l) => vec![l],
+                            None => fleet.ids().collect(),
+                        }
+                        .into_iter()
+                        .flat_map(|l| (0..grid.len()).map(move |idx| (l, idx)))
+                        .collect();
+                        let landscape = tables.landscape(
+                            func,
+                            f,
+                            &grid,
+                            p_warm.into_iter().zip(resident),
+                            restrict,
+                            &mut landscape,
+                        );
+                        // Every reachable cell twice (computed, then
+                        // memoized), in a stride-7 scrambled order.
+                        let m = cells.len();
+                        assert_ne!(m % 7, 0);
+                        for j in 0..2 * m {
+                            let (l, idx) = cells[(7 * j + j / m) % m];
                             let want = cost.expected_objective(
                                 f,
                                 l,
-                                k_min * 60_000,
+                                grid[idx] * 60_000,
                                 p_warm[idx],
                                 resident[idx],
                                 &ci_by_node,
                                 restrict,
                             );
-                            let got = out[l.index() * grid.len() + idx];
+                            let got = landscape.objective(l, idx);
                             assert_eq!(
                                 got.to_bits(),
                                 want.to_bits(),
-                                "t={t_ms} f={func} l={l} k={k_min}: {got} vs {want}"
+                                "n={n} t={t_ms} f={func} l={l} k={}: {got} vs {want}",
+                                grid[idx]
                             );
                         }
                     }

@@ -1,9 +1,21 @@
 //! Online per-function arrival prediction (no future knowledge).
 //!
 //! Wraps the inter-arrival ring from `ecolife-trace` and the ΔF window
-//! tracker into the quantities the KDM fitness needs.
+//! tracker into the quantities the KDM fitness needs. The ring keeps both
+//! estimates' numerators at a fixed set of keep-alive periods (the KDM
+//! grid and the warm-pool ranking's horizon) current as gaps arrive, so
+//! the per-decision snapshot is a row of lookups
+//! ([`FunctionPredictor::p_warm_at`],
+//! [`FunctionPredictor::expected_resident_ms_at`]); the scans
+//! ([`FunctionPredictor::p_warm`],
+//! [`FunctionPredictor::expected_resident_ms`]) answer any other period
+//! and are the lookups' reference.
 
 use ecolife_trace::stats::{DeltaTracker, InterArrivalStats};
+
+/// `P(warm)` before any gap has been observed (see
+/// [`FunctionPredictor::p_warm`]).
+const NO_HISTORY_P_WARM: f64 = 0.75;
 
 /// Arrival model for one function.
 #[derive(Debug, Clone)]
@@ -13,9 +25,11 @@ pub struct FunctionPredictor {
 }
 
 impl FunctionPredictor {
-    pub fn new(delta_window_ms: u64) -> Self {
+    /// A predictor with ΔF windows of `delta_window_ms` that keeps its
+    /// estimates current at each period of `tracked_ms`.
+    pub fn new(delta_window_ms: u64, tracked_ms: impl IntoIterator<Item = u64>) -> Self {
         FunctionPredictor {
-            stats: InterArrivalStats::with_default_capacity(),
+            stats: InterArrivalStats::with_grid(InterArrivalStats::DEFAULT_CAPACITY, tracked_ms),
             deltas: DeltaTracker::new(delta_window_ms),
         }
     }
@@ -35,7 +49,7 @@ impl FunctionPredictor {
     /// stream of cold starts while the swarm warms up.
     pub fn p_warm(&self, k_ms: u64) -> f64 {
         if self.stats.sample_count() == 0 {
-            return 0.75;
+            return NO_HISTORY_P_WARM;
         }
         self.stats.p_within(k_ms)
     }
@@ -43,6 +57,23 @@ impl FunctionPredictor {
     /// `E[min(gap, k_ms)]` from history.
     pub fn expected_resident_ms(&self, k_ms: u64) -> f64 {
         self.stats.expected_resident_ms(k_ms)
+    }
+
+    /// [`FunctionPredictor::p_warm`] at the `i`-th tracked period, as a
+    /// lookup (bit-identical to the scan).
+    #[inline]
+    pub fn p_warm_at(&self, i: usize) -> f64 {
+        if self.stats.sample_count() == 0 {
+            return NO_HISTORY_P_WARM;
+        }
+        self.stats.p_within_grid(i)
+    }
+
+    /// [`FunctionPredictor::expected_resident_ms`] at the `i`-th tracked
+    /// period, as a lookup (bit-identical to the scan).
+    #[inline]
+    pub fn expected_resident_ms_at(&self, i: usize) -> f64 {
+        self.stats.expected_resident_grid_ms(i)
     }
 
     /// Normalized |ΔF| ∈ [0, 1] — this function's invocation-rate change
@@ -68,7 +99,7 @@ mod tests {
 
     #[test]
     fn predictor_learns_regular_arrivals() {
-        let mut p = FunctionPredictor::new(60_000);
+        let mut p = FunctionPredictor::new(60_000, []);
         for i in 0..20u64 {
             p.record_arrival(i * 30_000); // every 30 s
         }
@@ -81,15 +112,17 @@ mod tests {
 
     #[test]
     fn optimistic_prior_before_history() {
-        let p = FunctionPredictor::new(60_000);
+        let p = FunctionPredictor::new(60_000, [600_000]);
         assert_eq!(p.p_warm(600_000), 0.75);
         assert_eq!(p.expected_resident_ms(600_000), 300_000.0);
+        assert_eq!(p.p_warm_at(0), 0.75);
+        assert_eq!(p.expected_resident_ms_at(0), 300_000.0);
         assert_eq!(p.delta_f(), 0.0);
     }
 
     #[test]
     fn delta_f_fires_on_rate_change() {
-        let mut p = FunctionPredictor::new(60_000);
+        let mut p = FunctionPredictor::new(60_000, []);
         // Minute 0: 10 arrivals; minute 1: 1 arrival; minute 2 rolls.
         for i in 0..10u64 {
             p.record_arrival(i * 1_000);

@@ -48,6 +48,36 @@ impl Default for DpsoConfig {
     }
 }
 
+impl DpsoConfig {
+    /// Reject weight ranges [`DynamicPso::perceive`] cannot clamp into —
+    /// non-finite bounds or `min > max`, which would otherwise panic
+    /// inside `f64::clamp` at the first perception — along with an
+    /// invalid base swarm (called by [`DynamicPso::new`]).
+    pub fn validate(&self) {
+        self.base.validate();
+        for (name, bound) in [
+            ("omega_min", self.omega_min),
+            ("omega_max", self.omega_max),
+            ("c_min", self.c_min),
+            ("c_max", self.c_max),
+        ] {
+            assert!(bound.is_finite(), "DPSO {name} must be finite, got {bound}");
+        }
+        assert!(
+            self.omega_min <= self.omega_max,
+            "DPSO inertia range is empty: omega_min {} > omega_max {}",
+            self.omega_min,
+            self.omega_max
+        );
+        assert!(
+            self.c_min <= self.c_max,
+            "DPSO coefficient range is empty: c_min {} > c_max {}",
+            self.c_min,
+            self.c_max
+        );
+    }
+}
+
 /// The dynamic swarm. Construct once per serverless function and keep it
 /// alive across invocations ("For each new invocation of a serverless
 /// function, EcoLife assigns a PSO optimizer and preserves it").
@@ -60,6 +90,7 @@ pub struct DynamicPso {
 
 impl DynamicPso {
     pub fn new(space: SearchSpace, config: DpsoConfig) -> Self {
+        config.validate();
         DynamicPso {
             inner: Pso::new(space, config.base),
             config,
@@ -110,17 +141,22 @@ impl DynamicPso {
     fn redistribute_half(&mut self) {
         let Pso {
             space,
-            particles,
+            dims,
+            positions,
+            velocities,
+            best_positions,
+            best_fitness,
             rng,
             ..
         } = &mut self.inner;
-        let half = particles.len() / 2;
-        for p in particles.iter_mut().take(half) {
-            space.sample_into(rng, &mut p.position);
-            p.velocity.fill(0.0);
-            p.best_position.clone_from(&p.position);
-            p.best_fitness = f64::INFINITY;
+        let half = best_fitness.len() / 2;
+        let span = half * *dims;
+        for x in positions[..span].chunks_exact_mut(*dims) {
+            space.sample_into(rng, x);
         }
+        velocities[..span].fill(0.0);
+        best_positions[..span].copy_from_slice(&positions[..span]);
+        best_fitness[..half].fill(f64::INFINITY);
         self.redistributions += 1;
     }
 
@@ -202,19 +238,9 @@ mod tests {
         let mut d = DynamicPso::new(space(), DpsoConfig::default());
         let f = |x: &[f64]| x.iter().map(|v| v * v).sum::<f64>();
         d.run(&f, 5);
-        let before: Vec<Vec<f64>> = d
-            .swarm()
-            .particles
-            .iter()
-            .map(|p| p.position.clone())
-            .collect();
+        let before = d.swarm().ask();
         d.perceive(1.0, 1.0);
-        let after: Vec<Vec<f64>> = d
-            .swarm()
-            .particles
-            .iter()
-            .map(|p| p.position.clone())
-            .collect();
+        let after = d.swarm().ask();
         let n = before.len();
         // Second half untouched.
         for i in n / 2..n {
@@ -266,6 +292,53 @@ mod tests {
         let f2 = |x: &[f64]| f1(x) + 100.0;
         d.refresh_gbest(&f2);
         assert!(d.best_fitness() >= 100.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "inertia range is empty: omega_min 1 > omega_max 0.5")]
+    fn rejects_an_inverted_inertia_range() {
+        DynamicPso::new(
+            space(),
+            DpsoConfig {
+                omega_min: 1.0,
+                omega_max: 0.5,
+                ..Default::default()
+            },
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "coefficient range is empty")]
+    fn rejects_an_inverted_coefficient_range() {
+        DpsoConfig {
+            c_min: 0.9,
+            c_max: 0.3,
+            ..Default::default()
+        }
+        .validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "DPSO c_max must be finite, got NaN")]
+    fn rejects_a_nan_bound() {
+        DpsoConfig {
+            c_max: f64::NAN,
+            ..Default::default()
+        }
+        .validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "PSO social weight must be finite")]
+    fn rejects_a_nan_base_weight() {
+        DpsoConfig {
+            base: PsoConfig {
+                social: f64::NAN,
+                ..Default::default()
+            },
+            ..Default::default()
+        }
+        .validate();
     }
 
     #[test]

@@ -28,6 +28,8 @@
 pub mod dpso;
 pub mod ga;
 pub mod pso;
+#[cfg(test)]
+mod reference;
 pub mod sa;
 pub mod space;
 

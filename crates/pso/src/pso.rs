@@ -40,20 +40,37 @@ impl Default for PsoConfig {
     }
 }
 
-/// One massless particle.
-#[derive(Debug, Clone)]
-pub(crate) struct Particle {
-    pub position: Vec<f64>,
-    pub velocity: Vec<f64>,
-    pub best_position: Vec<f64>,
-    pub best_fitness: f64,
+impl PsoConfig {
+    /// Reject a swarm too small to move or non-finite weights (called by
+    /// [`Pso::new`]).
+    pub(crate) fn validate(&self) {
+        assert!(self.n_particles >= 2, "a swarm needs ≥2 particles");
+        for (name, weight) in [
+            ("inertia", self.inertia),
+            ("cognitive", self.cognitive),
+            ("social", self.social),
+        ] {
+            assert!(
+                weight.is_finite(),
+                "PSO {name} weight must be finite, got {weight}"
+            );
+        }
+    }
 }
 
-/// The swarm.
+/// The swarm, stored particle-major in flat buffers: particle `i`'s
+/// coordinates occupy `[i·dims, (i+1)·dims)` of `positions`,
+/// `velocities` and `best_positions`, and its personal best fitness is
+/// `best_fitness[i]`. A swarm is a handful of allocations however many
+/// particles it has, and one movement is a single pass over the slots.
 #[derive(Debug, Clone)]
 pub struct Pso {
     pub(crate) space: SearchSpace,
-    pub(crate) particles: Vec<Particle>,
+    pub(crate) dims: usize,
+    pub(crate) positions: Vec<f64>,
+    pub(crate) velocities: Vec<f64>,
+    pub(crate) best_positions: Vec<f64>,
+    pub(crate) best_fitness: Vec<f64>,
     pub(crate) gbest_position: Vec<f64>,
     pub(crate) gbest_fitness: f64,
     pub(crate) rng: SmallRng,
@@ -61,37 +78,40 @@ pub struct Pso {
     pub cognitive: f64,
     pub social: f64,
     iterations: u64,
+    /// Per-dimension velocity limit: half the dimension's extent.
+    vmax: Vec<f64>,
+    /// One movement's `(r1, r2)` draws per slot, in draw order.
+    draws: Vec<f64>,
 }
 
 impl Pso {
     /// Initialize `config.n_particles` particles uniformly over `space`.
     /// Fitness is lazily evaluated on the first [`Optimizer::step`].
     pub fn new(space: SearchSpace, config: PsoConfig) -> Self {
-        assert!(config.n_particles >= 2, "a swarm needs ≥2 particles");
+        config.validate();
         let mut rng = SmallRng::seed_from_u64(config.seed);
-        let particles: Vec<Particle> = (0..config.n_particles)
-            .map(|_| {
-                let position = space.sample(&mut rng);
-                let velocity = vec![0.0; space.dims()];
-                Particle {
-                    best_position: position.clone(),
-                    best_fitness: f64::INFINITY,
-                    position,
-                    velocity,
-                }
-            })
-            .collect();
-        let gbest_position = particles[0].position.clone();
+        let dims = space.dims();
+        let slots = config.n_particles * dims;
+        let mut positions = vec![0.0; slots];
+        for x in positions.chunks_exact_mut(dims) {
+            space.sample_into(&mut rng, x);
+        }
         Pso {
-            space,
-            particles,
-            gbest_position,
+            dims,
+            velocities: vec![0.0; slots],
+            best_positions: positions.clone(),
+            best_fitness: vec![f64::INFINITY; config.n_particles],
+            gbest_position: positions[..dims].to_vec(),
             gbest_fitness: f64::INFINITY,
+            positions,
             rng,
             inertia: config.inertia,
             cognitive: config.cognitive,
             social: config.social,
             iterations: 0,
+            vmax: (0..dims).map(|d| space.extent(d) * 0.5).collect(),
+            draws: vec![0.0; 2 * slots],
+            space,
         }
     }
 
@@ -102,7 +122,7 @@ impl Pso {
 
     /// Number of particles.
     pub fn n_particles(&self) -> usize {
-        self.particles.len()
+        self.best_fitness.len()
     }
 
     /// The search space.
@@ -110,18 +130,31 @@ impl Pso {
         &self.space
     }
 
+    /// Particle `i`'s current position.
+    pub(crate) fn position(&self, i: usize) -> &[f64] {
+        &self.positions[i * self.dims..(i + 1) * self.dims]
+    }
+
+    /// Update particle `i`'s personal best and the global best with its
+    /// fitness `f` at its current position.
+    #[inline]
+    fn record(&mut self, i: usize, f: f64) {
+        let span = i * self.dims..(i + 1) * self.dims;
+        if f < self.best_fitness[i] {
+            self.best_fitness[i] = f;
+            self.best_positions[span.clone()].copy_from_slice(&self.positions[span.clone()]);
+        }
+        if f < self.gbest_fitness {
+            self.gbest_fitness = f;
+            self.gbest_position.copy_from_slice(&self.positions[span]);
+        }
+    }
+
     /// Evaluate fitness at every particle, updating pbest/gbest.
     pub(crate) fn evaluate<F: Fn(&[f64]) -> f64>(&mut self, fitness: &F) {
-        for p in &mut self.particles {
-            let f = fitness(&p.position);
-            if f < p.best_fitness {
-                p.best_fitness = f;
-                p.best_position.clone_from(&p.position);
-            }
-            if f < self.gbest_fitness {
-                self.gbest_fitness = f;
-                self.gbest_position.clone_from(&p.position);
-            }
+        for i in 0..self.n_particles() {
+            let f = fitness(self.position(i));
+            self.record(i, f);
         }
     }
 
@@ -131,46 +164,58 @@ impl Pso {
     fn record_fitnesses(&mut self, fitnesses: &[f64]) {
         assert_eq!(
             fitnesses.len(),
-            self.particles.len(),
+            self.n_particles(),
             "tell: got {} fitness values for {} particles",
             fitnesses.len(),
-            self.particles.len()
+            self.n_particles()
         );
-        for (p, &f) in self.particles.iter_mut().zip(fitnesses) {
-            if f < p.best_fitness {
-                p.best_fitness = f;
-                p.best_position.clone_from(&p.position);
-            }
-            if f < self.gbest_fitness {
-                self.gbest_fitness = f;
-                self.gbest_position.clone_from(&p.position);
-            }
+        for (i, &f) in fitnesses.iter().enumerate() {
+            self.record(i, f);
         }
     }
 
-    /// Move every particle per the velocity/position update rules.
+    /// Move every particle per the velocity/position update rules. All
+    /// `r1`/`r2` draws come first, particle by particle and dimension by
+    /// dimension (`r1` before `r2`) — the order a per-particle loop draws
+    /// them in — then one pass updates every slot.
     pub(crate) fn move_particles(&mut self) {
-        let dims = self.space.dims();
-        for p in &mut self.particles {
-            for d in 0..dims {
-                let r1: f64 = self.rng.gen();
-                let r2: f64 = self.rng.gen();
-                let v = self.inertia * p.velocity[d]
-                    + self.cognitive * r1 * (p.best_position[d] - p.position[d])
-                    + self.social * r2 * (self.gbest_position[d] - p.position[d]);
-                // Velocity clamp at half the dimension extent.
-                let vmax = self.space.extent(d) * 0.5;
-                p.velocity[d] = v.clamp(-vmax, vmax);
-                p.position[d] += p.velocity[d];
-            }
-            self.space.clamp(&mut p.position);
+        // Drawing from a local copy keeps the generator's state in
+        // registers; through `self` it round-trips memory on every draw.
+        let mut rng = self.rng.clone();
+        for r in &mut self.draws {
+            *r = rng.gen();
+        }
+        self.rng = rng;
+        let per_dim = self
+            .space
+            .bounds()
+            .iter()
+            .zip(&self.vmax)
+            .zip(&self.gbest_position)
+            .cycle();
+        for ((((x, v), pbest), r), ((&(lo, hi), &vmax), gbest)) in self
+            .positions
+            .iter_mut()
+            .zip(&mut self.velocities)
+            .zip(&self.best_positions)
+            .zip(self.draws.chunks_exact(2))
+            .zip(per_dim)
+        {
+            let velocity = self.inertia * *v
+                + self.cognitive * r[0] * (pbest - *x)
+                + self.social * r[1] * (gbest - *x);
+            *v = velocity.clamp(-vmax, vmax);
+            *x = (*x + *v).clamp(lo, hi);
         }
     }
 }
 
 impl BatchOptimizer for Pso {
     fn ask(&self) -> Vec<Vec<f64>> {
-        self.particles.iter().map(|p| p.position.clone()).collect()
+        self.positions
+            .chunks_exact(self.dims)
+            .map(<[f64]>::to_vec)
+            .collect()
     }
 
     fn tell(&mut self, fitnesses: &[f64]) {
@@ -250,8 +295,8 @@ mod tests {
         let shifted = |x: &[f64]| (x[0] - 0.3).powi(2) + (x[1] - 7.0).powi(2);
         for _ in 0..40 {
             pso.step(&shifted);
-            for p in &pso.particles {
-                assert!(space.contains(&p.position), "{:?}", p.position);
+            for i in 0..pso.n_particles() {
+                assert!(space.contains(pso.position(i)), "{:?}", pso.position(i));
             }
         }
     }

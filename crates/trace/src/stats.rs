@@ -11,7 +11,51 @@
 //!
 //! Both come from a bounded ring of recent inter-arrival gaps, which also
 //! tracks the paper's ΔF signal (change in invocation counts between
-//! observation windows).
+//! observation windows). For a fixed set of `k` (a scheduler's keep-alive
+//! grid) the ring also keeps both estimates' numerators up to date as
+//! gaps enter and leave it, so a grid-point estimate is one division
+//! instead of a window scan.
+
+/// Integers below 2^53 convert to `f64` exactly, and so does every
+/// partial sum of non-negative integers below it: a clamped-gap sum under
+/// this bound divides to the same bits as the scan's `f64` accumulation.
+const EXACT_F64_INT: u64 = 1 << 53;
+
+/// The longest window that tracks grid points: its clamped-gap sums stay
+/// below 2^64 (see [`GridPoint::clamped_sum`]).
+const MAX_GRID_WINDOW: usize = 2_047;
+
+/// The numerators of `P(gap ≤ k)` and `E[min(gap, k)]` at one fixed `k`
+/// over the current window.
+#[derive(Debug, Clone, Copy)]
+struct GridPoint {
+    k_ms: u64,
+    /// Gaps in the window with `gap ≤ k_ms`.
+    hits: usize,
+    /// `Σ min(gap, k_ms, 2^53)` over the window. It equals the exact
+    /// clamped-gap sum whenever it is below 2^53 (no term was capped),
+    /// and at most 2047 terms of at most 2^53 cannot overflow.
+    clamped_sum: u64,
+}
+
+impl GridPoint {
+    #[inline]
+    fn term(&self, gap: u64) -> u64 {
+        gap.min(self.k_ms).min(EXACT_F64_INT)
+    }
+
+    #[inline]
+    fn add(&mut self, gap: u64) {
+        self.hits += usize::from(gap <= self.k_ms);
+        self.clamped_sum += self.term(gap);
+    }
+
+    #[inline]
+    fn remove(&mut self, gap: u64) {
+        self.hits -= usize::from(gap <= self.k_ms);
+        self.clamped_sum -= self.term(gap);
+    }
+}
 
 /// Bounded history of inter-arrival gaps for one function.
 #[derive(Debug, Clone)]
@@ -23,26 +67,50 @@ pub struct InterArrivalStats {
     filled: usize,
     last_arrival_ms: Option<u64>,
     total_arrivals: u64,
+    /// Running estimate numerators at the `k`s given to
+    /// [`InterArrivalStats::with_grid`].
+    grid: Vec<GridPoint>,
 }
 
 impl InterArrivalStats {
+    /// Window length tuned for the evaluation traces.
+    pub const DEFAULT_CAPACITY: usize = 32;
+
     /// `capacity` bounds how much history is retained; the Azure trace's
     /// busiest functions invoke many times per minute, so a small window
     /// adapts quickly while smoothing noise.
     pub fn new(capacity: usize) -> Self {
+        Self::with_grid(capacity, [])
+    }
+
+    /// A window that also maintains [`InterArrivalStats::p_within`] and
+    /// [`InterArrivalStats::expected_resident_ms`] at each of `grid_ms`
+    /// incrementally, read back by position with
+    /// [`InterArrivalStats::p_within_grid`] and
+    /// [`InterArrivalStats::expected_resident_grid_ms`]. A window with
+    /// grid points holds at most 2047 gaps.
+    pub fn with_grid(capacity: usize, grid_ms: impl IntoIterator<Item = u64>) -> Self {
         assert!(capacity > 0);
+        let grid: Vec<GridPoint> = grid_ms
+            .into_iter()
+            .map(|k_ms| GridPoint {
+                k_ms,
+                hits: 0,
+                clamped_sum: 0,
+            })
+            .collect();
+        assert!(
+            grid.is_empty() || capacity <= MAX_GRID_WINDOW,
+            "a window tracking grid points holds at most {MAX_GRID_WINDOW} gaps, got {capacity}"
+        );
         InterArrivalStats {
             gaps_ms: vec![0; capacity],
             cursor: 0,
             filled: 0,
             last_arrival_ms: None,
             total_arrivals: 0,
+            grid,
         }
-    }
-
-    /// Default capacity tuned for the evaluation traces.
-    pub fn with_default_capacity() -> Self {
-        Self::new(32)
     }
 
     /// Record an arrival at `t_ms` (must be monotonically non-decreasing).
@@ -50,6 +118,14 @@ impl InterArrivalStats {
         if let Some(last) = self.last_arrival_ms {
             debug_assert!(t_ms >= last, "arrivals must be chronological");
             let gap = t_ms.saturating_sub(last);
+            // A full ring overwrites its oldest gap, which sits at the cursor.
+            let evicted = (self.filled == self.gaps_ms.len()).then(|| self.gaps_ms[self.cursor]);
+            for point in &mut self.grid {
+                if let Some(old) = evicted {
+                    point.remove(old);
+                }
+                point.add(gap);
+            }
             self.gaps_ms[self.cursor] = gap;
             self.cursor = (self.cursor + 1) % self.gaps_ms.len();
             self.filled = (self.filled + 1).min(self.gaps_ms.len());
@@ -99,6 +175,30 @@ impl InterArrivalStats {
         }
         let sum: f64 = self.gaps().iter().map(|&g| g.min(k_ms) as f64).sum();
         sum / self.filled as f64
+    }
+
+    /// [`InterArrivalStats::p_within`] at the `i`-th grid point, from the
+    /// running hit count (bit-identical to the scan: the same integer
+    /// count over the same divisor).
+    #[inline]
+    pub fn p_within_grid(&self, i: usize) -> f64 {
+        if self.filled == 0 {
+            return 0.5;
+        }
+        self.grid[i].hits as f64 / self.filled as f64
+    }
+
+    /// [`InterArrivalStats::expected_resident_ms`] at the `i`-th grid
+    /// point, from the running clamped-gap sum. Below 2^53 the sum is
+    /// the exact value the scan accumulates; a window whose gaps sum past
+    /// it (millennia of gaps) falls back to the scan.
+    #[inline]
+    pub fn expected_resident_grid_ms(&self, i: usize) -> f64 {
+        let point = &self.grid[i];
+        if self.filled == 0 || point.clamped_sum >= EXACT_F64_INT {
+            return self.expected_resident_ms(point.k_ms);
+        }
+        point.clamped_sum as f64 / self.filled as f64
     }
 
     /// Mean observed gap (ms); `None` until at least one gap exists.
@@ -262,6 +362,26 @@ mod tests {
         assert_eq!(s.sample_count(), 2);
         assert_eq!(s.p_within(100), 0.5);
         assert_eq!(s.total_arrivals(), 4);
+    }
+
+    #[test]
+    fn grid_estimates_past_the_exact_range_fall_back_to_the_scan() {
+        // Gaps 2^53 − 1, 1, 1, 1 sum to 2^53 + 2, but the scan's f64
+        // accumulation rounds both trailing additions away (to 2^53);
+        // past 2^53 the lookup must answer what the scan answers.
+        let k = [0, 1 << 52, u64::MAX];
+        let mut s = InterArrivalStats::with_grid(4, k);
+        for t in [0, (1 << 53) - 1, 1 << 53, (1 << 53) + 1, (1 << 53) + 2] {
+            s.record_arrival(t);
+        }
+        assert_eq!(s.expected_resident_ms(u64::MAX), (1u64 << 51) as f64);
+        for (i, &k) in k.iter().enumerate() {
+            assert_eq!(s.p_within_grid(i).to_bits(), s.p_within(k).to_bits());
+            assert_eq!(
+                s.expected_resident_grid_ms(i).to_bits(),
+                s.expected_resident_ms(k).to_bits()
+            );
+        }
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Property tests on trace structure: ordering, gap computation, window
-//! counting, and inter-arrival statistics.
+//! counting, and inter-arrival statistics (the tracked grid estimates
+//! against the window scans).
 
 use ecolife_trace::stats::InterArrivalStats;
 use ecolife_trace::{FunctionId, FunctionProfile, Invocation, Trace, WorkloadCatalog};
@@ -87,5 +88,51 @@ proptest! {
         prop_assert!(s.expected_resident_ms(k) <= k as f64 + 1e-9);
         // Monotone in k.
         prop_assert!(s.p_within(k) <= s.p_within(k.saturating_add(60_000)));
+    }
+
+    #[test]
+    fn grid_estimates_equal_the_window_scans(
+        gaps in prop::collection::vec(
+            prop_oneof![Just(0u64), 1u64..90_000, 0u64..2_000_000],
+            0..100,
+        ),
+        capacity in 1usize..40,
+        grid in prop::collection::vec(
+            prop_oneof![Just(0u64), 0u64..1_500_000, Just(u64::MAX)],
+            1..12,
+        ),
+    ) {
+        // Up to 100 gaps through windows of 1..40 wrap the ring many
+        // times; zero gaps and k = 0 meet the `≤` boundary.
+        let mut s = InterArrivalStats::with_grid(capacity, grid.iter().copied());
+        let mut t = 1_000u64;
+        for step in 0..=gaps.len() {
+            if step > 0 {
+                t += gaps[step - 1];
+                s.record_arrival(t);
+            }
+            for (i, &k) in grid.iter().enumerate() {
+                // Before any gap both sides answer with the priors
+                // (0.5 and k/2).
+                prop_assert_eq!(
+                    s.p_within_grid(i).to_bits(),
+                    s.p_within(k).to_bits(),
+                    "P(gap <= {}) after {} arrivals",
+                    k,
+                    step
+                );
+                prop_assert_eq!(
+                    s.expected_resident_grid_ms(i).to_bits(),
+                    s.expected_resident_ms(k).to_bits(),
+                    "E[min(gap, {})] after {} arrivals",
+                    k,
+                    step
+                );
+            }
+        }
+        if gaps.is_empty() {
+            prop_assert_eq!(s.p_within_grid(0), 0.5);
+            prop_assert_eq!(s.expected_resident_grid_ms(0), grid[0] as f64 / 2.0);
+        }
     }
 }
