@@ -6,8 +6,9 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ecolife_bench::EvalSetup;
-use ecolife_core::{compare, runner::parallel_map};
+use ecolife_core::compare;
 use ecolife_hw::skus;
+use ecolife_sim::parallel_map;
 use std::hint::black_box;
 
 fn print_fig13() {

@@ -12,21 +12,21 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use ecolife_bench::EvalSetup;
 use ecolife_carbon::{CarbonModel, CarbonModelConfig};
-use ecolife_core::{compare, runner::run_scheme_with, BruteForce, EcoLife, EcoLifeConfig};
-use ecolife_sim::SimConfig;
+use ecolife_core::{compare, BruteForce, EcoLife, EcoLifeConfig, RunSummary};
+use ecolife_sim::{Scheduler, SimConfig, Simulation};
 use std::hint::black_box;
 
 fn run_with_model(setup: &EvalSetup, model: CarbonModel) -> (f64, f64) {
-    let sim_cfg = SimConfig {
-        carbon_model: model,
-        ..SimConfig::default()
-    };
+    let sim =
+        Simulation::new(&setup.trace, &setup.ci, setup.fleet.clone()).with_config(SimConfig {
+            carbon_model: model,
+            ..SimConfig::default()
+        });
     let mut eco = EcoLife::with_carbon_model(setup.fleet.clone(), EcoLifeConfig::default(), model);
-    let (eco_sum, _) = run_scheme_with(&setup.trace, &setup.ci, &setup.fleet, &mut eco, sim_cfg);
+    let eco_sum = RunSummary::from_metrics(eco.name(), &sim.run(&mut eco));
     let mut oracle =
         BruteForce::oracle(setup.fleet.clone(), setup.ci.clone()).with_carbon_model(model);
-    let (oracle_sum, _) =
-        run_scheme_with(&setup.trace, &setup.ci, &setup.fleet, &mut oracle, sim_cfg);
+    let oracle_sum = RunSummary::from_metrics(oracle.name(), &sim.run(&mut oracle));
     let c = compare(&eco_sum, &oracle_sum, &oracle_sum);
     (c.service_increase_pct, c.carbon_increase_pct)
 }

@@ -24,17 +24,12 @@ impl FixedPolicy {
     /// is inferred — only the named [`FixedPolicy::new_only`] /
     /// [`FixedPolicy::old_only`] constructors (which *define* the
     /// canonical pair layout) carry the paper's scheme names.
-    pub fn new(node: impl Into<NodeId>, keepalive_min: u64) -> Self {
+    pub fn pinned(node: impl Into<NodeId>, keepalive_min: u64) -> Self {
         FixedPolicy {
             node: node.into(),
             label: "Pinned",
             keepalive_min,
         }
-    }
-
-    /// Alias of [`FixedPolicy::new`].
-    pub fn pinned(node: impl Into<NodeId>, keepalive_min: u64) -> Self {
-        FixedPolicy::new(node, keepalive_min)
     }
 
     /// The paper's `New-Only` scheme: the canonical pair layout's new
@@ -92,9 +87,8 @@ mod tests {
         assert_eq!(FixedPolicy::old_only().name(), "Old-Only");
         assert_eq!(FixedPolicy::new_only().node(), NodeId(1));
         // A raw node id is a position, not a generation: no Old/New label.
-        assert_eq!(FixedPolicy::new(Generation::Old, 10).name(), "Pinned");
-        assert_eq!(FixedPolicy::new(NodeId(2), 10).name(), "Pinned");
-        assert_eq!(FixedPolicy::pinned(NodeId(1), 10).name(), "Pinned");
+        assert_eq!(FixedPolicy::pinned(Generation::Old, 10).name(), "Pinned");
+        assert_eq!(FixedPolicy::pinned(NodeId(2), 10).name(), "Pinned");
     }
 
     #[test]

@@ -29,14 +29,14 @@
 //!   `New-Only` / `Old-Only` (fixed 10-min OpenWhisk policy, plus
 //!   `FixedPolicy::pinned` for arbitrary nodes), and the `Eco-Old` /
 //!   `Eco-New` single-node variants;
-//! * [`runner`] — experiment harness: run a scheme, summarize, compare
-//!   against the *-Opt anchors, and fan sweeps out over threads.
+//! * [`runner`] — experiment harness: run a scheme through
+//!   [`Simulation`](ecolife_sim::Simulation), summarize, and compare
+//!   against the *-Opt anchors.
 
 pub mod baselines;
 pub mod config;
 pub mod ecolife;
 pub mod objective;
-pub mod partition;
 pub mod predictor;
 pub mod report;
 pub mod runner;
@@ -48,9 +48,5 @@ pub use config::EcoLifeConfig;
 pub use ecolife::EcoLife;
 pub use ecolife_carbon::TransferCost;
 pub use objective::{CostModel, ObjectiveTables};
-pub use partition::{Partition, PartitionedScheduler};
 pub use predictor::FunctionPredictor;
-pub use runner::{
-    compare, run_scheme, run_scheme_regional, run_scheme_regional_traced, run_scheme_traced,
-    Comparison, RunSummary,
-};
+pub use runner::{compare, run_scheme, Comparison, RunSummary};

@@ -1,10 +1,18 @@
 //! Experiment harness: run schemes, summarize, and compare — the
 //! machinery every figure reproduction is built from.
+//!
+//! [`run_scheme`] is the one summarizing helper: the paper's
+//! single-region setup under the default engine config. Anything else —
+//! a regional [`CiBundle`](ecolife_carbon::CiBundle), a non-default
+//! [`SimConfig`](ecolife_sim::SimConfig), a telemetry sink, sharded
+//! execution — builds a [`Simulation`] and summarizes its metrics with
+//! [`RunSummary::from_metrics`]. Sweeps fan out over
+//! [`ecolife_sim::parallel_map`].
 
-use ecolife_carbon::{CarbonIntensityTrace, CiBundle, CiError};
+use ecolife_carbon::CarbonIntensityTrace;
 use ecolife_hw::Fleet;
 use ecolife_sim::metrics::percent_increase;
-use ecolife_sim::{EventSink, RunMetrics, Scheduler, SimConfig, Simulation};
+use ecolife_sim::{RunMetrics, Scheduler, Simulation};
 use ecolife_trace::Trace;
 
 /// Headline numbers of one run.
@@ -48,81 +56,19 @@ impl RunSummary {
     }
 }
 
-/// Run one scheduler over (trace, CI, fleet) with default engine config.
+/// Run one scheduler over (trace, CI, fleet) with the default engine
+/// config.
 pub fn run_scheme<S: Scheduler>(
     trace: &Trace,
     ci: &CarbonIntensityTrace,
     fleet: &Fleet,
     scheduler: &mut S,
 ) -> (RunSummary, RunMetrics) {
-    run_scheme_with(trace, ci, fleet, scheduler, SimConfig::default())
-}
-
-/// Run one scheduler over a multi-region fleet: each node reads the CI
-/// series of its own region from `bundle`.
-pub fn run_scheme_regional<S: Scheduler>(
-    trace: &Trace,
-    bundle: &CiBundle,
-    fleet: &Fleet,
-    scheduler: &mut S,
-) -> Result<(RunSummary, RunMetrics), CiError> {
-    let metrics = Simulation::try_new_regional(trace, bundle, fleet.clone())?.run(scheduler);
-    Ok((
-        RunSummary::from_metrics(scheduler.name(), &metrics),
-        metrics,
-    ))
-}
-
-/// Run with an explicit engine config (robustness studies use non-default
-/// carbon models).
-pub fn run_scheme_with<S: Scheduler>(
-    trace: &Trace,
-    ci: &CarbonIntensityTrace,
-    fleet: &Fleet,
-    scheduler: &mut S,
-    config: SimConfig,
-) -> (RunSummary, RunMetrics) {
-    let metrics = Simulation::new(trace, ci, fleet.clone())
-        .with_config(config)
-        .run(scheduler);
+    let metrics = Simulation::new(trace, ci, fleet.clone()).run(scheduler);
     (
         RunSummary::from_metrics(scheduler.name(), &metrics),
         metrics,
     )
-}
-
-/// [`run_scheme`] with a telemetry sink: the engine additionally emits
-/// its hash-chained golden-trace event stream into `sink` (see
-/// `ecolife-telemetry`). With
-/// [`NullSink`](ecolife_sim::NullSink) this is exactly [`run_scheme`].
-pub fn run_scheme_traced<S: Scheduler, K: EventSink>(
-    trace: &Trace,
-    ci: &CarbonIntensityTrace,
-    fleet: &Fleet,
-    scheduler: &mut S,
-    sink: &mut K,
-) -> (RunSummary, RunMetrics) {
-    let metrics = Simulation::new(trace, ci, fleet.clone()).run_with_sink(scheduler, sink);
-    (
-        RunSummary::from_metrics(scheduler.name(), &metrics),
-        metrics,
-    )
-}
-
-/// [`run_scheme_regional`] with a telemetry sink.
-pub fn run_scheme_regional_traced<S: Scheduler, K: EventSink>(
-    trace: &Trace,
-    bundle: &CiBundle,
-    fleet: &Fleet,
-    scheduler: &mut S,
-    sink: &mut K,
-) -> Result<(RunSummary, RunMetrics), CiError> {
-    let metrics =
-        Simulation::try_new_regional(trace, bundle, fleet.clone())?.run_with_sink(scheduler, sink);
-    Ok((
-        RunSummary::from_metrics(scheduler.name(), &metrics),
-        metrics,
-    ))
 }
 
 /// A scheme's position relative to the two *-Opt anchors — the axes of
@@ -153,24 +99,13 @@ pub fn compare(
     }
 }
 
-/// Fan independent jobs out over scoped worker threads and collect
-/// results in input order. Simulations are deterministic; sweeps
-/// (fleets, regions, memory budgets) are embarrassingly parallel.
-///
-/// The implementation lives in [`ecolife_sim::parallel`] (the sharded
-/// replay engine shares it, one dependency level down); this re-export
-/// keeps the historical `ecolife_core::runner::parallel_map` path.
-/// [`parallel_map_threads`] is the explicit-thread-count override tests
-/// use to force worker counts instead of inheriting
-/// `available_parallelism`.
-pub use ecolife_sim::parallel::{parallel_map, parallel_map_threads};
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::baselines::fixed::FixedPolicy;
     use crate::baselines::oracle::BruteForce;
     use ecolife_hw::skus;
+    use ecolife_sim::parallel_map;
     use ecolife_trace::{SynthTraceConfig, WorkloadCatalog};
 
     fn setup() -> (Trace, CarbonIntensityTrace, Fleet) {
@@ -254,12 +189,12 @@ mod tests {
         };
         let seq: Vec<RunSummary> = (0..3)
             .map(|k| {
-                let mut s = FixedPolicy::new(ecolife_hw::Generation::New, k * 5);
+                let mut s = FixedPolicy::pinned(ecolife_hw::Generation::New, k * 5);
                 normalize(run_scheme(&trace, &ci, &fleet, &mut s).0)
             })
             .collect();
         let par = parallel_map((0..3).collect(), |k: u64| {
-            let mut s = FixedPolicy::new(ecolife_hw::Generation::New, k * 5);
+            let mut s = FixedPolicy::pinned(ecolife_hw::Generation::New, k * 5);
             normalize(run_scheme(&trace, &ci, &fleet, &mut s).0)
         });
         assert_eq!(seq, par);

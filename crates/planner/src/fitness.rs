@@ -17,9 +17,9 @@
 use crate::plan::FleetPlan;
 use crate::space::PlanSpace;
 use ecolife_carbon::{CarbonIntensityTrace, CiBundle};
-use ecolife_core::runner::parallel_map;
 use ecolife_core::{EcoLife, EcoLifeConfig};
 use ecolife_hw::DEFAULT_LIFETIME_MS;
+use ecolife_sim::{parallel_map, Simulation};
 use ecolife_trace::Trace;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -57,13 +57,6 @@ pub struct PlannerConfig {
     /// either way; serial evaluation exists to prove exactly that (and
     /// for debugging).
     pub parallel: bool,
-    /// Shard count for the *inner* simulation of each candidate
-    /// (`1` = the sequential engine). Planning against
-    /// million-invocation workloads wants `> 1` so every fitness
-    /// evaluation fans out over `Simulation::run_sharded`; swarm-sized
-    /// plan spaces usually keep `1` and parallelize across candidates
-    /// instead (nesting both oversubscribes the cores).
-    pub sim_shards: usize,
     /// The inner keep-alive scheduler evaluated on every candidate
     /// fleet (its `seed` field is overridden per candidate).
     pub scheduler: EcoLifeConfig,
@@ -82,7 +75,6 @@ impl Default for PlannerConfig {
             seed: 0x91a_17e5,
             restarts: 4,
             parallel: true,
-            sim_shards: 1,
             scheduler: EcoLifeConfig::default(),
             sim: ecolife_sim::SimConfig::default(),
         }
@@ -244,47 +236,18 @@ impl<'a> PlanEvaluator<'a> {
             seed: self.config.seed ^ plan.genome_key(),
             ..self.config.scheduler.clone()
         };
-        // Build the simulation directly (not through the `evaluate*`
-        // helpers) so the planner's engine knobs — expiry timeline,
-        // setup delay, carbon model — reach every inner replay. Bundle
-        // coverage was validated at evaluator construction, so the
-        // regional paths cannot fail per candidate.
-        let metrics = match (&self.ci, self.config.sim_shards > 1) {
-            // Million-invocation workloads: fan the replay itself out
-            // over function-hash shards (one EcoLife per shard — its
-            // state is per-function, so the shard split is exact; see
-            // the determinism suite).
-            (CiSource::Shared(ci), true) => {
-                ecolife_sim::Simulation::new(self.trace, ci, fleet.clone())
-                    .with_config(self.config.sim)
-                    .run_sharded(
-                        |_| EcoLife::new(fleet.clone(), scheduler_config.clone()),
-                        &ecolife_sim::ShardOptions::new(self.config.sim_shards),
-                    )
-            }
-            (CiSource::Shared(ci), false) => {
-                let mut scheduler = EcoLife::new(fleet.clone(), scheduler_config);
-                ecolife_sim::Simulation::new(self.trace, ci, fleet)
-                    .with_config(self.config.sim)
-                    .run(&mut scheduler)
-            }
-            (CiSource::Bundle(bundle), true) => {
-                ecolife_sim::Simulation::try_new_regional(self.trace, bundle, fleet.clone())
+        // Bundle coverage was validated at evaluator construction, so
+        // the regional construction cannot fail per candidate.
+        let sim = match self.ci {
+            CiSource::Shared(ci) => Simulation::new(self.trace, ci, fleet.clone()),
+            CiSource::Bundle(bundle) => {
+                Simulation::try_new_regional(self.trace, bundle, fleet.clone())
                     .expect("bundle validated at construction")
-                    .with_config(self.config.sim)
-                    .run_sharded(
-                        |_| EcoLife::new(fleet.clone(), scheduler_config.clone()),
-                        &ecolife_sim::ShardOptions::new(self.config.sim_shards),
-                    )
-            }
-            (CiSource::Bundle(bundle), false) => {
-                let mut scheduler = EcoLife::new(fleet.clone(), scheduler_config);
-                ecolife_sim::Simulation::try_new_regional(self.trace, bundle, fleet)
-                    .expect("bundle validated at construction")
-                    .with_config(self.config.sim)
-                    .run(&mut scheduler)
             }
         };
+        let metrics = sim
+            .with_config(self.config.sim)
+            .run(&mut EcoLife::new(fleet, scheduler_config));
         self.simulations.fetch_add(1, Ordering::Relaxed);
 
         let sim_carbon_g = metrics.total_carbon_g();
@@ -487,65 +450,32 @@ mod tests {
     }
 
     #[test]
-    fn sharded_inner_simulation_scores_identically() {
-        // Budgets generous enough that warm pools never overflow: the
-        // sharded replay is then record-for-record identical to the
-        // sequential engine, so the PlanScore — a pure function of the
-        // records — must match to the last bit.
-        let (trace, ci) = setup();
-        let roomy = PlanSpace::new(vec![Sku::I3Metal, Sku::M5znMetal], 2, 3, vec![16 * 1024]);
-        let plan = FleetPlan {
-            counts: vec![1, 1],
-            mem_budget_mib: 16 * 1024,
-        };
-        let sequential = PlanEvaluator::new(roomy.clone(), &trace, &ci, quick_config());
-        let sharded = PlanEvaluator::new(
-            roomy,
-            &trace,
-            &ci,
-            PlannerConfig {
-                sim_shards: 2,
-                ..quick_config()
-            },
-        );
-        assert_eq!(sequential.score(&plan), sharded.score(&plan));
-        assert_eq!(sharded.simulations(), 1);
-    }
-
-    #[test]
     fn expiry_timeline_scores_identically_to_the_reference_scan() {
         // The planner's inner loop rides the timeline fast path; a plan's
         // score — a pure function of the replay records — must match the
-        // scan reference to the last bit, sequential and sharded.
+        // scan reference to the last bit.
         let (trace, ci) = setup();
         let plan = FleetPlan {
             counts: vec![1, 1],
             mem_budget_mib: 4_096,
         };
-        for shards in [1usize, 2] {
-            let with_expiry = |mode| PlannerConfig {
-                sim: ecolife_sim::SimConfig::default().with_expiry(mode),
-                sim_shards: shards,
-                ..quick_config()
-            };
-            let timeline = PlanEvaluator::new(
-                space(),
-                &trace,
-                &ci,
-                with_expiry(ecolife_sim::ExpiryMode::Timeline),
-            );
-            let scan = PlanEvaluator::new(
-                space(),
-                &trace,
-                &ci,
-                with_expiry(ecolife_sim::ExpiryMode::Scan),
-            );
-            assert_eq!(
-                timeline.score(&plan),
-                scan.score(&plan),
-                "expiry modes diverged at {shards} inner shards"
-            );
-        }
+        let with_expiry = |mode| PlannerConfig {
+            sim: ecolife_sim::SimConfig::default().with_expiry(mode),
+            ..quick_config()
+        };
+        let timeline = PlanEvaluator::new(
+            space(),
+            &trace,
+            &ci,
+            with_expiry(ecolife_sim::ExpiryMode::Timeline),
+        );
+        let scan = PlanEvaluator::new(
+            space(),
+            &trace,
+            &ci,
+            with_expiry(ecolife_sim::ExpiryMode::Scan),
+        );
+        assert_eq!(timeline.score(&plan), scan.score(&plan));
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //!   enumeration for small spaces).
 //! * **Inner (existing crates):** each candidate is materialized with
 //!   [`ecolife_hw::skus::fleet_of_counts`], the workload is replayed
-//!   through [`ecolife_sim::evaluate`] under the EcoLife keep-alive
+//!   through [`ecolife_sim::Simulation`] under the EcoLife keep-alive
 //!   scheduler, and the run is scored as
 //!
 //!   ```text
@@ -36,7 +36,7 @@
 //!
 //! One fitness evaluation is a full trace replay, so [`PlanEvaluator`]
 //! memoizes scores by integer genome and fans each swarm generation out
-//! over [`ecolife_core::runner::parallel_map`]. Every candidate's inner
+//! over [`ecolife_sim::parallel_map`]. Every candidate's inner
 //! scheduler is seeded from the genome itself, which makes the whole
 //! search deterministic for a fixed seed — independent of thread count,
 //! evaluation order, and cache warmth.

@@ -240,74 +240,14 @@ impl FleetTimeline {
     }
 }
 
-/// One-shot evaluation: replay `trace` over `fleet` under `scheduler`
-/// with the default engine config and return the full metrics.
-///
-/// This is the entry point batch evaluators build on — the capacity
-/// planner scores every candidate fleet by calling it once per genome —
-/// and is exactly `Simulation::new(trace, ci, fleet).run(scheduler)`.
-/// It is deterministic: same inputs, same metrics, on any thread.
-pub fn evaluate<S: Scheduler>(
-    trace: &Trace,
-    ci: &CarbonIntensityTrace,
-    fleet: impl Into<Fleet>,
-    scheduler: &mut S,
-) -> RunMetrics {
-    Simulation::new(trace, ci, fleet).run(scheduler)
-}
-
-/// [`evaluate`] over a multi-region fleet: each node reads the CI series
-/// of its own region from `bundle`
-/// (exactly `Simulation::try_new_regional(..)?.run(scheduler)`).
-pub fn evaluate_regional<S: Scheduler>(
-    trace: &Trace,
-    bundle: &CiBundle,
-    fleet: impl Into<Fleet>,
-    scheduler: &mut S,
-) -> Result<RunMetrics, CiError> {
-    Ok(Simulation::try_new_regional(trace, bundle, fleet)?.run(scheduler))
-}
-
-/// Sharded one-shot evaluation: [`evaluate`], but fanned out over
-/// `opts.shards` function-hash shards (see [`Simulation::run_sharded`]).
-/// `factory(shard)` builds one scheduler per shard.
-pub fn evaluate_sharded<S, F>(
-    trace: &Trace,
-    ci: &CarbonIntensityTrace,
-    fleet: impl Into<Fleet>,
-    factory: F,
-    opts: &ShardOptions,
-) -> RunMetrics
-where
-    S: Scheduler + Send,
-    F: Fn(usize) -> S,
-{
-    Simulation::new(trace, ci, fleet).run_sharded(factory, opts)
-}
-
-/// [`evaluate_sharded`] over a multi-region fleet (per-node CI resolved
-/// from `bundle`).
-pub fn evaluate_sharded_regional<S, F>(
-    trace: &Trace,
-    bundle: &CiBundle,
-    fleet: impl Into<Fleet>,
-    factory: F,
-    opts: &ShardOptions,
-) -> Result<RunMetrics, CiError>
-where
-    S: Scheduler + Send,
-    F: Fn(usize) -> S,
-{
-    Ok(Simulation::try_new_regional(trace, bundle, fleet)?.run_sharded(factory, opts))
-}
-
-/// One shard's private slice of the cluster: its own warm pools (one per
-/// fleet node), metrics accumulator, scheduler instance, and sub-trace.
+/// One shard of a sharded run: its own [`RunState`] (warm pools, metrics,
+/// collected telemetry and fleet-timeline cursors, built by
+/// [`Engine::begin`] exactly as for a sequential run), scheduler
+/// instance, and sub-trace.
 struct ShardState<S> {
     /// This shard's index — its row in the memory ledger.
     shard_id: usize,
-    cluster: Cluster,
-    metrics: RunMetrics,
+    run: RunState,
     scheduler: S,
     /// This shard's invocations, as global indices into the (sorted)
     /// trace. The processed prefix is also the record→global-index map
@@ -320,17 +260,15 @@ struct ShardState<S> {
     /// the trace is), precomputed once so the replay loop runs each
     /// period's span without a per-invocation time comparison.
     ends: Vec<usize>,
-    /// This shard's collected telemetry (empty unless the run's sink is
-    /// enabled); the coordinator concatenates and finalization sorts by
-    /// canonical key.
-    events: EventList,
-    /// This shard's cursors into the fleet timeline (re-placement passes
-    /// and membership events) — every shard replays the same timeline
-    /// against its own cluster slice.
-    timeline: FleetTimeline,
 }
 
-/// A configured simulation, ready to run against any scheduler.
+/// A configured simulation, ready to run against any scheduler — the one
+/// way to run a replay. Construction picks the CI source
+/// ([`Simulation::new`] for one shared series,
+/// [`Simulation::try_new_regional`] for a per-region bundle), the
+/// `with_*` methods set the knobs, and the four `run*` methods cover
+/// execution mode (sequential or sharded) × sink (none or a telemetry
+/// [`EventSink`]).
 #[derive(Debug)]
 pub struct Simulation<'a> {
     trace: &'a Trace,
@@ -555,33 +493,22 @@ impl<'a> Simulation<'a> {
         let n_shards = opts.shards;
         let n_nodes = self.fleet.len();
         let node_ids: Vec<NodeId> = self.fleet.ids().collect();
+        let engine = self.engine();
 
-        // Shard states: own cluster, metrics, scheduler, sub-trace
+        // Shard states: a fresh run state, own scheduler, sub-trace
         // (global indices into the shared sorted trace — no invocation
         // copies).
         let mut states: Vec<ShardState<S>> = (0..n_shards)
             .map(|s| {
                 let mut scheduler = factory(s);
                 scheduler.prepare(self.trace);
-                let mut cluster = Cluster::with_expiry(self.fleet.clone(), self.config.expiry);
-                if let Some(cfg) = self.config.bounded_executors {
-                    cluster.enable_executors(cfg);
-                }
                 ShardState {
                     shard_id: s,
-                    cluster,
-                    metrics: RunMetrics {
-                        keepalive_g_by_node: vec![0.0; n_nodes],
-                        transfer_g_by_node: vec![0.0; n_nodes],
-                        queue_ms_by_node: vec![0; n_nodes],
-                        ..RunMetrics::default()
-                    },
+                    run: engine.begin(),
                     scheduler,
                     jobs: Vec::new(),
                     cursor: 0,
                     ends: Vec::new(),
-                    events: Vec::new(),
-                    timeline: FleetTimeline::new(),
                 }
             })
             .collect();
@@ -627,7 +554,6 @@ impl<'a> Simulation<'a> {
         // fresh scoped-thread set per reconciliation period (hundreds of
         // spawn/join cycles on an hours-long trace).
         let mut pool = WorkerPool::new(workers.min(n_shards));
-        let engine = self.engine();
 
         for (k, &period) in periods.iter().enumerate() {
             let t_start = period.saturating_mul(opts.period_ms);
@@ -641,12 +567,12 @@ impl<'a> Simulation<'a> {
             engine.reconcile::<S, K>(t_start, &node_ids, &mut states, &mut ledger_peak_mib);
             for (s, state) in states.iter_mut().enumerate() {
                 for &id in &node_ids {
-                    let delta = state.cluster.pool_mut(id).take_period_delta_mib();
+                    let delta = state.run.cluster.pool_mut(id).take_period_delta_mib();
                     ledger.adjust(s, id, delta);
                     #[cfg(debug_assertions)]
                     debug_assert_eq!(
                         ledger.cell_mib(s, id),
-                        state.cluster.pool(id).used_mib(),
+                        state.run.cluster.pool(id).used_mib(),
                         "delta-maintained ledger cell diverged from pool occupancy"
                     );
                 }
@@ -661,77 +587,51 @@ impl<'a> Simulation<'a> {
             states = pool.run_map(states, |mut state| {
                 for &id in &node_ids {
                     let pressure = ledger.external_mib(state.shard_id, id);
-                    state.cluster.pool_mut(id).set_external_used_mib(pressure);
+                    state
+                        .run
+                        .cluster
+                        .pool_mut(id)
+                        .set_external_used_mib(pressure);
                 }
                 let stop = state.ends[k];
-                while state.cursor < stop {
-                    let index = state.jobs[state.cursor];
-                    let inv = self.trace.invocations()[index];
-                    let ShardState {
-                        cluster,
-                        metrics,
-                        scheduler,
-                        events,
-                        timeline,
-                        ..
-                    } = &mut state;
-                    engine.catch_up::<K>(timeline, cluster, metrics, events, inv.t_ms);
-                    engine
-                        .step::<S, K>(index, &inv, &node_ids, cluster, scheduler, metrics, events);
-                    state.cursor += 1;
+                for &index in &state.jobs[state.cursor..stop] {
+                    let inv = &self.trace.invocations()[index];
+                    engine.ingest::<S, K>(&mut state.run, index, inv, &mut state.scheduler);
                 }
+                state.cursor = stop;
                 state
             });
         }
 
         // Final reconciliation (capacity holds at the horizon too), then
-        // end-of-run settlement in shard/node order.
+        // end-of-run settlement in shard order.
         let t_final = periods
             .last()
             .map(|p| (p + 1).saturating_mul(opts.period_ms))
             .unwrap_or(0);
         engine.reconcile::<S, K>(t_final, &node_ids, &mut states, &mut ledger_peak_mib);
         for state in &mut states {
-            let ShardState {
-                cluster,
-                metrics,
-                events,
-                timeline,
-                ..
-            } = state;
-            // Idempotent horizon catch-up: reconcile already advanced
-            // every shard to `min(t_final, horizon)`, but an empty trace
-            // has no periods (and thus no reconcile calls) — timeline
-            // events at t = 0 must still fire before the drain.
-            let horizon = if self.trace.is_empty() {
-                0
-            } else {
-                self.trace.horizon_ms()
-            };
-            engine.catch_up::<K>(timeline, cluster, metrics, events, horizon);
-            engine.drain::<K>(&node_ids, cluster, metrics, events);
+            engine.finish::<K>(&mut state.run);
         }
 
-        // Gather every shard's collected telemetry before the states are
-        // consumed by the merge; finalization sorts by canonical key.
+        // Gather every shard's collected telemetry (empty unless `K` is
+        // enabled) while the merge consumes the states; finalization
+        // sorts by canonical key.
         let mut stream: EventList = Vec::new();
-        if K::ENABLED {
-            for state in &mut states {
-                stream.append(&mut state.events);
-            }
-        }
-
-        let mut metrics = merge_metrics(
-            self.trace.len(),
-            n_nodes,
-            // A shard's records were pushed in `jobs` order and every
-            // job was processed, so `jobs` doubles as the record→global
-            // index map.
-            states.into_iter().map(|s| (s.jobs, s.metrics)).collect(),
-            ledger_peak_mib,
-        );
-        // Input-derived, set once by the coordinator (shards keep 0):
-        // summing it per shard would multiply the same outage span.
+        let parts = states
+            .into_iter()
+            .map(|s| {
+                stream.extend(s.run.events);
+                // A shard's records were pushed in `jobs` order and every
+                // job was processed, so `jobs` doubles as the
+                // record→global index map.
+                (s.jobs, s.run.metrics)
+            })
+            .collect();
+        let mut metrics = merge_metrics(self.trace.len(), n_nodes, parts, ledger_peak_mib);
+        // Input-derived: `finish` stamped the same value on every shard
+        // and `merge_metrics` ignores it (summing would multiply one
+        // outage span), so the coordinator sets it once here.
         metrics.stale_ci_minutes = engine.stale_minutes();
         if K::ENABLED {
             engine.finish_stream(stream, &metrics, sink);
@@ -768,7 +668,8 @@ pub struct Engine<'r> {
 /// cluster (pools + executors), metrics, collected telemetry, and the
 /// fleet-timeline cursors. Built by [`Engine::begin`], advanced by
 /// [`Engine::ingest`], closed by [`Engine::finish`] +
-/// [`Engine::seal`].
+/// [`Engine::seal`]. A sharded run holds one per shard and merges them
+/// after `finish` instead of sealing each.
 #[derive(Debug)]
 pub struct RunState {
     cluster: Cluster,
@@ -851,14 +752,14 @@ impl<'r> Engine<'r> {
         inv: &Invocation,
         scheduler: &mut S,
     ) {
+        self.catch_up::<K>(state, inv.t_ms);
         let RunState {
             cluster,
             metrics,
             node_ids,
             events,
-            timeline,
+            ..
         } = state;
-        self.catch_up::<K>(timeline, cluster, metrics, events, inv.t_ms);
         self.step::<S, K>(index, inv, node_ids, cluster, scheduler, metrics, events);
     }
 
@@ -866,19 +767,19 @@ impl<'r> Engine<'r> {
     /// horizon, then settle every live keep-alive in full (and record
     /// final executor occupancy peaks).
     pub fn finish<K: EventSink>(&self, state: &mut RunState) {
-        let RunState {
-            cluster,
-            metrics,
-            node_ids,
-            events,
-            timeline,
-        } = state;
         let horizon = if self.trace.is_empty() {
             0
         } else {
             self.trace.horizon_ms()
         };
-        self.catch_up::<K>(timeline, cluster, metrics, events, horizon);
+        self.catch_up::<K>(state, horizon);
+        let RunState {
+            cluster,
+            metrics,
+            node_ids,
+            events,
+            ..
+        } = state;
         self.drain::<K>(node_ids, cluster, metrics, events);
         metrics.stale_ci_minutes = self.stale_minutes();
     }
@@ -1345,14 +1246,7 @@ impl<'r> Engine<'r> {
             self.trace.horizon_ms()
         };
         for state in states.iter_mut() {
-            let ShardState {
-                cluster,
-                metrics,
-                events,
-                timeline,
-                ..
-            } = state;
-            self.catch_up::<K>(timeline, cluster, metrics, events, t_now.min(t_cap));
+            self.catch_up::<K>(&mut state.run, t_now.min(t_cap));
         }
 
         // (1) Eager expiry: the sequential engine expires on every
@@ -1363,11 +1257,12 @@ impl<'r> Engine<'r> {
         // lands it at the exact position the sequential stream has it.
         for state in states.iter_mut() {
             for &id in node_ids {
-                let expired = state.cluster.pool_mut(id).expire_until(t_now);
+                let expired = state.run.cluster.pool_mut(id).expire_until(t_now);
                 for c in expired {
-                    let s = self.settle(&c, self.fleet.node(id), c.expiry_ms, &mut state.metrics);
+                    let s =
+                        self.settle(&c, self.fleet.node(id), c.expiry_ms, &mut state.run.metrics);
                     if K::ENABLED {
-                        state.events.push(self.expired_event(id, &c, s));
+                        state.run.events.push(self.expired_event(id, &c, s));
                     }
                 }
             }
@@ -1393,7 +1288,10 @@ impl<'r> Engine<'r> {
         for &id in node_ids {
             let capacity = self.fleet.node(id).keepalive_mem_mib;
             loop {
-                let total: u64 = states.iter().map(|s| s.cluster.pool(id).used_mib()).sum();
+                let total: u64 = states
+                    .iter()
+                    .map(|s| s.run.cluster.pool(id).used_mib())
+                    .sum();
                 if total <= capacity {
                     break;
                 }
@@ -1405,6 +1303,7 @@ impl<'r> Engine<'r> {
                     .enumerate()
                     .flat_map(|(s, state)| {
                         state
+                            .run
                             .cluster
                             .pool(id)
                             .iter()
@@ -1413,20 +1312,20 @@ impl<'r> Engine<'r> {
                     .max()
                     .expect("an over-capacity pool holds at least one container");
                 let (_, func, owner) = victim;
-                let state = &mut states[owner];
-                let mut container = state
+                let run = &mut states[owner].run;
+                let mut container = run
                     .cluster
                     .pool_mut(id)
                     .remove(func)
                     .expect("victim is resident");
-                let s = self.settle(&container, self.fleet.node(id), t_now, &mut state.metrics);
-                state.metrics.reconcile_revocations += 1;
+                let s = self.settle(&container, self.fleet.node(id), t_now, &mut run.metrics);
+                run.metrics.reconcile_revocations += 1;
                 if K::ENABLED {
                     // Revocations are always emitted, even when the settle
                     // charged nothing — the revocation itself is the
                     // observable act.
                     let s = s.unwrap_or_default();
-                    state.events.push((
+                    run.events.push((
                         rc_key(),
                         Event::Revoked {
                             node: id.0,
@@ -1459,13 +1358,14 @@ impl<'r> Engine<'r> {
                     // (every shard replays the identical timeline), and
                     // a fault-blocked target is skipped the same way the
                     // sequential paths skip it.
-                    if !states[owner].cluster.is_active(target)
+                    if !states[owner].run.cluster.is_active(target)
                         || !self.reachable(id, target, t_now)
                     {
                         continue;
                     }
                     let target_capacity = self.fleet.node(target).keepalive_mem_mib;
                     let reclaimed = states[owner]
+                        .run
                         .cluster
                         .pool(target)
                         .get(func)
@@ -1473,7 +1373,7 @@ impl<'r> Engine<'r> {
                         .unwrap_or(0);
                     let target_total: u64 = states
                         .iter()
-                        .map(|s| s.cluster.pool(target).used_mib())
+                        .map(|s| s.run.cluster.pool(target).used_mib())
                         .sum();
                     if target_total - reclaimed + container.memory_mib > target_capacity {
                         continue;
@@ -1482,7 +1382,7 @@ impl<'r> Engine<'r> {
                     // clear the stale per-period snapshot so the local
                     // insert cannot spuriously reject (it is refreshed
                     // from the ledger before the next period anyway).
-                    let pool = states[owner].cluster.pool_mut(target);
+                    let pool = states[owner].run.cluster.pool_mut(target);
                     pool.set_external_used_mib(0);
                     match pool.insert(container) {
                         Ok(replaced) => {
@@ -1491,11 +1391,11 @@ impl<'r> Engine<'r> {
                                     &old,
                                     self.fleet.node(target),
                                     t_now,
-                                    &mut states[owner].metrics,
+                                    &mut states[owner].run.metrics,
                                 );
                                 if K::ENABLED {
                                     if let Some(s) = s {
-                                        states[owner].events.push((
+                                        states[owner].run.events.push((
                                             rc_key(),
                                             released(
                                                 ReleaseCause::Replaced,
@@ -1508,13 +1408,13 @@ impl<'r> Engine<'r> {
                                     }
                                 }
                             }
-                            states[owner].metrics.transfers += 1;
-                            states[owner].metrics.transfer_g += egress_g;
-                            states[owner].metrics.transfer_g_by_node[id.index()] += egress_g;
-                            states[owner].metrics.transfer_ms +=
+                            states[owner].run.metrics.transfers += 1;
+                            states[owner].run.metrics.transfer_g += egress_g;
+                            states[owner].run.metrics.transfer_g_by_node[id.index()] += egress_g;
+                            states[owner].run.metrics.transfer_ms +=
                                 self.config.transfer_cost.latency_ms;
                             if K::ENABLED {
-                                states[owner].events.push((
+                                states[owner].run.events.push((
                                     rc_key(),
                                     Event::Transferred {
                                         func: func.0,
@@ -1535,7 +1435,7 @@ impl<'r> Engine<'r> {
                     break;
                 }
                 if !placed {
-                    states[owner].metrics.evicted_functions += 1;
+                    states[owner].run.metrics.evicted_functions += 1;
                 }
             }
         }
@@ -1546,7 +1446,10 @@ impl<'r> Engine<'r> {
         // under capacity (transfer headroom is checked against the true
         // cross-shard sum) — only here.
         for &id in node_ids {
-            let total: u64 = states.iter().map(|s| s.cluster.pool(id).used_mib()).sum();
+            let total: u64 = states
+                .iter()
+                .map(|s| s.run.cluster.pool(id).used_mib())
+                .sum();
             debug_assert!(total <= self.fleet.node(id).keepalive_mem_mib);
             let peak = &mut ledger_peak_mib[id.index()];
             *peak = (*peak).max(total);
@@ -1798,14 +1701,14 @@ impl<'r> Engine<'r> {
     /// resolved membership-first (matching the stream's lane order).
     /// With the default config (no passes, empty plan) this returns
     /// immediately — the pre-pricing engine, bit for bit.
-    fn catch_up<K: EventSink>(
-        &self,
-        tl: &mut FleetTimeline,
-        cluster: &mut Cluster,
-        metrics: &mut RunMetrics,
-        events: &mut EventList,
-        t_limit: u64,
-    ) {
+    fn catch_up<K: EventSink>(&self, state: &mut RunState, t_limit: u64) {
+        let RunState {
+            cluster,
+            metrics,
+            events,
+            timeline: tl,
+            ..
+        } = state;
         let every_ms = self
             .config
             .replacement_every_min
@@ -2851,25 +2754,6 @@ mod tests {
             0,
         ));
         assert!(m.total_energy_kwh() > service_only.total_energy_kwh());
-    }
-
-    #[test]
-    fn evaluate_matches_simulation_run() {
-        let trace = trace_of(&[0, 2 * MINUTE_MS]);
-        let ci = ci300();
-        let via_sim = Simulation::new(&trace, &ci, skus::pair_a()).run(&mut Fixed::new(
-            Generation::New,
-            Generation::New,
-            10,
-        ));
-        let via_eval = evaluate(
-            &trace,
-            &ci,
-            skus::pair_a(),
-            &mut Fixed::new(Generation::New, Generation::New, 10),
-        );
-        assert_eq!(via_sim.records, via_eval.records);
-        assert_eq!(via_sim.keepalive_g_by_node, via_eval.keepalive_g_by_node);
     }
 
     #[test]

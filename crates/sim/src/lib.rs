@@ -70,10 +70,7 @@ pub use membership::{MembershipEvent, MembershipPlan};
 pub use ecolife_telemetry::{
     CaptureSink, ChainSummary, Event, EventSink, GoldenSnapshot, JsonlSink, NullSink,
 };
-pub use engine::{
-    evaluate, evaluate_regional, evaluate_sharded, evaluate_sharded_regional, Engine, RunState,
-    SimConfig, Simulation,
-};
+pub use engine::{Engine, RunState, SimConfig, Simulation};
 pub use executor::{Admission, ExecutorConfig, NodeExecutors};
 pub use metrics::{InvocationRecord, RunMetrics};
 pub use parallel::{

@@ -217,8 +217,9 @@ pub(crate) fn merge_metrics(
         merged.crash_rejected += part.crash_rejected;
         merged.degraded_decisions += part.degraded_decisions;
         merged.transfer_retries += part.transfer_retries;
-        // stale_ci_minutes is input-derived and set once by the
-        // coordinator after the merge, never per shard.
+        // stale_ci_minutes is not summed: it is input-derived, so
+        // `Engine::finish` stamps the same value on every shard, and the
+        // coordinator sets it once after the merge.
         for (node, g) in part.keepalive_g_by_node.iter().enumerate() {
             merged.keepalive_g_by_node[node] += g;
         }

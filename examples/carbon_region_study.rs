@@ -1,25 +1,18 @@
 //! Region study (Fig. 14): how the grid's carbon-intensity profile
 //! changes what EcoLife does — and what it saves.
 //!
-//! Historically this was five separate simulations, one per grid region
-//! (Tennessee, Texas, Florida, New York, California). With per-node
-//! carbon-intensity regions it is **one fleet**: five region-tagged
-//! sub-fleets concatenated into a ten-node cluster whose engine reads
-//! each node's own grid series. This example runs the study both ways —
-//!
-//! 1. the legacy sweep: five standalone single-region runs;
-//! 2. the multi-region fleet: one run of a `PartitionedScheduler`
-//!    (isolated per-region sub-fleets) over the merged workload —
-//!
-//! and asserts they agree region by region (the records are pinned
-//! bit-identical in `tests/regions.rs`). It then drops the partitions
-//! and lets one EcoLife place freely across all ten nodes: cross-region
-//! placement, the new scenario axis.
+//! The paper's study is five single-region runs of one workload
+//! (Tennessee, Texas, Florida, New York, California). This example runs
+//! that sweep — EcoLife, New-Only and the Oracle on each region's own
+//! pair — and then lets one EcoLife place freely across all ten nodes of
+//! the five-region fleet, each node reading its own grid series:
+//! cross-region placement, the new scenario axis. It asserts that the
+//! free fleet emits less carbon than EcoLife pinned to Florida's grid.
 //!
 //! Run with: `cargo run --release --example carbon_region_study`
 
-use ecolife::core::runner::parallel_map;
 use ecolife::prelude::*;
+use ecolife::sim::parallel_map;
 
 fn main() {
     let trace = SynthTraceConfig {
@@ -37,8 +30,8 @@ fn main() {
     };
     let region_ci = |region: Region| CarbonIntensityTrace::synthetic(region, ci_minutes, 1234);
 
-    // ---- 1. The legacy sweep: five standalone single-region runs. ----
-    let legacy = parallel_map(Region::ALL.to_vec(), |region| {
+    // ---- 1. The sweep: five standalone single-region runs. -----------
+    let sweep = parallel_map(Region::ALL.to_vec(), |region| {
         let fleet = sub_fleet(region);
         let ci = region_ci(region);
         let mut ecolife = EcoLife::new(fleet.clone(), EcoLifeConfig::default());
@@ -53,67 +46,15 @@ fn main() {
         (region, ci.mean(), eco, fixed, oracle)
     });
 
-    // ---- 2. The same study from ONE multi-region fleet run. ----------
-    let bundle = CiBundle::new(
-        Region::ALL
-            .iter()
-            .map(|&r| (r, region_ci(r)))
-            .collect::<Vec<_>>(),
-    )
-    .expect("five distinct regions, equal spans");
-    let partitioned = |make: &dyn Fn(Region) -> Box<dyn Scheduler + Send>| {
-        PartitionedScheduler::new(
-            Region::ALL
-                .iter()
-                .map(|&r| Partition {
-                    fleet: sub_fleet(r),
-                    ci: region_ci(r),
-                    trace: trace.clone(),
-                    scheduler: make(r),
-                })
-                .collect(),
-        )
-    };
-    let mut eco_sched = partitioned(&|r| {
-        Box::new(EcoLife::new(sub_fleet(r), EcoLifeConfig::default())) as Box<dyn Scheduler + Send>
-    });
-    let merged_trace = eco_sched.merged_trace();
-    let merged_fleet = eco_sched.merged_fleet();
-    let eco_run = Simulation::try_new_regional(&merged_trace, &bundle, merged_fleet.clone())
-        .expect("bundle covers every region and the workload span")
-        .run(&mut eco_sched);
-    let eco_by_region = eco_sched.split_summaries(&eco_run);
-
-    let mut fixed_sched =
-        partitioned(&|_| Box::new(FixedPolicy::new_only()) as Box<dyn Scheduler + Send>);
-    let fixed_run = Simulation::try_new_regional(&merged_trace, &bundle, merged_fleet.clone())
-        .expect("same bundle, same span")
-        .run(&mut fixed_sched);
-    let fixed_by_region = fixed_sched.split_summaries(&fixed_run);
-
     println!(
-        "Fig. 14 from one {}-node multi-region fleet run ({} invocations replayed once):\n",
-        merged_fleet.len(),
-        eco_run.invocations()
+        "Fig. 14 from five single-region runs ({} invocations each):\n",
+        trace.len()
     );
     println!(
         "{:<6} {:>9} {:>14} {:>14} {:>16} {:>14}",
         "region", "mean CI", "EcoLife CO2 g", "NewOnly CO2 g", "saving vs fixed", "gap to Oracle"
     );
-    for (p, (region, mean_ci, eco_legacy, fixed_legacy, oracle)) in legacy.iter().enumerate() {
-        let eco = &eco_by_region[p];
-        let fixed = &fixed_by_region[p];
-        // The single fleet run must reproduce the legacy sweep exactly —
-        // same records, same grams, same milliseconds.
-        assert!(
-            (eco.total_carbon_g - eco_legacy.total_carbon_g).abs() < 1e-9
-                && eco.total_service_ms == eco_legacy.total_service_ms,
-            "{region}: multi-region EcoLife diverged from the standalone run"
-        );
-        assert!(
-            (fixed.total_carbon_g - fixed_legacy.total_carbon_g).abs() < 1e-9,
-            "{region}: multi-region New-Only diverged from the standalone run"
-        );
+    for (region, mean_ci, eco, fixed, oracle) in &sweep {
         println!(
             "{:<6} {:>9.0} {:>14.2} {:>14.2} {:>15.1}% {:>13.1}%",
             region.label(),
@@ -124,17 +65,30 @@ fn main() {
             100.0 * (eco.total_carbon_g / oracle.total_carbon_g - 1.0),
         );
     }
-    println!("\n(asserted: every region agrees with its standalone legacy run)");
 
-    // ---- 3. Drop the partitions: cross-region placement. -------------
+    // ---- 2. Cross-region placement over the ten-node fleet. ----------
+    let bundle = CiBundle::new(
+        Region::ALL
+            .iter()
+            .map(|&r| (r, region_ci(r)))
+            .collect::<Vec<_>>(),
+    )
+    .expect("five distinct regions, equal spans");
     let free_fleet = skus::fleet_five_regions().with_uniform_keepalive_budget_mib(12 * 1024);
     let mut free = EcoLife::new(free_fleet.clone(), EcoLifeConfig::default());
-    let (free_summary, free_run) = run_scheme_regional(&trace, &bundle, &free_fleet, &mut free)
-        .expect("bundle covers the fleet");
-    let best_pinned = legacy
+    let free_run = Simulation::try_new_regional(&trace, &bundle, free_fleet.clone())
+        .expect("bundle covers the fleet and the workload span")
+        .run(&mut free);
+    let free_summary = RunSummary::from_metrics(free.name(), &free_run);
+    let best_pinned = sweep
         .iter()
         .map(|(r, _, eco, _, _)| (r, eco.total_carbon_g))
         .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
+        .unwrap();
+    let florida_g = sweep
+        .iter()
+        .find(|(r, ..)| *r == Region::Florida)
+        .map(|(_, _, eco, _, _)| eco.total_carbon_g)
         .unwrap();
     println!(
         "\nCross-region placement (one EcoLife over all ten nodes, grid mix as a decision):\n  \
@@ -143,22 +97,23 @@ fn main() {
         best_pinned.0.label(),
         best_pinned.1,
         Region::Florida.label(),
-        legacy
-            .iter()
-            .find(|(r, ..)| *r == Region::Florida)
-            .map(|(_, _, eco, _, _)| eco.total_carbon_g)
-            .unwrap(),
+        florida_g,
     );
     for (region, g) in free_run.carbon_g_by_region(&free_fleet) {
         if g > 0.0 {
             println!("    {:<4} carries {:>10.2} g", region.label(), g);
         }
     }
+    assert!(
+        free_summary.total_carbon_g < florida_g,
+        "the free fleet ({:.2} g) must beat EcoLife pinned to Florida ({florida_g:.2} g)",
+        free_summary.total_carbon_g
+    );
 
     println!(
         "\nCarbon-heavy flat grids (FLA, TEN) reward aggressive keep-alive on old\n\
          hardware; solar-swing grids (CAL) reward re-timing keep-alive against\n\
-         the duck curve. One multi-region fleet now expresses all of it — and a\n\
+         the duck curve. One multi-region fleet expresses all of it — and a\n\
          scheduler free to place across grids routes work onto the cleanest one."
     );
 }

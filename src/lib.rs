@@ -98,9 +98,8 @@ pub mod prelude {
         placements_to_markdown, summaries_to_csv, summaries_to_markdown,
     };
     pub use ecolife_core::{
-        compare, run_scheme, run_scheme_regional, run_scheme_regional_traced, run_scheme_traced,
-        BruteForce, Comparison, CostModel, EcoLife, EcoLifeConfig, FixedPolicy, OptTarget,
-        Partition, PartitionedScheduler, RunSummary,
+        compare, run_scheme, BruteForce, Comparison, CostModel, EcoLife, EcoLifeConfig,
+        FixedPolicy, OptTarget, RunSummary,
     };
     pub use ecolife_hw::{
         skus, Fleet, Generation, HardwareNode, HardwarePair, NodeId, PairId, Sku,

@@ -1,15 +1,14 @@
-//! Region-sweep equivalence and determinism (ISSUE 4).
+//! Region-sweep equivalence and determinism.
 //!
-//! The multi-region fleet claim is exact, not approximate: one fleet
-//! built from five per-region sub-fleets, driven by a
-//! [`PartitionedScheduler`], must replay the Fig. 14 study
-//! **bit-identically** to five standalone single-region runs — per
-//! record, per gram — for every scheduler family (EcoLife, the fixed
-//! policies, the Oracle brute force). And the multi-region engine path
-//! must stay deterministic under sharding at any worker-thread count.
+//! The multi-region fleet's per-node CI resolution is exact, not
+//! approximate: a fixed policy pinned to one region's node of the
+//! ten-node five-region fleet must replay the Fig. 14 single-region run
+//! **bit-identically** — per record, per gram — for each of the five
+//! regions. And the multi-region engine path must stay deterministic
+//! under sharding at any worker-thread count.
 
 use ecolife::prelude::*;
-use ecolife::sim::{InvocationRecord, RunMetrics, ShardOptions};
+use ecolife::sim::{InvocationRecord, ShardOptions};
 use ecolife::telemetry::diff::first_divergence;
 
 const SEED: u64 = 0x000F_1614;
@@ -37,98 +36,44 @@ fn bundle() -> CiBundle {
     CiBundle::new(Region::ALL.iter().map(|&r| (r, region_ci(r))).collect()).unwrap()
 }
 
-/// Run the same workload standalone per region and once as a partitioned
-/// multi-region fleet; assert the records agree bit-for-bit.
-fn assert_region_equivalence<S: Scheduler, F: Fn(Region) -> S>(make: F) {
+#[test]
+fn pinned_fixed_policy_matches_five_standalone_runs() {
+    // Region p owns nodes 2p (old) and 2p + 1 (new) of the ten-node
+    // fleet. Pinning New-Only's policy to node 2p + 1 must read exactly
+    // p's grid series — the run the Fig. 14 sweep makes on p's own pair.
     let trace = workload();
-
-    // Five standalone single-region runs (the legacy Fig. 14 sweep).
-    let standalone: Vec<RunMetrics> = Region::ALL
-        .iter()
-        .map(|&r| {
-            let fleet = sub_fleet(r);
-            let ci = region_ci(r);
-            Simulation::new(&trace, &ci, fleet).run(&mut make(r))
-        })
-        .collect();
-
-    // One multi-region fleet run over the merged workload.
-    let mut sched = PartitionedScheduler::new(
-        Region::ALL
-            .iter()
-            .map(|&r| Partition {
-                fleet: sub_fleet(r),
-                ci: region_ci(r),
-                trace: trace.clone(),
-                scheduler: make(r),
-            })
-            .collect(),
-    );
-    let merged_trace = sched.merged_trace();
-    let merged_fleet = sched.merged_fleet();
+    let fleet = skus::fleet_five_regions();
     let b = bundle();
-    let combined = Simulation::try_new_regional(&merged_trace, &b, merged_fleet)
-        .unwrap()
-        .run(&mut sched);
-    assert_eq!(combined.invocations(), 5 * trace.len());
+    let sim = Simulation::try_new_regional(&trace, &b, fleet.clone()).unwrap();
+    for (p, &region) in Region::ALL.iter().enumerate() {
+        let offset = 2 * p as u32;
+        let regional = sim.run(&mut FixedPolicy::pinned(NodeId(offset + 1), 10));
+        let standalone = Simulation::new(&trace, &region_ci(region), sub_fleet(region))
+            .run(&mut FixedPolicy::new_only());
 
-    // Translate each combined record back into its region's local ids
-    // and demand bit-identity with the standalone run.
-    let n_funcs = trace.catalog().len() as u32;
-    let mut seen = vec![0usize; Region::ALL.len()];
-    for rec in &combined.records {
-        let p = (rec.func.0 / n_funcs) as usize;
-        let local = InvocationRecord {
-            func: FunctionId(rec.func.0 - p as u32 * n_funcs),
-            exec_location: NodeId(rec.exec_location.0 - 2 * p as u32),
-            ..*rec
-        };
-        let expected = standalone[p].records[seen[p]];
+        assert_eq!(regional.invocations(), standalone.invocations());
+        for (i, (rec, expected)) in regional.records.iter().zip(&standalone.records).enumerate() {
+            let local = InvocationRecord {
+                exec_location: NodeId(rec.exec_location.0 - offset),
+                ..*rec
+            };
+            assert_eq!(local, *expected, "{region} record {i} diverged");
+        }
+
+        let bits = |g: &[f64]| g.iter().map(|g| g.to_bits()).collect::<Vec<_>>();
+        let mut expected_g = vec![0.0; fleet.len()];
+        expected_g[2 * p..2 * p + 2].copy_from_slice(&standalone.keepalive_g_by_node);
         assert_eq!(
-            local,
-            expected,
-            "region {} record {} diverged from the standalone run",
-            Region::ALL[p],
-            seen[p],
-        );
-        seen[p] += 1;
-    }
-    assert!(seen.iter().all(|&n| n == trace.len()));
-
-    // Totals (and therefore the Fig. 14 comparison itself) follow.
-    for (p, m) in standalone.iter().enumerate() {
-        let by_region = combined.carbon_g_by_region(&sched.merged_fleet());
-        let (region, combined_g) = by_region[p];
-        assert_eq!(region, Region::ALL[p]);
-        assert!(
-            (combined_g - m.total_carbon_g()).abs() < 1e-9,
-            "{region}: {combined_g} vs {}",
-            m.total_carbon_g()
+            bits(&regional.keepalive_g_by_node),
+            bits(&expected_g),
+            "{region} per-node keep-alive grams"
         );
     }
-}
-
-#[test]
-fn partitioned_ecolife_matches_five_standalone_runs() {
-    assert_region_equivalence(|r| EcoLife::new(sub_fleet(r), EcoLifeConfig::default()));
-}
-
-#[test]
-fn partitioned_fixed_policy_matches_five_standalone_runs() {
-    assert_region_equivalence(|_| FixedPolicy::new_only());
-}
-
-#[test]
-fn partitioned_oracle_matches_five_standalone_runs() {
-    // The Oracle consumes per-invocation future knowledge through
-    // `ctx.index`, so this additionally pins the wrapper's local-index
-    // translation.
-    assert_region_equivalence(|r| BruteForce::oracle(sub_fleet(r), region_ci(r)));
 }
 
 #[test]
 fn multi_region_sharded_replay_is_thread_invariant() {
-    // A free (unpartitioned) EcoLife over the ten-node five-region
+    // A free EcoLife over the ten-node five-region
     // fleet: sequential vs `run_sharded` at worker threads {1, 2, 4}
     // must be bit-identical — the per-region ΔCI state is a pure
     // function of (t, region), so shard membership cannot leak into
@@ -160,49 +105,6 @@ fn multi_region_sharded_replay_is_thread_invariant() {
         assert_eq!(sequential.transfers, sharded.transfers);
         if let Some(d) = first_divergence(&seq_sink.lines(), &sink.lines()) {
             panic!("threads={threads} diverged from the sequential multi-region run: {d:?}");
-        }
-        assert_eq!(sink.tip(), seq_sink.tip(), "threads={threads} chain tip");
-    }
-}
-
-#[test]
-fn partitioned_run_is_shardable_and_thread_invariant() {
-    // The partitioned form of the Fig. 14 study itself, through
-    // `run_sharded` at threads {1, 2, 4}: a byte-identical event stream
-    // (and chain tip) against the sequential partitioned run.
-    let trace = workload();
-    let make = || {
-        PartitionedScheduler::new(
-            Region::ALL
-                .iter()
-                .map(|&r| Partition {
-                    fleet: sub_fleet(r),
-                    ci: region_ci(r),
-                    trace: trace.clone(),
-                    scheduler: EcoLife::new(sub_fleet(r), EcoLifeConfig::default()),
-                })
-                .collect(),
-        )
-    };
-    let merged_trace = make().merged_trace();
-    let merged_fleet = make().merged_fleet();
-    let b = bundle();
-
-    let mut seq_sink = CaptureSink::default();
-    Simulation::try_new_regional(&merged_trace, &b, merged_fleet.clone())
-        .unwrap()
-        .run_with_sink(&mut make(), &mut seq_sink);
-    for threads in [1, 2, 4] {
-        let mut sink = CaptureSink::default();
-        Simulation::try_new_regional(&merged_trace, &b, merged_fleet.clone())
-            .unwrap()
-            .run_sharded_with_sink(
-                |_| make(),
-                &ShardOptions::new(8).with_threads(threads),
-                &mut sink,
-            );
-        if let Some(d) = first_divergence(&seq_sink.lines(), &sink.lines()) {
-            panic!("threads={threads}: partitioned sharded stream diverged: {d:?}");
         }
         assert_eq!(sink.tip(), seq_sink.tip(), "threads={threads} chain tip");
     }
