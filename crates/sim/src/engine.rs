@@ -18,6 +18,27 @@
 //! every scheduled keep-alive is fully charged, so schedulers cannot game
 //! the horizon.
 //!
+//! ## Bookkeeping
+//!
+//! Every keep-alive is charged to the invocation that scheduled it
+//! (Sec. IV-C), however its stay ends. Each bookkeeping step has one
+//! function, shared by the per-invocation step, the overflow
+//! adjustment, shard reconciliation, the fleet-timeline handlers
+//! (crash, membership, re-placement) and the end-of-run drain:
+//!
+//! * `expire_due` — the expiry sweep; each lapsed container is settled
+//!   in full by `settle_expired`, which the drain shares;
+//! * `release` — settle a stay cut short (reuse, replacement,
+//!   displacement, crash) and emit its `Released` event;
+//! * `restart_elsewhere` — the restart rule for a container moved off a
+//!   node: its stay on the target starts no earlier than its own
+//!   `warm_since`, it carries the re-warm latency, and its egress is
+//!   priced at the source grid;
+//! * `book_transfer` — the transfer counters and the `Transferred`
+//!   event;
+//! * `migrate` — the one move behind membership drains and
+//!   re-placement passes (admission: `has_room`).
+//!
 //! Two drivers share that per-invocation step: [`Simulation::run`] (the
 //! single-threaded reference) and [`Simulation::run_sharded`] (the
 //! million-invocation path: `FunctionId`-hash shards replayed in
@@ -60,19 +81,19 @@ use crate::scheduler::{
 };
 use crate::shard::{merge_metrics, shard_of, MemoryLedger, ShardOptions};
 use ecolife_carbon::{
-    CarbonIntensityTrace, CarbonModel, CiBundle, CiError, CiProvider, StalenessPolicy, TransferCost,
+    CarbonIntensityTrace, CarbonModel, CiBundle, CiError, CiProvider, Region, StalenessPolicy,
+    TransferCost,
 };
-use ecolife_hw::{Fleet, HardwareNode, NodeId, PerfModel};
+use ecolife_hw::{Fleet, NodeId, PerfModel};
 use ecolife_telemetry::{finalize, lane, Event, EventKey, EventSink, NullSink, ReleaseCause};
-use ecolife_trace::{Invocation, Trace};
+use ecolife_trace::{FunctionId, Invocation, Trace};
 
 /// Collected-but-not-yet-finalized telemetry: canonical key + event.
 type EventList = Vec<(EventKey, Event)>;
 
-/// What one settlement charged — returned by `settle` so call sites
-/// (which know *why* the container left: expiry, reuse, replacement,
-/// displacement, revocation) can emit the matching event. `None` means
-/// the stay had zero duration and nothing was charged.
+/// What one settlement charged — returned by `settle` so its three
+/// callers (`release`, `settle_expired` and the reconcile revocation)
+/// can emit the matching event.
 #[derive(Debug, Clone, Copy, Default)]
 struct Settlement {
     keepalive_g: f64,
@@ -99,24 +120,46 @@ impl StepEvents<'_> {
     }
 }
 
-/// Build the `Released` event for a container that left `node`'s pool at
-/// `end_ms` (call before any mutation of `c.warm_since_ms`).
-fn released(
-    cause: ReleaseCause,
-    node: NodeId,
-    c: &WarmContainer,
-    end_ms: u64,
-    s: Settlement,
+/// Count one accepted keep-alive transfer `from → to` — egress grams
+/// owned by the source grid, re-warm latency — and build its
+/// [`Event::Transferred`] for the caller to key.
+fn book_transfer(
+    metrics: &mut RunMetrics,
+    func: FunctionId,
+    from: NodeId,
+    to: NodeId,
+    t_ms: u64,
+    egress_g: f64,
+    latency_ms: u64,
 ) -> Event {
-    Event::Released {
-        cause,
-        node: node.0,
-        func: c.func.0,
-        since_ms: c.warm_since_ms,
-        end_ms,
-        keepalive_g: s.keepalive_g,
-        energy_kwh: s.energy_kwh,
+    metrics.transfers += 1;
+    metrics.transfer_g += egress_g;
+    metrics.transfer_g_by_node[from.index()] += egress_g;
+    metrics.transfer_ms += latency_ms;
+    Event::Transferred {
+        func: func.0,
+        from: from.0,
+        to: to.0,
+        t_ms,
+        egress_g,
+        latency_ms,
     }
+}
+
+/// `node`'s residents in `FunctionId` order: a snapshot to drain or move
+/// from while the pool changes (pool iteration order is unspecified; the
+/// settlement order must not be).
+fn residents(cluster: &Cluster, node: NodeId) -> Vec<WarmContainer> {
+    let mut residents: Vec<WarmContainer> = cluster.pool(node).iter().copied().collect();
+    residents.sort_by_key(|c| c.func);
+    residents
+}
+
+/// Can `target` take `c` as a move? Moves never replace: the target must
+/// hold no container of that function, and `c` must fit.
+fn has_room(cluster: &Cluster, target: NodeId, c: &WarmContainer) -> bool {
+    let pool = cluster.pool(target);
+    pool.get(c.func).is_none() && pool.fits(c)
 }
 
 /// Engine knobs.
@@ -492,7 +535,6 @@ impl<'a> Simulation<'a> {
         assert!(opts.period_ms > 0, "period must be positive");
         let n_shards = opts.shards;
         let n_nodes = self.fleet.len();
-        let node_ids: Vec<NodeId> = self.fleet.ids().collect();
         let engine = self.engine();
 
         // Shard states: a fresh run state, own scheduler, sub-trace
@@ -564,9 +606,9 @@ impl<'a> Simulation<'a> {
             // delta — the flat per-period buffer every shard's
             // admissions/expiries/reconcile moves funded — in one pass,
             // instead of re-snapshotting every pool.
-            engine.reconcile::<S, K>(t_start, &node_ids, &mut states, &mut ledger_peak_mib);
+            engine.reconcile::<S, K>(t_start, &mut states, &mut ledger_peak_mib);
             for (s, state) in states.iter_mut().enumerate() {
-                for &id in &node_ids {
+                for id in self.fleet.ids() {
                     let delta = state.run.cluster.pool_mut(id).take_period_delta_mib();
                     ledger.adjust(s, id, delta);
                     #[cfg(debug_assertions)]
@@ -585,7 +627,7 @@ impl<'a> Simulation<'a> {
             // its own pools. Which worker runs which shard never affects
             // the outcome.
             states = pool.run_map(states, |mut state| {
-                for &id in &node_ids {
+                for id in self.fleet.ids() {
                     let pressure = ledger.external_mib(state.shard_id, id);
                     state
                         .run
@@ -609,7 +651,7 @@ impl<'a> Simulation<'a> {
             .last()
             .map(|p| (p + 1).saturating_mul(opts.period_ms))
             .unwrap_or(0);
-        engine.reconcile::<S, K>(t_final, &node_ids, &mut states, &mut ledger_peak_mib);
+        engine.reconcile::<S, K>(t_final, &mut states, &mut ledger_peak_mib);
         for state in &mut states {
             engine.finish::<K>(&mut state.run);
         }
@@ -670,11 +712,15 @@ pub struct Engine<'r> {
 /// [`Engine::ingest`], closed by [`Engine::finish`] +
 /// [`Engine::seal`]. A sharded run holds one per shard and merges them
 /// after `finish` instead of sealing each.
+///
+/// Every engine handler — the per-invocation step, the expiry sweep,
+/// the fleet-timeline handlers and the end-of-run drain — takes the
+/// whole state, so a bookkeeping step (expire, release, move, book a
+/// transfer) reads and writes it through one helper wherever it runs.
 #[derive(Debug)]
 pub struct RunState {
     cluster: Cluster,
     metrics: RunMetrics,
-    node_ids: Vec<NodeId>,
     events: EventList,
     timeline: FleetTimeline,
 }
@@ -733,7 +779,6 @@ impl<'r> Engine<'r> {
                 queue_ms_by_node: vec![0; n],
                 ..RunMetrics::default()
             },
-            node_ids: self.fleet.ids().collect(),
             events: Vec::new(),
             timeline: FleetTimeline::new(),
         }
@@ -753,35 +798,16 @@ impl<'r> Engine<'r> {
         scheduler: &mut S,
     ) {
         self.catch_up::<K>(state, inv.t_ms);
-        let RunState {
-            cluster,
-            metrics,
-            node_ids,
-            events,
-            ..
-        } = state;
-        self.step::<S, K>(index, inv, node_ids, cluster, scheduler, metrics, events);
+        self.step::<S, K>(index, inv, scheduler, state);
     }
 
     /// Close the run: fire remaining fleet-timeline events up to the
     /// horizon, then settle every live keep-alive in full (and record
     /// final executor occupancy peaks).
     pub fn finish<K: EventSink>(&self, state: &mut RunState) {
-        let horizon = if self.trace.is_empty() {
-            0
-        } else {
-            self.trace.horizon_ms()
-        };
-        self.catch_up::<K>(state, horizon);
-        let RunState {
-            cluster,
-            metrics,
-            node_ids,
-            events,
-            ..
-        } = state;
-        self.drain::<K>(node_ids, cluster, metrics, events);
-        metrics.stale_ci_minutes = self.stale_minutes();
+        self.catch_up::<K>(state, self.trace.horizon_ms());
+        self.drain::<K>(state);
+        state.metrics.stale_ci_minutes = self.stale_minutes();
     }
 
     /// Input-derived stale-feed minutes: every CI outage span clipped to
@@ -792,14 +818,13 @@ impl<'r> Engine<'r> {
         if self.faults.is_empty() {
             return 0;
         }
-        let horizon = if self.trace.is_empty() {
-            0
-        } else {
-            self.trace.horizon_ms()
-        };
-        self.faults.stale_ci_minutes(horizon, |r| {
-            self.ci.distinct_regions().any(|(fr, _)| fr == r)
-        })
+        self.faults
+            .stale_ci_minutes(self.trace.horizon_ms(), |r| self.reads_region(r))
+    }
+
+    /// Does some fleet node read region `r`'s CI series?
+    fn reads_region(&self, r: Region) -> bool {
+        self.ci.distinct_regions().any(|(fr, _)| fr == r)
     }
 
     /// Serialize the collected telemetry (when `K` is enabled) and hand
@@ -821,30 +846,24 @@ impl<'r> Engine<'r> {
     /// (what `InvocationCtx::index` promises schedulers); the record
     /// lands at `metrics.records.len()`, which the sharded path maps
     /// back to `index` when merging.
-    #[allow(clippy::too_many_arguments)]
     fn step<S: Scheduler, K: EventSink>(
         &self,
         index: usize,
         inv: &Invocation,
-        node_ids: &[NodeId],
-        cluster: &mut Cluster,
         scheduler: &mut S,
-        metrics: &mut RunMetrics,
-        events: &mut EventList,
+        state: &mut RunState,
     ) {
         let t = inv.t_ms;
         let profile = self.trace.catalog().profile(inv.func);
 
         // (1) Lapse expired containers, node by node in id order.
-        for &id in node_ids {
-            let expired = cluster.pool_mut(id).expire_until(t);
-            for c in expired {
-                let s = self.settle(&c, cluster.node(id), c.expiry_ms, metrics);
-                if K::ENABLED {
-                    events.push(self.expired_event(id, &c, s));
-                }
-            }
-        }
+        self.expire_due::<K>(t, state);
+        let RunState {
+            cluster,
+            metrics,
+            events,
+            ..
+        } = state;
 
         // Bounded executors: retire every execution finished (and every
         // queued start reached) by now, *before* the scheduler decides —
@@ -875,7 +894,7 @@ impl<'r> Engine<'r> {
             let bound = self.ci.staleness().max_stale_ms();
             self.faults
                 .blackout_regions(t, bound)
-                .any(|r| self.ci.distinct_regions().any(|(fr, _)| fr == r))
+                .any(|r| self.reads_region(r))
         };
 
         // (3) Scheduler decision (timed: this is the paper's
@@ -952,18 +971,9 @@ impl<'r> Engine<'r> {
         if !self.faults.is_empty() && self.faults.is_crashed(exec_loc, t) {
             debug_assert!(!warm, "warm container resident on a crashed node");
             metrics.crash_rejected += 1;
-            metrics.records.push(InvocationRecord {
-                func: inv.func,
-                t_ms: t,
-                exec_location: exec_loc,
-                warm: false,
-                service_ms: 0,
-                queue_ms: 0,
-                rejected: true,
-                service_carbon: ecolife_carbon::CarbonFootprint::ZERO,
-                keepalive_carbon: ecolife_carbon::CarbonFootprint::ZERO,
-                energy_kwh: 0.0,
-            });
+            metrics
+                .records
+                .push(InvocationRecord::rejected(inv.func, t, exec_loc));
             if K::ENABLED {
                 ev.push(Event::CrashRejected {
                     index: index as u64,
@@ -1013,21 +1023,10 @@ impl<'r> Engine<'r> {
                     metrics.rejected += 1;
                     // The decision is void: no execution, no keep-alive
                     // install, no `observe` — a warm container (if any)
-                    // stays resident for a later arrival. A zero-cost
-                    // record keeps record coverage total (the sharded
-                    // merge asserts every invocation placed exactly one).
-                    metrics.records.push(InvocationRecord {
-                        func: inv.func,
-                        t_ms: t,
-                        exec_location: exec_loc,
-                        warm: false,
-                        service_ms: 0,
-                        queue_ms: 0,
-                        rejected: true,
-                        service_carbon: ecolife_carbon::CarbonFootprint::ZERO,
-                        keepalive_carbon: ecolife_carbon::CarbonFootprint::ZERO,
-                        energy_kwh: 0.0,
-                    });
+                    // stays resident for a later arrival.
+                    metrics
+                        .records
+                        .push(InvocationRecord::rejected(inv.func, t, exec_loc));
                     if K::ENABLED {
                         ev.push(Event::AdmissionRejected {
                             index: index as u64,
@@ -1075,12 +1074,9 @@ impl<'r> Engine<'r> {
         if warm {
             if let Some(c) = cluster.pool_mut(exec_loc).remove(inv.func) {
                 debug_assert_eq!(c.transfer_latency_ms, transfer_debt_ms);
-                let s = self.settle(&c, cluster.node(exec_loc), t, metrics);
-                if K::ENABLED {
-                    if let Some(s) = s {
-                        ev.push(released(ReleaseCause::Reused, exec_loc, &c, t, s));
-                    }
-                }
+                self.release::<K>(ReleaseCause::Reused, exec_loc, &c, t, metrics, |e| {
+                    ev.push(e)
+                });
             }
         }
 
@@ -1189,25 +1185,86 @@ impl<'r> Engine<'r> {
     /// End-of-run settlement: drain every pool, charging each live
     /// keep-alive in full (at its expiry), and fold the pools'
     /// expiry-machinery counters into the run metrics.
-    fn drain<K: EventSink>(
+    fn drain<K: EventSink>(&self, state: &mut RunState) {
+        for id in self.fleet.ids() {
+            for c in state.cluster.pool_mut(id).drain_all() {
+                self.settle_expired::<K>(id, &c, &mut state.metrics, &mut state.events);
+            }
+            state
+                .metrics
+                .expiry
+                .absorb(state.cluster.pool(id).expiry_stats());
+        }
+        if let Some(peaks) = state.cluster.executor_peaks() {
+            state.metrics.executor_peak_by_node = peaks;
+        }
+    }
+
+    /// The expiry sweep: lapse every container due by `t`, node by node
+    /// in id order, settling each in full at its expiry.
+    #[inline]
+    fn expire_due<K: EventSink>(&self, t: u64, state: &mut RunState) {
+        for id in self.fleet.ids() {
+            for c in state.cluster.pool_mut(id).expire_until(t) {
+                self.settle_expired::<K>(id, &c, &mut state.metrics, &mut state.events);
+            }
+        }
+    }
+
+    /// Settle a container that lapsed on `id` in full, and emit its
+    /// [`Event::Expired`] at the canonical key. The key depends only on
+    /// the expiry instant — never on which path (mid-step sweep, period
+    /// boundary, fleet-timeline handler, end-of-run drain) collected it.
+    #[inline]
+    fn settle_expired<K: EventSink>(
         &self,
-        node_ids: &[NodeId],
-        cluster: &mut Cluster,
+        id: NodeId,
+        c: &WarmContainer,
         metrics: &mut RunMetrics,
         events: &mut EventList,
     ) {
-        for &id in node_ids {
-            let remaining = cluster.pool_mut(id).drain_all();
-            for c in remaining {
-                let s = self.settle(&c, self.fleet.node(id), c.expiry_ms, metrics);
-                if K::ENABLED {
-                    events.push(self.expired_event(id, &c, s));
-                }
-            }
-            metrics.expiry.absorb(cluster.pool(id).expiry_stats());
+        let s = self.settle(c, id, c.expiry_ms, metrics).unwrap_or_default();
+        if K::ENABLED {
+            events.push((
+                EventKey::new(self.trigger_pos(c.expiry_ms), lane::EXPIRY, id.0, c.func.0),
+                Event::Expired {
+                    node: id.0,
+                    func: c.func.0,
+                    since_ms: c.warm_since_ms,
+                    expiry_ms: c.expiry_ms,
+                    keepalive_g: s.keepalive_g,
+                    energy_kwh: s.energy_kwh,
+                },
+            ));
         }
-        if let Some(peaks) = cluster.executor_peaks() {
-            metrics.executor_peak_by_node = peaks;
+    }
+
+    /// Settle a stay on `node` that ended at `end_ms` for `cause`, and hand
+    /// `emit` its [`Event::Released`] — only when the stay charged
+    /// something and `K` is enabled. Call before `c.warm_since_ms` moves.
+    #[inline]
+    fn release<K: EventSink>(
+        &self,
+        cause: ReleaseCause,
+        node: NodeId,
+        c: &WarmContainer,
+        end_ms: u64,
+        metrics: &mut RunMetrics,
+        emit: impl FnOnce(Event),
+    ) {
+        let s = self.settle(c, node, end_ms, metrics);
+        if K::ENABLED {
+            if let Some(s) = s {
+                emit(Event::Released {
+                    cause,
+                    node: node.0,
+                    func: c.func.0,
+                    since_ms: c.warm_since_ms,
+                    end_ms,
+                    keepalive_g: s.keepalive_g,
+                    energy_kwh: s.energy_kwh,
+                });
+            }
         }
     }
 
@@ -1226,7 +1283,6 @@ impl<'r> Engine<'r> {
     fn reconcile<S: Scheduler, K: EventSink>(
         &self,
         t_now: u64,
-        node_ids: &[NodeId],
         states: &mut [ShardState<S>],
         ledger_peak_mib: &mut [u64],
     ) {
@@ -1240,32 +1296,17 @@ impl<'r> Engine<'r> {
         // lands in `[tm, t_now)` by construction), so replaying it here
         // is order-exact. Capped at the horizon: the final reconcile
         // runs past the last arrival, where nothing fires.
-        let t_cap = if self.trace.is_empty() {
-            0
-        } else {
-            self.trace.horizon_ms()
-        };
-        for state in states.iter_mut() {
-            self.catch_up::<K>(&mut state.run, t_now.min(t_cap));
-        }
-
+        //
         // (1) Eager expiry: the sequential engine expires on every
         // invocation; shards expire their own pools mid-period, so this
         // only brings the ledger's cross-shard view up to date. Expiry
         // events carry their *canonical* anchor (the global expiry
         // trigger), so sweeping a container here instead of mid-step
         // lands it at the exact position the sequential stream has it.
+        // Shards own disjoint state, so each runs (0) then (1) in turn.
         for state in states.iter_mut() {
-            for &id in node_ids {
-                let expired = state.run.cluster.pool_mut(id).expire_until(t_now);
-                for c in expired {
-                    let s =
-                        self.settle(&c, self.fleet.node(id), c.expiry_ms, &mut state.run.metrics);
-                    if K::ENABLED {
-                        state.run.events.push(self.expired_event(id, &c, s));
-                    }
-                }
-            }
+            self.catch_up::<K>(&mut state.run, t_now.min(self.trace.horizon_ms()));
+            self.expire_due::<K>(t_now, &mut state.run);
         }
 
         // Reconcile-lane events (revocations and their transfer
@@ -1285,7 +1326,7 @@ impl<'r> Engine<'r> {
         };
 
         // (2) Capacity reconciliation, node by node in id order.
-        for &id in node_ids {
+        for id in self.fleet.ids() {
             let capacity = self.fleet.node(id).keepalive_mem_mib;
             loop {
                 let total: u64 = states
@@ -1318,7 +1359,7 @@ impl<'r> Engine<'r> {
                     .pool_mut(id)
                     .remove(func)
                     .expect("victim is resident");
-                let s = self.settle(&container, self.fleet.node(id), t_now, &mut run.metrics);
+                let s = self.settle(&container, id, t_now, &mut run.metrics);
                 run.metrics.reconcile_revocations += 1;
                 if K::ENABLED {
                     // Revocations are always emitted, even when the settle
@@ -1346,12 +1387,7 @@ impl<'r> Engine<'r> {
                     container.expiry_ms > t_now,
                     "victim survived phase-1 expiry"
                 );
-                container.warm_since_ms = container.warm_since_ms.max(t_now);
-                let egress_g = self
-                    .config
-                    .transfer_cost
-                    .grams(container.memory_mib, self.ci.at(id, t_now));
-                container.transfer_latency_ms += self.config.transfer_cost.latency_ms;
+                let egress_g = self.restart_elsewhere(&mut container, id, t_now);
                 let mut placed = false;
                 for &target in &self.fleet.transfer_candidates(id) {
                     // The owner shard's membership view is authoritative
@@ -1382,49 +1418,32 @@ impl<'r> Engine<'r> {
                     // clear the stale per-period snapshot so the local
                     // insert cannot spuriously reject (it is refreshed
                     // from the ledger before the next period anyway).
-                    let pool = states[owner].run.cluster.pool_mut(target);
+                    let run = &mut states[owner].run;
+                    let pool = run.cluster.pool_mut(target);
                     pool.set_external_used_mib(0);
                     match pool.insert(container) {
                         Ok(replaced) => {
                             if let Some(old) = replaced {
-                                let s = self.settle(
+                                self.release::<K>(
+                                    ReleaseCause::Replaced,
+                                    target,
                                     &old,
-                                    self.fleet.node(target),
                                     t_now,
-                                    &mut states[owner].run.metrics,
+                                    &mut run.metrics,
+                                    |e| run.events.push((rc_key(), e)),
                                 );
-                                if K::ENABLED {
-                                    if let Some(s) = s {
-                                        states[owner].run.events.push((
-                                            rc_key(),
-                                            released(
-                                                ReleaseCause::Replaced,
-                                                target,
-                                                &old,
-                                                t_now,
-                                                s,
-                                            ),
-                                        ));
-                                    }
-                                }
                             }
-                            states[owner].run.metrics.transfers += 1;
-                            states[owner].run.metrics.transfer_g += egress_g;
-                            states[owner].run.metrics.transfer_g_by_node[id.index()] += egress_g;
-                            states[owner].run.metrics.transfer_ms +=
-                                self.config.transfer_cost.latency_ms;
+                            let e = book_transfer(
+                                &mut run.metrics,
+                                func,
+                                id,
+                                target,
+                                t_now,
+                                egress_g,
+                                self.config.transfer_cost.latency_ms,
+                            );
                             if K::ENABLED {
-                                states[owner].run.events.push((
-                                    rc_key(),
-                                    Event::Transferred {
-                                        func: func.0,
-                                        from: id.0,
-                                        to: target.0,
-                                        t_ms: t_now,
-                                        egress_g,
-                                        latency_ms: self.config.transfer_cost.latency_ms,
-                                    },
-                                ));
+                                run.events.push((rc_key(), e));
                             }
                             placed = true;
                         }
@@ -1445,7 +1464,7 @@ impl<'r> Engine<'r> {
         // an earlier one, so per-node occupancy is final — and at or
         // under capacity (transfer headroom is checked against the true
         // cross-shard sum) — only here.
-        for &id in node_ids {
+        for id in self.fleet.ids() {
             let total: u64 = states
                 .iter()
                 .map(|s| s.run.cluster.pool(id).used_mib())
@@ -1481,15 +1500,10 @@ impl<'r> Engine<'r> {
         }
         // Settle a replaced container of the same function (its keep-alive
         // ends now).
-        if cluster.pool(location).get(container.func).is_some() {
-            if let Some(old) = cluster.pool_mut(location).remove(container.func) {
-                let s = self.settle(&old, cluster.node(location), t, metrics);
-                if K::ENABLED {
-                    if let Some(s) = s {
-                        ev.push(released(ReleaseCause::Replaced, location, &old, t, s));
-                    }
-                }
-            }
+        if let Some(old) = cluster.pool_mut(location).remove(container.func) {
+            self.release::<K>(ReleaseCause::Replaced, location, &old, t, metrics, |e| {
+                ev.push(e)
+            });
         }
 
         let container = match cluster.pool_mut(location).insert(container) {
@@ -1549,18 +1563,14 @@ impl<'r> Engine<'r> {
                         continue; // plan referenced a non-resident function
                     };
                     // Its stay on this node ends now.
-                    let s = self.settle(&displaced, cluster.node(location), t, metrics);
-                    if K::ENABLED {
-                        if let Some(s) = s {
-                            ev.push(released(
-                                ReleaseCause::Displaced,
-                                location,
-                                &displaced,
-                                t,
-                                s,
-                            ));
-                        }
-                    }
+                    self.release::<K>(
+                        ReleaseCause::Displaced,
+                        location,
+                        &displaced,
+                        t,
+                        metrics,
+                        |e| ev.push(e),
+                    );
                     // Restart the remaining keep-alive on the first
                     // transfer target with room. The move is priced:
                     // egress grams at the *source* grid's intensity now,
@@ -1580,8 +1590,8 @@ impl<'r> Engine<'r> {
                             match cluster.pool_mut(target).insert(probe) {
                                 Ok(replaced) => {
                                     self.accept_transfer::<K>(
-                                        replaced, func.0, location, target, t, egress_g, 0,
-                                        cluster, metrics, ev,
+                                        replaced, func, location, target, t, egress_g, 0, metrics,
+                                        ev,
                                     );
                                     break;
                                 }
@@ -1623,8 +1633,8 @@ impl<'r> Engine<'r> {
                                     match cluster.pool_mut(target).insert(probe) {
                                         Ok(replaced) => {
                                             self.accept_transfer::<K>(
-                                                replaced, func.0, location, target, t, egress_g,
-                                                waited, cluster, metrics, ev,
+                                                replaced, func, location, target, t, egress_g,
+                                                waited, metrics, ev,
                                             );
                                             break 'retry;
                                         }
@@ -1651,48 +1661,33 @@ impl<'r> Engine<'r> {
         }
     }
 
-    /// Book one accepted keep-alive transfer `location → target`: settle
-    /// a replaced resident of the target (the stay it cut short must
-    /// still be charged), count the egress and latency, emit the events.
-    /// `waited_ms` is retry backoff served before the move — zero on the
-    /// direct path, which keeps it byte-identical to the pre-fault
-    /// engine.
+    /// An overflow transfer `location → target` was accepted: settle a
+    /// replaced resident of the target (the stay it cut short must still
+    /// be charged), then book the move. `waited_ms` is retry backoff
+    /// served before the move — zero on the direct path, which keeps it
+    /// byte-identical to the pre-fault engine.
     #[allow(clippy::too_many_arguments)]
     fn accept_transfer<K: EventSink>(
         &self,
         replaced: Option<WarmContainer>,
-        func: u32,
+        func: FunctionId,
         location: NodeId,
         target: NodeId,
         t: u64,
         egress_g: f64,
         waited_ms: u64,
-        cluster: &Cluster,
         metrics: &mut RunMetrics,
         ev: &mut StepEvents<'_>,
     ) {
         if let Some(old) = replaced {
-            let s = self.settle(&old, cluster.node(target), t, metrics);
-            if K::ENABLED {
-                if let Some(s) = s {
-                    ev.push(released(ReleaseCause::Replaced, target, &old, t, s));
-                }
-            }
+            self.release::<K>(ReleaseCause::Replaced, target, &old, t, metrics, |e| {
+                ev.push(e)
+            });
         }
         let latency_ms = self.config.transfer_cost.latency_ms + waited_ms;
-        metrics.transfers += 1;
-        metrics.transfer_g += egress_g;
-        metrics.transfer_g_by_node[location.index()] += egress_g;
-        metrics.transfer_ms += latency_ms;
+        let e = book_transfer(metrics, func, location, target, t, egress_g, latency_ms);
         if K::ENABLED {
-            ev.push(Event::Transferred {
-                func,
-                from: location.0,
-                to: target.0,
-                t_ms: t,
-                egress_g,
-                latency_ms,
-            });
+            ev.push(e);
         }
     }
 
@@ -1702,18 +1697,12 @@ impl<'r> Engine<'r> {
     /// With the default config (no passes, empty plan) this returns
     /// immediately — the pre-pricing engine, bit for bit.
     fn catch_up<K: EventSink>(&self, state: &mut RunState, t_limit: u64) {
-        let RunState {
-            cluster,
-            metrics,
-            events,
-            timeline: tl,
-            ..
-        } = state;
         let every_ms = self
             .config
             .replacement_every_min
             .saturating_mul(crate::MINUTE_MS);
         loop {
+            let tl = state.timeline;
             let t_pass = if every_ms == 0 {
                 u64::MAX
             } else {
@@ -1739,17 +1728,16 @@ impl<'r> Engine<'r> {
             // lane order (MEMBER_OUT < CRASH_OUT < REPLACE_OUT), so the
             // applied state transitions read in the emitted order.
             if t_member <= t_next {
-                let idx = tl.next_member;
-                let e = self.membership.events()[idx];
-                self.apply_membership::<K>(idx, e, cluster, metrics, events);
-                tl.next_member += 1;
+                let e = self.membership.events()[tl.next_member];
+                self.apply_membership::<K>(tl.next_member, e, state);
+                state.timeline.next_member += 1;
             } else if t_fault <= t_pass {
                 let (t, node, idx) = self.faults.crash_changes()[tl.next_fault];
-                self.apply_crash::<K>(idx, t, node, cluster, metrics, events);
-                tl.next_fault += 1;
+                self.apply_crash::<K>(idx, t, node, state);
+                state.timeline.next_fault += 1;
             } else {
-                self.replacement_pass::<K>(tl.next_pass, t_pass, cluster, metrics, events);
-                tl.next_pass += 1;
+                self.replacement_pass::<K>(tl.next_pass, t_pass, state);
+                state.timeline.next_pass += 1;
             }
         }
     }
@@ -1815,75 +1803,52 @@ impl<'r> Engine<'r> {
         fault_idx: u32,
         t: u64,
         node: NodeId,
-        cluster: &mut Cluster,
-        metrics: &mut RunMetrics,
-        events: &mut EventList,
+        state: &mut RunState,
     ) {
-        let node_ids: Vec<NodeId> = self.fleet.ids().collect();
-        for &id in &node_ids {
-            let expired = cluster.pool_mut(id).expire_until(t);
-            for c in expired {
-                let s = self.settle(&c, self.fleet.node(id), c.expiry_ms, metrics);
-                if K::ENABLED {
-                    events.push(self.expired_event(id, &c, s));
-                }
-            }
-        }
+        self.expire_due::<K>(t, state);
         let pos = if K::ENABLED { self.trigger_pos(t) } else { 0 };
-        let mut residents: Vec<WarmContainer> = cluster.pool(node).iter().copied().collect();
-        residents.sort_by_key(|c| c.func.0);
-        for probe in residents {
-            let c = cluster
+        for probe in residents(&state.cluster, node) {
+            let c = state
+                .cluster
                 .pool_mut(node)
                 .remove(probe.func)
                 .expect("resident listed from the pool");
-            let s = self.settle(&c, self.fleet.node(node), t, metrics);
-            metrics.lost_warm_mib += c.memory_mib;
-            if K::ENABLED {
-                if let Some(s) = s {
-                    events.push((
-                        EventKey::new(pos, lane::CRASH_OUT, fault_idx, c.func.0),
-                        released(ReleaseCause::Crashed, node, &c, t, s),
-                    ));
-                }
-            }
+            let key = EventKey::new(pos, lane::CRASH_OUT, fault_idx, c.func.0);
+            self.release::<K>(
+                ReleaseCause::Crashed,
+                node,
+                &c,
+                t,
+                &mut state.metrics,
+                |e| state.events.push((key, e)),
+            );
+            state.metrics.lost_warm_mib += c.memory_mib;
         }
-        if let Some(x) = cluster.executors_mut() {
+        if let Some(x) = state.cluster.executors_mut() {
             x.reset(node);
         }
     }
 
     /// Apply membership event `m_idx`: a join re-activates the node; a
     /// leave drains its warm pool through the priced migration ranking
-    /// (settle the stay, pay egress at the *leaving* grid, restart on
-    /// the cleanest active node with room — else evict) and deactivates
-    /// it. Containers never stack: a target already holding the function
-    /// is skipped, so drain events collide with nothing.
+    /// ([`Engine::migrate`] to the cleanest active node with room — else
+    /// settle the stay and evict) and deactivates it. Containers never
+    /// stack: a target already holding the function has no room, so
+    /// drain events collide with nothing.
     fn apply_membership<K: EventSink>(
         &self,
         m_idx: usize,
         e: MembershipEvent,
-        cluster: &mut Cluster,
-        metrics: &mut RunMetrics,
-        events: &mut EventList,
+        state: &mut RunState,
     ) {
         // Canonical expiry sweep first: anything lapsed by `t` dies as an
         // expiry (its canonical anchor), never as a drain.
-        let node_ids: Vec<NodeId> = self.fleet.ids().collect();
-        for &id in &node_ids {
-            let expired = cluster.pool_mut(id).expire_until(e.t_ms);
-            for c in expired {
-                let s = self.settle(&c, self.fleet.node(id), c.expiry_ms, metrics);
-                if K::ENABLED {
-                    events.push(self.expired_event(id, &c, s));
-                }
-            }
-        }
+        self.expire_due::<K>(e.t_ms, state);
         if e.join {
-            cluster.set_active(e.node, true);
+            state.cluster.set_active(e.node, true);
             return;
         }
-        cluster.set_active(e.node, false);
+        state.cluster.set_active(e.node, false);
         // A leave targeting a node that is down at this instant must not
         // drain: the crash already settled and dropped the pool (ties at
         // the crash instant apply membership first, and the guard makes
@@ -1897,61 +1862,33 @@ impl<'r> Engine<'r> {
         } else {
             0
         };
-        let ranking = self.migration_ranking(e.node, cluster, e.t_ms);
-        let mut residents: Vec<WarmContainer> = cluster.pool(e.node).iter().copied().collect();
-        residents.sort_by_key(|c| c.func.0);
-        for c in residents {
-            let mut c = cluster
-                .pool_mut(e.node)
-                .remove(c.func)
-                .expect("resident listed from the pool");
-            let s = self.settle(&c, self.fleet.node(e.node), e.t_ms, metrics);
-            if K::ENABLED {
-                if let Some(s) = s {
-                    events.push((
-                        EventKey::new(pos, lane::MEMBER_OUT, m_idx as u32, c.func.0),
-                        released(ReleaseCause::Displaced, e.node, &c, e.t_ms, s),
-                    ));
+        let ranking = self.migration_ranking(e.node, &state.cluster, e.t_ms);
+        for c in residents(&state.cluster, e.node) {
+            let out_key = EventKey::new(pos, lane::MEMBER_OUT, m_idx as u32, c.func.0);
+            let in_key = EventKey::new(pos, lane::MEMBER_IN, m_idx as u32, c.func.0);
+            match ranking
+                .iter()
+                .find(|&&target| has_room(&state.cluster, target, &c))
+            {
+                Some(&target) => {
+                    self.migrate::<K>(c.func, e.node, target, e.t_ms, [out_key, in_key], state)
                 }
-            }
-            c.warm_since_ms = c.warm_since_ms.max(e.t_ms);
-            let egress_g = self
-                .config
-                .transfer_cost
-                .grams(c.memory_mib, self.ci.at(e.node, e.t_ms));
-            c.transfer_latency_ms += self.config.transfer_cost.latency_ms;
-            let mut placed = false;
-            for &target in &ranking {
-                if cluster.pool(target).get(c.func).is_some() || !cluster.pool(target).fits(&c) {
-                    continue;
+                None => {
+                    let c = state
+                        .cluster
+                        .pool_mut(e.node)
+                        .remove(c.func)
+                        .expect("resident listed from the pool");
+                    self.release::<K>(
+                        ReleaseCause::Displaced,
+                        e.node,
+                        &c,
+                        e.t_ms,
+                        &mut state.metrics,
+                        |ev| state.events.push((out_key, ev)),
+                    );
+                    state.metrics.evicted_functions += 1;
                 }
-                let func = c.func.0;
-                cluster
-                    .pool_mut(target)
-                    .insert(c)
-                    .expect("fits-checked insert cannot reject");
-                metrics.transfers += 1;
-                metrics.transfer_g += egress_g;
-                metrics.transfer_g_by_node[e.node.index()] += egress_g;
-                metrics.transfer_ms += self.config.transfer_cost.latency_ms;
-                if K::ENABLED {
-                    events.push((
-                        EventKey::new(pos, lane::MEMBER_IN, m_idx as u32, func),
-                        Event::Transferred {
-                            func,
-                            from: e.node.0,
-                            to: target.0,
-                            t_ms: e.t_ms,
-                            egress_g,
-                            latency_ms: self.config.transfer_cost.latency_ms,
-                        },
-                    ));
-                }
-                placed = true;
-                break;
-            }
-            if !placed {
-                metrics.evicted_functions += 1;
             }
         }
     }
@@ -1959,118 +1896,101 @@ impl<'r> Engine<'r> {
     /// Re-placement pass `k` at `tm`: follow the sun. For every active
     /// node's long-lived residents (warm *before* `tm` — this pass's own
     /// migrants and not-yet-warm keep-alives are excluded), migrate to
-    /// the first cleaner node where the remaining keep-alive **plus the
-    /// egress price** beats staying put. Pure in `(tm, cluster state)`,
-    /// so every shard replays it identically.
-    fn replacement_pass<K: EventSink>(
-        &self,
-        k: u64,
-        tm: u64,
-        cluster: &mut Cluster,
-        metrics: &mut RunMetrics,
-        events: &mut EventList,
-    ) {
-        let node_ids: Vec<NodeId> = self.fleet.ids().collect();
-        for &id in &node_ids {
-            let expired = cluster.pool_mut(id).expire_until(tm);
-            for c in expired {
-                let s = self.settle(&c, self.fleet.node(id), c.expiry_ms, metrics);
-                if K::ENABLED {
-                    events.push(self.expired_event(id, &c, s));
-                }
-            }
-        }
+    /// the first cleaner node with room where the remaining keep-alive
+    /// **plus the egress price** beats staying put. Pure in `(tm, cluster
+    /// state)`, so every shard replays it identically.
+    fn replacement_pass<K: EventSink>(&self, k: u64, tm: u64, state: &mut RunState) {
+        self.expire_due::<K>(tm, state);
         let pos = if K::ENABLED { self.trigger_pos(tm) } else { 0 };
-        for &src in &node_ids {
-            if !cluster.is_active(src) || cluster.pool(src).is_empty() {
+        for src in self.fleet.ids() {
+            if !state.cluster.is_active(src) || state.cluster.pool(src).is_empty() {
                 continue;
             }
-            let ranking = self.migration_ranking(src, cluster, tm);
+            let ranking = self.migration_ranking(src, &state.cluster, tm);
             if ranking.is_empty() {
                 continue;
             }
             let src_ci = self.ci.at(src, tm);
-            let mut residents: Vec<WarmContainer> = cluster
-                .pool(src)
-                .iter()
-                .filter(|c| c.warm_since_ms < tm)
-                .copied()
-                .collect();
-            residents.sort_by_key(|c| c.func.0);
-            for probe in residents {
+            let long_lived = residents(&state.cluster, src)
+                .into_iter()
+                .filter(|c| c.warm_since_ms < tm);
+            for probe in long_lived {
                 let dur = probe.expiry_ms - tm;
-                let stay_g = self
-                    .config
-                    .carbon_model
-                    .keepalive_phase(self.fleet.node(src), probe.memory_mib, dur, src_ci)
-                    .total_g();
-                let egress_g = self.config.transfer_cost.grams(probe.memory_mib, src_ci);
-                for &target in &ranking {
-                    let move_g = self
-                        .config
+                let keepalive_g = |node: NodeId, ci: f64| {
+                    self.config
                         .carbon_model
-                        .keepalive_phase(
-                            self.fleet.node(target),
-                            probe.memory_mib,
-                            dur,
-                            self.ci.at(target, tm),
-                        )
+                        .keepalive_phase(self.fleet.node(node), probe.memory_mib, dur, ci)
                         .total_g()
-                        + egress_g;
-                    if move_g >= stay_g {
-                        continue;
-                    }
-                    if cluster.pool(target).get(probe.func).is_some()
-                        || !cluster.pool(target).fits(&probe)
-                    {
-                        continue;
-                    }
-                    let mut c = cluster
-                        .pool_mut(src)
-                        .remove(probe.func)
-                        .expect("resident listed from the pool");
-                    let s = self.settle(&c, self.fleet.node(src), tm, metrics);
-                    if K::ENABLED {
-                        if let Some(s) = s {
-                            events.push((
-                                EventKey::new(
-                                    pos,
-                                    lane::REPLACE_OUT,
-                                    c.func.0,
-                                    (k as u32) << 16 | src.0,
-                                ),
-                                released(ReleaseCause::Displaced, src, &c, tm, s),
-                            ));
-                        }
-                    }
-                    c.warm_since_ms = tm;
-                    c.transfer_latency_ms += self.config.transfer_cost.latency_ms;
-                    let func = c.func.0;
-                    cluster
-                        .pool_mut(target)
-                        .insert(c)
-                        .expect("fits-checked insert cannot reject");
-                    metrics.transfers += 1;
-                    metrics.transfer_g += egress_g;
-                    metrics.transfer_g_by_node[src.index()] += egress_g;
-                    metrics.transfer_ms += self.config.transfer_cost.latency_ms;
-                    if K::ENABLED {
-                        events.push((
-                            EventKey::new(pos, lane::REPLACE_IN, func, (k as u32) << 16 | src.0),
-                            Event::Transferred {
-                                func,
-                                from: src.0,
-                                to: target.0,
-                                t_ms: tm,
-                                egress_g,
-                                latency_ms: self.config.transfer_cost.latency_ms,
-                            },
-                        ));
-                    }
-                    break;
+                };
+                let stay_g = keepalive_g(src, src_ci);
+                let egress_g = self.config.transfer_cost.grams(probe.memory_mib, src_ci);
+                let cleaner = ranking.iter().find(|&&target| {
+                    keepalive_g(target, self.ci.at(target, tm)) + egress_g < stay_g
+                        && has_room(&state.cluster, target, &probe)
+                });
+                if let Some(&target) = cleaner {
+                    let sub = (k as u32) << 16 | src.0;
+                    let keys = [
+                        EventKey::new(pos, lane::REPLACE_OUT, probe.func.0, sub),
+                        EventKey::new(pos, lane::REPLACE_IN, probe.func.0, sub),
+                    ];
+                    self.migrate::<K>(probe.func, src, target, tm, keys, state);
                 }
             }
         }
+    }
+
+    /// Move `func`'s container `from → to` at `t` (the caller checked
+    /// [`has_room`]): settle its stay on `from`, restart it on `to`, and
+    /// book the transfer, keying the two events `[out_key, in_key]`. The
+    /// one move behind membership drains and re-placement passes.
+    fn migrate<K: EventSink>(
+        &self,
+        func: FunctionId,
+        from: NodeId,
+        to: NodeId,
+        t: u64,
+        [out_key, in_key]: [EventKey; 2],
+        state: &mut RunState,
+    ) {
+        let mut c = state
+            .cluster
+            .pool_mut(from)
+            .remove(func)
+            .expect("resident listed from the pool");
+        self.release::<K>(
+            ReleaseCause::Displaced,
+            from,
+            &c,
+            t,
+            &mut state.metrics,
+            |e| state.events.push((out_key, e)),
+        );
+        let egress_g = self.restart_elsewhere(&mut c, from, t);
+        state
+            .cluster
+            .pool_mut(to)
+            .insert(c)
+            .expect("room-checked insert cannot reject");
+        let latency_ms = self.config.transfer_cost.latency_ms;
+        let e = book_transfer(&mut state.metrics, func, from, to, t, egress_g, latency_ms);
+        if K::ENABLED {
+            state.events.push((in_key, e));
+        }
+    }
+
+    /// Restart a container's remaining keep-alive off `from` at `t`: its
+    /// stay on the target starts at `t` or, for a container still
+    /// executing, at its own `warm_since` (it turns warm when its service
+    /// ends, wherever it lands); it carries the re-warm latency to its
+    /// next service; and the egress is priced at `from`'s grid now.
+    /// Returns the egress grams, booked only if a target accepts.
+    fn restart_elsewhere(&self, c: &mut WarmContainer, from: NodeId, t: u64) -> f64 {
+        c.warm_since_ms = c.warm_since_ms.max(t);
+        c.transfer_latency_ms += self.config.transfer_cost.latency_ms;
+        self.config
+            .transfer_cost
+            .grams(c.memory_mib, self.ci.at(from, t))
     }
 
     /// Charge a container's keep-alive period `[warm_since, end)` to its
@@ -2079,7 +1999,7 @@ impl<'r> Engine<'r> {
     fn settle(
         &self,
         container: &WarmContainer,
-        node: &HardwareNode,
+        id: NodeId,
         end_ms: u64,
         metrics: &mut RunMetrics,
     ) -> Option<Settlement> {
@@ -2088,8 +2008,9 @@ impl<'r> Engine<'r> {
             return None;
         }
         // Charged on the *hosting node's* grid.
+        let node = self.fleet.node(id);
         let ci_avg = self.ci.average_over(
-            node.id,
+            id,
             container.warm_since_ms,
             container.warm_since_ms + duration,
         );
@@ -2097,7 +2018,7 @@ impl<'r> Engine<'r> {
             self.config
                 .carbon_model
                 .keepalive_phase(node, container.memory_mib, duration, ci_avg);
-        metrics.keepalive_g_by_node[node.id.index()] += fp.total_g();
+        metrics.keepalive_g_by_node[id.index()] += fp.total_g();
         let energy =
             self.config
                 .carbon_model
@@ -2122,30 +2043,6 @@ impl<'r> Engine<'r> {
             .partition_point(|inv| inv.t_ms < t_ms) as u64
     }
 
-    /// An [`Event::Expired`] at its canonical key. Works for mid-run
-    /// sweeps, period-boundary sweeps, and the end-of-run drain alike:
-    /// the key depends only on the expiry instant, never on which path
-    /// happened to collect the container.
-    fn expired_event(
-        &self,
-        id: NodeId,
-        c: &WarmContainer,
-        s: Option<Settlement>,
-    ) -> (EventKey, Event) {
-        let s = s.unwrap_or_default();
-        (
-            EventKey::new(self.trigger_pos(c.expiry_ms), lane::EXPIRY, id.0, c.func.0),
-            Event::Expired {
-                node: id.0,
-                func: c.func.0,
-                since_ms: c.warm_since_ms,
-                expiry_ms: c.expiry_ms,
-                keepalive_g: s.keepalive_g,
-                energy_kwh: s.energy_kwh,
-            },
-        )
-    }
-
     /// Events derivable from inputs alone — run start, period boundaries,
     /// per-region CI observations. Both engine paths derive these from
     /// the global trace, so they are identical by construction
@@ -2158,11 +2055,7 @@ impl<'r> Engine<'r> {
                 invocations: self.trace.len() as u64,
                 functions: self.trace.catalog().len() as u64,
                 nodes: self.fleet.len() as u64,
-                horizon_ms: if self.trace.is_empty() {
-                    0
-                } else {
-                    self.trace.horizon_ms()
-                },
+                horizon_ms: self.trace.horizon_ms(),
             },
         ));
         let regions: Vec<(String, &CarbonIntensityTrace)> = self
@@ -2210,11 +2103,7 @@ impl<'r> Engine<'r> {
         // before the run), so the coordinator emits them exactly once —
         // every shard *applies* the timeline, none narrates it. Events
         // past the horizon never fire and are not emitted.
-        let horizon = if self.trace.is_empty() {
-            0
-        } else {
-            self.trace.horizon_ms()
-        };
+        let horizon = self.trace.horizon_ms();
         for (m_idx, e) in self.membership.events().iter().enumerate() {
             if e.t_ms > horizon {
                 break;

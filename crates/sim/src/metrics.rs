@@ -41,6 +41,26 @@ pub struct InvocationRecord {
 }
 
 impl InvocationRecord {
+    /// The zero-cost record of an invocation turned away before it ran
+    /// (its node was down, or its executor queue was full): `exec_location`
+    /// is the node that refused it. Such records keep record coverage
+    /// total — the sharded merge asserts every invocation placed exactly
+    /// one.
+    pub fn rejected(func: FunctionId, t_ms: u64, exec_location: NodeId) -> Self {
+        InvocationRecord {
+            func,
+            t_ms,
+            exec_location,
+            warm: false,
+            service_ms: 0,
+            queue_ms: 0,
+            rejected: true,
+            service_carbon: CarbonFootprint::ZERO,
+            keepalive_carbon: CarbonFootprint::ZERO,
+            energy_kwh: 0.0,
+        }
+    }
+
     /// Total carbon attributed to this invocation (g).
     #[inline]
     pub fn total_carbon_g(&self) -> f64 {
