@@ -30,10 +30,12 @@
 //!   in full by `settle_expired`, which the drain shares;
 //! * `release` — settle a stay cut short (reuse, replacement,
 //!   displacement, crash) and emit its `Released` event;
-//! * `restart_elsewhere` — the restart rule for a container moved off a
-//!   node: its stay on the target starts no earlier than its own
-//!   `warm_since`, it carries the re-warm latency, and its egress is
-//!   priced at the source grid;
+//! * `restart_elsewhere` — the restart rule of every transfer path
+//!   (overflow displacement, reconcile retry, `migrate`): the stay on the
+//!   target starts no earlier than the container's own `warm_since`, so
+//!   a container still executing turns warm only when its service ends;
+//!   it carries the re-warm latency; its egress is priced at the source
+//!   grid;
 //! * `book_transfer` — the transfer counters and the `Transferred`
 //!   event;
 //! * `migrate` — the one move behind membership drains and
@@ -1572,18 +1574,13 @@ impl<'r> Engine<'r> {
                         |e| ev.push(e),
                     );
                     // Restart the remaining keep-alive on the first
-                    // transfer target with room. The move is priced:
-                    // egress grams at the *source* grid's intensity now,
-                    // latency carried by the container until its next
-                    // service (both zero under `TransferCost::free()` —
+                    // transfer target with room, under the one restart
+                    // rule: a container still executing turns warm on
+                    // its target only when its service ends. The move is
+                    // priced (both zero under `TransferCost::free()` —
                     // charged only when a target accepts).
-                    displaced.warm_since_ms = t;
                     if displaced.expiry_ms > t {
-                        let egress_g = self
-                            .config
-                            .transfer_cost
-                            .grams(displaced.memory_mib, self.ci.at(location, t));
-                        displaced.transfer_latency_ms += self.config.transfer_cost.latency_ms;
+                        let egress_g = self.restart_elsewhere(&mut displaced, location, t);
                         let mut pending = Some(displaced);
                         for &target in &targets {
                             let probe = pending.take().expect("unplaced container");
@@ -2444,24 +2441,27 @@ mod tests {
         }
     }
 
-    fn two_func_trace() -> Trace {
+    /// Functions `a` (id 0) and `b` (id 1), 512 MiB each, arriving as
+    /// `(func id, t_ms)`.
+    fn ab_trace(arrivals: &[(u32, u64)]) -> Trace {
         let catalog = WorkloadCatalog::new(vec![
             FunctionProfile::new("a", 1_000, 2_000, 512, 0.5),
             FunctionProfile::new("b", 1_000, 2_000, 512, 0.5),
         ]);
         Trace::new(
             catalog,
-            vec![
-                Invocation {
-                    func: FunctionId(0),
-                    t_ms: 0,
-                },
-                Invocation {
-                    func: FunctionId(1),
-                    t_ms: 10_000,
-                },
-            ],
+            arrivals
+                .iter()
+                .map(|&(f, t_ms)| Invocation {
+                    func: FunctionId(f),
+                    t_ms,
+                })
+                .collect(),
         )
+    }
+
+    fn two_func_trace() -> Trace {
+        ab_trace(&[(0, 0), (1, 10_000)])
     }
 
     #[test]
@@ -2613,6 +2613,92 @@ mod tests {
         // The displaced container does not fit the 256-MiB old pool.
         assert_eq!(m.transfers, 0);
         assert_eq!(m.evicted_functions, 1);
+    }
+
+    #[test]
+    fn displaced_container_still_executing_is_not_warm_on_its_target() {
+        // a's first (cold) service runs from 0 to ~3 s. At 1 s, b's
+        // keep-alive overflows the newest pool and displaces a's
+        // container — not yet warm — to the old node. It turns warm
+        // there when its service ends, not at the move, so a at 2 s
+        // starts cold.
+        let trace = ab_trace(&[(0, 0), (1, 1_000), (0, 2_000)]);
+        let ci = ci300();
+        let pair = skus::pair_a().with_keepalive_budgets_mib(512, 512);
+        let m = Simulation::new(&trace, &ci, pair).run(&mut Adjusting {
+            transfer_targets: None,
+        });
+        assert!(m.records[0].service_ms > 2_000);
+        assert!(
+            !m.records[2].warm,
+            "served warm by a container still executing"
+        );
+        // The displacement itself still happened.
+        assert_eq!(m.transfers, 1);
+    }
+
+    /// Pair A with 512-MiB pools, one scripted decision per arrival
+    /// (keep-alives of 10 minutes), and `plan` for membership.
+    fn run_scripted(
+        trace: &Trace,
+        decisions: &[(u32, Option<u32>)],
+        plan: MembershipPlan,
+    ) -> RunMetrics {
+        let ci = ci300();
+        let pair = skus::pair_a().with_keepalive_budgets_mib(512, 512);
+        let decisions = decisions
+            .iter()
+            .map(|&(exec, ka)| Decision {
+                exec: NodeId(exec),
+                keepalive: ka.map(|node| KeepAliveChoice {
+                    location: NodeId(node),
+                    duration_ms: 10 * MINUTE_MS,
+                }),
+            })
+            .collect();
+        Simulation::new(trace, &ci, pair)
+            .with_membership(plan)
+            .run(&mut Scripted { decisions })
+    }
+
+    #[test]
+    fn leave_with_no_room_anywhere_evicts_the_drained_containers() {
+        // a is kept on node 1 and b fills node 0's pool. Node 1 leaves at
+        // 1 min (the last arrival, at 2 min, keeps the leave inside the
+        // horizon): a has nowhere to go, so its stay is settled and it
+        // is evicted.
+        let trace = ab_trace(&[(0, 0), (1, 1_000), (1, 2 * MINUTE_MS)]);
+        let m = run_scripted(
+            &trace,
+            &[(1, Some(1)), (0, Some(0)), (0, None)],
+            MembershipPlan::default().leave(MINUTE_MS, NodeId(1)),
+        );
+        assert_eq!(m.transfers, 0);
+        assert_eq!(m.evicted_functions, 1);
+        assert!(m.records[2].warm, "b stayed warm on node 0");
+        assert!(
+            m.records[0].keepalive_carbon.total_g() > 0.0,
+            "the evicted container's stay on the leaving node was not charged"
+        );
+    }
+
+    #[test]
+    fn leave_during_a_service_keeps_the_drained_container_cold_until_it_ends() {
+        // a's first service runs on node 1 from 0 to ~3 s; node 1 leaves
+        // at 1 s. The drain moves a's container to node 0, where it turns
+        // warm when that service ends: a at 2 s starts cold.
+        let trace = ab_trace(&[(0, 0), (0, 2_000)]);
+        let m = run_scripted(
+            &trace,
+            &[(1, Some(1)), (0, None)],
+            MembershipPlan::default().leave(1_000, NodeId(1)),
+        );
+        assert!(m.records[0].service_ms > 2_000);
+        assert_eq!(m.transfers, 1);
+        assert!(
+            !m.records[1].warm,
+            "served warm by a drained container still executing"
+        );
     }
 
     #[test]
