@@ -21,7 +21,7 @@ use ecolife_bench::report::BenchJson;
 use ecolife_carbon::{CarbonIntensityTrace, CiBundle, Region, TransferCost};
 use ecolife_core::{EcoLife, EcoLifeConfig};
 use ecolife_hw::{skus, Fleet};
-use ecolife_sim::{next_arrival_gaps_strategy, ShardOptions, SimConfig, Simulation};
+use ecolife_sim::{ShardOptions, SimConfig, Simulation};
 use ecolife_trace::{SynthTraceConfig, Trace, WorkloadCatalog};
 use std::time::Instant;
 
@@ -85,13 +85,6 @@ fn smoke() {
     );
     assert_eq!(fast.transfers, reference.transfers);
     assert_eq!(fast.evicted_functions, reference.evicted_functions);
-    // Force the bucketed path: the automatic entry point would take the
-    // sequential fallback on a smoke-sized trace.
-    assert_eq!(
-        ecolife_sim::next_arrival_gaps_bucketed(&trace, 4),
-        trace.next_arrival_gaps(),
-        "smoke: sharded gap precompute diverged"
-    );
     println!(
         "smoke ok: {} invocations, cached {cached_ms:.0} ms vs uncached {uncached_ms:.0} ms, \
          decisions bit-identical",
@@ -136,24 +129,6 @@ fn write_json() {
             &ShardOptions::new(SHARDS).with_threads(threads),
         ));
     });
-    // The oracle's future-knowledge precompute at the same scale, three
-    // ways: the sequential reference, the forced bucketed fan-out (kept
-    // for multi-core comparison), and — the number the production entry
-    // point actually pays — the automatic strategy, which falls back to
-    // the sequential pass whenever only one effective worker thread
-    // exists (on a 1-CPU host the forced fan-out is pure bucketing
-    // overhead: it measured ~3× slower than sequential here).
-    let gaps_seq_ms = wall_ms(|| {
-        black_box(trace.next_arrival_gaps());
-    });
-    let gaps_bucketed_ms = wall_ms(|| {
-        black_box(ecolife_sim::next_arrival_gaps_bucketed(&trace, SHARDS));
-    });
-    let gaps_auto_path = next_arrival_gaps_strategy(&trace).label();
-    let gaps_auto_ms = wall_ms(|| {
-        black_box(ecolife_sim::next_arrival_gaps_parallel(&trace));
-    });
-
     BenchJson::new("ecolife_hotpath", SEED, trace.len())
         .int("trace_functions", trace.catalog().len() as u64)
         .int("fleet_nodes", fleet.len() as u64)
@@ -163,20 +138,13 @@ fn write_json() {
         .float("ecolife_cached_sharded_ms", sharded_ms, 0)
         .int("shards", SHARDS as u64)
         .int("threads", threads as u64)
-        .float("oracle_gaps_sequential_ms", gaps_seq_ms, 0)
-        .float("oracle_gaps_bucketed_ms", gaps_bucketed_ms, 0)
-        .float("oracle_gaps_auto_ms", gaps_auto_ms, 0)
-        .text("oracle_gaps_auto_path", gaps_auto_path)
         .text(
             "note",
             "uncached = the pre-tables decision loop (fleet-wide objective scans per DPSO \
              particle evaluation); cached = ObjectiveTables + scratch-buffer hot path. Decisions \
              are bit-identical (tests/hotpath.rs). hotpath_speedup is sequential/sequential on \
-             this host and core-count independent; the sharded number and the bucketed gap \
-             precompute (forced here even on 1 CPU) additionally need a multi-core host. \
-             oracle_gaps_auto_* records the production entry point: it picks the sequential pass \
-             when only one effective thread exists, so a 1-CPU host no longer pays the bucketing \
-             overhead.",
+             this host and core-count independent; the sharded number additionally needs a \
+             multi-core host.",
         )
         .write("BENCH_ecolife.json");
 }

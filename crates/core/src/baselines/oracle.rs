@@ -310,12 +310,7 @@ impl Scheduler for BruteForce {
                 trace.horizon_ms() + 1,
             );
         }
-        // Sharded precompute: per-function gap chains are merged from
-        // function-bucket scans fanned out over `parallel_map` —
-        // bit-identical to `trace.next_arrival_gaps()` at any worker
-        // count, and the difference between a stutter and a stall when
-        // `prepare` faces a 10⁷-invocation trace.
-        self.gaps = ecolife_sim::next_arrival_gaps_parallel(trace);
+        self.gaps = trace.next_arrival_gaps();
         self.catalog = trace.catalog().clone();
     }
 

@@ -73,10 +73,7 @@ pub use ecolife_telemetry::{
 pub use engine::{Engine, RunState, SimConfig, Simulation};
 pub use executor::{Admission, ExecutorConfig, NodeExecutors};
 pub use metrics::{InvocationRecord, RunMetrics};
-pub use parallel::{
-    next_arrival_gaps_bucketed, next_arrival_gaps_parallel, next_arrival_gaps_strategy,
-    parallel_map, parallel_map_threads, GapsStrategy, WorkerPool,
-};
+pub use parallel::{parallel_map, parallel_map_threads, WorkerPool};
 pub use pool::{ExpiryMode, ExpiryStats, WarmPool};
 pub use scheduler::{
     AdjustPlan, Decision, InvocationCtx, KeepAliveChoice, OverflowAction, OverflowCtx, Scheduler,

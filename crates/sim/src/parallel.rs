@@ -1,9 +1,9 @@
 //! Thread-pool fan-out for independent jobs.
 //!
 //! This lives in `ecolife-sim` (the lowest crate that fans work out) so
-//! both the sharded replay engine and the experiment/planner layers above
-//! share one implementation; `ecolife_core::runner` re-exports it for the
-//! original callers.
+//! the sharded replay engine and the experiment and planner layers above
+//! share one implementation; callers use `ecolife_sim::parallel_map`
+//! directly.
 //!
 //! Two layers:
 //!
@@ -288,119 +288,6 @@ fn worker_loop(shared: &PoolShared) {
     }
 }
 
-/// Sharded [`Trace::next_arrival_gaps`](ecolife_trace::Trace::next_arrival_gaps):
-/// the oracle-family future-knowledge precompute, fanned out over
-/// function buckets with [`parallel_map`] and scattered back into index
-/// order.
-///
-/// One sequential pass partitions invocation indices by splitmix-hashed
-/// function id; each bucket then runs the reverse gap scan over *its own
-/// index list only* (per-function chains never cross buckets), so total
-/// work stays O(n) regardless of bucket count, with the scan half
-/// parallel. The merged result is bit-identical to the sequential scan
-/// at any worker count — this is purely a wall-clock play for
-/// 10⁶–10⁷-invocation traces, where the precompute is a noticeable
-/// slice of `BruteForce::prepare`. Small traces (and single-core hosts)
-/// take the sequential path directly.
-pub fn next_arrival_gaps_parallel(trace: &ecolife_trace::Trace) -> Vec<Option<u64>> {
-    match next_arrival_gaps_strategy(trace) {
-        GapsStrategy::Sequential => trace.next_arrival_gaps(),
-        GapsStrategy::Bucketed { n_buckets } => next_arrival_gaps_bucketed(trace, n_buckets),
-    }
-}
-
-/// Which path [`next_arrival_gaps_parallel`] takes for `trace` on this
-/// host. Exposed so benchmarks can *report* the path they actually
-/// measured: on a single-core host the bucketed partition/merge is pure
-/// overhead (≈3× slower than the scan at 10⁶ invocations), and a bench
-/// that silently forces it publishes a number no caller would ever see.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GapsStrategy {
-    /// The plain sequential reverse scan — chosen when only one worker
-    /// thread is available or the trace is too small for the fan-out to
-    /// pay for its partition pass.
-    Sequential,
-    /// Partition by splitmix-hashed function id into `n_buckets`, scan
-    /// in parallel, scatter-merge.
-    Bucketed { n_buckets: usize },
-}
-
-impl GapsStrategy {
-    /// Short label for benchmark JSON.
-    pub fn label(&self) -> &'static str {
-        match self {
-            GapsStrategy::Sequential => "sequential",
-            GapsStrategy::Bucketed { .. } => "bucketed",
-        }
-    }
-}
-
-/// The strategy decision behind [`next_arrival_gaps_parallel`].
-pub fn next_arrival_gaps_strategy(trace: &ecolife_trace::Trace) -> GapsStrategy {
-    let threads = default_threads();
-    if threads == 1 || trace.len() < 1 << 16 {
-        return GapsStrategy::Sequential;
-    }
-    // One bucket per worker: the splitmix spread below gives buckets
-    // near-uniform function mass, so oversubscribing buys nothing.
-    GapsStrategy::Bucketed {
-        n_buckets: threads.min(trace.catalog().len().max(1)),
-    }
-}
-
-/// The bucketed fan-out behind [`next_arrival_gaps_parallel`], with an
-/// explicit bucket count — public so tests and the CI smoke bench can
-/// force the partition/merge path regardless of host parallelism or
-/// trace size (the automatic entry point falls back to the sequential
-/// scan below its profitability threshold, which would leave this path
-/// untested on small inputs).
-pub fn next_arrival_gaps_bucketed(
-    trace: &ecolife_trace::Trace,
-    n_buckets: usize,
-) -> Vec<Option<u64>> {
-    if n_buckets <= 1 {
-        // One bucket is the sequential scan with a partition pass and a
-        // scatter-merge bolted on; skip straight to the scan (the result
-        // is bit-identical either way).
-        return trace.next_arrival_gaps();
-    }
-    let invocations = trace.invocations();
-    let n_functions = trace.catalog().len();
-
-    // Sequential partition pass: each bucket's invocation indices, in
-    // time order. Raw ids are dense, so hash before the modulo (the
-    // `shard_of` idiom) — otherwise hot functions congruent mod
-    // n_buckets would pile onto one bucket.
-    let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); n_buckets];
-    for (i, inv) in invocations.iter().enumerate() {
-        let spread = ecolife_trace::splitmix64(inv.func.as_usize() as u64);
-        buckets[(spread % n_buckets as u64) as usize].push(i);
-    }
-
-    // Parallel reverse scan per bucket, over its own indices only.
-    let parts = parallel_map(buckets, |indices| {
-        let mut next_seen: Vec<Option<u64>> = vec![None; n_functions];
-        let mut part: Vec<(usize, u64)> = Vec::new();
-        for &i in indices.iter().rev() {
-            let inv = &invocations[i];
-            let slot = &mut next_seen[inv.func.as_usize()];
-            if let Some(t) = *slot {
-                part.push((i, t - inv.t_ms));
-            }
-            *slot = Some(inv.t_ms);
-        }
-        part
-    });
-
-    let mut gaps = vec![None; trace.len()];
-    for part in parts {
-        for (i, gap) in part {
-            gaps[i] = Some(gap);
-        }
-    }
-    gaps
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -479,27 +366,6 @@ mod tests {
         pool.run(0, &|_| unreachable!("no jobs to claim"));
         let out: Vec<u32> = pool.run_map(Vec::<u32>::new(), |v| v);
         assert!(out.is_empty());
-    }
-
-    #[test]
-    fn bucketed_gaps_match_the_sequential_scan() {
-        use ecolife_trace::{SynthTraceConfig, WorkloadCatalog};
-        let trace = SynthTraceConfig {
-            n_functions: 64,
-            duration_min: 120,
-            ..SynthTraceConfig::small(13)
-        }
-        .generate(&WorkloadCatalog::sebs());
-        let sequential = trace.next_arrival_gaps();
-        for n_buckets in [1usize, 2, 5, 16] {
-            assert_eq!(
-                next_arrival_gaps_bucketed(&trace, n_buckets),
-                sequential,
-                "n_buckets = {n_buckets}"
-            );
-        }
-        // The public entry point agrees regardless of which path it takes.
-        assert_eq!(next_arrival_gaps_parallel(&trace), sequential);
     }
 
     #[test]
