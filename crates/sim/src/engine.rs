@@ -355,9 +355,8 @@ impl<'a> Simulation<'a> {
     }
 
     /// Build a multi-region simulation: each node reads the series of
-    /// its own [`Region`](ecolife_hw::Region) from `bundle`. Fails when
-    /// a node's region has no series or any series ends before the
-    /// workload does.
+    /// its own [`Region`] from `bundle`. Fails when a node's region has
+    /// no series or any series ends before the workload does.
     pub fn try_new_regional(
         trace: &'a Trace,
         bundle: &'a CiBundle,
