@@ -33,14 +33,7 @@ impl LandscapeSequence {
         let catalog = WorkloadCatalog::sebs();
         let (_, profile) = catalog.by_name("220.video-processing").unwrap();
         LandscapeSequence {
-            cost: CostModel::new(
-                skus::pair_a(),
-                CarbonModel::default(),
-                0.5,
-                0.5,
-                50,
-                600_000,
-            ),
+            cost: CostModel::new(skus::pair_a(), CarbonModel::default(), 0.5, 0.5, 600_000),
             ci: CarbonIntensityTrace::synthetic(Region::Caiso, 1_440, 77),
             profile: profile.clone(),
         }

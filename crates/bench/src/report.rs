@@ -1,7 +1,7 @@
 //! The one `BENCH_*.json` writer.
 //!
-//! Every headline bench (`sim_sharded`, `ecolife_hotpath`,
-//! `planner_fitness`) records its numbers in a `BENCH_*.json` at the
+//! Every headline bench (`sim_sharded`, `planner_fitness`,
+//! `service_soak`) records its numbers in a `BENCH_*.json` at the
 //! repo root. Each used to hand-roll its own `format!` blob; this
 //! module is the single shared writer, so every file carries the same
 //! header block — bench name, host CPU count, the git revision the

@@ -71,14 +71,7 @@ impl BruteForce {
         let locations: Vec<NodeId> = fleet.ids().collect();
         let ci = vec![ci; fleet.len()];
         let max_k_ms = *grid_min.last().unwrap() * MINUTE_MS;
-        let cost = CostModel::new(
-            fleet,
-            CarbonModel::default(),
-            0.5,
-            0.5,
-            ecolife_sim::SimConfig::default().setup_delay_ms,
-            max_k_ms,
-        );
+        let cost = CostModel::new(fleet, CarbonModel::default(), 0.5, 0.5, max_k_ms);
         BruteForce {
             target,
             cost,
@@ -121,14 +114,7 @@ impl BruteForce {
     pub fn with_carbon_model(mut self, carbon: CarbonModel) -> Self {
         let fleet = self.cost.fleet().clone();
         let max_k_ms = *self.grid_min.last().unwrap() * MINUTE_MS;
-        self.cost = CostModel::new(
-            fleet,
-            carbon,
-            0.5,
-            0.5,
-            ecolife_sim::SimConfig::default().setup_delay_ms,
-            max_k_ms,
-        );
+        self.cost = CostModel::new(fleet, carbon, 0.5, 0.5, max_k_ms);
         self
     }
 

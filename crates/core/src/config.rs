@@ -29,18 +29,6 @@ pub struct EcoLifeConfig {
     /// `Some(Generation::Old.into())` = Eco-Old,
     /// `Some(Generation::New.into())` = Eco-New (Fig. 12).
     pub restrict_to: Option<NodeId>,
-    /// Serve the decision hot path and the warm-pool adjustment through
-    /// the precomputed
-    /// [`ObjectiveTables`](crate::objective::ObjectiveTables) (per-node
-    /// constants + per-minute CI composites + per-decision fitness
-    /// landscape)
-    /// instead of recomputing fleet-wide scans inside every particle
-    /// evaluation and for every resident of an overflowing pool.
-    /// Decisions are bit-identical either way (pinned by
-    /// `tests/hotpath.rs`); disabling this selects the uncached
-    /// reference path, kept for the bit-identity pin and the
-    /// `ecolife_hotpath` before/after bench.
-    pub cached_tables: bool,
     /// Price of a cross-node container migration: egress grams at the
     /// source grid plus re-warm latency. Threads into the cost model's
     /// transfer ranking (paying moves ahead of losing ones).
@@ -49,12 +37,13 @@ pub struct EcoLifeConfig {
     pub transfer_cost: TransferCost,
     /// Fold measured per-node executor backlog into EPDM cold
     /// placement (`λs · Q_r / S_max` added to each node's fscore; see
-    /// `CostModel::epdm_choice_queued`). Only meaningful on runs with
-    /// bounded executors (`SimConfig::with_bounded_executors` in
-    /// `ecolife-sim`) — without them every queue reads zero and the
-    /// term vanishes, so decisions (and all existing goldens) are
-    /// bit-identical to the classic scan. Scope: execution placement
-    /// only; the KDM keep-alive optimization is untouched.
+    /// [`ObjectiveTables::epdm_choice_queued`](crate::ObjectiveTables::epdm_choice_queued)).
+    /// Only meaningful on runs with bounded executors
+    /// (`SimConfig::with_bounded_executors` in `ecolife-sim`) — without
+    /// them every queue reads zero and the term vanishes, so decisions
+    /// (and all existing goldens) are bit-identical to the classic scan.
+    /// Scope: execution placement only; the KDM keep-alive optimization
+    /// is untouched.
     pub queue_aware_placement: bool,
     /// Underlying (D)PSO parameters.
     pub dpso: DpsoConfig,
@@ -74,7 +63,6 @@ impl Default for EcoLifeConfig {
             dynamic_pso: true,
             warm_pool_adjustment: true,
             restrict_to: None,
-            cached_tables: true,
             transfer_cost: TransferCost::free(),
             queue_aware_placement: false,
             dpso: DpsoConfig::default(),
@@ -141,14 +129,6 @@ impl EcoLifeConfig {
         self
     }
 
-    /// The uncached reference hot path (see
-    /// [`EcoLifeConfig::cached_tables`]): same decisions, recomputed
-    /// fleet-wide per particle evaluation.
-    pub fn without_cached_tables(mut self) -> Self {
-        self.cached_tables = false;
-        self
-    }
-
     /// Priced cross-node migrations (see
     /// [`EcoLifeConfig::transfer_cost`]).
     pub fn with_transfer_cost(mut self, transfer_cost: TransferCost) -> Self {
@@ -179,16 +159,6 @@ mod tests {
         assert!(c.dynamic_pso);
         assert!(c.warm_pool_adjustment);
         c.validate();
-    }
-
-    #[test]
-    fn cached_tables_default_on_with_uncached_opt_out() {
-        assert!(EcoLifeConfig::default().cached_tables);
-        assert!(
-            !EcoLifeConfig::default()
-                .without_cached_tables()
-                .cached_tables
-        );
     }
 
     #[test]

@@ -34,14 +34,17 @@
 //! its reuse weight `P(gap ≤ 5 min)` is a tracked predictor lookup, the
 //! transfer ranking is memoized per minute, and the tables' epoch is
 //! refreshed from the engine's intensity snapshot, because degraded
-//! decisions install keep-alives without a `decide`. Decisions and
-//! plans are bit-identical to the uncached reference loop
-//! (`EcoLifeConfig::without_cached_tables`), pinned by
-//! `tests/hotpath.rs`.
+//! decisions install keep-alives without a `decide`.
+//!
+//! That is the only way EcoLife decides. The seed's loop — fleet-wide
+//! [`CostModel`] scans in every particle evaluation, the predictor's
+//! window scans, per-candidate cost-model rescans on overflow — lives on
+//! as a test oracle in the `reference` submodule, whose tests pin every
+//! decision and plan of this path bit-identical to it.
 
 use crate::config::EcoLifeConfig;
 use crate::objective::{CostModel, ObjectiveLandscape, ObjectiveTables};
-use crate::predictor::FunctionPredictor;
+use crate::predictor::{FunctionPredictor, NO_HISTORY_P_WARM};
 use crate::warmpool::priority_adjustment_with_targets;
 use ecolife_carbon::CarbonModel;
 use ecolife_hw::{Fleet, NodeId, Region};
@@ -184,10 +187,8 @@ fn decode_placement(
 /// multi-region fleets too.
 pub struct EcoLife {
     config: EcoLifeConfig,
-    /// The cost model behind [`ObjectiveTables`]: the hot path reads all
-    /// fleet-wide scans through the cache (decisions bit-identical to the
-    /// uncached path — `EcoLifeConfig::cached_tables` selects which one
-    /// runs, `tests/hotpath.rs` pins the equality).
+    /// The cost model behind its cache: decisions and overflow rankings
+    /// read every fleet-wide scan through it.
     tables: ObjectiveTables,
     catalog: WorkloadCatalog,
     states: FunctionStates,
@@ -234,15 +235,8 @@ impl EcoLife {
             );
         }
         let max_k_ms = *config.keepalive_grid_min.last().unwrap() * MINUTE_MS;
-        let cost = CostModel::new(
-            fleet,
-            carbon,
-            config.lambda_s,
-            config.lambda_c,
-            ecolife_sim::SimConfig::default().setup_delay_ms,
-            max_k_ms,
-        )
-        .with_transfer_cost(config.transfer_cost);
+        let cost = CostModel::new(fleet, carbon, config.lambda_s, config.lambda_c, max_k_ms)
+            .with_transfer_cost(config.transfer_cost);
         EcoLife {
             config,
             tables: ObjectiveTables::new(cost),
@@ -254,32 +248,76 @@ impl EcoLife {
         }
     }
 
-    /// The cost model in use (exposed for the benches' analysis).
-    pub fn cost_model(&self) -> &CostModel {
-        self.tables.cost()
-    }
-
     /// Number of per-function optimizers currently alive.
     pub fn tracked_functions(&self) -> usize {
         self.states.len()
     }
 
-    fn decode_choice(&self, x: &[f64]) -> (NodeId, u64) {
-        let (l, idx) = decode_placement(
-            self.config.restrict_to,
-            self.tables.cost().fleet().len(),
-            self.config.keepalive_grid_min.len(),
-            x,
-        );
-        (l, self.config.keepalive_grid_min[idx] * MINUTE_MS)
+    /// Global ΔCI perception, one tracker per distinct fleet region: one
+    /// observation per minute of simulated time from each region's series
+    /// (carbon intensity is a minute-resolution signal), catching up over
+    /// minutes that carried no invocation. Observing *every* minute for
+    /// *every* region — rather than only invocation-bearing minutes of
+    /// some global trace — makes the ΔCI state at time t a pure function
+    /// of (t, region), independent of which functions' arrivals this
+    /// scheduler instance happens to see; a per-shard EcoLife therefore
+    /// perceives exactly what the whole-trace one does, single- or
+    /// multi-region.
+    ///
+    /// Returns the perception-response trigger: the largest-magnitude
+    /// normalized delta across the fleet's grids, since a swing anywhere
+    /// the swarm could place a keep-alive is worth re-anchoring for. On
+    /// a single-region fleet this reduces to the paper's scalar ΔCI
+    /// exactly.
+    fn perceive_dci(&mut self, ctx: &InvocationCtx<'_>) -> f64 {
+        let minute = ctx.t_ms / MINUTE_MS;
+        if self.ci_deltas.is_empty() {
+            self.ci_deltas = ctx
+                .ci
+                .distinct_regions()
+                .map(|(r, _)| (r, SignalDelta::new()))
+                .collect();
+        }
+        let from = self.last_ci_minute.map_or(0, |m| m + 1);
+        for m in from..=minute {
+            for ((_, delta), (_, series)) in
+                self.ci_deltas.iter_mut().zip(ctx.ci.distinct_regions())
+            {
+                delta.observe(series.at(m * MINUTE_MS));
+            }
+        }
+        self.last_ci_minute = Some(minute);
+        self.ci_deltas
+            .iter()
+            .map(|(_, d)| d.normalized_delta())
+            .max_by(|a, b| {
+                a.abs()
+                    .partial_cmp(&b.abs())
+                    .unwrap_or(std::cmp::Ordering::Equal)
+            })
+            .unwrap_or(0.0)
+    }
+}
+
+impl Scheduler for EcoLife {
+    fn name(&self) -> &'static str {
+        "EcoLife"
     }
 
-    /// The cached decision hot path: every fleet-wide scan served from
-    /// [`ObjectiveTables`], the predictor snapshot read from its tracked
-    /// grid, the fitness a lazily memoized landscape (only the cells the
-    /// swarm visits are computed), and no per-invocation clone of the
-    /// cost model, profile, or grid.
-    fn decide_cached(&mut self, ctx: &InvocationCtx<'_>, dci: f64) -> Decision {
+    fn prepare(&mut self, trace: &Trace) {
+        self.catalog = trace.catalog().clone();
+        self.states.clear();
+        self.ci_deltas.clear();
+        self.last_ci_minute = None;
+        self.tables.reset();
+    }
+
+    /// Every fleet-wide scan is served from [`ObjectiveTables`], the
+    /// predictor snapshot is read from its tracked grid, the fitness is
+    /// a lazily memoized landscape (only the cells the swarm visits are
+    /// computed), and nothing is cloned per invocation.
+    fn decide(&mut self, ctx: &InvocationCtx<'_>) -> Decision {
+        let dci = self.perceive_dci(ctx);
         let restrict = self.config.restrict_to;
         self.tables.refresh(ctx.ci, ctx.t_ms);
         let exec = if self.config.queue_aware_placement && ctx.cluster.executors_enabled() {
@@ -356,161 +394,6 @@ impl EcoLife {
         }
     }
 
-    /// The uncached reference path (the seed's decision loop): identical
-    /// decisions to [`EcoLife::decide_cached`], recomputed fleet-wide per
-    /// particle evaluation. Kept behind
-    /// [`EcoLifeConfig::without_cached_tables`] as the bit-identity
-    /// anchor (`tests/hotpath.rs`) and the `ecolife_hotpath` bench's
-    /// "before" measurement.
-    fn decide_uncached(&mut self, ctx: &InvocationCtx<'_>, dci: f64) -> Decision {
-        let restrict = self.config.restrict_to;
-        let ci_by_node = ctx.ci.at_each_node(ctx.t_ms);
-        let exec = if self.config.queue_aware_placement && ctx.cluster.executors_enabled() {
-            self.scratch.queue_ms.clear();
-            for l in self.tables.cost().fleet().ids() {
-                self.scratch
-                    .queue_ms
-                    .push(ctx.cluster.queue_wait_ms(l, ctx.t_ms));
-            }
-            self.tables.cost().epdm_choice_queued(
-                ctx.profile,
-                &ci_by_node,
-                restrict,
-                &self.scratch.queue_ms,
-            )
-        } else {
-            self.tables
-                .cost()
-                .epdm_choice(ctx.profile, &ci_by_node, restrict)
-        };
-
-        let dynamic = self.config.dynamic_pso;
-        let iters = self.config.pso_iters;
-        let grid_len = self.config.keepalive_grid_min.len();
-        let grid = self.config.keepalive_grid_min.clone();
-        let cost = self.tables.cost().clone();
-        let n_nodes = cost.fleet().len();
-        let profile = ctx.profile.clone();
-
-        let Self { config, states, .. } = self;
-        let state =
-            states.get_or_insert_with(ctx.func, || FunctionState::new(config, n_nodes, ctx.func));
-        state.predictor.record_arrival(ctx.t_ms);
-        let df = state.predictor.delta_f();
-
-        // Snapshot the predictor's scans over the whole grid so the
-        // fitness closure has no borrow of `state`.
-        let p_warm: Vec<f64> = grid
-            .iter()
-            .map(|&m| state.predictor.p_warm(m * MINUTE_MS))
-            .collect();
-        let resident: Vec<f64> = grid
-            .iter()
-            .map(|&m| state.predictor.expected_resident_ms(m * MINUTE_MS))
-            .collect();
-
-        let fitness = move |x: &[f64]| -> f64 {
-            let (l, idx) = decode_placement(restrict, n_nodes, grid_len, x);
-            let k_ms = grid[idx] * MINUTE_MS;
-            cost.expected_objective(
-                &profile,
-                l,
-                k_ms,
-                p_warm[idx],
-                resident[idx],
-                &ci_by_node,
-                restrict,
-            )
-        };
-
-        if dynamic {
-            state.swarm.perceive(df, dci);
-            state.swarm.refresh_gbest(&fitness);
-        }
-        for _ in 0..iters {
-            state.swarm.step(&fitness);
-        }
-
-        let best = state.swarm.best_position().to_vec();
-        let (ka_loc, ka_ms) = self.decode_choice(&best);
-
-        Decision {
-            exec,
-            keepalive: (ka_ms > 0).then_some(KeepAliveChoice {
-                location: ka_loc,
-                duration_ms: ka_ms,
-            }),
-        }
-    }
-}
-
-impl Scheduler for EcoLife {
-    fn name(&self) -> &'static str {
-        "EcoLife"
-    }
-
-    fn prepare(&mut self, trace: &Trace) {
-        self.catalog = trace.catalog().clone();
-        self.states.clear();
-        self.ci_deltas.clear();
-        self.last_ci_minute = None;
-        self.tables.reset();
-    }
-
-    fn decide(&mut self, ctx: &InvocationCtx<'_>) -> Decision {
-        // Global ΔCI perception, one tracker per distinct fleet region:
-        // one observation per minute of simulated time from each
-        // region's series (carbon intensity is a minute-resolution
-        // signal), catching up over minutes that carried no invocation.
-        // Observing *every* minute for *every* region — rather than only
-        // invocation-bearing minutes of some global trace — makes the
-        // ΔCI state at time t a pure function of (t, region), independent
-        // of which functions' arrivals this scheduler instance happens
-        // to see; a per-shard EcoLife therefore perceives exactly what
-        // the whole-trace one does, single- or multi-region.
-        let minute = ctx.t_ms / MINUTE_MS;
-        if self.ci_deltas.is_empty() {
-            self.ci_deltas = ctx
-                .ci
-                .distinct_regions()
-                .map(|(r, _)| (r, SignalDelta::new()))
-                .collect();
-        }
-        let from = self.last_ci_minute.map_or(0, |m| m + 1);
-        for m in from..=minute {
-            for ((_, delta), (_, series)) in
-                self.ci_deltas.iter_mut().zip(ctx.ci.distinct_regions())
-            {
-                delta.observe(series.at(m * MINUTE_MS));
-            }
-        }
-        self.last_ci_minute = Some(minute);
-        // The perception-response trigger is the largest-magnitude
-        // normalized delta across the fleet's grids: a swing anywhere
-        // the swarm could place a keep-alive is worth re-anchoring for.
-        // On a single-region fleet this reduces to the paper's scalar
-        // ΔCI exactly.
-        let dci = self
-            .ci_deltas
-            .iter()
-            .map(|(_, d)| d.normalized_delta())
-            .max_by(|a, b| {
-                a.abs()
-                    .partial_cmp(&b.abs())
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            })
-            .unwrap_or(0.0);
-
-        // Both paths make bit-identical decisions (pinned by
-        // `tests/hotpath.rs`); the cached one is the production hot path,
-        // the uncached one the reference the cache is verified against.
-        if self.config.cached_tables {
-            self.decide_cached(ctx, dci)
-        } else {
-            self.decide_uncached(ctx, dci)
-        }
-    }
-
     fn on_pool_overflow(&mut self, ctx: &OverflowCtx<'_>) -> OverflowAction {
         if !self.config.warm_pool_adjustment {
             return OverflowAction::Drop;
@@ -522,53 +405,37 @@ impl Scheduler for EcoLife {
             states,
             ..
         } = self;
+        // Benefits are row lookups, the reuse weight a tracked predictor
+        // lookup, and the transfer ranking is memoized per (node,
+        // minute). The epoch comes from the engine's snapshot — a
+        // degraded decision installs keep-alives without a `decide`, so
+        // no refresh may have seen this minute.
+        tables.refresh_from_snapshot(ctx.t_ms, &ctx.ci_by_node);
         // A single-node variant (Eco-Old / Eco-New) never spills onto the
         // rest of the fleet: displaced containers are evicted, so it
-        // needs no transfer ranking.
-        let spill = config.restrict_to.is_none();
-        // Hot path: benefits are row lookups, the reuse weight a tracked
-        // predictor lookup, and the transfer ranking is memoized per
-        // (node, minute). The epoch comes from the engine's snapshot — a
-        // degraded decision installs keep-alives without a `decide`, so
-        // no refresh may have seen this minute. (The `AdjustPlan` owns
-        // its ranking, hence the clone of the ≤ fleet-size id vector.)
-        let cached = config.cached_tables;
+        // needs no transfer ranking. (The `AdjustPlan` owns its ranking,
+        // hence the clone of the ≤ fleet-size id vector.)
+        let targets = if config.restrict_to.is_none() {
+            tables.transfer_ranking(ctx.location).to_vec()
+        } else {
+            Vec::new()
+        };
         // Rank candidates by benefit × P(reuse within 5 minutes).
         let horizon = config.keepalive_grid_min.len();
-        let weight = |func: FunctionId| -> f64 {
-            states.get(func).map_or(0.75, |s| {
-                if cached {
-                    s.predictor.p_warm_at(horizon)
-                } else {
-                    s.predictor.p_warm(OVERFLOW_HORIZON_MS)
-                }
-            })
-        };
-        if cached {
-            tables.refresh_from_snapshot(ctx.t_ms, &ctx.ci_by_node);
-        }
-        let targets = match (spill, cached) {
-            (false, _) => Vec::new(),
-            (true, true) => tables.transfer_ranking(ctx.location).to_vec(),
-            (true, false) => tables
-                .cost()
-                .transfer_ranking(ctx.location, &ctx.ci_by_node),
-        };
         let benefit = |func: FunctionId, f: &FunctionProfile| -> f64 {
-            let b = if cached {
-                tables.keepalive_benefit(ctx.location, func, f)
-            } else {
-                tables
-                    .cost()
-                    .keepalive_benefit(ctx.location, f, &ctx.ci_by_node)
-            };
-            weight(func) * b
+            let weight = states
+                .get(func)
+                .map_or(NO_HISTORY_P_WARM, |s| s.predictor.p_warm_at(horizon));
+            weight * tables.keepalive_benefit(ctx.location, func, f)
         };
         OverflowAction::Adjust(priority_adjustment_with_targets(
             catalog, ctx, benefit, targets,
         ))
     }
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {

@@ -33,6 +33,7 @@
 use ecolife_carbon::{CarbonModel, CiProvider, KeepaliveCoeffs, TransferCost};
 use ecolife_hw::{Fleet, NodeId, PerfModel};
 use ecolife_pso::decode;
+use ecolife_sim::SETUP_DELAY_MS;
 use ecolife_trace::{FunctionId, FunctionProfile};
 use std::cell::Cell;
 
@@ -43,8 +44,6 @@ pub struct CostModel {
     carbon: CarbonModel,
     pub lambda_s: f64,
     pub lambda_c: f64,
-    /// Platform setup delay added to every service (mirrors the engine).
-    pub setup_delay_ms: u64,
     /// Largest keep-alive period on the grid (ms) — KC_max's duration.
     pub max_keepalive_ms: u64,
     /// What a cross-node migration costs (see
@@ -60,7 +59,6 @@ impl CostModel {
         carbon: CarbonModel,
         lambda_s: f64,
         lambda_c: f64,
-        setup_delay_ms: u64,
         max_keepalive_ms: u64,
     ) -> Self {
         assert!(max_keepalive_ms > 0);
@@ -69,7 +67,6 @@ impl CostModel {
             carbon,
             lambda_s,
             lambda_c,
-            setup_delay_ms,
             max_keepalive_ms,
             transfer: TransferCost::free(),
         }
@@ -104,15 +101,17 @@ impl CostModel {
 
     // -- service time ------------------------------------------------------
 
-    /// Warm service time on node `l` (ms), setup included.
+    /// Warm service time on node `l` (ms), the engine's setup delay
+    /// included.
     pub fn warm_service_ms(&self, l: impl Into<NodeId>, f: &FunctionProfile) -> u64 {
-        self.setup_delay_ms
+        SETUP_DELAY_MS
             + PerfModel::warm_service_ms(self.fleet.node(l), f.base_exec_ms, f.cpu_sensitivity)
     }
 
-    /// Cold service time on node `l` (ms), setup included.
+    /// Cold service time on node `l` (ms), the engine's setup delay
+    /// included.
     pub fn cold_service_ms(&self, l: impl Into<NodeId>, f: &FunctionProfile) -> u64 {
-        self.setup_delay_ms
+        SETUP_DELAY_MS
             + PerfModel::cold_service_ms(
                 self.fleet.node(l),
                 f.base_exec_ms,
@@ -249,10 +248,9 @@ impl CostModel {
     }
 
     /// Every node's EPDM score in id order — [`CostModel::epdm_score`],
-    /// plus [`CostModel::epdm_score_queued`]'s backlog term when
-    /// `queue_ms` is given — with `S_max` and `SC_max` computed once per
-    /// scan instead of once per node (bit-identical: the same values in
-    /// the same operation order).
+    /// plus the queue-aware backlog term when `queue_ms` is given — with
+    /// `S_max` and `SC_max` computed once per scan instead of once per
+    /// node (bit-identical: the same values in the same operation order).
     fn epdm_scores<'a>(
         &'a self,
         f: &'a FunctionProfile,
@@ -290,14 +288,10 @@ impl CostModel {
         allowed.unwrap_or_else(|| first_min(self.epdm_scores(f, ci_by_node, None)))
     }
 
-    /// Queue-aware EPDM score: the cold-placement `fscore` plus the
-    /// queueing delay an arrival would measure on `r`'s bounded executor
-    /// right now, normalized like any other service-time term
-    /// (`λs · Q_r / S_max`). With `queue_ms == 0` this is *exactly*
-    /// [`CostModel::epdm_score`] — adding a zero term does not perturb
-    /// the float — which is what keeps queue-aware placement
-    /// bit-identical to the classic scan whenever executors are idle or
-    /// disabled.
+    /// Queue-aware EPDM score on `r`: [`CostModel::epdm_score`] plus
+    /// `λs · Q_r / S_max` for a backlog of `queue_ms` (test-only, the
+    /// reference of [`ObjectiveTables::epdm_choice_queued`]).
+    #[cfg(test)]
     pub fn epdm_score_queued(
         &self,
         r: impl Into<NodeId>,
@@ -309,15 +303,10 @@ impl CostModel {
         self.epdm_score(r, f, ci_by_node) + self.queue_term(queue_ms, self.s_max(f))
     }
 
-    /// Queue-aware [`CostModel::epdm_choice`]: the same strict-less scan
-    /// from node 0, scoring each node with
-    /// [`CostModel::epdm_score_queued`] at `queue_ms[node]` — the
-    /// measured per-node executor backlog
-    /// (`Cluster::queue_wait_ms` in `ecolife-sim`). A node drowning in
-    /// queued work loses placements it would win on carbon alone, so
-    /// EcoLife balances load *and* carbon instead of piling onto the
-    /// greenest node. An all-zero `queue_ms` reproduces `epdm_choice`
-    /// bit-for-bit.
+    /// Queue-aware [`CostModel::epdm_choice`]: each node scored with
+    /// [`CostModel::epdm_score_queued`] at `queue_ms[node]` (test-only,
+    /// the reference of [`ObjectiveTables::epdm_choice_queued`]).
+    #[cfg(test)]
     pub fn epdm_choice_queued(
         &self,
         f: &FunctionProfile,
@@ -471,7 +460,7 @@ use ecolife_sim::MINUTE_MS;
 /// the same `f64`s `active_phase`/`keepalive_phase` produce, and the
 /// composites are rebuilt with the identical operation order
 /// (`energy * ci + embodied`) — so scores read through the tables are
-/// bit-identical to the uncached path, never merely close.
+/// bit-identical to the `CostModel` methods, never merely close.
 #[derive(Debug, Clone)]
 struct FunctionTables {
     // -- CI-independent (per node, indexed by `NodeId`) ------------------
@@ -524,8 +513,9 @@ struct FunctionTables {
 /// land at a minute no `decide` saw — degraded decisions bypass the
 /// scheduler but still install keep-alives). All cached composites are
 /// built with the exact operation order of the corresponding `CostModel`
-/// method — results are bit-identical to the uncached path (pinned by
-/// `tests/hotpath.rs` and the unit tests below).
+/// method — results are bit-identical to the `CostModel` scans (pinned by
+/// the unit tests below, and end to end by the test oracle in
+/// `ecolife::reference`, which runs EcoLife's decision loop on them).
 #[derive(Debug, Clone)]
 pub struct ObjectiveTables {
     cost: CostModel,
@@ -682,7 +672,7 @@ impl ObjectiveTables {
     }
 
     /// Rebuild a row's CI-dependent composites at the current epoch with
-    /// exactly the operation order of the uncached `CostModel` methods.
+    /// exactly the operation order of the `CostModel` methods.
     fn refresh_row(&self, t: &mut FunctionTables) {
         let cost = &self.cost;
         let n = cost.fleet().len();
@@ -725,16 +715,21 @@ impl ObjectiveTables {
         }
     }
 
-    /// Cached [`CostModel::epdm_choice_queued`] at the current epoch.
+    /// Queue-aware [`ObjectiveTables::epdm_choice`] at the current
+    /// epoch: the same strict-less scan from node 0, each node's score
+    /// plus `λs · Q_r / S_max` at `queue_ms[node]` — the measured
+    /// per-node executor backlog (`Cluster::queue_wait_ms` in
+    /// `ecolife-sim`). A node drowning in queued work loses placements
+    /// it would win on carbon alone, so EcoLife balances load *and*
+    /// carbon instead of piling onto the greenest node.
     ///
     /// Fast path: when every queue term is zero the answer is the
     /// cached `epdm_best` — no scan, and bit-identical to
     /// [`ObjectiveTables::epdm_choice`], which is what makes
     /// queue-aware placement free (and invisible) until a node actually
-    /// saturates. With backlog present, the scan recomputes scores with
-    /// exactly the uncached method's operation order
-    /// (`λs·s + λc·sc` then `+ λs·(Q/S_max)`), so cached and uncached
-    /// queued choices agree bit-for-bit too.
+    /// saturates. With backlog present, the scan recombines the row's
+    /// intermediates in the `CostModel` scan's operation order
+    /// (`λs·s + λc·sc` then `+ λs·(Q/S_max)`), bit for bit.
     pub fn epdm_choice_queued(
         &mut self,
         func: FunctionId,
@@ -763,7 +758,7 @@ impl ObjectiveTables {
     /// `l` at the current epoch: the warm-pool adjustment's per-candidate
     /// score as a row lookup instead of fleet-wide `S_max`/`SC_max`/EPDM
     /// rescans (bit-identical: the row's exact intermediates, recombined
-    /// in the uncached method's operation order).
+    /// in that method's operation order).
     pub fn keepalive_benefit(&mut self, l: NodeId, func: FunctionId, f: &FunctionProfile) -> f64 {
         let idx = self.ensure_row(func, f);
         let row = self.rows[idx].as_deref().expect("row built");
@@ -964,7 +959,6 @@ mod tests {
             CarbonModel::default(),
             0.5,
             0.5,
-            50,
             10 * 60_000,
         )
     }
@@ -1061,26 +1055,12 @@ mod tests {
         // node; a pure carbon objective must pick the cheaper old node
         // (lower package power and embodied attribution).
         let f = profile("311.compression");
-        let time_only = CostModel::new(
-            skus::pair_a(),
-            CarbonModel::default(),
-            1.0,
-            0.0,
-            50,
-            600_000,
-        );
+        let time_only = CostModel::new(skus::pair_a(), CarbonModel::default(), 1.0, 0.0, 600_000);
         assert_eq!(
             time_only.epdm_choice(&f, &time_only.uniform_ci(300.0), None),
             NodeId(1)
         );
-        let carbon_only = CostModel::new(
-            skus::pair_a(),
-            CarbonModel::default(),
-            0.0,
-            1.0,
-            50,
-            600_000,
-        );
+        let carbon_only = CostModel::new(skus::pair_a(), CarbonModel::default(), 0.0, 1.0, 600_000);
         assert_eq!(
             carbon_only.epdm_choice(&f, &carbon_only.uniform_ci(300.0), None),
             NodeId(0)
@@ -1103,13 +1083,12 @@ mod tests {
         // picks the newest node, a pure carbon objective the oldest.
         let f = profile("311.compression");
         let fleet = skus::fleet_three_generations();
-        let time_only =
-            CostModel::new(fleet.clone(), CarbonModel::default(), 1.0, 0.0, 50, 600_000);
+        let time_only = CostModel::new(fleet.clone(), CarbonModel::default(), 1.0, 0.0, 600_000);
         assert_eq!(
             time_only.epdm_choice(&f, &time_only.uniform_ci(300.0), None),
             NodeId(2)
         );
-        let carbon_only = CostModel::new(fleet, CarbonModel::default(), 0.0, 1.0, 50, 600_000);
+        let carbon_only = CostModel::new(fleet, CarbonModel::default(), 0.0, 1.0, 600_000);
         assert_eq!(
             carbon_only.epdm_choice(&f, &carbon_only.uniform_ci(300.0), None),
             NodeId(0)
@@ -1193,7 +1172,6 @@ mod tests {
                     CarbonModel::default(),
                     lambda_s,
                     lambda_c,
-                    50,
                     600_000,
                 );
                 for ci in &ci_vectors {
@@ -1226,7 +1204,7 @@ mod tests {
     fn tables_keepalive_benefit_is_bit_identical_on_five_regions() {
         use ecolife_carbon::{CiBundle, CiProvider};
         let fleet = skus::fleet_five_regions();
-        let cost = CostModel::new(fleet.clone(), CarbonModel::default(), 0.5, 0.5, 50, 600_000);
+        let cost = CostModel::new(fleet.clone(), CarbonModel::default(), 0.5, 0.5, 600_000);
         let bundle = CiBundle::synthetic_all(120, 17);
         let provider = CiProvider::from_bundle(&bundle, &fleet).unwrap();
         let catalog = WorkloadCatalog::sebs();
@@ -1279,7 +1257,7 @@ mod tests {
     fn tables_reproduce_queued_choice_bit_for_bit() {
         use ecolife_carbon::{CarbonIntensityTrace, CiProvider};
         let fleet = skus::fleet_three_generations();
-        let cost = CostModel::new(fleet.clone(), CarbonModel::default(), 0.5, 0.5, 50, 600_000);
+        let cost = CostModel::new(fleet.clone(), CarbonModel::default(), 0.5, 0.5, 600_000);
         let mut tables = ObjectiveTables::new(cost.clone());
         let ci = CarbonIntensityTrace::synthetic(ecolife_hw::Region::Caiso, 120, 9);
         let provider = CiProvider::shared(&ci, &fleet);
@@ -1389,7 +1367,7 @@ mod tests {
             skus::fleet_five_regions(),
         ] {
             let n = fleet.len();
-            let cost = CostModel::new(fleet.clone(), CarbonModel::default(), 0.5, 0.5, 50, 600_000);
+            let cost = CostModel::new(fleet.clone(), CarbonModel::default(), 0.5, 0.5, 600_000);
             let mut tables = ObjectiveTables::new(cost.clone());
             let provider = CiProvider::from_bundle(&bundle, &fleet).unwrap();
             for t_ms in [0u64, 30_000, 61_000, 45 * 60_000] {
@@ -1450,7 +1428,7 @@ mod tests {
     fn tables_transfer_ranking_matches_and_memoizes() {
         use ecolife_carbon::{CarbonIntensityTrace, CiProvider};
         let fleet = skus::fleet_three_generations();
-        let cost = CostModel::new(fleet.clone(), CarbonModel::default(), 0.5, 0.5, 50, 600_000);
+        let cost = CostModel::new(fleet.clone(), CarbonModel::default(), 0.5, 0.5, 600_000);
         let mut tables = ObjectiveTables::new(cost.clone());
         let ci = CarbonIntensityTrace::synthetic(ecolife_hw::Region::Texas, 60, 4);
         let provider = CiProvider::shared(&ci, &fleet);
@@ -1486,7 +1464,6 @@ mod tests {
             CarbonModel::default(),
             0.5,
             0.5,
-            50,
             600_000,
         );
         assert_eq!(

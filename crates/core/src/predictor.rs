@@ -6,16 +6,19 @@
 //! grid and the warm-pool ranking's horizon) current as gaps arrive, so
 //! the per-decision snapshot is a row of lookups
 //! ([`FunctionPredictor::p_warm_at`],
-//! [`FunctionPredictor::expected_resident_ms_at`]); the scans
-//! ([`FunctionPredictor::p_warm`],
-//! [`FunctionPredictor::expected_resident_ms`]) answer any other period
-//! and are the lookups' reference.
+//! [`FunctionPredictor::expected_resident_ms_at`]). The window scans at
+//! an arbitrary period (`p_warm`, `expected_resident_ms`) are test-only:
+//! they are the lookups' reference and what EcoLife's test oracle reads.
 
 use ecolife_trace::stats::{DeltaTracker, InterArrivalStats};
 
-/// `P(warm)` before any gap has been observed (see
-/// [`FunctionPredictor::p_warm`]).
-const NO_HISTORY_P_WARM: f64 = 0.75;
+/// `P(warm)` before any gap has been observed: an optimistic prior.
+/// Production serverless functions that appear once are very likely to
+/// re-appear shortly (the Azure characterization [26]), and the cost of
+/// one wasted keep-alive is far below the cost of a stream of cold
+/// starts while the swarm warms up. The warm-pool ranking weighs a
+/// function EcoLife holds no state for with the same prior.
+pub(crate) const NO_HISTORY_P_WARM: f64 = 0.75;
 
 /// Arrival model for one function.
 #[derive(Debug, Clone)]
@@ -40,13 +43,9 @@ impl FunctionPredictor {
         self.deltas.record(t_ms);
     }
 
-    /// `P(next gap ≤ k_ms)` from history.
-    ///
-    /// Before any gap has been observed, an optimistic prior of 0.75 is
-    /// used: production serverless functions that appear once are very
-    /// likely to re-appear shortly (the Azure characterization [26]), and
-    /// the cost of one wasted keep-alive is far below the cost of a
-    /// stream of cold starts while the swarm warms up.
+    /// `P(next gap ≤ k_ms)` from history, by a scan of the gap window
+    /// (`NO_HISTORY_P_WARM` before any gap).
+    #[cfg(test)]
     pub fn p_warm(&self, k_ms: u64) -> f64 {
         if self.stats.sample_count() == 0 {
             return NO_HISTORY_P_WARM;
@@ -54,13 +53,15 @@ impl FunctionPredictor {
         self.stats.p_within(k_ms)
     }
 
-    /// `E[min(gap, k_ms)]` from history.
+    /// `E[min(gap, k_ms)]` from history, by a scan of the gap window.
+    #[cfg(test)]
     pub fn expected_resident_ms(&self, k_ms: u64) -> f64 {
         self.stats.expected_resident_ms(k_ms)
     }
 
-    /// [`FunctionPredictor::p_warm`] at the `i`-th tracked period, as a
-    /// lookup (bit-identical to the scan).
+    /// `P(next gap ≤ k)` at the `i`-th tracked period `k`, as a lookup
+    /// (`NO_HISTORY_P_WARM` before any gap); bit-identical to a scan
+    /// of the gap window.
     #[inline]
     pub fn p_warm_at(&self, i: usize) -> f64 {
         if self.stats.sample_count() == 0 {
@@ -69,8 +70,8 @@ impl FunctionPredictor {
         self.stats.p_within_grid(i)
     }
 
-    /// [`FunctionPredictor::expected_resident_ms`] at the `i`-th tracked
-    /// period, as a lookup (bit-identical to the scan).
+    /// `E[min(gap, k)]` at the `i`-th tracked period `k`, as a lookup;
+    /// bit-identical to a scan of the gap window.
     #[inline]
     pub fn expected_resident_ms_at(&self, i: usize) -> f64 {
         self.stats.expected_resident_grid_ms(i)

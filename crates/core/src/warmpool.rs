@@ -16,9 +16,9 @@
 //! from. EcoLife's hot path reads it from its
 //! [`ObjectiveTables`](crate::objective::ObjectiveTables) rows (one
 //! lookup per resident) together with the memoized transfer ranking;
-//! the brute-force baselines and EcoLife's uncached reference path
-//! compute [`CostModel::keepalive_benefit`] directly. Both give
-//! bit-identical densities, hence identical plans.
+//! the brute-force baselines (and EcoLife's test oracle) compute
+//! [`CostModel::keepalive_benefit`] directly. Both give bit-identical
+//! densities, hence identical plans.
 
 use crate::objective::CostModel;
 use ecolife_hw::NodeId;
@@ -121,14 +121,7 @@ mod tests {
     }
 
     fn cost() -> CostModel {
-        CostModel::new(
-            skus::pair_a(),
-            CarbonModel::default(),
-            0.5,
-            0.5,
-            50,
-            600_000,
-        )
+        CostModel::new(skus::pair_a(), CarbonModel::default(), 0.5, 0.5, 600_000)
     }
 
     fn container(cat: &WorkloadCatalog, name: &str, expiry: u64) -> WarmContainer {

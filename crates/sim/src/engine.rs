@@ -164,22 +164,23 @@ fn has_room(cluster: &Cluster, target: NodeId, c: &WarmContainer) -> bool {
     pool.get(c.func).is_none() && pool.fits(c)
 }
 
+/// Fixed platform *setup* overhead added to every service time (ms).
+///
+/// The paper's service time "includes queuing delay, setup delay, cold
+/// start (if applicable), and execution time". With bounded executors
+/// **off** ([`SimConfig::bounded_executors`] `== None`, the default) the
+/// replay has unlimited per-node concurrency and no queue to measure,
+/// so this one constant stands in for *both* queuing and setup. With
+/// bounded executors **on** the engine measures real per-node queueing
+/// delay and adds it separately ([`InvocationRecord::queue_ms`]); this
+/// constant then covers setup only. Cost models that price service time
+/// (`ecolife-core`'s `CostModel`) read the same constant, so every
+/// decision is priced with the delay the engine charges.
+pub const SETUP_DELAY_MS: u64 = 50;
+
 /// Engine knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct SimConfig {
-    /// Fixed platform *setup* overhead added to every service time (ms).
-    ///
-    /// The paper's service time "includes queuing delay, setup delay,
-    /// cold start (if applicable), and execution time". With bounded
-    /// executors **off** (`bounded_executors == None`, the default) the
-    /// replay has unlimited per-node concurrency and no queue to
-    /// measure, so this one constant stands in for *both* queuing and
-    /// setup. With bounded executors **on** the engine measures real
-    /// per-node queueing delay and adds it separately
-    /// ([`InvocationRecord::queue_ms`]); this constant then covers setup
-    /// only — do not inflate it to approximate queuing, or the delay is
-    /// double-counted.
-    pub setup_delay_ms: u64,
     /// The carbon model (embodied scaling etc.).
     pub carbon_model: CarbonModel,
     /// How warm pools find lapsed containers: the expiry timeline
@@ -218,7 +219,6 @@ pub struct SimConfig {
 impl Default for SimConfig {
     fn default() -> Self {
         SimConfig {
-            setup_delay_ms: 50,
             carbon_model: CarbonModel::default(),
             expiry: ExpiryMode::default(),
             transfer_cost: TransferCost::free(),
@@ -1012,7 +1012,7 @@ impl<'r> Engine<'r> {
                 )
             }
         };
-        let exec_ms = work_ms + self.config.setup_delay_ms + transfer_debt_ms;
+        let exec_ms = work_ms + SETUP_DELAY_MS + transfer_debt_ms;
 
         // Admission: offer the execution to the node's bounded executor.
         // A free slot starts it now; a saturated node queues it (the

@@ -3,7 +3,7 @@
 //!
 //! The batch replayer historically let every node serve unlimited
 //! simultaneous executions — queuing delay was folded into the fixed
-//! `setup_delay_ms` constant. With bounded executors enabled
+//! [`SETUP_DELAY_MS`](crate::SETUP_DELAY_MS) constant. With bounded executors enabled
 //! ([`SimConfig::with_bounded_executors`](crate::SimConfig)), each node
 //! runs at most [`HardwareNode::executor_slots`](ecolife_hw::HardwareNode)
 //! executions at once (one per physical core); arrivals beyond that

@@ -70,7 +70,7 @@ pub use membership::{MembershipEvent, MembershipPlan};
 pub use ecolife_telemetry::{
     CaptureSink, ChainSummary, Event, EventSink, GoldenSnapshot, JsonlSink, NullSink,
 };
-pub use engine::{Engine, RunState, SimConfig, Simulation};
+pub use engine::{Engine, RunState, SimConfig, Simulation, SETUP_DELAY_MS};
 pub use executor::{Admission, ExecutorConfig, NodeExecutors};
 pub use metrics::{InvocationRecord, RunMetrics};
 pub use parallel::{parallel_map, parallel_map_threads, WorkerPool};

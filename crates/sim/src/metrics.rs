@@ -25,7 +25,8 @@ pub struct InvocationRecord {
     pub service_ms: u64,
     /// Measured executor queueing delay included in `service_ms`.
     /// Always 0 when bounded executors are off (the fixed
-    /// `setup_delay_ms` then stands in for queuing).
+    /// [`SETUP_DELAY_MS`](crate::SETUP_DELAY_MS) then stands in for
+    /// queuing).
     pub queue_ms: u64,
     /// Turned away by admission control (bounded executors only): the
     /// invocation never executed, every cost field is zero, and

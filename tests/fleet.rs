@@ -179,7 +179,7 @@ fn transfer_ranking_beats_greedy_id_order_on_an_adversarial_fleet() {
     let fleet = skus::fleet_of(&[Sku::M5Metal, Sku::I3Metal, Sku::M5znMetal])
         .with_uniform_keepalive_budget_mib(512);
     let ci = CarbonIntensityTrace::constant(300.0, 120);
-    let cost = CostModel::new(fleet.clone(), CarbonModel::default(), 0.5, 0.5, 50, 600_000);
+    let cost = CostModel::new(fleet.clone(), CarbonModel::default(), 0.5, 0.5, 600_000);
 
     // The two orderings genuinely disagree on the first-choice target.
     let ranked = cost.transfer_ranking(NodeId(2), &cost.uniform_ci(300.0));

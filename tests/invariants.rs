@@ -57,7 +57,6 @@ proptest! {
             CarbonModel::default(),
             0.5,
             0.5,
-            50,
             600_000,
         );
         let k_ms = k_min * 60_000;
@@ -82,7 +81,6 @@ proptest! {
             CarbonModel::default(),
             0.5,
             0.5,
-            50,
             600_000,
         );
         prop_assert!(cost.warm_service_ms(gen, &f) <= cost.cold_service_ms(gen, &f));
