@@ -1,20 +1,25 @@
 //! The expiry timeline is an *optimization*, never a semantic change:
-//! the min-heap timeline with lazy invalidation (`ExpiryMode::Timeline`,
-//! the default) must produce bit-identical runs — every float of every
-//! record equal — to the original full-pool scan
-//! (`ExpiryMode::Scan`, kept as the reference), under memory pressure
-//! with transfers and revocations, sequentially and through
-//! `run_sharded` at shard counts {1, 2, 8} × worker threads {1, 2, 4}.
+//! the per-pool heap of scheduled expiries (`ExpiryMode::Timeline`, the
+//! default) must produce bit-identical runs — every float of every
+//! record, and every event of the hash-chained stream, equal — to the
+//! original full-pool scan (`ExpiryMode::Scan`, kept as the reference),
+//! under memory pressure with transfers and revocations, sequentially
+//! and through `run_sharded` at shard counts {1, 2, 8} × worker threads
+//! {1, 2, 4}.
 //!
-//! The directed matrix pins the exact configurations the ISSUE names;
-//! the proptest block then fuzzes workloads, fleets, and budgets around
-//! them. Both paths also cross-check the expiry counters: the two modes
-//! must agree on *how many* containers lapsed, while each mode's own
-//! mechanism counters (`scanned` vs `timeline_pops`) prove which code
-//! path actually ran.
+//! The directed matrix pins the exact configurations above; the
+//! proptest block then fuzzes workloads, fleets, and budgets around
+//! them, under two policies: a pinned 10-minute keep-alive, and one
+//! that alternates 10 minutes with 20 seconds, so a function's next
+//! expiry often comes *earlier* than the one the timeline holds. Both
+//! paths also cross-check the expiry counters: the two modes must agree
+//! on *how many* containers lapsed, while each mode's own mechanism
+//! counters (`scanned` vs `timeline_pops`) prove which code path
+//! actually ran.
 
 use ecolife::prelude::*;
-use ecolife::sim::{ExpiryMode, ShardOptions};
+use ecolife::sim::{Decision, ExpiryMode, InvocationCtx, KeepAliveChoice, ShardOptions};
+use ecolife::telemetry::diff::first_divergence;
 use proptest::prelude::*;
 
 /// A random fleet of 1–4 nodes drawn from the SKU catalog (duplicates
@@ -190,13 +195,60 @@ fn timeline_matches_scan_across_the_shard_thread_matrix() {
     }
 }
 
+/// Executes and keeps alive on the fleet's newest node for 10 minutes
+/// after even-indexed invocations and 20 seconds after odd ones: a
+/// function reused within a long keep-alive is often re-kept for a
+/// short one, which moves its expiry *earlier*.
+struct AlternatingKeepAlive;
+
+impl Scheduler for AlternatingKeepAlive {
+    fn name(&self) -> &'static str {
+        "alternating-keep-alive"
+    }
+
+    fn decide(&mut self, ctx: &InvocationCtx<'_>) -> Decision {
+        let newest = ctx.cluster.fleet().newest();
+        let duration_ms = if ctx.index.is_multiple_of(2) {
+            10 * MINUTE_MS
+        } else {
+            20_000
+        };
+        Decision {
+            exec: newest,
+            keepalive: Some(KeepAliveChoice {
+                location: newest,
+                duration_ms,
+            }),
+        }
+    }
+}
+
+/// The proptests' two policies: `FixedPolicy`'s long 10-minute
+/// keep-alive maximizes resident containers, so small budgets overflow
+/// constantly; [`AlternatingKeepAlive`] also shortens keep-alives.
+fn policy(alternating: bool, fleet: &Fleet) -> Box<dyn Scheduler + Send> {
+    if alternating {
+        Box::new(AlternatingKeepAlive)
+    } else {
+        Box::new(FixedPolicy::pinned(fleet.newest(), 10))
+    }
+}
+
+/// Byte-identical event streams, or a failure naming the first
+/// divergent event.
+fn same_stream(scan: &CaptureSink, timeline: &CaptureSink) -> Result<(), TestCaseError> {
+    if let Some(d) = first_divergence(&scan.lines(), &timeline.lines()) {
+        return Err(TestCaseError::fail(format!("streams diverged: {d:?}")));
+    }
+    prop_assert_eq!(timeline.tip(), scan.tip());
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Sequential bit-identity over random workloads, fleets, and
-    /// keep-alive budgets — roomy and brutal alike (FixedPolicy's long
-    /// 10-minute keep-alive maximizes resident containers, so small
-    /// budgets overflow constantly).
+    /// keep-alive budgets — roomy and brutal alike — under each policy.
     #[test]
     fn timeline_equals_scan_sequential(
         seed in 0u64..1_000_000,
@@ -207,16 +259,21 @@ proptest! {
     ) {
         let (trace, ci) = workload(n_functions, duration_min, seed);
         let fleet = fleet_from(&sku_picks, budget_mib);
-        let run = |mode: ExpiryMode| {
-            Simulation::new(&trace, &ci, fleet.clone())
-                .with_config(config_for(mode))
-                .run(&mut FixedPolicy::pinned(fleet.newest(), 10))
-        };
-        let scan = run(ExpiryMode::Scan);
-        let timeline = run(ExpiryMode::Timeline);
-        prop_assert_eq!(fingerprint(&timeline), fingerprint(&scan));
-        prop_assert_eq!(by_node_bits(&timeline), by_node_bits(&scan));
-        prop_assert_eq!(timeline.expiry.expired, scan.expiry.expired);
+        for alternating in [false, true] {
+            let run = |mode: ExpiryMode| {
+                let mut sink = CaptureSink::default();
+                let metrics = Simulation::new(&trace, &ci, fleet.clone())
+                    .with_config(config_for(mode))
+                    .run_with_sink(&mut policy(alternating, &fleet), &mut sink);
+                (metrics, sink)
+            };
+            let (scan, scan_stream) = run(ExpiryMode::Scan);
+            let (timeline, timeline_stream) = run(ExpiryMode::Timeline);
+            prop_assert_eq!(fingerprint(&timeline), fingerprint(&scan));
+            prop_assert_eq!(by_node_bits(&timeline), by_node_bits(&scan));
+            prop_assert_eq!(timeline.expiry.expired, scan.expiry.expired);
+            same_stream(&scan_stream, &timeline_stream)?;
+        }
     }
 
     /// Sharded bit-identity: same fuzz, arbitrary shard/thread counts,
@@ -232,20 +289,26 @@ proptest! {
     ) {
         let (trace, ci) = workload(n_functions, 30, seed);
         let fleet = fleet_from(&sku_picks, budget_mib);
-        let run = |mode: ExpiryMode| {
-            Simulation::new(&trace, &ci, fleet.clone())
-                .with_config(config_for(mode))
-                .run_sharded(
-                    |_| FixedPolicy::pinned(fleet.newest(), 10),
-                    &ShardOptions::new(shards).with_threads(threads),
-                )
-        };
-        let scan = run(ExpiryMode::Scan);
-        let timeline = run(ExpiryMode::Timeline);
-        prop_assert_eq!(fingerprint(&timeline), fingerprint(&scan));
-        prop_assert_eq!(by_node_bits(&timeline), by_node_bits(&scan));
-        prop_assert_eq!(timeline.ledger_peak_mib.clone(), scan.ledger_peak_mib.clone());
-        prop_assert_eq!(timeline.reconcile_revocations, scan.reconcile_revocations);
-        prop_assert_eq!(timeline.expiry.expired, scan.expiry.expired);
+        for alternating in [false, true] {
+            let run = |mode: ExpiryMode| {
+                let mut sink = CaptureSink::default();
+                let metrics = Simulation::new(&trace, &ci, fleet.clone())
+                    .with_config(config_for(mode))
+                    .run_sharded_with_sink(
+                        |_| policy(alternating, &fleet),
+                        &ShardOptions::new(shards).with_threads(threads),
+                        &mut sink,
+                    );
+                (metrics, sink)
+            };
+            let (scan, scan_stream) = run(ExpiryMode::Scan);
+            let (timeline, timeline_stream) = run(ExpiryMode::Timeline);
+            prop_assert_eq!(fingerprint(&timeline), fingerprint(&scan));
+            prop_assert_eq!(by_node_bits(&timeline), by_node_bits(&scan));
+            prop_assert_eq!(timeline.ledger_peak_mib.clone(), scan.ledger_peak_mib.clone());
+            prop_assert_eq!(timeline.reconcile_revocations, scan.reconcile_revocations);
+            prop_assert_eq!(timeline.expiry.expired, scan.expiry.expired);
+            same_stream(&scan_stream, &timeline_stream)?;
+        }
     }
 }
