@@ -12,8 +12,11 @@
 use ecolife_carbon::CarbonIntensityTrace;
 use ecolife_hw::Fleet;
 use ecolife_sim::metrics::percent_increase;
-use ecolife_sim::{RunMetrics, Scheduler, Simulation};
+use ecolife_sim::{
+    Decision, InvocationCtx, OverflowAction, OverflowCtx, RunMetrics, Scheduler, Simulation,
+};
 use ecolife_trace::Trace;
+use std::time::Instant;
 
 /// Headline numbers of one run.
 #[derive(Debug, Clone, PartialEq)]
@@ -57,18 +60,54 @@ impl RunSummary {
 }
 
 /// Run one scheduler over (trace, CI, fleet) with the default engine
-/// config.
+/// config, timing its decisions: the returned metrics' (and summary's)
+/// decision overhead is the wall-clock time spent inside
+/// [`Scheduler::decide`], the paper's decision-making overhead. A plain
+/// [`Simulation`] replay does not time decisions and reports 0.
 pub fn run_scheme<S: Scheduler>(
     trace: &Trace,
     ci: &CarbonIntensityTrace,
     fleet: &Fleet,
     scheduler: &mut S,
 ) -> (RunSummary, RunMetrics) {
-    let metrics = Simulation::new(trace, ci, fleet.clone()).run(scheduler);
+    let mut timed = TimedDecide {
+        inner: scheduler,
+        decide_ns: 0,
+    };
+    let mut metrics = Simulation::new(trace, ci, fleet.clone()).run(&mut timed);
+    metrics.decision_overhead_ns = timed.decide_ns;
     (
-        RunSummary::from_metrics(scheduler.name(), &metrics),
+        RunSummary::from_metrics(timed.inner.name(), &metrics),
         metrics,
     )
+}
+
+/// Forwards every call to `inner`, summing the wall-clock time spent in
+/// `decide`.
+struct TimedDecide<'a, S> {
+    inner: &'a mut S,
+    decide_ns: u64,
+}
+
+impl<S: Scheduler> Scheduler for TimedDecide<'_, S> {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+    fn prepare(&mut self, trace: &Trace) {
+        self.inner.prepare(trace)
+    }
+    fn decide(&mut self, ctx: &InvocationCtx<'_>) -> Decision {
+        let started = Instant::now();
+        let decision = self.inner.decide(ctx);
+        self.decide_ns += started.elapsed().as_nanos() as u64;
+        decision
+    }
+    fn on_pool_overflow(&mut self, ctx: &OverflowCtx<'_>) -> OverflowAction {
+        self.inner.on_pool_overflow(ctx)
+    }
+    fn observe(&mut self, ctx: &InvocationCtx<'_>, service_ms: u64, warm: bool) {
+        self.inner.observe(ctx, service_ms, warm)
+    }
 }
 
 /// A scheme's position relative to the two *-Opt anchors — the axes of

@@ -324,8 +324,7 @@ mod tests {
         SynthTraceConfig::small(seed).generate(&WorkloadCatalog::sebs())
     }
 
-    /// Record-for-record equality over every deterministic field
-    /// (`decision_overhead_ns` is wall-clock and excluded).
+    /// Record-for-record equality over every deterministic field.
     fn assert_same_run(a: &RunMetrics, b: &RunMetrics) {
         assert_eq!(a.records, b.records);
         assert_eq!(a.evicted_functions, b.evicted_functions);

@@ -898,9 +898,8 @@ impl<'r> Engine<'r> {
                 .any(|r| self.reads_region(r))
         };
 
-        // (3) Scheduler decision (timed: this is the paper's
-        // decision-making overhead). Degraded decisions bypass the
-        // scheduler and cost no overhead — there is nothing to compute.
+        // (3) Scheduler decision. Degraded decisions bypass the
+        // scheduler — there is nothing to compute.
         let decision = if degraded {
             metrics.degraded_decisions += 1;
             let exec = warm_at.unwrap_or_else(|| {
@@ -932,10 +931,7 @@ impl<'r> Engine<'r> {
                 ci: self.ci,
                 cluster,
             };
-            let started = std::time::Instant::now();
-            let d = scheduler.decide(&ctx);
-            metrics.decision_overhead_ns += started.elapsed().as_nanos() as u64;
-            d
+            scheduler.decide(&ctx)
         };
         assert!(
             self.fleet.contains(decision.exec),

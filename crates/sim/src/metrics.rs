@@ -93,7 +93,10 @@ pub struct RunMetrics {
     pub transfer_g_by_node: Vec<f64>,
     /// Total wall-clock nanoseconds spent inside `Scheduler::decide`
     /// (the decision-making overhead the paper bounds at <0.4% of
-    /// service time).
+    /// service time). `ecolife_core::run_scheme` times its scheduler's
+    /// decisions and fills this in; the engine times nothing, so a
+    /// plain replay ([`Simulation::run`](crate::Simulation::run),
+    /// `run_sharded`, the live service) reports 0.
     pub decision_overhead_ns: u64,
     /// Keep-alive carbon (g) by hosting node (index = `NodeId`). Records
     /// attribute keep-alive to the *scheduling* invocation; this vector

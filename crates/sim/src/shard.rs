@@ -209,7 +209,6 @@ pub(crate) fn merge_metrics(
         merged.transfers += part.transfers;
         merged.transfer_g += part.transfer_g;
         merged.transfer_ms += part.transfer_ms;
-        merged.decision_overhead_ns += part.decision_overhead_ns;
         merged.reconcile_revocations += part.reconcile_revocations;
         merged.rejected += part.rejected;
         merged.expiry.absorb(part.expiry);

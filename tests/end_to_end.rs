@@ -92,6 +92,11 @@ fn decision_overhead_is_bounded() {
         &fleet,
         &mut EcoLife::new(fleet.clone(), EcoLifeConfig::default()),
     );
+    // `run_scheme` times every decision: a zero means nothing measured.
+    assert!(
+        summary.decision_overhead_fraction > 0.0,
+        "no decision timed"
+    );
     // Paper: < 0.4% of service time. Allow 2% headroom for debug builds
     // and noisy CI machines.
     assert!(
