@@ -149,12 +149,9 @@ fn book_transfer(
 }
 
 /// `node`'s residents in `FunctionId` order: a snapshot to drain or move
-/// from while the pool changes (pool iteration order is unspecified; the
-/// settlement order must not be).
+/// from while the pool changes.
 fn residents(cluster: &Cluster, node: NodeId) -> Vec<WarmContainer> {
-    let mut residents: Vec<WarmContainer> = cluster.pool(node).iter().copied().collect();
-    residents.sort_by_key(|c| c.func);
-    residents
+    cluster.pool(node).iter().copied().collect()
 }
 
 /// Can `target` take `c` as a move? Moves never replace: the target must
@@ -1334,8 +1331,7 @@ impl<'r> Engine<'r> {
                     break;
                 }
                 // Deterministic victim: max over the total order
-                // (warm_since, func) — pool iteration order is
-                // unspecified, the max is not.
+                // (warm_since, func, shard).
                 let victim = states
                     .iter()
                     .enumerate()

@@ -1,5 +1,6 @@
 //! A memory-bounded warm pool: the set of containers kept alive on one
-//! generation's node.
+//! generation's node, in slots indexed by raw [`FunctionId`] (trace
+//! construction keeps function ids dense in `0..catalog.len()`).
 //!
 //! Expiry — the most frequent event in a replay (every invocation lapses
 //! every node's overdue containers before anything else happens) — runs
@@ -17,7 +18,7 @@
 use crate::container::WarmContainer;
 use ecolife_trace::FunctionId;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
 /// How a pool finds its lapsed containers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -58,7 +59,8 @@ impl ExpiryStats {
 }
 
 /// Warm pool with a hard memory budget. At most one container per
-/// function per pool (re-keep-alive replaces the entry).
+/// function per pool (re-keep-alive replaces the entry). Its slots grow
+/// to the largest function id inserted.
 ///
 /// In a sharded run several pools share one physical node: each shard
 /// owns a pool, and the engine charges the *other* shards' bytes against
@@ -73,7 +75,10 @@ pub struct WarmPool {
     /// Bytes held on the same node by other shards' pools (MiB),
     /// refreshed from the memory ledger at each reconciliation.
     external_used_mib: u64,
-    containers: HashMap<FunctionId, WarmContainer>,
+    /// Resident containers, indexed by raw `FunctionId`.
+    slots: Vec<Option<WarmContainer>>,
+    /// Number of filled slots.
+    len: usize,
     /// The expiry timeline: min-heap of `(expiry_ms, func)`. Entries are
     /// pushed on insert and lazily invalidated (skipped on pop) when the
     /// resident container for `func` is gone or carries a different
@@ -98,13 +103,8 @@ impl WarmPool {
     pub fn with_mode(capacity_mib: u64, mode: ExpiryMode) -> Self {
         WarmPool {
             capacity_mib,
-            used_mib: 0,
-            external_used_mib: 0,
-            containers: HashMap::new(),
-            timeline: BinaryHeap::new(),
             mode,
-            stats: ExpiryStats::default(),
-            period_delta_mib: 0,
+            ..WarmPool::default()
         }
     }
 
@@ -161,23 +161,19 @@ impl WarmPool {
 
     #[inline]
     pub fn len(&self) -> usize {
-        self.containers.len()
+        self.len
     }
 
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.containers.is_empty()
+        self.len == 0
     }
 
     /// Whether `container` fits right now (accounting for an existing
     /// entry of the same function that would be replaced, and for the
     /// other shards' external share of the node).
     pub fn fits(&self, container: &WarmContainer) -> bool {
-        let reclaimed = self
-            .containers
-            .get(&container.func)
-            .map(|c| c.memory_mib)
-            .unwrap_or(0);
+        let reclaimed = self.get(container.func).map_or(0, |c| c.memory_mib);
         self.used_mib - reclaimed + self.external_used_mib + container.memory_mib
             <= self.capacity_mib
     }
@@ -194,16 +190,23 @@ impl WarmPool {
         if !self.fits(&container) {
             return Err(container);
         }
+        let idx = container.func.as_usize();
+        if idx >= self.slots.len() {
+            self.slots.resize(idx + 1, None);
+        }
         if self.mode == ExpiryMode::Timeline {
             self.timeline
                 .push(Reverse((container.expiry_ms, container.func)));
         }
-        let old = self.containers.insert(container.func, container);
-        if let Some(ref o) = old {
+        let old = self.slots[idx].replace(container);
+        match old {
             // The replaced entry's timeline node becomes a tombstone
             // (its expiry no longer matches the resident container).
-            self.used_mib -= o.memory_mib;
-            self.period_delta_mib -= o.memory_mib as i64;
+            Some(ref o) => {
+                self.used_mib -= o.memory_mib;
+                self.period_delta_mib -= o.memory_mib as i64;
+            }
+            None => self.len += 1,
         }
         self.used_mib += container.memory_mib;
         self.period_delta_mib += container.memory_mib as i64;
@@ -213,25 +216,25 @@ impl WarmPool {
     /// Remove and return the container for `func`. Its timeline entry is
     /// left behind as a tombstone, recognized when popped.
     pub fn remove(&mut self, func: FunctionId) -> Option<WarmContainer> {
-        let c = self.containers.remove(&func);
-        if let Some(ref c) = c {
-            self.used_mib -= c.memory_mib;
-            self.period_delta_mib -= c.memory_mib as i64;
-        }
-        c
+        let c = self.slots.get_mut(func.as_usize())?.take()?;
+        self.len -= 1;
+        self.used_mib -= c.memory_mib;
+        self.period_delta_mib -= c.memory_mib as i64;
+        Some(c)
     }
 
     /// Container for `func`, if resident.
+    #[inline]
     pub fn get(&self, func: FunctionId) -> Option<&WarmContainer> {
-        self.containers.get(&func)
+        self.slots.get(func.as_usize()).and_then(Option::as_ref)
     }
 
     /// Remove every container with `expiry_ms <= t_ms`, returning them
     /// in `FunctionId` order so the engine can settle their carbon.
     /// The order matters: settlement accumulates floats into per-node
-    /// gram totals, and HashMap iteration order varies per instance —
-    /// sorting here is what makes those sums bit-reproducible run to
-    /// run (the determinism suite compares them exactly).
+    /// gram totals, so a fixed order is what makes those sums
+    /// bit-reproducible run to run (the determinism suite compares them
+    /// exactly).
     ///
     /// Timeline mode answers the overwhelmingly common nothing-is-due
     /// case with one heap-top peek; the scan reference walks every
@@ -254,10 +257,9 @@ impl WarmPool {
                     // Valid only if the resident container still carries
                     // this exact expiry; anything else is a tombstone of
                     // a reused/replaced/transferred/revoked container.
-                    match self.containers.get(&func) {
+                    match self.get(func) {
                         Some(c) if c.expiry_ms == expiry => {
-                            let c = self.remove(func).expect("resident container");
-                            dead.push(c);
+                            dead.push(self.remove(func).expect("resident container"));
                         }
                         _ => self.stats.stale_pops += 1,
                     }
@@ -269,14 +271,12 @@ impl WarmPool {
                 dead
             }
             ExpiryMode::Scan => {
-                self.stats.scanned += self.containers.len() as u64;
-                let mut expired: Vec<FunctionId> = self
-                    .containers
-                    .values()
+                self.stats.scanned += self.len as u64;
+                let expired: Vec<FunctionId> = self
+                    .iter()
                     .filter(|c| c.expiry_ms <= t_ms)
                     .map(|c| c.func)
                     .collect();
-                expired.sort_unstable();
                 self.stats.expired += expired.len() as u64;
                 expired.into_iter().filter_map(|f| self.remove(f)).collect()
             }
@@ -289,15 +289,14 @@ impl WarmPool {
     pub fn drain_all(&mut self) -> Vec<WarmContainer> {
         self.period_delta_mib -= self.used_mib as i64;
         self.used_mib = 0;
+        self.len = 0;
         self.timeline.clear();
-        let mut drained: Vec<WarmContainer> = self.containers.drain().map(|(_, c)| c).collect();
-        drained.sort_unstable_by_key(|c| c.func);
-        drained
+        self.slots.drain(..).flatten().collect()
     }
 
-    /// Iterate resident containers (order unspecified).
+    /// Iterate resident containers in `FunctionId` order.
     pub fn iter(&self) -> impl Iterator<Item = &WarmContainer> {
-        self.containers.values()
+        self.slots.iter().flatten()
     }
 }
 
