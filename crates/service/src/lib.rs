@@ -324,7 +324,9 @@ mod tests {
         SynthTraceConfig::small(seed).generate(&WorkloadCatalog::sebs())
     }
 
-    /// Record-for-record equality over every deterministic field.
+    /// Record-for-record equality, plus the run's counters. Both runs
+    /// step one engine through the same invocations in the same order,
+    /// so even the expiry timeline's pop counts agree.
     fn assert_same_run(a: &RunMetrics, b: &RunMetrics) {
         assert_eq!(a.records, b.records);
         assert_eq!(a.evicted_functions, b.evicted_functions);

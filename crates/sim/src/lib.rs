@@ -5,10 +5,11 @@
 //! [`Scheduler`] (the paper's two-generation pair is the `N = 2` case):
 //!
 //! * **warm pools** ([`pool`]) — one per fleet node, memory-bounded,
-//!   holding the containers kept alive between invocations; expiry runs
-//!   off a min-heap timeline with lazy invalidation (a heap-top peek per
-//!   invocation instead of a pool scan; [`ExpiryMode::Scan`] keeps the
-//!   original scan as the bit-identity reference);
+//!   holding the containers kept alive between invocations in slots
+//!   indexed by function id; expiry runs off a min-heap timeline with
+//!   one live entry per function (a heap-top peek per invocation instead
+//!   of a pool scan; [`ExpiryMode::Scan`] keeps the original scan as the
+//!   bit-identity reference);
 //! * **engine** ([`engine`]) — advances invocation by invocation,
 //!   expiring containers, classifying warm/cold starts, computing service
 //!   time via the node performance model and carbon via the Sec. II

@@ -5,15 +5,26 @@
 //! Expiry — the most frequent event in a replay (every invocation lapses
 //! every node's overdue containers before anything else happens) — runs
 //! off a per-pool **expiry timeline**: a min-heap of `(expiry_ms,
-//! FunctionId)` entries with *lazy invalidation*. Inserts push an entry;
-//! removals (warm reuse, keep-alive replacement, transfer, revocation)
-//! leave their entry behind as a tombstone that is recognized and
-//! skipped when popped (the resident container's `expiry_ms` no longer
-//! matches). [`WarmPool::expire_until`] is therefore O(1) when nothing
-//! is due — a heap-top peek — instead of a scan of every resident
-//! container, and pops only actually-lapsed containers otherwise. The
-//! scan implementation survives behind [`ExpiryMode::Scan`] as the
-//! bit-identity reference the property suite replays against.
+//! FunctionId)` entries with **one live entry per function**. A
+//! function's slot records the time of its live entry, and every
+//! resident container's live entry is due at or before the container's
+//! own expiry:
+//!
+//! * an insert pushes only when the new expiry is earlier than the live
+//!   entry's (a shortened keep-alive, or a function with no entry); a
+//!   later expiry rides on the entry already there;
+//! * when a live entry pops and its container now expires later, it is
+//!   pushed again at that expiry;
+//! * removals (warm reuse, keep-alive replacement, transfer, revocation)
+//!   leave the entry in place: it pops onto an empty slot and expires
+//!   nothing. An entry whose time no longer matches its slot's was
+//!   superseded by an earlier push and is skipped.
+//!
+//! [`WarmPool::expire_until`] is therefore O(1) when nothing is due — a
+//! heap-top peek — instead of a scan of every resident container, and
+//! pops only due entries otherwise. The scan implementation survives
+//! behind [`ExpiryMode::Scan`] as the bit-identity reference the
+//! property suites replay against.
 
 use crate::container::WarmContainer;
 use ecolife_trace::FunctionId;
@@ -23,8 +34,9 @@ use std::collections::BinaryHeap;
 /// How a pool finds its lapsed containers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExpiryMode {
-    /// The expiry-timeline fast path (min-heap + lazy invalidation):
-    /// `expire_until` peeks the heap top and pops only due entries.
+    /// The expiry-timeline fast path (min-heap, one live entry per
+    /// function): `expire_until` peeks the heap top and pops only due
+    /// entries.
     #[default]
     Timeline,
     /// The original full-pool scan — O(residents) per call. Kept as the
@@ -39,10 +51,11 @@ pub enum ExpiryMode {
 pub struct ExpiryStats {
     /// Containers actually reclaimed by expiry (identical across modes).
     pub expired: u64,
-    /// Timeline entries popped (valid + stale); `Timeline` mode only.
+    /// Timeline entries popped; `Timeline` mode only.
     pub timeline_pops: u64,
-    /// Popped entries that were tombstones of removed/replaced
-    /// containers (the lazy-invalidation overhead); `Timeline` only.
+    /// Popped entries that expired nothing: superseded by an earlier
+    /// push, left by a container that is gone, or pushed again at their
+    /// container's later expiry; `Timeline` mode only.
     pub stale_pops: u64,
     /// Residents examined by the reference scan; `Scan` mode only.
     pub scanned: u64,
@@ -56,6 +69,26 @@ impl ExpiryStats {
         self.stale_pops += other.stale_pops;
         self.scanned += other.scanned;
     }
+}
+
+/// `Slot::scheduled_ms` of a function with no live timeline entry.
+const UNSCHEDULED: u64 = u64::MAX;
+
+/// One function's place in a pool.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    container: Option<WarmContainer>,
+    /// Time of the function's one live timeline entry, or
+    /// [`UNSCHEDULED`]. At or before `container`'s expiry while it is
+    /// resident; always `UNSCHEDULED` in [`ExpiryMode::Scan`].
+    scheduled_ms: u64,
+}
+
+impl Slot {
+    const EMPTY: Slot = Slot {
+        container: None,
+        scheduled_ms: UNSCHEDULED,
+    };
 }
 
 /// Warm pool with a hard memory budget. At most one container per
@@ -75,14 +108,13 @@ pub struct WarmPool {
     /// Bytes held on the same node by other shards' pools (MiB),
     /// refreshed from the memory ledger at each reconciliation.
     external_used_mib: u64,
-    /// Resident containers, indexed by raw `FunctionId`.
-    slots: Vec<Option<WarmContainer>>,
-    /// Number of filled slots.
+    /// One slot per function, indexed by raw `FunctionId`.
+    slots: Vec<Slot>,
+    /// Number of resident containers.
     len: usize,
-    /// The expiry timeline: min-heap of `(expiry_ms, func)`. Entries are
-    /// pushed on insert and lazily invalidated (skipped on pop) when the
-    /// resident container for `func` is gone or carries a different
-    /// expiry. Unused (empty) in [`ExpiryMode::Scan`].
+    /// The expiry timeline: min-heap of `(expiry_ms, func)`, one live
+    /// entry per function (see the module docs). Unused (empty) in
+    /// [`ExpiryMode::Scan`].
     timeline: BinaryHeap<Reverse<(u64, FunctionId)>>,
     mode: ExpiryMode,
     stats: ExpiryStats,
@@ -192,16 +224,16 @@ impl WarmPool {
         }
         let idx = container.func.as_usize();
         if idx >= self.slots.len() {
-            self.slots.resize(idx + 1, None);
+            self.slots.resize(idx + 1, Slot::EMPTY);
         }
-        if self.mode == ExpiryMode::Timeline {
+        let slot = &mut self.slots[idx];
+        if self.mode == ExpiryMode::Timeline && container.expiry_ms < slot.scheduled_ms {
+            slot.scheduled_ms = container.expiry_ms;
             self.timeline
                 .push(Reverse((container.expiry_ms, container.func)));
         }
-        let old = self.slots[idx].replace(container);
+        let old = slot.container.replace(container);
         match old {
-            // The replaced entry's timeline node becomes a tombstone
-            // (its expiry no longer matches the resident container).
             Some(ref o) => {
                 self.used_mib -= o.memory_mib;
                 self.period_delta_mib -= o.memory_mib as i64;
@@ -213,10 +245,10 @@ impl WarmPool {
         Ok(old)
     }
 
-    /// Remove and return the container for `func`. Its timeline entry is
-    /// left behind as a tombstone, recognized when popped.
+    /// Remove and return the container for `func`. Its timeline entry
+    /// stays in place and expires nothing when it pops.
     pub fn remove(&mut self, func: FunctionId) -> Option<WarmContainer> {
-        let c = self.slots.get_mut(func.as_usize())?.take()?;
+        let c = self.slots.get_mut(func.as_usize())?.container.take()?;
         self.len -= 1;
         self.used_mib -= c.memory_mib;
         self.period_delta_mib -= c.memory_mib as i64;
@@ -226,7 +258,9 @@ impl WarmPool {
     /// Container for `func`, if resident.
     #[inline]
     pub fn get(&self, func: FunctionId) -> Option<&WarmContainer> {
-        self.slots.get(func.as_usize()).and_then(Option::as_ref)
+        self.slots
+            .get(func.as_usize())
+            .and_then(|s| s.container.as_ref())
     }
 
     /// Remove every container with `expiry_ms <= t_ms`, returning them
@@ -254,14 +288,28 @@ impl WarmPool {
                     }
                     self.timeline.pop();
                     self.stats.timeline_pops += 1;
-                    // Valid only if the resident container still carries
-                    // this exact expiry; anything else is a tombstone of
-                    // a reused/replaced/transferred/revoked container.
-                    match self.get(func) {
-                        Some(c) if c.expiry_ms == expiry => {
+                    let slot = &mut self.slots[func.as_usize()];
+                    if slot.scheduled_ms != expiry {
+                        // Superseded by an earlier push for `func`.
+                        self.stats.stale_pops += 1;
+                        continue;
+                    }
+                    match slot.container {
+                        Some(c) if c.expiry_ms <= t_ms => {
+                            slot.scheduled_ms = UNSCHEDULED;
                             dead.push(self.remove(func).expect("resident container"));
                         }
-                        _ => self.stats.stale_pops += 1,
+                        Some(c) => {
+                            // Kept alive past this entry: it moves to
+                            // the container's own expiry.
+                            slot.scheduled_ms = c.expiry_ms;
+                            self.timeline.push(Reverse((c.expiry_ms, func)));
+                            self.stats.stale_pops += 1;
+                        }
+                        None => {
+                            slot.scheduled_ms = UNSCHEDULED;
+                            self.stats.stale_pops += 1;
+                        }
                     }
                 }
                 // The heap yields (expiry, func) order; the engine pins
@@ -291,12 +339,12 @@ impl WarmPool {
         self.used_mib = 0;
         self.len = 0;
         self.timeline.clear();
-        self.slots.drain(..).flatten().collect()
+        self.slots.drain(..).filter_map(|s| s.container).collect()
     }
 
     /// Iterate resident containers in `FunctionId` order.
     pub fn iter(&self) -> impl Iterator<Item = &WarmContainer> {
-        self.slots.iter().flatten()
+        self.slots.iter().filter_map(|s| s.container.as_ref())
     }
 }
 
@@ -480,22 +528,55 @@ mod tests {
 
     #[test]
     fn timeline_tracks_keepalive_extension() {
-        // Re-keep-alive replaces the entry with a later expiry: the old
-        // timeline node is a tombstone, the new one fires at the new time.
+        // Re-keep-alive with a later expiry rides on the scheduled entry:
+        // it pops at the old time, expires nothing, and moves to the new.
         let mut p = WarmPool::new(1_000);
         p.insert(c(0, 100, 0, 50)).unwrap();
         p.insert(c(0, 100, 10, 500)).unwrap(); // extension
         assert!(p.expire_until(100).is_empty(), "extended, must not lapse");
-        assert_eq!(p.expiry_stats().stale_pops, 1, "old entry tombstoned");
+        assert_eq!(p.expiry_stats().stale_pops, 1, "old entry moved on");
         let dead = p.expire_until(500);
         assert_eq!(dead.len(), 1);
         assert_eq!(dead[0].expiry_ms, 500);
     }
 
     #[test]
+    fn timeline_keeps_one_live_entry_per_function() {
+        // Three extensions of one container push nothing: the first
+        // entry pops once and finds the container due.
+        let mut p = WarmPool::new(1_000);
+        for expiry in [50, 100, 150, 200] {
+            p.insert(c(0, 100, 0, expiry)).unwrap();
+        }
+        let dead = p.expire_until(300);
+        assert_eq!(dead.len(), 1);
+        assert_eq!(dead[0].expiry_ms, 200);
+        let stats = p.expiry_stats();
+        assert_eq!(stats.expired, 1);
+        assert!(stats.timeline_pops <= 2, "{} pops", stats.timeline_pops);
+    }
+
+    #[test]
+    fn shortened_keepalive_lapses_at_its_new_expiry() {
+        both_modes(|pool| {
+            let mut p = pool(1_000);
+            p.insert(c(0, 100, 0, 500)).unwrap();
+            p.remove(FunctionId(0)).unwrap();
+            p.insert(c(0, 100, 0, 100)).unwrap();
+            assert!(p.expire_until(99).is_empty());
+            let dead = p.expire_until(100);
+            assert_eq!(dead.len(), 1);
+            assert_eq!(dead[0].expiry_ms, 100);
+            assert!(p.is_empty());
+            assert!(p.expire_until(500).is_empty());
+            assert_eq!(p.expiry_stats().expired, 1);
+        });
+    }
+
+    #[test]
     fn timeline_handles_reinserted_same_expiry() {
-        // Remove + re-insert with the *same* expiry leaves two live-
-        // looking heap entries for one container; exactly one may expire.
+        // Remove + re-insert with the *same* expiry rides on the entry
+        // already scheduled; the container expires exactly once.
         let mut p = WarmPool::new(1_000);
         p.insert(c(0, 100, 0, 50)).unwrap();
         let taken = p.remove(FunctionId(0)).unwrap();
@@ -504,7 +585,7 @@ mod tests {
         assert_eq!(dead.len(), 1);
         assert!(p.is_empty());
         assert_eq!(p.expiry_stats().expired, 1);
-        assert_eq!(p.expiry_stats().stale_pops, 1);
+        assert_eq!(p.expiry_stats().stale_pops, 0);
     }
 
     #[test]
