@@ -204,9 +204,10 @@ fn write_json() {
         .float("engine_ten_million_sharded_ms", ten_m_sharded_ms, 0)
         .text(
             "note",
-            "engine_sequential_scan_ms replays with ExpiryMode::Scan (the seed's O(pool) expiry \
-             sweep); engine_sequential_ms is the default min-heap expiry timeline — bit-identical \
-             runs (tests/expiry_timeline.rs), so expiry_timeline_speedup is pure mechanism and \
+            "engine_sequential_scan_ms replays with ExpiryMode::Scan (the seed's full-pool expiry \
+             sweep, which walks every slot of a pool, one per function id, on each invocation); \
+             engine_sequential_ms is the default min-heap expiry timeline — bit-identical runs \
+             (tests/expiry_timeline.rs), so expiry_timeline_speedup is pure mechanism and \
              core-count independent. Shard speedups approach min(shards, cores) and record parity \
              by construction on a 1-CPU host. The ten_million rows replay \
              SynthTraceConfig::ten_million through the preallocating trace loader. All engine rows \

@@ -39,9 +39,10 @@ pub enum ExpiryMode {
     /// entries.
     #[default]
     Timeline,
-    /// The original full-pool scan — O(residents) per call. Kept as the
-    /// reference implementation: the timeline must reproduce its
-    /// records bit-for-bit (tests/expiry_timeline.rs, CI smoke bench).
+    /// The original full-pool scan — it walks every slot of the pool
+    /// (one per function id) per call. Kept as the reference
+    /// implementation: the timeline must reproduce its records
+    /// bit-for-bit (tests/expiry_timeline.rs, CI smoke bench).
     Scan,
 }
 
