@@ -341,6 +341,120 @@ fn cross_shard_contention_resolves_by_the_documented_tie_break() {
     assert_eq!(m.reconcile_revocations, m2.reconcile_revocations);
 }
 
+/// Two functions in different halves of a 2-way shard split: the first
+/// is function 0, the second the smallest higher id in the other shard.
+fn split_pair() -> (FunctionId, FunctionId) {
+    let a = FunctionId(0);
+    let b = (1..8u32)
+        .map(FunctionId)
+        .find(|&f| shard_of(f, 2) != shard_of(a, 2))
+        .expect("some small id lands in the other shard");
+    (a, b)
+}
+
+/// The adversarial fleet of the tests above (node 1 is the cheap
+/// keep-alive host), every pool fitting exactly one 512-MiB container,
+/// and a catalog of `n` identical 512-MiB functions.
+fn one_slot_fleet(n: u32) -> (WorkloadCatalog, CarbonIntensityTrace, Fleet) {
+    let catalog = WorkloadCatalog::new(
+        (0..n)
+            .map(|i| FunctionProfile::new(&format!("f{i}"), 1_000, 2_000, 512, 0.5))
+            .collect(),
+    );
+    let ci = CarbonIntensityTrace::constant(300.0, 120);
+    let fleet = skus::fleet_of(&[Sku::M5Metal, Sku::I3Metal, Sku::M5znMetal])
+        .with_uniform_keepalive_budget_mib(512);
+    (catalog, ci, fleet)
+}
+
+/// A shard admits against the bytes the other shards kept alive in
+/// earlier periods: function b, arriving two minutes after a filled node
+/// 1's only slot from the other shard, finds the slot taken and is
+/// dropped exactly as in the sequential run — no optimistic admission,
+/// so nothing for the reconciliation pass to revoke.
+#[test]
+fn a_shard_admits_against_the_other_shards_earlier_keepalives() {
+    let (a, b) = split_pair();
+    let (catalog, ci, fleet) = one_slot_fleet(b.0 + 1);
+    let trace = Trace::new(
+        catalog,
+        vec![
+            Invocation { func: a, t_ms: 0 },
+            Invocation {
+                func: b,
+                t_ms: 2 * MINUTE_MS,
+            },
+        ],
+    );
+    let sim = Simulation::new(&trace, &ci, fleet);
+
+    let sequential = sim.run(&mut KeepOnOne);
+    assert_eq!(sequential.evicted_functions, 1);
+    assert_eq!(sequential.reconcile_revocations, 0);
+
+    for threads in [1, 2] {
+        let m = sim.run_sharded(|_| KeepOnOne, &ShardOptions::new(2).with_threads(threads));
+        assert_eq!(m.records, sequential.records, "threads={threads}");
+        assert_eq!(m.reconcile_revocations, 0, "threads={threads}");
+        assert_eq!(m.evicted_functions, 1, "threads={threads}");
+    }
+}
+
+/// Executes on node 2 and keeps every function alive on node 1, except
+/// the one named, which it keeps on node 0; overflow drops.
+struct KeepOnOneExceptOnZero(FunctionId);
+impl Scheduler for KeepOnOneExceptOnZero {
+    fn name(&self) -> &'static str {
+        "keep-on-one-except-on-zero"
+    }
+    fn decide(&mut self, ctx: &InvocationCtx<'_>) -> Decision {
+        let location = if ctx.func == self.0 {
+            NodeId(0)
+        } else {
+            NodeId(1)
+        };
+        Decision {
+            exec: NodeId(2),
+            keepalive: Some(KeepAliveChoice {
+                location,
+                duration_ms: 10 * MINUTE_MS,
+            }),
+        }
+    }
+}
+
+/// A revoked container's transfer retry counts every shard's bytes on
+/// the target: a and b overcommit node 1 from different shards, c (in
+/// a's shard) fills node 0, so b — the tie-break's loser — must skip
+/// node 0, which its own shard sees empty, and land on node 2.
+#[test]
+fn a_revoked_container_skips_a_target_full_of_other_shards_bytes() {
+    let (a, b) = split_pair();
+    let c = (b.0 + 1..b.0 + 16)
+        .map(FunctionId)
+        .find(|&f| shard_of(f, 2) == shard_of(a, 2))
+        .expect("some small id lands in a's shard");
+    let (catalog, ci, fleet) = one_slot_fleet(c.0 + 1);
+    let trace = Trace::new(
+        catalog,
+        vec![
+            Invocation { func: a, t_ms: 0 },
+            Invocation { func: b, t_ms: 0 },
+            Invocation { func: c, t_ms: 0 },
+        ],
+    );
+    let sim = Simulation::new(&trace, &ci, fleet.clone());
+
+    let m = sim.run_sharded(|_| KeepOnOneExceptOnZero(c), &ShardOptions::new(2));
+    assert_eq!(m.reconcile_revocations, 1);
+    assert_eq!(m.transfers, 1);
+    assert_eq!(m.evicted_functions, 0);
+    assert!(m.keepalive_g_by_node[2] > 0.0, "b landed on node 2");
+    for (&peak, node) in m.ledger_peak_mib.iter().zip(fleet.iter()) {
+        assert!(peak <= node.keepalive_mem_mib, "{peak} MiB over budget");
+    }
+}
+
 #[test]
 fn four_node_fleet_with_duplicate_skus_runs() {
     // Horizontal scale-out: two m5zn nodes next to two older ones. The
