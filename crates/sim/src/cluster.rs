@@ -12,9 +12,9 @@ use ecolife_trace::FunctionId;
 /// In a sharded run ([`Simulation::run_sharded`](crate::Simulation::run_sharded))
 /// each shard owns a whole `Cluster` — its private slice of every node's
 /// pool — and the other shards' bytes press on admission through each
-/// pool's `external_used_mib` ledger snapshot. A function's containers
-/// only ever live in its own shard's cluster, so `warm_location` stays a
-/// shard-local question.
+/// pool's `external_used_mib`, set at every reconciliation. A function's
+/// containers only ever live in its own shard's cluster, so
+/// `warm_location` stays a shard-local question.
 #[derive(Debug, Clone)]
 pub struct Cluster {
     fleet: Fleet,

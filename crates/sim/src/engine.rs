@@ -81,7 +81,7 @@ use crate::pool::ExpiryMode;
 use crate::scheduler::{
     Decision, InvocationCtx, KeepAliveChoice, OverflowAction, OverflowCtx, Scheduler,
 };
-use crate::shard::{merge_metrics, shard_of, MemoryLedger, ShardOptions};
+use crate::shard::{merge_metrics, shard_of, ShardOptions};
 use ecolife_carbon::{
     CarbonIntensityTrace, CarbonModel, CiBundle, CiError, CiProvider, Region, StalenessPolicy,
     TransferCost,
@@ -287,21 +287,23 @@ impl FleetTimeline {
 /// [`Engine::begin`] exactly as for a sequential run), scheduler
 /// instance, and sub-trace.
 struct ShardState<S> {
-    /// This shard's index — its row in the memory ledger.
-    shard_id: usize,
     run: RunState,
     scheduler: S,
-    /// This shard's invocations, as global indices into the (sorted)
-    /// trace. The processed prefix is also the record→global-index map
-    /// the merge uses: records are pushed in exactly this order.
+    /// This shard's invocations, as ascending global indices into the
+    /// (sorted) trace. The processed prefix is also the
+    /// record→global-index map the merge uses: records are pushed in
+    /// exactly this order.
     jobs: Vec<usize>,
     /// Next unprocessed entry of `jobs`.
     cursor: usize,
-    /// Period span cursors: `jobs[..ends[k]]` is exactly the prefix due
-    /// by the end of active period `k` (jobs are time-ordered because
-    /// the trace is), precomputed once so the replay loop runs each
-    /// period's span without a per-invocation time comparison.
-    ends: Vec<usize>,
+}
+
+/// Bytes kept alive on `node` across every shard's pool.
+fn node_used_mib<S>(states: &[ShardState<S>], node: NodeId) -> u64 {
+    states
+        .iter()
+        .map(|s| s.run.cluster.pool(node).used_mib())
+        .sum()
 }
 
 /// A configured simulation, ready to run against any scheduler — the one
@@ -482,13 +484,14 @@ impl<'a> Simulation<'a> {
     /// keep their global-index future knowledge); every invocation is
     /// routed to [`shard_of`]`(func, shards)` and replayed with the exact
     /// sequential [`Simulation::run`] semantics against that shard's own
-    /// pools. Cross-shard node memory goes through the atomic
-    /// [`MemoryLedger`](crate::shard): within a period each shard admits
-    /// against a start-of-period snapshot of the other shards' bytes; at
-    /// every period boundary a deterministic reconciliation pass expires
-    /// lapsed containers, revokes over-capacity admissions (youngest
+    /// pools. Node memory is counted once, in those pools: within a
+    /// period each shard admits against the other shards' bytes as they
+    /// stood at the period's start; at every period boundary the
+    /// coordinator's deterministic reconciliation pass expires lapsed
+    /// containers, revokes over-capacity admissions (youngest
     /// `warm_since_ms` first, ties against the higher `FunctionId`),
-    /// and retries them on the remaining nodes in id order.
+    /// retries them on the remaining nodes in id order, and hands every
+    /// pool the other shards' post-pass bytes (see [`crate::shard`]).
     ///
     /// **Determinism guarantee:** for fixed `(trace, ci, fleet, config,
     /// factory, shards, period_ms)` the result is bit-identical at any
@@ -526,14 +529,10 @@ impl<'a> Simulation<'a> {
         F: Fn(usize) -> S,
         K: EventSink,
     {
-        // `ShardOptions`' fields are public; re-validate here so a
-        // hand-built value fails with a clear message instead of a
-        // divide-by-zero below.
-        assert!(opts.shards > 0, "need at least one shard");
-        assert!(opts.period_ms > 0, "period must be positive");
         let n_shards = opts.shards;
         let n_nodes = self.fleet.len();
         let engine = self.engine();
+        let invocations = self.trace.invocations();
 
         // Shard states: a fresh run state, own scheduler, sub-trace
         // (global indices into the shared sorted trace — no invocation
@@ -543,50 +542,18 @@ impl<'a> Simulation<'a> {
                 let mut scheduler = factory(s);
                 scheduler.prepare(self.trace);
                 ShardState {
-                    shard_id: s,
                     run: engine.begin(),
                     scheduler,
                     jobs: Vec::new(),
                     cursor: 0,
-                    ends: Vec::new(),
                 }
             })
             .collect();
-        for (index, inv) in self.trace.invocations().iter().enumerate() {
+        for (index, inv) in invocations.iter().enumerate() {
             states[shard_of(inv.func, n_shards)].jobs.push(index);
         }
 
-        // Periods that actually contain work, in time order (the trace is
-        // sorted); empty stretches are skipped without changing semantics
-        // because reconciliation runs before each active period either way.
-        let mut periods: Vec<u64> = self
-            .trace
-            .invocations()
-            .iter()
-            .map(|inv| inv.t_ms / opts.period_ms)
-            .collect();
-        periods.dedup();
-
-        // Batch each shard's per-period decision spans up front: one
-        // O(jobs + periods) pass per shard replaces the per-invocation
-        // `t_ms >= t_end` comparison the replay loop used to make.
-        for state in &mut states {
-            let mut j = 0usize;
-            state.ends = Vec::with_capacity(periods.len());
-            for &period in &periods {
-                let t_end = period
-                    .saturating_mul(opts.period_ms)
-                    .saturating_add(opts.period_ms);
-                while j < state.jobs.len() && self.trace.invocations()[state.jobs[j]].t_ms < t_end {
-                    j += 1;
-                }
-                state.ends.push(j);
-            }
-            debug_assert_eq!(state.ends.last().copied().unwrap_or(0), state.jobs.len());
-        }
-
         let workers = opts.threads.unwrap_or_else(default_threads).max(1);
-        let ledger = MemoryLedger::new(n_shards, n_nodes);
         let mut ledger_peak_mib = vec![0u64; n_nodes];
 
         // One persistent worker pool for the whole run: periods are
@@ -595,48 +562,36 @@ impl<'a> Simulation<'a> {
         // spawn/join cycles on an hours-long trace).
         let mut pool = WorkerPool::new(workers.min(n_shards));
 
-        for (k, &period) in periods.iter().enumerate() {
-            let t_start = period.saturating_mul(opts.period_ms);
+        // Walk the periods that contain work, in time order: `next` is
+        // the first invocation not yet replayed, and each period runs up
+        // to the first arrival at or past its end. Empty stretches are
+        // skipped without changing semantics, because reconciliation
+        // runs before each active period either way.
+        let mut next = 0usize;
+        let mut t_final = 0u64;
+        while next < invocations.len() {
+            let t_start = invocations[next].t_ms / opts.period_ms * opts.period_ms;
+            let t_end = t_start.saturating_add(opts.period_ms);
+            next += invocations[next..].partition_point(|inv| inv.t_ms < t_end);
+            t_final = t_end;
 
             // Barrier phase (coordinator, deterministic shard/node
-            // order): reconcile, then bring the ledger's atomic cells up
-            // to date by applying each pool's accumulated occupancy
-            // delta — the flat per-period buffer every shard's
-            // admissions/expiries/reconcile moves funded — in one pass,
-            // instead of re-snapshotting every pool.
+            // order): reconcile, which also sets every pool's share of
+            // the other shards' bytes.
             engine.reconcile::<S, K>(t_start, &mut states, &mut ledger_peak_mib);
-            for (s, state) in states.iter_mut().enumerate() {
-                for id in self.fleet.ids() {
-                    let delta = state.run.cluster.pool_mut(id).take_period_delta_mib();
-                    ledger.adjust(s, id, delta);
-                    #[cfg(debug_assertions)]
-                    debug_assert_eq!(
-                        ledger.cell_mib(s, id),
-                        state.run.cluster.pool(id).used_mib(),
-                        "delta-maintained ledger cell diverged from pool occupancy"
-                    );
-                }
-            }
 
-            // Parallel phase: each worker first pulls its shard's
-            // cross-shard pressure snapshot from the ledger (concurrent
-            // reads of values fixed before the batch — deterministic),
-            // then replays its precomputed span of the period against
-            // its own pools. Which worker runs which shard never affects
-            // the outcome.
+            // Parallel phase: each worker replays its shard's jobs of
+            // the period against its own pools. Which worker runs which
+            // shard never affects the outcome.
             states = pool.run_map(states, |mut state| {
-                for id in self.fleet.ids() {
-                    let pressure = ledger.external_mib(state.shard_id, id);
-                    state
-                        .run
-                        .cluster
-                        .pool_mut(id)
-                        .set_external_used_mib(pressure);
-                }
-                let stop = state.ends[k];
+                let stop = state.cursor + state.jobs[state.cursor..].partition_point(|&i| i < next);
                 for &index in &state.jobs[state.cursor..stop] {
-                    let inv = &self.trace.invocations()[index];
-                    engine.ingest::<S, K>(&mut state.run, index, inv, &mut state.scheduler);
+                    engine.ingest::<S, K>(
+                        &mut state.run,
+                        index,
+                        &invocations[index],
+                        &mut state.scheduler,
+                    );
                 }
                 state.cursor = stop;
                 state
@@ -645,10 +600,6 @@ impl<'a> Simulation<'a> {
 
         // Final reconciliation (capacity holds at the horizon too), then
         // end-of-run settlement in shard order.
-        let t_final = periods
-            .last()
-            .map(|p| (p + 1).saturating_mul(opts.period_ms))
-            .unwrap_or(0);
         engine.reconcile::<S, K>(t_final, &mut states, &mut ledger_peak_mib);
         for state in &mut states {
             engine.finish::<K>(&mut state.run);
@@ -1273,7 +1224,10 @@ impl<'r> Engine<'r> {
     ///    `warm_since_ms`** (ties: the **higher `FunctionId`** loses) —
     ///    the most recent optimistic admission — settle its stay, and
     ///    retry it against the other nodes in id order with true
-    ///    cross-shard headroom (a transfer), else evict it.
+    ///    cross-shard headroom (a transfer), else evict it;
+    /// 3. record each node's post-pass occupancy and set every shard's
+    ///    pool's external share to the other shards' bytes on that node —
+    ///    what the shard admits against until the next pass.
     fn reconcile<S: Scheduler, K: EventSink>(
         &self,
         t_now: u64,
@@ -1293,7 +1247,7 @@ impl<'r> Engine<'r> {
         //
         // (1) Eager expiry: the sequential engine expires on every
         // invocation; shards expire their own pools mid-period, so this
-        // only brings the ledger's cross-shard view up to date. Expiry
+        // only brings the other shards' view of each pool up to date. Expiry
         // events carry their *canonical* anchor (the global expiry
         // trigger), so sweeping a container here instead of mid-step
         // lands it at the exact position the sequential stream has it.
@@ -1322,14 +1276,7 @@ impl<'r> Engine<'r> {
         // (2) Capacity reconciliation, node by node in id order.
         for id in self.fleet.ids() {
             let capacity = self.fleet.node(id).keepalive_mem_mib;
-            loop {
-                let total: u64 = states
-                    .iter()
-                    .map(|s| s.run.cluster.pool(id).used_mib())
-                    .sum();
-                if total <= capacity {
-                    break;
-                }
+            while node_used_mib(states, id) > capacity {
                 // Deterministic victim: max over the total order
                 // (warm_since, func, shard).
                 let victim = states
@@ -1392,28 +1339,12 @@ impl<'r> Engine<'r> {
                     {
                         continue;
                     }
-                    let target_capacity = self.fleet.node(target).keepalive_mem_mib;
-                    let reclaimed = states[owner]
-                        .run
-                        .cluster
-                        .pool(target)
-                        .get(func)
-                        .map(|c| c.memory_mib)
-                        .unwrap_or(0);
-                    let target_total: u64 = states
-                        .iter()
-                        .map(|s| s.run.cluster.pool(target).used_mib())
-                        .sum();
-                    if target_total - reclaimed + container.memory_mib > target_capacity {
-                        continue;
-                    }
-                    // The cross-shard check above is authoritative here;
-                    // clear the stale per-period snapshot so the local
-                    // insert cannot spuriously reject (it is refreshed
-                    // from the ledger before the next period anyway).
+                    // Admit against every shard's bytes on the target.
+                    let others = node_used_mib(states, target)
+                        - states[owner].run.cluster.pool(target).used_mib();
                     let run = &mut states[owner].run;
                     let pool = run.cluster.pool_mut(target);
-                    pool.set_external_used_mib(0);
+                    pool.set_external_used_mib(others);
                     match pool.insert(container) {
                         Ok(replaced) => {
                             if let Some(old) = replaced {
@@ -1439,12 +1370,10 @@ impl<'r> Engine<'r> {
                                 run.events.push((rc_key(), e));
                             }
                             placed = true;
+                            break;
                         }
-                        Err(c) => {
-                            debug_assert!(false, "headroom-checked insert rejected {:?}", c.func);
-                        }
+                        Err(c) => container = c,
                     }
-                    break;
                 }
                 if !placed {
                     states[owner].run.metrics.evicted_functions += 1;
@@ -1458,13 +1387,14 @@ impl<'r> Engine<'r> {
         // under capacity (transfer headroom is checked against the true
         // cross-shard sum) — only here.
         for id in self.fleet.ids() {
-            let total: u64 = states
-                .iter()
-                .map(|s| s.run.cluster.pool(id).used_mib())
-                .sum();
+            let total = node_used_mib(states, id);
             debug_assert!(total <= self.fleet.node(id).keepalive_mem_mib);
             let peak = &mut ledger_peak_mib[id.index()];
             *peak = (*peak).max(total);
+            for state in states.iter_mut() {
+                let pool = state.run.cluster.pool_mut(id);
+                pool.set_external_used_mib(total - pool.used_mib());
+            }
         }
     }
 

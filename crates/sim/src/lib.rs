@@ -30,13 +30,14 @@
 //!   metrics, replayed in parallel over one persistent
 //!   [`parallel::WorkerPool`] (threads live across all reconciliation
 //!   periods, with a barrier per period batch). The
-//!   one cross-shard interaction — per-node memory capacity — goes
-//!   through an atomic per-`NodeId` memory ledger: shards admit against
-//!   start-of-period snapshots and a deterministic reconciliation pass
-//!   per period expires, revokes (youngest `warm_since_ms` first, ties
-//!   against the higher `FunctionId`), transfers, or evicts, so runs are
-//!   bit-identical at any worker-thread count — and identical to the
-//!   sequential path whenever shards never contend for a node.
+//!   one cross-shard interaction — per-node memory capacity — is counted
+//!   once, in the shards' pools: shards admit against the other shards'
+//!   bytes as they stood at the period's start, and a deterministic
+//!   reconciliation pass per period expires, revokes (youngest
+//!   `warm_since_ms` first, ties against the higher `FunctionId`),
+//!   transfers, or evicts, so runs are bit-identical at any
+//!   worker-thread count — and identical to the sequential path whenever
+//!   shards never contend for a node.
 //!
 //! The sequential engine ([`Simulation::run`]) remains the
 //! single-threaded reference; experiment sweeps additionally fan whole

@@ -98,16 +98,16 @@ impl Slot {
 ///
 /// In a sharded run several pools share one physical node: each shard
 /// owns a pool, and the engine charges the *other* shards' bytes against
-/// this pool's budget through [`WarmPool::set_external_used_mib`] (a
-/// start-of-period ledger snapshot). The external share counts toward
-/// admission ([`WarmPool::fits`]) but is never mutated by this pool's
-/// own inserts/removals. Sequential runs leave it at zero.
+/// this pool's budget through [`WarmPool::set_external_used_mib`] (their
+/// pools' occupancy at the last reconciliation). The external share
+/// counts toward admission ([`WarmPool::fits`]) but is never mutated by
+/// this pool's own inserts/removals. Sequential runs leave it at zero.
 #[derive(Debug, Clone, Default)]
 pub struct WarmPool {
     capacity_mib: u64,
     used_mib: u64,
     /// Bytes held on the same node by other shards' pools (MiB),
-    /// refreshed from the memory ledger at each reconciliation.
+    /// refreshed at each reconciliation.
     external_used_mib: u64,
     /// One slot per function, indexed by raw `FunctionId`.
     slots: Vec<Slot>,
@@ -119,11 +119,6 @@ pub struct WarmPool {
     timeline: BinaryHeap<Reverse<(u64, FunctionId)>>,
     mode: ExpiryMode,
     stats: ExpiryStats,
-    /// Net occupancy change (MiB) since the last
-    /// [`WarmPool::take_period_delta_mib`] — the sharded engine's
-    /// per-period admissions buffer, applied to the memory ledger in one
-    /// pass at reconciliation instead of re-snapshotting every pool.
-    period_delta_mib: i64,
 }
 
 impl WarmPool {
@@ -169,21 +164,11 @@ impl WarmPool {
         self.external_used_mib
     }
 
-    /// Refresh the cross-shard pressure (ledger snapshot) this pool's
-    /// admission decisions must respect.
+    /// Refresh the cross-shard pressure (the other shards' bytes on this
+    /// node) this pool's admission decisions must respect.
     #[inline]
     pub fn set_external_used_mib(&mut self, mib: u64) {
         self.external_used_mib = mib;
-    }
-
-    /// Net occupancy change (MiB, signed) since the last call — and
-    /// reset. The sharded engine drains this per period and applies it
-    /// to the cross-shard memory ledger in one pass; every mutation path
-    /// (insert, remove, expiry, drain) funds it, so
-    /// `previous_published + delta == used_mib` always holds.
-    #[inline]
-    pub fn take_period_delta_mib(&mut self) -> i64 {
-        std::mem::take(&mut self.period_delta_mib)
     }
 
     #[inline]
@@ -235,14 +220,10 @@ impl WarmPool {
         }
         let old = slot.container.replace(container);
         match old {
-            Some(ref o) => {
-                self.used_mib -= o.memory_mib;
-                self.period_delta_mib -= o.memory_mib as i64;
-            }
+            Some(ref o) => self.used_mib -= o.memory_mib,
             None => self.len += 1,
         }
         self.used_mib += container.memory_mib;
-        self.period_delta_mib += container.memory_mib as i64;
         Ok(old)
     }
 
@@ -252,7 +233,6 @@ impl WarmPool {
         let c = self.slots.get_mut(func.as_usize())?.container.take()?;
         self.len -= 1;
         self.used_mib -= c.memory_mib;
-        self.period_delta_mib -= c.memory_mib as i64;
         Some(c)
     }
 
@@ -336,7 +316,6 @@ impl WarmPool {
     /// order for the same bit-reproducibility reason as
     /// [`WarmPool::expire_until`].
     pub fn drain_all(&mut self) -> Vec<WarmContainer> {
-        self.period_delta_mib -= self.used_mib as i64;
         self.used_mib = 0;
         self.len = 0;
         self.timeline.clear();
@@ -605,26 +584,5 @@ mod tests {
         let s = scan.expiry_stats();
         assert_eq!((s.expired, s.timeline_pops), (1, 0));
         assert_eq!(s.scanned, 2, "one resident examined per call");
-    }
-
-    #[test]
-    fn period_delta_follows_every_mutation_path() {
-        let mut p = WarmPool::new(1_000);
-        assert_eq!(p.take_period_delta_mib(), 0);
-        p.insert(c(0, 400, 0, 100)).unwrap();
-        p.insert(c(1, 300, 0, 50)).unwrap();
-        assert_eq!(p.take_period_delta_mib(), 700);
-        // Replacement: -400 + 250.
-        p.insert(c(0, 250, 10, 200)).unwrap();
-        assert_eq!(p.take_period_delta_mib(), -150);
-        // Expiry of f1 releases 300.
-        p.expire_until(50);
-        assert_eq!(p.take_period_delta_mib(), -300);
-        // Remove + drain.
-        p.insert(c(2, 100, 0, 500)).unwrap();
-        p.remove(FunctionId(2));
-        p.drain_all();
-        assert_eq!(p.take_period_delta_mib(), -250);
-        assert_eq!(p.used_mib(), 0);
     }
 }

@@ -6,22 +6,22 @@
 //! function hash into [`shard_of`] shards, each owning one
 //! [`Cluster`](crate::Cluster) (a warm pool per fleet node) and one
 //! [`RunMetrics`] accumulator, replayed in parallel. The single
-//! cross-shard interaction — node memory capacity — goes through the
-//! [`MemoryLedger`]:
+//! cross-shard interaction — node memory capacity — is counted once, in
+//! those pools:
 //!
-//! * during a period, every shard admits keep-alives against a
-//!   *start-of-period snapshot* of the other shards' per-node bytes (set
-//!   as each pool's `external_used_mib`), never against live cross-shard
-//!   state — so its decisions are a pure function of the snapshot and
-//!   its own sub-trace, bit-identical at any thread count;
-//! * at each period boundary the coordinator runs a deterministic
-//!   reconciliation pass — expire lapsed containers, then, on any node
-//!   over capacity, revoke optimistically admitted containers (youngest
-//!   `warm_since_ms` first, ties broken against the higher
-//!   `FunctionId`) and retry them against the remaining nodes in id
-//!   order (transfer), else evict — and publishes every shard's
-//!   post-pass usage into the ledger's atomic cells, from which all
-//!   workers then read their snapshots concurrently.
+//! * during a period, every shard admits keep-alives against the other
+//!   shards' per-node bytes as they stood at the period's start (set as
+//!   each pool's `external_used_mib`), never against live cross-shard
+//!   state — so its decisions are a pure function of that share and its
+//!   own sub-trace, bit-identical at any thread count;
+//! * at each period boundary the coordinator, with every worker parked,
+//!   runs a deterministic reconciliation pass — expire lapsed
+//!   containers, then, on any node over capacity, revoke optimistically
+//!   admitted containers (youngest `warm_since_ms` first, ties broken
+//!   against the higher `FunctionId`) and retry them against the
+//!   remaining nodes in id order (transfer), else evict — and then sets
+//!   every pool's external share from the other shards' post-pass
+//!   `used_mib`.
 //!
 //! After every reconciliation, per-node occupancy is at or under
 //! capacity ([`RunMetrics::ledger_peak_mib`] records the post-pass
@@ -33,7 +33,6 @@ use crate::metrics::{InvocationRecord, RunMetrics};
 use ecolife_carbon::CarbonFootprint;
 use ecolife_hw::NodeId;
 use ecolife_trace::FunctionId;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The shard owning `func` when the cluster is split `n_shards` ways.
 ///
@@ -47,25 +46,22 @@ pub fn shard_of(func: FunctionId, n_shards: usize) -> usize {
     (x % n_shards as u64) as usize
 }
 
-/// Knobs of a sharded run.
+/// Knobs of a sharded run, built with [`ShardOptions::new`] and the
+/// `with_*` setters, each of which rejects a zero.
 #[derive(Debug, Clone)]
 pub struct ShardOptions {
-    /// Number of `FunctionId`-hash shards (≥ 1; `1` degenerates to the
-    /// sequential semantics, reconciliation passes included but inert).
-    pub shards: usize,
-    /// Reconciliation period (simulated ms): the granularity at which
-    /// cross-shard memory pressure becomes visible and over-capacity
-    /// nodes are reconciled. Defaults to one minute (the carbon-intensity
-    /// resolution).
-    pub period_ms: u64,
-    /// Worker-thread override for the shard fan-out; `None` inherits
-    /// [`available_parallelism`](std::thread::available_parallelism).
-    /// Results are bit-identical at any value — tests pin 1/2/4 workers
-    /// to prove it.
-    pub threads: Option<usize>,
+    /// Number of `FunctionId`-hash shards.
+    pub(crate) shards: usize,
+    /// Reconciliation period (simulated ms).
+    pub(crate) period_ms: u64,
+    /// Worker-thread override; `None` inherits the default.
+    pub(crate) threads: Option<usize>,
 }
 
 impl ShardOptions {
+    /// `shards` function-hash shards (`1` degenerates to the sequential
+    /// semantics, reconciliation passes included but inert), a one-minute
+    /// period and the default thread count.
     pub fn new(shards: usize) -> Self {
         assert!(shards > 0, "need at least one shard");
         ShardOptions {
@@ -75,93 +71,24 @@ impl ShardOptions {
         }
     }
 
+    /// Set the reconciliation period (simulated ms): the granularity at
+    /// which cross-shard memory pressure becomes visible and
+    /// over-capacity nodes are reconciled. Defaults to one minute (the
+    /// carbon-intensity resolution).
     pub fn with_period_ms(mut self, period_ms: u64) -> Self {
         assert!(period_ms > 0, "period must be positive");
         self.period_ms = period_ms;
         self
     }
 
-    /// Force the worker-thread count (see [`ShardOptions::threads`]).
+    /// Force the worker-thread count of the shard fan-out; by default it
+    /// inherits [`available_parallelism`](std::thread::available_parallelism).
+    /// Results are bit-identical at any value — tests pin 1/2/4 workers
+    /// to prove it.
     pub fn with_threads(mut self, threads: usize) -> Self {
         assert!(threads > 0, "need at least one worker thread");
         self.threads = Some(threads);
         self
-    }
-}
-
-/// Lock-free per-`NodeId` memory accounting across shards.
-///
-/// One atomic cell per `(shard, node)`. The coordinator stores every
-/// shard's post-reconciliation usage between periods (single writer,
-/// workers parked); all worker threads then load their cross-shard
-/// snapshots concurrently at the start of the period. Relaxed ordering
-/// suffices: the spawn/join edges of the period's thread scope order
-/// the stores before every load, so the values read are deterministic.
-pub(crate) struct MemoryLedger {
-    n_nodes: usize,
-    cells: Vec<AtomicU64>,
-}
-
-impl MemoryLedger {
-    pub(crate) fn new(n_shards: usize, n_nodes: usize) -> Self {
-        MemoryLedger {
-            n_nodes,
-            cells: (0..n_shards * n_nodes).map(|_| AtomicU64::new(0)).collect(),
-        }
-    }
-
-    /// Publish `shard`'s current per-node usage as a full snapshot. The
-    /// engine now maintains the cells incrementally via
-    /// [`MemoryLedger::adjust`]; the snapshot form remains as the test
-    /// reference the deltas are checked against.
-    #[cfg(test)]
-    pub(crate) fn publish(&self, shard: usize, used_mib_by_node: &[u64]) {
-        debug_assert_eq!(used_mib_by_node.len(), self.n_nodes);
-        for (node, &used) in used_mib_by_node.iter().enumerate() {
-            self.cells[shard * self.n_nodes + node].store(used, Ordering::Relaxed);
-        }
-    }
-
-    /// Apply a signed occupancy delta to `(shard, node)` — the batched
-    /// form of [`MemoryLedger::publish`]: instead of re-snapshotting
-    /// every pool each period, the coordinator applies each pool's
-    /// accumulated net change
-    /// ([`WarmPool::take_period_delta_mib`](crate::WarmPool::take_period_delta_mib))
-    /// in one pass. Coordinator-only (single writer, workers parked).
-    pub(crate) fn adjust(&self, shard: usize, node: NodeId, delta_mib: i64) {
-        if delta_mib == 0 {
-            return;
-        }
-        let cell = &self.cells[shard * self.n_nodes + node.index()];
-        let current = cell.load(Ordering::Relaxed);
-        let next = current
-            .checked_add_signed(delta_mib)
-            .expect("ledger cell under/overflow: delta disagrees with published usage");
-        cell.store(next, Ordering::Relaxed);
-    }
-
-    /// The published usage of `(shard, node)` — for asserting the
-    /// delta-maintained cells against the pools' ground truth.
-    #[cfg(debug_assertions)]
-    pub(crate) fn cell_mib(&self, shard: usize, node: NodeId) -> u64 {
-        self.cells[shard * self.n_nodes + node.index()].load(Ordering::Relaxed)
-    }
-
-    /// Total bytes on `node` across all shards.
-    pub(crate) fn total_mib(&self, node: NodeId) -> u64 {
-        self.cells
-            .iter()
-            .skip(node.index())
-            .step_by(self.n_nodes)
-            .map(|c| c.load(Ordering::Relaxed))
-            .sum()
-    }
-
-    /// Bytes on `node` held by shards other than `shard` — the external
-    /// pressure snapshot a shard's pools admit against for one period.
-    pub(crate) fn external_mib(&self, shard: usize, node: NodeId) -> u64 {
-        self.total_mib(node)
-            - self.cells[shard * self.n_nodes + node.index()].load(Ordering::Relaxed)
     }
 }
 
@@ -280,34 +207,6 @@ mod tests {
         for f in 0..100u32 {
             assert_eq!(shard_of(FunctionId(f), 1), 0);
         }
-    }
-
-    #[test]
-    fn ledger_totals_and_external_views() {
-        let ledger = MemoryLedger::new(3, 2);
-        ledger.publish(0, &[100, 10]);
-        ledger.publish(1, &[200, 20]);
-        ledger.publish(2, &[300, 30]);
-        assert_eq!(ledger.total_mib(NodeId(0)), 600);
-        assert_eq!(ledger.total_mib(NodeId(1)), 60);
-        assert_eq!(ledger.external_mib(1, NodeId(0)), 400);
-        assert_eq!(ledger.external_mib(2, NodeId(1)), 30);
-        // Re-publishing overwrites (it is a snapshot, not an increment).
-        ledger.publish(1, &[0, 0]);
-        assert_eq!(ledger.total_mib(NodeId(0)), 400);
-    }
-
-    #[test]
-    fn ledger_adjust_is_incremental_publish() {
-        let ledger = MemoryLedger::new(2, 2);
-        ledger.publish(0, &[100, 10]);
-        ledger.adjust(0, NodeId(0), 50);
-        ledger.adjust(0, NodeId(1), -10);
-        ledger.adjust(1, NodeId(0), 7);
-        ledger.adjust(1, NodeId(1), 0); // no-op
-        assert_eq!(ledger.total_mib(NodeId(0)), 157);
-        assert_eq!(ledger.total_mib(NodeId(1)), 0);
-        assert_eq!(ledger.external_mib(1, NodeId(0)), 150);
     }
 
     #[test]

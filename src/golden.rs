@@ -48,8 +48,9 @@ pub const CHAOS_VICTIM: FunctionId = FunctionId(13);
 /// The function whose keep-alive overflows node 1's pool and displaces
 /// [`CHAOS_VICTIM`] ("chaos-glutton": its footprint equals the whole
 /// per-node budget, so the insert fails whenever *anything* is
-/// resident — a fact every shard can see through the shared memory
-/// ledger, regardless of which shard owns the residents).
+/// resident — in the shard's own pool, or in another shard's pool as of
+/// the period's start, which every pool is charged as its external
+/// share — regardless of which shard owns the residents).
 pub const CHAOS_OVERFLOW: FunctionId = FunctionId(16);
 
 /// The per-node keep-alive budget of the chaos fleet. Sized above the
