@@ -4,7 +4,7 @@
 //! Paper numbers: without DPSO, EcoLife degrades by 5.6% (service) and
 //! 16.9% (carbon). In this reproduction the vanilla swarm freezes onto
 //! stale early decisions — losing far more service time (its warm rate
-//! collapses); see EXPERIMENTS.md for the deviation discussion.
+//! collapses).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ecolife_bench::{fmt_placement, EvalSetup};

@@ -13,8 +13,7 @@
 //! The paper runs this on pair C; in our calibration pair C's one-year
 //! generation gap leaves almost no keep-alive carbon advantage, so the
 //! experiment is shown on the default pair A (the four-year gap), where
-//! the trade-off the figure illustrates actually exists — see
-//! EXPERIMENTS.md.
+//! the trade-off the figure illustrates actually exists.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ecolife_carbon::CarbonModel;

@@ -13,12 +13,13 @@
 //!   speedup is *core-count independent* — the headline on a 1-CPU host;
 //! * **sharding** — sequential vs `Simulation::run_sharded` at 8 shards,
 //!   bare engine and full EcoLife. Shards only buy wall-clock on real
-//!   cores; the recorded `host_cpus` is what any speedup claim must be
-//!   read against (a 1-CPU container measures parity);
+//!   cores; the recorded `host_cpus` is what any speedup must be read
+//!   against. The bare engine does so little per invocation that the
+//!   shard split, the per-period barriers and the merge can outweigh the
+//!   workers; EcoLife's decisions dominate its replay;
 //! * **10⁷ scale** — the bare engine over `SynthTraceConfig::
-//!   ten_million`, the first entry at that scale: period-batched shard
-//!   cursors and the chunk-preallocated trace loader are what make the
-//!   run build and finish without per-invocation allocation.
+//!   ten_million`, the first entry at that scale: the chunk-preallocated
+//!   trace loader builds it without per-invocation allocation.
 //!
 //! Headline numbers land in `BENCH_sim.json` at the repo root.
 //!
@@ -208,11 +209,13 @@ fn write_json() {
              sweep, which walks every slot of a pool, one per function id, on each invocation); \
              engine_sequential_ms is the default min-heap expiry timeline — bit-identical runs \
              (tests/expiry_timeline.rs), so expiry_timeline_speedup is pure mechanism and \
-             core-count independent. Shard speedups approach min(shards, cores) and record parity \
-             by construction on a 1-CPU host. The ten_million rows replay \
-             SynthTraceConfig::ten_million through the preallocating trace loader. All engine rows \
-             run with the telemetry NullSink (the default `run` entry points), i.e. they double as \
-             the zero-overhead check for the event-stream instrumentation.",
+             core-count independent. The speedup rows divide sequential by 8-shard wall-clock on \
+             `threads` workers: engine_speedup is the bare engine, whose per-invocation work is \
+             small next to the shard split, per-period barriers and merge, so it can read below 1; \
+             ecolife_speedup is full EcoLife, whose decisions dominate the replay. The ten_million \
+             rows replay SynthTraceConfig::ten_million through the preallocating trace loader. All \
+             engine rows run with the telemetry NullSink (the default `run` entry points), i.e. \
+             they double as the zero-overhead check for the event-stream instrumentation.",
         )
         .write("BENCH_sim.json");
 }

@@ -390,8 +390,7 @@ mod tests {
         // in some cases when the carbon intensity is very low". In this
         // calibration Case A (warm on old) keeps a positive saving at low
         // CI (the embodied gap persists), but the absolute saving shrinks
-        // because the avoided cold-start *operational* carbon collapses —
-        // see EXPERIMENTS.md for the deviation note on the full inversion.
+        // because the avoided cold-start *operational* carbon collapses.
         let p = skus::pair_a();
         let m = model();
         let mem = 4_096;

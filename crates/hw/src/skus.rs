@@ -2,7 +2,7 @@
 //! and power values calibrated from the Boavizta methodology [25] and the
 //! Teads AWS EC2 dataset [34].
 //!
-//! Calibration rationale (see DESIGN.md §4 and EXPERIMENTS.md):
+//! Calibration rationale:
 //!
 //! * CPU embodied carbon grows with die size / core complexity / process
 //!   recency. Values are *compute-subsystem* attributions per the Teads

@@ -85,7 +85,7 @@ impl WorkloadCatalog {
     /// published SeBS measurements' orders of magnitude; the three
     /// functions the paper's motivation plots (video-processing,
     /// graph-bfs, dna-visualization) are calibrated to reproduce the
-    /// Fig. 1/2/3 shapes (see EXPERIMENTS.md).
+    /// Fig. 1/2/3 shapes (the comment above each names its target).
     pub fn sebs() -> Self {
         WorkloadCatalog::new(vec![
             // Fig. 2: +15.9% exec on A_OLD → sensitivity ≈ 0.64 at 1.25x.
