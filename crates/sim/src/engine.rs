@@ -1247,7 +1247,7 @@ impl<'r> Engine<'r> {
         //
         // (1) Eager expiry: the sequential engine expires on every
         // invocation; shards expire their own pools mid-period, so this
-        // only brings the other shards' view of each pool up to date. Expiry
+        // only brings the bytes the other shards see up to date. Expiry
         // events carry their *canonical* anchor (the global expiry
         // trigger), so sweeping a container here instead of mid-step
         // lands it at the exact position the sequential stream has it.
