@@ -18,9 +18,9 @@ fn print_fig11() {
         "{:<9} {:<6} {:>13} {:>11} {:>9} {:>10}",
         "old/new", "adjust", "service ms", "carbon g", "evicted", "transfers"
     );
-    for (old_gib, new_gib) in [(10u64, 10u64), (15, 15), (20, 20)] {
-        let pair = skus::pair_a().with_keepalive_budgets_mib(old_gib * 1024, new_gib * 1024);
-        let setup = EvalSetup::sized(48, 1_440, pair);
+    for gib in [10u64, 15, 20] {
+        let fleet = skus::fleet_a().with_uniform_keepalive_budget_mib(gib * 1024);
+        let setup = EvalSetup::sized(48, 1_440, fleet);
         let mut rows = Vec::new();
         for (label, cfg) in [
             ("yes", EcoLifeConfig::default()),
@@ -32,7 +32,7 @@ fn print_fig11() {
             let s = setup.run(&mut setup.ecolife_with(cfg));
             println!(
                 "{:<9} {:<6} {:>13} {:>11.2} {:>9} {:>10}",
-                format!("{old_gib}/{new_gib}"),
+                format!("{gib}/{gib}"),
                 label,
                 s.total_service_ms,
                 s.total_carbon_g,
@@ -54,8 +54,8 @@ fn print_fig11() {
 
 fn bench(c: &mut Criterion) {
     print_fig11();
-    let pair = skus::pair_a().with_keepalive_budgets_mib(4 * 1024, 4 * 1024);
-    let setup = EvalSetup::sized(16, 180, pair);
+    let fleet = skus::fleet_a().with_uniform_keepalive_budget_mib(4 * 1024);
+    let setup = EvalSetup::sized(16, 180, fleet);
     c.bench_function("fig11/pressured_run_quick", |b| {
         b.iter(|| black_box(setup.run(&mut setup.ecolife())))
     });

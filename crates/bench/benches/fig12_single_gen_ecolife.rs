@@ -8,17 +8,17 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use ecolife_bench::EvalSetup;
 use ecolife_core::{compare, EcoLifeConfig};
-use ecolife_hw::Generation;
 use std::hint::black_box;
 
 fn print_fig12() {
     let setup = EvalSetup::standard();
     let oracle = setup.run(&mut setup.oracle());
     let eco = setup.run(&mut setup.ecolife());
+    let (oldest, newest) = (setup.fleet.oldest(), setup.fleet.newest());
     let eco_old =
-        setup.run(&mut setup.ecolife_with(EcoLifeConfig::default().restricted_to(Generation::Old)));
+        setup.run(&mut setup.ecolife_with(EcoLifeConfig::default().restricted_to(oldest)));
     let eco_new =
-        setup.run(&mut setup.ecolife_with(EcoLifeConfig::default().restricted_to(Generation::New)));
+        setup.run(&mut setup.ecolife_with(EcoLifeConfig::default().restricted_to(newest)));
 
     println!("\n=== Fig. 12: single-generation EcoLife vs the multi-generation Oracle ===");
     println!(
@@ -42,11 +42,12 @@ fn print_fig12() {
 fn bench(c: &mut Criterion) {
     print_fig12();
     let setup = EvalSetup::quick();
+    let oldest = setup.fleet.oldest();
     c.bench_function("fig12/eco_old_quick", |b| {
         b.iter(|| {
-            black_box(setup.run(
-                &mut setup.ecolife_with(EcoLifeConfig::default().restricted_to(Generation::Old)),
-            ))
+            black_box(
+                setup.run(&mut setup.ecolife_with(EcoLifeConfig::default().restricted_to(oldest))),
+            )
         })
     });
 }

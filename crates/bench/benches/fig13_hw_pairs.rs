@@ -17,12 +17,16 @@ fn print_fig13() {
         "{:<8} {:>16} {:>16}",
         "pair", "svc vs Oracle", "CO2 vs Oracle"
     );
-    let rows = parallel_map(skus::all_pairs(), |pair| {
-        let id = pair.id;
+    let pairs = vec![
+        ("Pair A", skus::fleet_a()),
+        ("Pair B", skus::fleet_b()),
+        ("Pair C", skus::fleet_c()),
+    ];
+    let rows = parallel_map(pairs, |(id, fleet)| {
         let setup = EvalSetup::sized(
             48,
             1_440,
-            pair.with_keepalive_budgets_mib(15 * 1024, 15 * 1024),
+            fleet.with_uniform_keepalive_budget_mib(15 * 1024),
         );
         let oracle = setup.run(&mut setup.oracle());
         let eco = setup.run(&mut setup.ecolife());
@@ -31,9 +35,7 @@ fn print_fig13() {
     for (id, c) in rows {
         println!(
             "{:<8} {:>15.1}% {:>15.1}%",
-            id.to_string(),
-            c.service_increase_pct,
-            c.carbon_increase_pct
+            id, c.service_increase_pct, c.carbon_increase_pct
         );
     }
     println!();
@@ -44,7 +46,7 @@ fn bench(c: &mut Criterion) {
     let setup = EvalSetup::sized(
         16,
         180,
-        skus::pair_b().with_keepalive_budgets_mib(6 * 1024, 6 * 1024),
+        skus::fleet_b().with_uniform_keepalive_budget_mib(6 * 1024),
     );
     c.bench_function("fig13/pair_b_quick", |b| {
         b.iter(|| black_box(setup.run(&mut setup.ecolife())))

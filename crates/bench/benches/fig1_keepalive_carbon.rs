@@ -9,7 +9,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ecolife_carbon::CarbonModel;
-use ecolife_hw::{skus, PerfModel};
+use ecolife_hw::{skus, NodeId, PerfModel};
 use ecolife_trace::WorkloadCatalog;
 use std::hint::black_box;
 
@@ -23,7 +23,8 @@ const FUNCS: [&str; 3] = [
 fn print_fig1() {
     let catalog = WorkloadCatalog::sebs();
     let model = CarbonModel::default();
-    let node = &skus::pair_a().new;
+    let fleet = skus::fleet_a();
+    let node = fleet.node(NodeId(1));
     println!("\n=== Fig. 1: keep-alive vs service CO2 on A_NEW (CI = {CI} g/kWh) ===");
     println!(
         "{:<24} {:>6} {:>14} {:>14} {:>9}",
@@ -56,7 +57,7 @@ fn print_fig1() {
 fn bench(c: &mut Criterion) {
     print_fig1();
     let model = CarbonModel::default();
-    let node = skus::pair_a().new;
+    let node = skus::fleet_a().node(NodeId(1)).clone();
     c.bench_function("fig1/keepalive_phase_eval", |b| {
         b.iter(|| black_box(model.keepalive_phase(&node, 512, 600_000, CI)))
     });

@@ -9,7 +9,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ecolife_carbon::CarbonModel;
-use ecolife_hw::{skus, HardwareNode, PerfModel};
+use ecolife_hw::{skus, HardwareNode, NodeId, PerfModel};
 use ecolife_trace::{FunctionProfile, WorkloadCatalog};
 use std::hint::black_box;
 
@@ -36,13 +36,13 @@ fn episode(node: &HardwareNode, f: &FunctionProfile) -> (u64, f64, f64) {
 
 fn print_fig2() {
     let catalog = WorkloadCatalog::sebs();
-    let pa = skus::pair_a();
-    let pc = skus::pair_c();
+    let (pa, pc) = (skus::fleet_a(), skus::fleet_c());
+    let (a_old, a_new) = (pa.node(NodeId(0)), pa.node(NodeId(1)));
     let nodes = [
-        ("A_old", &pa.old),
-        ("A_new", &pa.new),
-        ("C_old", &pc.old),
-        ("C_new", &pc.new),
+        ("A_old", a_old),
+        ("A_new", a_new),
+        ("C_old", pc.node(NodeId(0))),
+        ("C_new", pc.node(NodeId(1))),
     ];
     println!("\n=== Fig. 2: per-generation service time & CO2 (10-min keep-alive, CI = {CI}) ===");
     println!(
@@ -64,8 +64,8 @@ fn print_fig2() {
             );
         }
         // The headline deltas the paper quotes for pair A.
-        let (ms_old, sg_old, kg_old) = episode(&pa.old, f);
-        let (ms_new, sg_new, kg_new) = episode(&pa.new, f);
+        let (ms_old, sg_old, kg_old) = episode(a_old, f);
+        let (ms_new, sg_new, kg_new) = episode(a_new, f);
         let carbon_saving = 100.0 * (1.0 - (sg_old + kg_old) / (sg_new + kg_new));
         let time_penalty = 100.0 * (ms_old as f64 / ms_new as f64 - 1.0);
         println!(
@@ -80,7 +80,7 @@ fn bench(c: &mut Criterion) {
     let catalog = WorkloadCatalog::sebs();
     let (_, f) = catalog.by_name("220.video-processing").unwrap();
     let f = f.clone();
-    let node = skus::pair_a().old;
+    let node = skus::fleet_a().node(NodeId(0)).clone();
     c.bench_function("fig2/episode_eval", |b| {
         b.iter(|| black_box(episode(&node, &f)))
     });

@@ -17,20 +17,14 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ecolife_carbon::CarbonModel;
-use ecolife_hw::{skus, Generation, PerfModel};
+use ecolife_hw::{skus, NodeId, PerfModel};
 use ecolife_trace::{FunctionProfile, WorkloadCatalog};
 use std::hint::black_box;
 
 /// (service_ms, carbon_g) of one case.
-fn case(
-    f: &FunctionProfile,
-    ci: f64,
-    generation: Generation,
-    keepalive_min: u64,
-    warm: bool,
-) -> (u64, f64) {
-    let pair = skus::pair_a();
-    let node = pair.node(generation);
+fn case(f: &FunctionProfile, ci: f64, node: NodeId, keepalive_min: u64, warm: bool) -> (u64, f64) {
+    let fleet = skus::fleet_a();
+    let node = fleet.node(node);
     let model = CarbonModel::default();
     let service_ms = if warm {
         PerfModel::warm_service_ms(node, f.base_exec_ms, f.cpu_sensitivity)
@@ -62,8 +56,8 @@ fn print_fig3() {
     ] {
         let (_, f) = catalog.by_name(name).unwrap();
         for ci in [300.0, 50.0] {
-            let (a_ms, a_g) = case(f, ci, Generation::Old, 15, true);
-            let (b_ms, b_g) = case(f, ci, Generation::New, 10, false);
+            let (a_ms, a_g) = case(f, ci, NodeId(0), 15, true);
+            let (b_ms, b_g) = case(f, ci, NodeId(1), 10, false);
             println!(
                 "{:<24} {:>5} {:>11} {:>11} {:>10.4} {:>10.4} {:>8.1}% {:>8.1}%",
                 name,
@@ -86,7 +80,7 @@ fn bench(c: &mut Criterion) {
     let (_, f) = catalog.by_name("504.dna-visualization").unwrap();
     let f = f.clone();
     c.bench_function("fig3/case_eval", |b| {
-        b.iter(|| black_box(case(&f, 300.0, Generation::Old, 15, true)))
+        b.iter(|| black_box(case(&f, 300.0, NodeId(0), 15, true)))
     });
 }
 

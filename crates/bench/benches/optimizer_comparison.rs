@@ -12,7 +12,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use ecolife_carbon::{CarbonIntensityTrace, CarbonModel, Region};
 use ecolife_core::CostModel;
-use ecolife_hw::{skus, Generation};
+use ecolife_hw::{skus, NodeId};
 use ecolife_pso::space::decode;
 use ecolife_pso::{
     GaConfig, GeneticAlgorithm, Optimizer, Pso, PsoConfig, SaConfig, SearchSpace,
@@ -33,7 +33,7 @@ impl LandscapeSequence {
         let catalog = WorkloadCatalog::sebs();
         let (_, profile) = catalog.by_name("220.video-processing").unwrap();
         LandscapeSequence {
-            cost: CostModel::new(skus::pair_a(), CarbonModel::default(), 0.5, 0.5, 600_000),
+            cost: CostModel::new(skus::fleet_a(), CarbonModel::default(), 0.5, 0.5, 600_000),
             ci: CarbonIntensityTrace::synthetic(Region::Caiso, 1_440, 77),
             profile: profile.clone(),
         }
@@ -47,11 +47,7 @@ impl LandscapeSequence {
         // the day, slower later.
         let rate_scale = 1.0 + (t_min as f64 / 240.0).sin() * 0.6;
         move |x: &[f64]| {
-            let l = if decode::location_is_new(x[0]) {
-                Generation::New
-            } else {
-                Generation::Old
-            };
+            let l = NodeId(decode::node_index(x[0], 2) as u32);
             let idx = decode::period_index(x[1], 11);
             let k_ms = idx as u64 * 60_000;
             let mean_gap_ms = 150_000.0 * rate_scale;
@@ -82,7 +78,7 @@ impl LandscapeSequence {
 
 fn print_comparison() {
     let seq = LandscapeSequence::new();
-    let space = SearchSpace::ecolife(11);
+    let space = SearchSpace::placement(2, 11);
 
     let pso_score = seq.run_through(&mut Pso::new(space.clone(), PsoConfig::default()));
     let ga_score = seq.run_through(&mut GeneticAlgorithm::new(
@@ -107,7 +103,7 @@ fn print_comparison() {
 fn bench(c: &mut Criterion) {
     print_comparison();
     let seq = LandscapeSequence::new();
-    let space = SearchSpace::ecolife(11);
+    let space = SearchSpace::placement(2, 11);
     let f = seq.fitness_at(0);
 
     c.bench_function("optimizers/pso_step", |b| {

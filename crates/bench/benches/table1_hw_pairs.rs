@@ -1,12 +1,22 @@
 //! Table I — multi-generation hardware pair examples.
 //!
-//! Prints the pair catalog with the calibrated embodied-carbon and power
-//! attributions, then times pair construction (a pure-data operation the
-//! experiment harness performs constantly).
+//! Prints the three pair fleets (old node first) with the calibrated
+//! embodied-carbon and power attributions, then times pair-fleet
+//! construction (a pure-data operation the experiment harness performs
+//! constantly).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use ecolife_hw::skus;
+use ecolife_hw::{skus, Fleet};
 use std::hint::black_box;
+
+/// Table I's pairs as two-SKU fleets.
+fn table1() -> [(&'static str, Fleet); 3] {
+    [
+        ("Pair A", skus::fleet_a()),
+        ("Pair B", skus::fleet_b()),
+        ("Pair C", skus::fleet_c()),
+    ]
+}
 
 fn print_table1() {
     println!("\n=== Table I: Multi-generation Hardware Pairs ===");
@@ -22,12 +32,12 @@ fn print_table1() {
         "DRAM (year)",
         "EC g/GiB"
     );
-    for pair in skus::all_pairs() {
-        for node in [&pair.old, &pair.new] {
+    for (pair, fleet) in table1() {
+        for (role, node) in ["old", "new"].into_iter().zip(fleet.iter()) {
             println!(
                 "{:<7} {:<5} {:<28} {:>5} {:>6.0} {:>9.1} {:>11.0} {:<14} {:>10.0}",
-                pair.id.to_string(),
-                node.generation.to_string(),
+                pair,
+                role,
                 format!("{} ({})", node.cpu.name, node.cpu.year),
                 node.cpu.cores,
                 node.cpu.active_power_w,
@@ -44,7 +54,7 @@ fn print_table1() {
 fn bench(c: &mut Criterion) {
     print_table1();
     c.bench_function("table1/pair_construction", |b| {
-        b.iter(|| black_box(skus::all_pairs()))
+        b.iter(|| black_box(table1()))
     });
 }
 

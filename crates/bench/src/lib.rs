@@ -5,8 +5,7 @@
 //! Azure-like trace, the CISO carbon-intensity feed, the pair-A two-node
 //! fleet, and constructors for every scheme, so that all figures are
 //! computed under identical conditions. Sweeps over other fleets (pairs
-//! B/C, N-node configurations) go through [`EvalSetup::sized`], which
-//! accepts anything convertible to a [`Fleet`].
+//! B/C, N-node configurations) go through [`EvalSetup::sized`].
 
 pub mod report;
 
@@ -39,7 +38,7 @@ impl EvalSetup {
         Self::sized(
             48,
             1_440,
-            ecolife_hw::skus::pair_a().with_keepalive_budgets_mib(15 * 1024, 15 * 1024),
+            ecolife_hw::skus::fleet_a().with_uniform_keepalive_budget_mib(15 * 1024),
         )
     }
 
@@ -48,12 +47,12 @@ impl EvalSetup {
         Self::sized(
             16,
             180,
-            ecolife_hw::skus::pair_a().with_keepalive_budgets_mib(6 * 1024, 6 * 1024),
+            ecolife_hw::skus::fleet_a().with_uniform_keepalive_budget_mib(6 * 1024),
         )
     }
 
-    /// Parameterized setup over any fleet (a `HardwarePair` converts).
-    pub fn sized(n_functions: usize, duration_min: u64, fleet: impl Into<Fleet>) -> Self {
+    /// Parameterized setup over any fleet.
+    pub fn sized(n_functions: usize, duration_min: u64, fleet: Fleet) -> Self {
         let trace = SynthTraceConfig {
             n_functions,
             duration_min,
@@ -63,11 +62,7 @@ impl EvalSetup {
         .generate(&WorkloadCatalog::sebs());
         let ci =
             CarbonIntensityTrace::synthetic(Region::Caiso, duration_min as usize + 30, EVAL_SEED);
-        EvalSetup {
-            trace,
-            ci,
-            fleet: fleet.into(),
-        }
+        EvalSetup { trace, ci, fleet }
     }
 
     /// Swap the carbon-intensity region (Fig. 14).

@@ -206,7 +206,7 @@ impl KeepaliveCoeffs {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ecolife_hw::skus;
+    use ecolife_hw::{skus, NodeId};
 
     fn model() -> CarbonModel {
         CarbonModel::default()
@@ -214,28 +214,29 @@ mod tests {
 
     #[test]
     fn active_phase_scales_linearly_in_duration() {
-        let p = skus::pair_a();
+        let f = skus::fleet_a();
+        let new = f.node(NodeId(1));
         let m = model();
-        let one = m.active_phase(&p.new, 512, 1_000, 300.0);
-        let five = m.active_phase(&p.new, 512, 5_000, 300.0);
+        let one = m.active_phase(new, 512, 1_000, 300.0);
+        let five = m.active_phase(new, 512, 5_000, 300.0);
         assert!((five.total_g() - 5.0 * one.total_g()).abs() < 1e-9);
     }
 
     #[test]
     fn operational_scales_with_ci_embodied_does_not() {
-        let p = skus::pair_a();
+        let f = skus::fleet_a();
+        let new = f.node(NodeId(1));
         let m = model();
-        let lo = m.active_phase(&p.new, 512, 1_000, 50.0);
-        let hi = m.active_phase(&p.new, 512, 1_000, 300.0);
+        let lo = m.active_phase(new, 512, 1_000, 50.0);
+        let hi = m.active_phase(new, 512, 1_000, 300.0);
         assert!((hi.operational_g / lo.operational_g - 6.0).abs() < 1e-9);
         assert_eq!(hi.embodied_g, lo.embodied_g);
     }
 
     #[test]
     fn keepalive_phase_far_cheaper_than_active_per_unit_time() {
-        let p = skus::pair_a();
         let m = model();
-        for node in [&p.old, &p.new] {
+        for node in skus::fleet_a().iter() {
             let active = m.active_phase(node, 512, 60_000, 300.0);
             let warm = m.keepalive_phase(node, 512, 60_000, 300.0);
             assert!(warm.total_g() < active.total_g() / 10.0);
@@ -243,14 +244,15 @@ mod tests {
     }
 
     #[test]
-    fn keepalive_cheaper_on_old_hardware_pair_a() {
+    fn keepalive_cheaper_on_old_hardware_fleet_a() {
         // The core motivation (Sec. III): keep-alive carbon per minute is
         // lower on the older generation.
-        let p = skus::pair_a();
+        let f = skus::fleet_a();
+        let (old, new) = (f.node(NodeId(0)), f.node(NodeId(1)));
         let m = model();
         for ci in [50.0, 150.0, 300.0] {
-            let old = m.keepalive_phase(&p.old, 512, 600_000, ci);
-            let new = m.keepalive_phase(&p.new, 512, 600_000, ci);
+            let old = m.keepalive_phase(old, 512, 600_000, ci);
+            let new = m.keepalive_phase(new, 512, 600_000, ci);
             assert!(
                 old.total_g() < new.total_g(),
                 "ci={ci}: old {} vs new {}",
@@ -265,13 +267,14 @@ mod tests {
         // The Fig. 2 trade-off: for the same work, the old node takes
         // longer (slowdown) but its lower package power keeps the
         // operational carbon at or below the new node's.
-        let p = skus::pair_a();
+        let f = skus::fleet_a();
+        let (old, new) = (f.node(NodeId(0)), f.node(NodeId(1)));
         let m = model();
         let base = 2_000u64;
-        let old_ms = (base as f64 * p.old.cpu.slowdown()).round() as u64;
+        let old_ms = (base as f64 * old.cpu.slowdown()).round() as u64;
         assert!(old_ms > base, "old must be slower");
-        let old = m.active_phase(&p.old, 512, old_ms, 300.0);
-        let new = m.active_phase(&p.new, 512, base, 300.0);
+        let old = m.active_phase(old, 512, old_ms, 300.0);
+        let new = m.active_phase(new, 512, base, 300.0);
         assert!(
             old.total_g() < new.total_g(),
             "old {} vs new {}",
@@ -282,26 +285,28 @@ mod tests {
 
     #[test]
     fn embodied_scale_multiplies_embodied_only() {
-        let p = skus::pair_a();
-        let base = CarbonModel::default().active_phase(&p.new, 512, 1_000, 300.0);
+        let f = skus::fleet_a();
+        let new = f.node(NodeId(1));
+        let base = CarbonModel::default().active_phase(new, 512, 1_000, 300.0);
         let scaled = CarbonModel::new(CarbonModelConfig {
             embodied_scale: 1.1,
             include_platform_components: false,
         })
-        .active_phase(&p.new, 512, 1_000, 300.0);
+        .active_phase(new, 512, 1_000, 300.0);
         assert_eq!(scaled.operational_g, base.operational_g);
         assert!((scaled.embodied_g / base.embodied_g - 1.1).abs() < 1e-9);
     }
 
     #[test]
     fn platform_components_increase_embodied() {
-        let p = skus::pair_a();
-        let base = CarbonModel::default().keepalive_phase(&p.new, 512, 60_000, 300.0);
+        let f = skus::fleet_a();
+        let new = f.node(NodeId(1));
+        let base = CarbonModel::default().keepalive_phase(new, 512, 60_000, 300.0);
         let plat = CarbonModel::new(CarbonModelConfig {
             embodied_scale: 1.0,
             include_platform_components: true,
         })
-        .keepalive_phase(&p.new, 512, 60_000, 300.0);
+        .keepalive_phase(new, 512, 60_000, 300.0);
         assert!(plat.embodied_g > base.embodied_g);
         assert_eq!(plat.operational_g, base.operational_g);
     }
@@ -321,7 +326,7 @@ mod tests {
         let bits = |c: CarbonFootprint| (c.operational_g.to_bits(), c.embodied_g.to_bits());
         let nodes: Vec<HardwareNode> = skus::Sku::ALL
             .iter()
-            .map(|&sku| skus::fleet_of(&[sku]).node(ecolife_hw::NodeId(0)).clone())
+            .map(|&sku| skus::fleet_of(&[sku]).node(NodeId(0)).clone())
             .collect();
         for (embodied_scale, include_platform_components) in
             [(1.0, false), (0.9, false), (1.1, true), (1.0, true)]
@@ -352,14 +357,15 @@ mod tests {
 
     #[test]
     fn energy_accessors_match_power_model() {
-        let p = skus::pair_a();
+        let f = skus::fleet_a();
+        let new = f.node(NodeId(1));
         let m = model();
-        let e = m.active_energy_kwh(&p.new, 1024, 3_600_000);
+        let e = m.active_energy_kwh(new, 1024, 3_600_000);
         // Active package + 1 GiB DRAM at active power, for one hour.
-        let exp_active = (p.new.cpu.active_power_w + p.new.dram.active_w_per_gib) / 1000.0;
+        let exp_active = (new.cpu.active_power_w + new.dram.active_w_per_gib) / 1000.0;
         assert!((e - exp_active).abs() < 1e-9);
-        let k = m.keepalive_energy_kwh(&p.new, 1024, 3_600_000);
-        let exp_idle = (p.new.cpu.idle_core_power_w + p.new.dram.idle_w_per_gib) / 1000.0;
+        let k = m.keepalive_energy_kwh(new, 1024, 3_600_000);
+        let exp_idle = (new.cpu.idle_core_power_w + new.dram.idle_w_per_gib) / 1000.0;
         assert!((k - exp_idle).abs() < 1e-9);
     }
 
@@ -368,13 +374,14 @@ mod tests {
         // Fig. 1: as the keep-alive period grows 2→10 min, the keep-alive
         // share of the total footprint grows substantially (Graph-BFS goes
         // 18% → 52% in the paper).
-        let p = skus::pair_a();
+        let f = skus::fleet_a();
+        let new = f.node(NodeId(1));
         let m = model();
         let ci = 300.0;
         // Graph-BFS-like cold service: ~6 s execution + ~2 s cold start.
-        let service = m.active_phase(&p.new, 256, 8_000, ci);
+        let service = m.active_phase(new, 256, 8_000, ci);
         let share = |k_min: u64| {
-            let ka = m.keepalive_phase(&p.new, 256, k_min * 60_000, ci);
+            let ka = m.keepalive_phase(new, 256, k_min * 60_000, ci);
             ka.total_g() / (ka.total_g() + service.total_g())
         };
         let s2 = share(2);
@@ -391,7 +398,8 @@ mod tests {
         // calibration Case A (warm on old) keeps a positive saving at low
         // CI (the embodied gap persists), but the absolute saving shrinks
         // because the avoided cold-start *operational* carbon collapses.
-        let p = skus::pair_a();
+        let f = skus::fleet_a();
+        let (old, new) = (f.node(NodeId(0)), f.node(NodeId(1)));
         let m = model();
         let mem = 4_096;
         let exec_new = 12_000u64;
@@ -400,11 +408,11 @@ mod tests {
 
         let case = |ci: f64, ka_old_min: u64, ka_new_min: u64| {
             // Case A: warm on old after ka_old_min of keep-alive.
-            let a = m.keepalive_phase(&p.old, mem, ka_old_min * 60_000, ci)
-                + m.active_phase(&p.old, mem, exec_old, ci);
+            let a = m.keepalive_phase(old, mem, ka_old_min * 60_000, ci)
+                + m.active_phase(old, mem, exec_old, ci);
             // Case B: cold on new after ka_new_min of (expired) keep-alive.
-            let b = m.keepalive_phase(&p.new, mem, ka_new_min * 60_000, ci)
-                + m.active_phase(&p.new, mem, cold_new + exec_new, ci);
+            let b = m.keepalive_phase(new, mem, ka_new_min * 60_000, ci)
+                + m.active_phase(new, mem, cold_new + exec_new, ci);
             (a.total_g(), b.total_g())
         };
 

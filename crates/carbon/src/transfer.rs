@@ -1,7 +1,7 @@
 //! Pricing a cross-node container migration.
 //!
 //! The replay engine can move a warm container between nodes (warm-pool
-//! displacement, ledger reconciliation, the periodic re-placement pass,
+//! displacement, the reconciliation pass, the periodic re-placement pass,
 //! node drains). Moving state is not free: the image bytes cross the
 //! network (egress energy, charged as grams at the **source** region's
 //! carbon intensity at transfer time — that is the grid that powers the

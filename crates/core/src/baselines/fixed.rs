@@ -22,18 +22,18 @@ impl FixedPolicy {
     /// Pin execution and keep-alive to one fleet node, labelled `Pinned`.
     /// A node id names a position, not a generation, so no Old/New label
     /// is inferred — only the named [`FixedPolicy::new_only`] /
-    /// [`FixedPolicy::old_only`] constructors (which *define* the
-    /// canonical pair layout) carry the paper's scheme names.
-    pub fn pinned(node: impl Into<NodeId>, keepalive_min: u64) -> Self {
+    /// [`FixedPolicy::old_only`] constructors (which assume a Table I
+    /// pair fleet: old node 0, new node 1) carry the paper's scheme names.
+    pub fn pinned(node: NodeId, keepalive_min: u64) -> Self {
         FixedPolicy {
-            node: node.into(),
+            node,
             label: "Pinned",
             keepalive_min,
         }
     }
 
-    /// The paper's `New-Only` scheme: the canonical pair layout's new
-    /// node (node 1), 10-minute keep-alive.
+    /// The paper's `New-Only` scheme: a Table I pair fleet's new node
+    /// (node 1), 10-minute keep-alive.
     pub fn new_only() -> Self {
         FixedPolicy {
             node: NodeId(1),
@@ -42,7 +42,7 @@ impl FixedPolicy {
         }
     }
 
-    /// The paper's `Old-Only` scheme (node 0 of the canonical layout).
+    /// The paper's `Old-Only` scheme (node 0 of a Table I pair fleet).
     pub fn old_only() -> Self {
         FixedPolicy {
             node: NodeId(0),
@@ -77,7 +77,7 @@ impl Scheduler for FixedPolicy {
 mod tests {
     use super::*;
     use ecolife_carbon::CarbonIntensityTrace;
-    use ecolife_hw::{skus, Generation};
+    use ecolife_hw::skus;
     use ecolife_sim::Simulation;
     use ecolife_trace::{SynthTraceConfig, WorkloadCatalog};
 
@@ -87,7 +87,7 @@ mod tests {
         assert_eq!(FixedPolicy::old_only().name(), "Old-Only");
         assert_eq!(FixedPolicy::new_only().node(), NodeId(1));
         // A raw node id is a position, not a generation: no Old/New label.
-        assert_eq!(FixedPolicy::pinned(Generation::Old, 10).name(), "Pinned");
+        assert_eq!(FixedPolicy::pinned(NodeId(0), 10).name(), "Pinned");
         assert_eq!(FixedPolicy::pinned(NodeId(2), 10).name(), "Pinned");
     }
 
@@ -95,11 +95,8 @@ mod tests {
     fn old_only_never_touches_new_hardware() {
         let trace = SynthTraceConfig::small(3).generate(&WorkloadCatalog::sebs());
         let ci = CarbonIntensityTrace::constant(200.0, 120);
-        let m = Simulation::new(&trace, &ci, skus::pair_a()).run(&mut FixedPolicy::old_only());
-        assert!(m
-            .records
-            .iter()
-            .all(|r| r.exec_location == NodeId::from(Generation::Old)));
+        let m = Simulation::new(&trace, &ci, skus::fleet_a()).run(&mut FixedPolicy::old_only());
+        assert!(m.records.iter().all(|r| r.exec_location == NodeId(0)));
     }
 
     #[test]
@@ -122,8 +119,8 @@ mod tests {
         }
         .generate(&WorkloadCatalog::sebs());
         let ci = CarbonIntensityTrace::constant(300.0, 180);
-        let m_new = Simulation::new(&trace, &ci, skus::pair_a()).run(&mut FixedPolicy::new_only());
-        let m_old = Simulation::new(&trace, &ci, skus::pair_a()).run(&mut FixedPolicy::old_only());
+        let m_new = Simulation::new(&trace, &ci, skus::fleet_a()).run(&mut FixedPolicy::new_only());
+        let m_old = Simulation::new(&trace, &ci, skus::fleet_a()).run(&mut FixedPolicy::old_only());
         assert!(m_new.total_service_ms() < m_old.total_service_ms());
         assert!(m_new.total_carbon_g() > m_old.total_carbon_g());
     }

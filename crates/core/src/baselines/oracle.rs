@@ -62,12 +62,11 @@ pub struct BruteForce {
 impl BruteForce {
     pub fn new(
         target: OptTarget,
-        fleet: impl Into<Fleet>,
+        fleet: Fleet,
         ci: CarbonIntensityTrace,
         grid_min: Vec<u64>,
     ) -> Self {
         assert!(grid_min.len() >= 2 && grid_min[0] == 0);
-        let fleet = fleet.into();
         let locations: Vec<NodeId> = fleet.ids().collect();
         let ci = vec![ci; fleet.len()];
         let max_k_ms = *grid_min.last().unwrap() * MINUTE_MS;
@@ -119,8 +118,7 @@ impl BruteForce {
     }
 
     /// Restrict to one fleet node (used for sanity experiments).
-    pub fn restricted_to(mut self, node: impl Into<NodeId>) -> Self {
-        let node = node.into();
+    pub fn restricted_to(mut self, node: NodeId) -> Self {
         assert!(
             self.cost.fleet().contains(node),
             "restricted to {node:?}, which the fleet does not contain"
@@ -130,19 +128,19 @@ impl BruteForce {
     }
 
     /// The Oracle with the default 0–10-minute grid.
-    pub fn oracle(fleet: impl Into<Fleet>, ci: CarbonIntensityTrace) -> Self {
+    pub fn oracle(fleet: Fleet, ci: CarbonIntensityTrace) -> Self {
         Self::new(OptTarget::Joint, fleet, ci, (0..=10).collect())
     }
 
-    pub fn co2_opt(fleet: impl Into<Fleet>, ci: CarbonIntensityTrace) -> Self {
+    pub fn co2_opt(fleet: Fleet, ci: CarbonIntensityTrace) -> Self {
         Self::new(OptTarget::Carbon, fleet, ci, (0..=10).collect())
     }
 
-    pub fn service_time_opt(fleet: impl Into<Fleet>, ci: CarbonIntensityTrace) -> Self {
+    pub fn service_time_opt(fleet: Fleet, ci: CarbonIntensityTrace) -> Self {
         Self::new(OptTarget::ServiceTime, fleet, ci, (0..=10).collect())
     }
 
-    pub fn energy_opt(fleet: impl Into<Fleet>, ci: CarbonIntensityTrace) -> Self {
+    pub fn energy_opt(fleet: Fleet, ci: CarbonIntensityTrace) -> Self {
         Self::new(OptTarget::Energy, fleet, ci, (0..=10).collect())
     }
 
@@ -362,7 +360,7 @@ mod tests {
     use ecolife_sim::Simulation;
     use ecolife_trace::{FunctionId, Invocation, SynthTraceConfig};
 
-    use ecolife_hw::{skus, Generation};
+    use ecolife_hw::skus;
 
     fn trace() -> Trace {
         SynthTraceConfig {
@@ -509,12 +507,9 @@ mod tests {
         let t = trace();
         let c = ci();
         let fleet = skus::fleet_a();
-        let mut s = BruteForce::oracle(fleet.clone(), c.clone()).restricted_to(Generation::Old);
+        let mut s = BruteForce::oracle(fleet.clone(), c.clone()).restricted_to(NodeId(0));
         let m = Simulation::new(&t, &c, fleet).run(&mut s);
-        assert!(m
-            .records
-            .iter()
-            .all(|r| r.exec_location == NodeId::from(Generation::Old)));
+        assert!(m.records.iter().all(|r| r.exec_location == NodeId(0)));
     }
 
     #[test]

@@ -25,9 +25,8 @@ pub struct EcoLifeConfig {
     /// Warm-pool adjustment (priority eviction + cross-pool transfer).
     /// Disabling this is the Fig. 11 ablation.
     pub warm_pool_adjustment: bool,
-    /// Restrict to a single fleet node: on the canonical pair layout,
-    /// `Some(Generation::Old.into())` = Eco-Old,
-    /// `Some(Generation::New.into())` = Eco-New (Fig. 12).
+    /// Restrict to a single fleet node: the fleet's oldest node is
+    /// Eco-Old, its newest Eco-New (Fig. 12).
     pub restrict_to: Option<NodeId>,
     /// Price of a cross-node container migration: egress grams at the
     /// source grid plus re-warm latency. Threads into the cost model's
@@ -122,10 +121,10 @@ impl EcoLifeConfig {
         self
     }
 
-    /// The Fig. 12 single-node variants ([`ecolife_hw::Generation`]
-    /// converts for the two-node pair layout).
-    pub fn restricted_to(mut self, node: impl Into<NodeId>) -> Self {
-        self.restrict_to = Some(node.into());
+    /// The Fig. 12 single-node variants (pass `Fleet::oldest` or
+    /// `Fleet::newest` for Eco-Old / Eco-New).
+    pub fn restricted_to(mut self, node: NodeId) -> Self {
+        self.restrict_to = Some(node);
         self
     }
 
@@ -171,7 +170,7 @@ mod tests {
         );
         assert_eq!(
             EcoLifeConfig::default()
-                .restricted_to(ecolife_hw::Generation::Old)
+                .restricted_to(NodeId(0))
                 .restrict_to,
             Some(NodeId(0))
         );

@@ -212,22 +212,16 @@ const _: fn() = || {
 };
 
 impl EcoLife {
-    /// Build the scheduler for a hardware fleet (a `HardwarePair`
-    /// converts implicitly into its two-node fleet). `catalog` must be
+    /// Build the scheduler for a hardware fleet. `catalog` must be
     /// the trace's catalog (needed for warm-pool ranking of resident
     /// containers); `prepare` re-captures it from the trace as a guard.
-    pub fn new(fleet: impl Into<Fleet>, config: EcoLifeConfig) -> Self {
+    pub fn new(fleet: Fleet, config: EcoLifeConfig) -> Self {
         Self::with_carbon_model(fleet, config, CarbonModel::default())
     }
 
     /// Variant with an explicit carbon model (robustness studies).
-    pub fn with_carbon_model(
-        fleet: impl Into<Fleet>,
-        config: EcoLifeConfig,
-        carbon: CarbonModel,
-    ) -> Self {
+    pub fn with_carbon_model(fleet: Fleet, config: EcoLifeConfig, carbon: CarbonModel) -> Self {
         config.validate();
-        let fleet = fleet.into();
         if let Some(node) = config.restrict_to {
             assert!(
                 fleet.contains(node),
@@ -441,7 +435,7 @@ mod reference;
 mod tests {
     use super::*;
     use ecolife_carbon::CarbonIntensityTrace;
-    use ecolife_hw::{skus, Generation};
+    use ecolife_hw::skus;
     use ecolife_sim::Simulation;
     use ecolife_trace::{Invocation, SynthTraceConfig};
 
@@ -453,8 +447,8 @@ mod tests {
     fn runs_end_to_end_on_synthetic_trace() {
         let trace = small_trace();
         let ci = CarbonIntensityTrace::constant(250.0, 120);
-        let mut eco = EcoLife::new(skus::pair_a(), EcoLifeConfig::default());
-        let m = Simulation::new(&trace, &ci, skus::pair_a()).run(&mut eco);
+        let mut eco = EcoLife::new(skus::fleet_a(), EcoLifeConfig::default());
+        let m = Simulation::new(&trace, &ci, skus::fleet_a()).run(&mut eco);
         assert_eq!(m.invocations(), trace.len());
         assert!(m.total_carbon_g() > 0.0);
         assert!(eco.tracked_functions() > 0);
@@ -474,8 +468,8 @@ mod tests {
             .collect();
         let trace = Trace::new(catalog, invocations);
         let ci = CarbonIntensityTrace::constant(300.0, 120);
-        let mut eco = EcoLife::new(skus::pair_a(), EcoLifeConfig::default());
-        let m = Simulation::new(&trace, &ci, skus::pair_a()).run(&mut eco);
+        let mut eco = EcoLife::new(skus::fleet_a(), EcoLifeConfig::default());
+        let m = Simulation::new(&trace, &ci, skus::fleet_a()).run(&mut eco);
         assert!(
             m.warm_rate() > 0.6,
             "warm rate {} too low for a regular function",
@@ -487,11 +481,12 @@ mod tests {
     fn restriction_pins_both_exec_and_keepalive() {
         let trace = small_trace();
         let ci = CarbonIntensityTrace::constant(250.0, 120);
-        for g in Generation::ALL {
-            let mut eco = EcoLife::new(skus::pair_a(), EcoLifeConfig::default().restricted_to(g));
-            let m = Simulation::new(&trace, &ci, skus::pair_a()).run(&mut eco);
+        let fleet = skus::fleet_a();
+        for node in fleet.ids() {
+            let mut eco = EcoLife::new(fleet.clone(), EcoLifeConfig::default().restricted_to(node));
+            let m = Simulation::new(&trace, &ci, fleet.clone()).run(&mut eco);
             assert!(
-                m.records.iter().all(|r| r.exec_location == NodeId::from(g)),
+                m.records.iter().all(|r| r.exec_location == node),
                 "restricted run leaked to another node"
             );
         }
@@ -514,7 +509,7 @@ mod tests {
     #[should_panic(expected = "which the fleet does not contain")]
     fn restriction_outside_the_fleet_is_rejected() {
         EcoLife::new(
-            skus::pair_a(),
+            skus::fleet_a(),
             EcoLifeConfig::default().restricted_to(NodeId(5)),
         );
     }
@@ -525,7 +520,7 @@ mod tests {
         let mut config = EcoLifeConfig::default();
         config.dpso.omega_min = 1.0;
         config.dpso.omega_max = 0.5;
-        EcoLife::new(skus::pair_a(), config);
+        EcoLife::new(skus::fleet_a(), config);
     }
 
     #[test]
@@ -563,8 +558,8 @@ mod tests {
         let trace = small_trace();
         let ci = CarbonIntensityTrace::synthetic(ecolife_carbon::Region::Caiso, 120, 3);
         let run = || {
-            let mut eco = EcoLife::new(skus::pair_a(), EcoLifeConfig::default());
-            Simulation::new(&trace, &ci, skus::pair_a()).run(&mut eco)
+            let mut eco = EcoLife::new(skus::fleet_a(), EcoLifeConfig::default());
+            Simulation::new(&trace, &ci, skus::fleet_a()).run(&mut eco)
         };
         let a = run();
         let b = run();
@@ -579,8 +574,8 @@ mod tests {
             EcoLifeConfig::default().without_dynamic_pso(),
             EcoLifeConfig::default().without_warm_pool_adjustment(),
         ] {
-            let mut eco = EcoLife::new(skus::pair_a(), cfg);
-            let m = Simulation::new(&trace, &ci, skus::pair_a()).run(&mut eco);
+            let mut eco = EcoLife::new(skus::fleet_a(), cfg);
+            let m = Simulation::new(&trace, &ci, skus::fleet_a()).run(&mut eco);
             assert_eq!(m.invocations(), trace.len());
         }
     }
@@ -598,15 +593,15 @@ mod tests {
         let ci = CarbonIntensityTrace::constant(250.0, 120);
         // Pools sized so that ranking matters: large enough to hold the
         // valuable part of the working set, small enough to overflow.
-        let pair = skus::pair_a().with_keepalive_budgets_mib(6 * 1024, 6 * 1024);
+        let fleet = skus::fleet_a().with_uniform_keepalive_budget_mib(6 * 1024);
 
-        let mut with = EcoLife::new(pair.clone(), EcoLifeConfig::default());
-        let m_with = Simulation::new(&trace, &ci, pair.clone()).run(&mut with);
+        let mut with = EcoLife::new(fleet.clone(), EcoLifeConfig::default());
+        let m_with = Simulation::new(&trace, &ci, fleet.clone()).run(&mut with);
         let mut without = EcoLife::new(
-            pair.clone(),
+            fleet.clone(),
             EcoLifeConfig::default().without_warm_pool_adjustment(),
         );
-        let m_without = Simulation::new(&trace, &ci, pair).run(&mut without);
+        let m_without = Simulation::new(&trace, &ci, fleet).run(&mut without);
 
         // The adjustment must engage (cross-pool transfers), cut the
         // number of functions dropped from the warm pools, and not pay

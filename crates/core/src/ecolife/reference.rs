@@ -259,7 +259,7 @@ fn cached_tables_are_bit_identical_under_memory_pressure() {
     }
     .generate(&WorkloadCatalog::sebs());
     let ci = CarbonIntensityTrace::synthetic(Region::Caiso, 120, 23);
-    let fleet = Fleet::from(skus::pair_a()).with_uniform_keepalive_budget_mib(6 * 1024);
+    let fleet = skus::fleet_a().with_uniform_keepalive_budget_mib(6 * 1024);
     let run = |mut eco: Box<dyn Scheduler + Send>| {
         let mut sink = CaptureSink::default();
         let m = Simulation::new(&trace, &ci, fleet.clone()).run_with_sink(&mut eco, &mut sink);

@@ -6,8 +6,8 @@
 //! location** and **keep-alive period** with a per-function Dynamic PSO.
 //! Every component operates over an N-node
 //! [`Fleet`](ecolife_hw::Fleet) — the paper's old/new pair is the
-//! two-node special case, reachable through the same constructors via
-//! `From<HardwarePair>`.
+//! two-node special case (`ecolife_hw::skus::fleet_a` and its
+//! siblings).
 //!
 //! Components:
 //!

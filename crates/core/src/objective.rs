@@ -55,7 +55,7 @@ pub struct CostModel {
 
 impl CostModel {
     pub fn new(
-        fleet: impl Into<Fleet>,
+        fleet: Fleet,
         carbon: CarbonModel,
         lambda_s: f64,
         lambda_c: f64,
@@ -63,7 +63,7 @@ impl CostModel {
     ) -> Self {
         assert!(max_keepalive_ms > 0);
         CostModel {
-            fleet: fleet.into(),
+            fleet,
             carbon,
             lambda_s,
             lambda_c,
@@ -103,14 +103,14 @@ impl CostModel {
 
     /// Warm service time on node `l` (ms), the engine's setup delay
     /// included.
-    pub fn warm_service_ms(&self, l: impl Into<NodeId>, f: &FunctionProfile) -> u64 {
+    pub fn warm_service_ms(&self, l: NodeId, f: &FunctionProfile) -> u64 {
         SETUP_DELAY_MS
             + PerfModel::warm_service_ms(self.fleet.node(l), f.base_exec_ms, f.cpu_sensitivity)
     }
 
     /// Cold service time on node `l` (ms), the engine's setup delay
     /// included.
-    pub fn cold_service_ms(&self, l: impl Into<NodeId>, f: &FunctionProfile) -> u64 {
+    pub fn cold_service_ms(&self, l: NodeId, f: &FunctionProfile) -> u64 {
         SETUP_DELAY_MS
             + PerfModel::cold_service_ms(
                 self.fleet.node(l),
@@ -133,8 +133,7 @@ impl CostModel {
     // -- service carbon ----------------------------------------------------
 
     /// Carbon of a warm service on `l` at intensity `ci` (g).
-    pub fn warm_service_carbon_g(&self, l: impl Into<NodeId>, f: &FunctionProfile, ci: f64) -> f64 {
-        let l = l.into();
+    pub fn warm_service_carbon_g(&self, l: NodeId, f: &FunctionProfile, ci: f64) -> f64 {
         let d = self.warm_service_ms(l, f);
         self.carbon
             .active_phase(self.fleet.node(l), f.memory_mib, d, ci)
@@ -142,8 +141,7 @@ impl CostModel {
     }
 
     /// Carbon of a cold service on `l` at intensity `ci` (g).
-    pub fn cold_service_carbon_g(&self, l: impl Into<NodeId>, f: &FunctionProfile, ci: f64) -> f64 {
-        let l = l.into();
+    pub fn cold_service_carbon_g(&self, l: NodeId, f: &FunctionProfile, ci: f64) -> f64 {
         let d = self.cold_service_ms(l, f);
         self.carbon
             .active_phase(self.fleet.node(l), f.memory_mib, d, ci)
@@ -165,7 +163,7 @@ impl CostModel {
     /// Carbon of keeping `f` warm on `l` for `duration_ms` at `ci` (g).
     pub fn keepalive_carbon_g(
         &self,
-        l: impl Into<NodeId>,
+        l: NodeId,
         f: &FunctionProfile,
         duration_ms: u64,
         ci: f64,
@@ -194,8 +192,7 @@ impl CostModel {
     // -- energy (Energy-Opt) -------------------------------------------------
 
     /// Energy of a (cold or warm) service on `l` (kWh).
-    pub fn service_energy_kwh(&self, l: impl Into<NodeId>, f: &FunctionProfile, warm: bool) -> f64 {
-        let l = l.into();
+    pub fn service_energy_kwh(&self, l: NodeId, f: &FunctionProfile, warm: bool) -> f64 {
         let d = if warm {
             self.warm_service_ms(l, f)
         } else {
@@ -206,13 +203,7 @@ impl CostModel {
     }
 
     /// Energy of a keep-alive on `l` (kWh).
-    pub fn keepalive_energy_kwh(
-        &self,
-        l: impl Into<NodeId>,
-        f: &FunctionProfile,
-        duration_ms: u64,
-    ) -> f64 {
-        let l = l.into();
+    pub fn keepalive_energy_kwh(&self, l: NodeId, f: &FunctionProfile, duration_ms: u64) -> f64 {
         self.carbon
             .keepalive_energy_kwh(self.fleet.node(l), f.memory_mib, duration_ms)
     }
@@ -237,8 +228,7 @@ impl CostModel {
     /// The EPDM execution-placement score for a *cold* execution on `r`
     /// (Sec. IV-D): `fscore = λs·S_r/S_max + λc·SC_r/SC_max`, with `r`'s
     /// carbon priced at its own grid's intensity.
-    pub fn epdm_score(&self, r: impl Into<NodeId>, f: &FunctionProfile, ci_by_node: &[f64]) -> f64 {
-        let r = r.into();
+    pub fn epdm_score(&self, r: NodeId, f: &FunctionProfile, ci_by_node: &[f64]) -> f64 {
         self.fscore(
             self.cold_service_ms(r, f) as f64,
             self.s_max(f),
@@ -294,12 +284,11 @@ impl CostModel {
     #[cfg(test)]
     pub fn epdm_score_queued(
         &self,
-        r: impl Into<NodeId>,
+        r: NodeId,
         f: &FunctionProfile,
         ci_by_node: &[f64],
         queue_ms: u64,
     ) -> f64 {
-        let r = r.into();
         self.epdm_score(r, f, ci_by_node) + self.queue_term(queue_ms, self.s_max(f))
     }
 
@@ -327,14 +316,13 @@ impl CostModel {
     pub fn expected_objective(
         &self,
         f: &FunctionProfile,
-        l: impl Into<NodeId>,
+        l: NodeId,
         k_ms: u64,
         p_warm: f64,
         expected_resident_ms: f64,
         ci_by_node: &[f64],
         allowed: Option<NodeId>,
     ) -> f64 {
-        let l = l.into();
         let ci_l = self.ci_at(ci_by_node, l);
         let p_warm = if k_ms == 0 {
             0.0
@@ -371,13 +359,7 @@ impl CostModel {
     /// over a cold start (Sec. IV-C "calculating the difference in
     /// service time and carbon footprint between cold start and warm
     /// start"). Higher = more valuable to keep.
-    pub fn keepalive_benefit(
-        &self,
-        l: impl Into<NodeId>,
-        f: &FunctionProfile,
-        ci_by_node: &[f64],
-    ) -> f64 {
-        let l = l.into();
+    pub fn keepalive_benefit(&self, l: NodeId, f: &FunctionProfile, ci_by_node: &[f64]) -> f64 {
         let cold_loc = self.epdm_choice(f, ci_by_node, None);
         let ds = (self.cold_service_ms(cold_loc, f) as f64 - self.warm_service_ms(l, f) as f64)
             / self.s_max(f);
@@ -950,12 +932,12 @@ impl ObjectiveLandscape {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ecolife_hw::{skus, Generation};
+    use ecolife_hw::skus;
     use ecolife_trace::WorkloadCatalog;
 
     fn model() -> CostModel {
         CostModel::new(
-            skus::pair_a(),
+            skus::fleet_a(),
             CarbonModel::default(),
             0.5,
             0.5,
@@ -971,8 +953,8 @@ mod tests {
     fn s_max_is_cold_on_old() {
         let m = model();
         let f = profile("220.video-processing");
-        assert_eq!(m.s_max(&f), m.cold_service_ms(Generation::Old, &f) as f64);
-        assert!(m.s_max(&f) > m.cold_service_ms(Generation::New, &f) as f64);
+        assert_eq!(m.s_max(&f), m.cold_service_ms(NodeId(0), &f) as f64);
+        assert!(m.s_max(&f) > m.cold_service_ms(NodeId(1), &f) as f64);
     }
 
     #[test]
@@ -984,7 +966,7 @@ mod tests {
         let f = profile("503.graph-bfs");
         assert_eq!(
             m.kc_max(&f, &m.uniform_ci(300.0)),
-            m.keepalive_carbon_g(Generation::New, &f, m.max_keepalive_ms, 300.0)
+            m.keepalive_carbon_g(NodeId(1), &f, m.max_keepalive_ms, 300.0)
         );
     }
 
@@ -1003,15 +985,14 @@ mod tests {
         let f = profile("503.graph-bfs");
         let with_k = m.expected_objective(
             &f,
-            Generation::Old,
+            NodeId(0),
             600_000,
             0.9,
             300_000.0,
             &m.uniform_ci(300.0),
             None,
         );
-        let no_k =
-            m.expected_objective(&f, Generation::Old, 0, 0.9, 0.0, &m.uniform_ci(300.0), None);
+        let no_k = m.expected_objective(&f, NodeId(0), 0, 0.9, 0.0, &m.uniform_ci(300.0), None);
         // k = 0 forces the cold branch: that may be better or worse overall,
         // but its KC term must vanish, which we can see by reconstructing:
         let cold_loc = m.epdm_choice(&f, &m.uniform_ci(300.0), None);
@@ -1030,7 +1011,7 @@ mod tests {
         let f = profile("220.video-processing");
         let lo = m.expected_objective(
             &f,
-            Generation::Old,
+            NodeId(0),
             600_000,
             0.1,
             300_000.0,
@@ -1039,7 +1020,7 @@ mod tests {
         );
         let hi = m.expected_objective(
             &f,
-            Generation::Old,
+            NodeId(0),
             600_000,
             0.9,
             300_000.0,
@@ -1055,12 +1036,13 @@ mod tests {
         // node; a pure carbon objective must pick the cheaper old node
         // (lower package power and embodied attribution).
         let f = profile("311.compression");
-        let time_only = CostModel::new(skus::pair_a(), CarbonModel::default(), 1.0, 0.0, 600_000);
+        let time_only = CostModel::new(skus::fleet_a(), CarbonModel::default(), 1.0, 0.0, 600_000);
         assert_eq!(
             time_only.epdm_choice(&f, &time_only.uniform_ci(300.0), None),
             NodeId(1)
         );
-        let carbon_only = CostModel::new(skus::pair_a(), CarbonModel::default(), 0.0, 1.0, 600_000);
+        let carbon_only =
+            CostModel::new(skus::fleet_a(), CarbonModel::default(), 0.0, 1.0, 600_000);
         assert_eq!(
             carbon_only.epdm_choice(&f, &carbon_only.uniform_ci(300.0), None),
             NodeId(0)
@@ -1072,7 +1054,7 @@ mod tests {
         let m = model();
         let f = profile("311.compression");
         assert_eq!(
-            m.epdm_choice(&f, &m.uniform_ci(300.0), Some(Generation::Old.into())),
+            m.epdm_choice(&f, &m.uniform_ci(300.0), Some(NodeId(0))),
             NodeId(0)
         );
     }
@@ -1147,7 +1129,7 @@ mod tests {
         };
         let catalog = WorkloadCatalog::sebs();
         let fleets = [
-            Fleet::from(skus::pair_a()),
+            skus::fleet_a(),
             skus::fleet_three_generations(),
             skus::fleet_five_regions(),
         ];
@@ -1290,7 +1272,7 @@ mod tests {
         let f = profile("503.graph-bfs");
         let old = m.expected_objective(
             &f,
-            Generation::Old,
+            NodeId(0),
             600_000,
             0.8,
             240_000.0,
@@ -1299,7 +1281,7 @@ mod tests {
         );
         let new = m.expected_objective(
             &f,
-            Generation::New,
+            NodeId(1),
             600_000,
             0.8,
             240_000.0,
@@ -1326,7 +1308,7 @@ mod tests {
         let f = profile("504.dna-visualization");
         let obj = m.expected_objective(
             &f,
-            Generation::New,
+            NodeId(1),
             600_000,
             0.5,
             300_000.0,
@@ -1340,10 +1322,10 @@ mod tests {
     fn energy_accessors_positive_and_ordered() {
         let m = model();
         let f = profile("220.video-processing");
-        let cold = m.service_energy_kwh(Generation::New, &f, false);
-        let warm = m.service_energy_kwh(Generation::New, &f, true);
+        let cold = m.service_energy_kwh(NodeId(1), &f, false);
+        let warm = m.service_energy_kwh(NodeId(1), &f, true);
         assert!(cold > warm);
-        assert!(m.keepalive_energy_kwh(Generation::Old, &f, 600_000) > 0.0);
+        assert!(m.keepalive_energy_kwh(NodeId(0), &f, 600_000) > 0.0);
     }
 
     #[test]
@@ -1362,7 +1344,7 @@ mod tests {
         let catalog = WorkloadCatalog::sebs();
         let mut landscape = ObjectiveLandscape::default();
         for fleet in [
-            Fleet::from(skus::pair_a()),
+            skus::fleet_a(),
             skus::fleet_three_generations(),
             skus::fleet_five_regions(),
         ] {

@@ -210,7 +210,7 @@ mod tests {
     fn parallel_map_handles_empty_and_oversized_batches() {
         assert_eq!(parallel_map(Vec::<u32>::new(), |i| i), Vec::<u32>::new());
         // Far more jobs than cores: with one-thread-per-job this would
-        // spawn 2048 OS threads; chunking bounds it at the worker count.
+        // spawn 2048 OS threads; the pool bounds it at the worker count.
         let n = 2048u64;
         let out = parallel_map((0..n).collect(), |i: u64| i + 1);
         assert_eq!(out.len(), n as usize);
@@ -228,12 +228,12 @@ mod tests {
         };
         let seq: Vec<RunSummary> = (0..3)
             .map(|k| {
-                let mut s = FixedPolicy::pinned(ecolife_hw::Generation::New, k * 5);
+                let mut s = FixedPolicy::pinned(fleet.newest(), k * 5);
                 normalize(run_scheme(&trace, &ci, &fleet, &mut s).0)
             })
             .collect();
         let par = parallel_map((0..3).collect(), |k: u64| {
-            let mut s = FixedPolicy::pinned(ecolife_hw::Generation::New, k * 5);
+            let mut s = FixedPolicy::pinned(fleet.newest(), k * 5);
             normalize(run_scheme(&trace, &ci, &fleet, &mut s).0)
         });
         assert_eq!(seq, par);

@@ -113,7 +113,7 @@ pub fn priority_adjustment_with_targets(
 mod tests {
     use super::*;
     use ecolife_carbon::CarbonModel;
-    use ecolife_hw::{skus, Generation};
+    use ecolife_hw::skus;
     use ecolife_sim::{Cluster, WarmContainer};
 
     fn catalog() -> WorkloadCatalog {
@@ -121,7 +121,7 @@ mod tests {
     }
 
     fn cost() -> CostModel {
-        CostModel::new(skus::pair_a(), CarbonModel::default(), 0.5, 0.5, 600_000)
+        CostModel::new(skus::fleet_a(), CarbonModel::default(), 0.5, 0.5, 600_000)
     }
 
     fn container(cat: &WorkloadCatalog, name: &str, expiry: u64) -> WarmContainer {
@@ -143,15 +143,15 @@ mod tests {
         // cold-start benefit per MiB) is resident; image-recognition
         // (1024 MiB, 4 s cold start vs 0.8 s exec → huge benefit density)
         // arrives.
-        let pair = skus::pair_a().with_keepalive_budgets_mib(4_096, 4_096);
-        let mut cluster = Cluster::new(pair);
+        let fleet = skus::fleet_a().with_uniform_keepalive_budget_mib(4_096);
+        let mut cluster = Cluster::new(fleet);
         cluster
-            .pool_mut(Generation::New)
+            .pool_mut(NodeId(1))
             .insert(container(&cat, "504.dna-visualization", 600_000))
             .unwrap();
         let (inc_id, inc_p) = cat.by_name("411.image-recognition").unwrap();
         let ctx = OverflowCtx {
-            location: Generation::New.into(),
+            location: NodeId(1),
             incoming_func: inc_id,
             incoming_memory_mib: inc_p.memory_mib,
             t_ms: 1_000,
@@ -170,15 +170,15 @@ mod tests {
         let cat = catalog();
         // Pool of 1 GiB holds image-recognition (1024 MiB, high benefit);
         // dna-visualization (4096 MiB — can never fit anyway) arrives.
-        let pair = skus::pair_a().with_keepalive_budgets_mib(1_024, 1_024);
-        let mut cluster = Cluster::new(pair);
+        let fleet = skus::fleet_a().with_uniform_keepalive_budget_mib(1_024);
+        let mut cluster = Cluster::new(fleet);
         cluster
-            .pool_mut(Generation::New)
+            .pool_mut(NodeId(1))
             .insert(container(&cat, "411.image-recognition", 600_000))
             .unwrap();
         let (dna_id, dna_p) = cat.by_name("504.dna-visualization").unwrap();
         let ctx = OverflowCtx {
-            location: Generation::New.into(),
+            location: NodeId(1),
             incoming_func: dna_id,
             incoming_memory_mib: dna_p.memory_mib,
             t_ms: 1_000,
@@ -194,20 +194,20 @@ mod tests {
     #[test]
     fn packing_respects_capacity() {
         let cat = catalog();
-        let pair = skus::pair_a().with_keepalive_budgets_mib(640, 640);
-        let mut cluster = Cluster::new(pair);
+        let fleet = skus::fleet_a().with_uniform_keepalive_budget_mib(640);
+        let mut cluster = Cluster::new(fleet);
         // 512 + 128 = 640 fills the pool exactly.
         cluster
-            .pool_mut(Generation::Old)
+            .pool_mut(NodeId(0))
             .insert(container(&cat, "220.video-processing", 600_000))
             .unwrap();
         cluster
-            .pool_mut(Generation::Old)
+            .pool_mut(NodeId(0))
             .insert(container(&cat, "210.thumbnailer", 600_000))
             .unwrap();
         let (inc_id, inc_p) = cat.by_name("311.compression").unwrap();
         let ctx = OverflowCtx {
-            location: Generation::Old.into(),
+            location: NodeId(0),
             incoming_func: inc_id,
             incoming_memory_mib: inc_p.memory_mib,
             t_ms: 0,
@@ -219,7 +219,7 @@ mod tests {
         // Whatever the ranking, the kept set must fit in 640 MiB.
         let displaced: std::collections::HashSet<_> = plan.displace.iter().copied().collect();
         let mut kept: u64 = cluster
-            .pool(Generation::Old)
+            .pool(NodeId(0))
             .iter()
             .filter(|c| !displaced.contains(&c.func))
             .map(|c| c.memory_mib)
@@ -233,19 +233,19 @@ mod tests {
     #[test]
     fn plan_is_deterministic() {
         let cat = catalog();
-        let pair = skus::pair_a().with_keepalive_budgets_mib(1_024, 1_024);
-        let mut cluster = Cluster::new(pair);
+        let fleet = skus::fleet_a().with_uniform_keepalive_budget_mib(1_024);
+        let mut cluster = Cluster::new(fleet);
         cluster
-            .pool_mut(Generation::New)
+            .pool_mut(NodeId(1))
             .insert(container(&cat, "210.thumbnailer", 600_000))
             .unwrap();
         cluster
-            .pool_mut(Generation::New)
+            .pool_mut(NodeId(1))
             .insert(container(&cat, "110.dynamic-html", 600_000))
             .unwrap();
         let (inc_id, inc_p) = cat.by_name("220.video-processing").unwrap();
         let ctx = OverflowCtx {
-            location: Generation::New.into(),
+            location: NodeId(1),
             incoming_func: inc_id,
             incoming_memory_mib: inc_p.memory_mib,
             t_ms: 0,

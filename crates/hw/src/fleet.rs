@@ -2,17 +2,15 @@
 //! operates over.
 //!
 //! The paper evaluates exactly two nodes (one old-generation, one
-//! new-generation: [`HardwarePair`]), and notes in Sec. VI-C that the
-//! approach "generalizes to multiple pairs by maintaining multiple warm
-//! pools". [`Fleet`] is that generalization: an ordered, non-empty set of
+//! new-generation), and notes in Sec. VI-C that the approach
+//! "generalizes to multiple pairs by maintaining multiple warm pools".
+//! [`Fleet`] is that generalization: an ordered, non-empty set of
 //! [`HardwareNode`]s addressed by [`NodeId`]. Every layer above —
 //! cluster state, engine, schedulers, optimizers — is keyed by `NodeId`,
-//! so a two-node pair is simply the `N = 2` special case
-//! ([`From<HardwarePair>`] preserves the `old = node 0`, `new = node 1`
-//! layout the [`Generation`](crate::Generation) compatibility aliases
-//! rely on).
+//! so a Table I pair is simply the `N = 2` special case (see
+//! [`skus::fleet_a`](crate::skus::fleet_a): old node 0, new node 1).
 
-use crate::{HardwareNode, HardwarePair, NodeId, Region};
+use crate::{HardwareNode, NodeId, Region};
 
 /// An ordered, non-empty set of schedulable hardware nodes.
 ///
@@ -73,15 +71,13 @@ impl Fleet {
     /// # Panics
     /// Panics when `id` names no node of this fleet.
     #[inline]
-    pub fn node(&self, id: impl Into<NodeId>) -> &HardwareNode {
-        let id = id.into();
+    pub fn node(&self, id: NodeId) -> &HardwareNode {
         &self.nodes[id.0 as usize]
     }
 
     /// Mutable node accessor (used by memory-budget sweeps).
     #[inline]
-    pub fn node_mut(&mut self, id: impl Into<NodeId>) -> &mut HardwareNode {
-        let id = id.into();
+    pub fn node_mut(&mut self, id: NodeId) -> &mut HardwareNode {
         &mut self.nodes[id.0 as usize]
     }
 
@@ -161,7 +157,7 @@ impl Fleet {
     }
 
     /// Set one node's keep-alive budget (MiB).
-    pub fn with_keepalive_budget_mib(mut self, id: impl Into<NodeId>, mib: u64) -> Self {
+    pub fn with_keepalive_budget_mib(mut self, id: NodeId, mib: u64) -> Self {
         self.node_mut(id).keepalive_mem_mib = mib;
         self
     }
@@ -175,7 +171,7 @@ impl Fleet {
     }
 
     /// Deploy one node in `region`.
-    pub fn with_region(mut self, id: impl Into<NodeId>, region: Region) -> Self {
+    pub fn with_region(mut self, id: NodeId, region: Region) -> Self {
         self.node_mut(id).region = region;
         self
     }
@@ -221,42 +217,14 @@ impl Fleet {
     }
 }
 
-impl From<HardwarePair> for Fleet {
-    /// The two-node fleet of a Table I pair: `old` becomes node 0, `new`
-    /// node 1 — the layout the [`Generation`](crate::Generation)
-    /// compatibility aliases (`Old -> NodeId(0)`, `New -> NodeId(1)`)
-    /// assume.
-    fn from(pair: HardwarePair) -> Fleet {
-        Fleet::new(vec![pair.old, pair.new])
-    }
-}
-
-impl From<&HardwarePair> for Fleet {
-    fn from(pair: &HardwarePair) -> Fleet {
-        Fleet::from(pair.clone())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{skus, Generation};
-
-    #[test]
-    fn pair_conversion_preserves_old_new_layout() {
-        let pair = skus::pair_a();
-        let fleet = Fleet::from(&pair);
-        assert_eq!(fleet.len(), 2);
-        assert_eq!(fleet.node(NodeId(0)), &pair.old);
-        assert_eq!(fleet.node(NodeId(1)), &pair.new);
-        // Generation aliases route to the same nodes.
-        assert_eq!(fleet.node(Generation::Old), &pair.old);
-        assert_eq!(fleet.node(Generation::New), &pair.new);
-    }
+    use crate::skus;
 
     #[test]
     fn warm_preference_puts_fastest_first() {
-        let fleet = Fleet::from(skus::pair_a());
+        let fleet = skus::fleet_a();
         assert_eq!(fleet.warm_preference(), vec![NodeId(1), NodeId(0)]);
         let three = skus::fleet_of(&[skus::Sku::I3Metal, skus::Sku::M5Metal, skus::Sku::M5znMetal]);
         assert_eq!(
@@ -290,7 +258,7 @@ mod tests {
 
     #[test]
     fn budget_builders() {
-        let fleet = Fleet::from(skus::pair_a())
+        let fleet = skus::fleet_a()
             .with_uniform_keepalive_budget_mib(4_096)
             .with_keepalive_budget_mib(NodeId(1), 8_192);
         assert_eq!(fleet.node(NodeId(0)).keepalive_mem_mib, 4_096);
@@ -299,7 +267,7 @@ mod tests {
 
     #[test]
     fn region_helpers_tag_and_group_nodes() {
-        let fleet = Fleet::from(skus::pair_a())
+        let fleet = skus::fleet_a()
             .with_uniform_region(Region::Texas)
             .with_region(NodeId(1), Region::NewYork);
         assert_eq!(fleet.node(NodeId(0)).region, Region::Texas);
@@ -308,13 +276,13 @@ mod tests {
         assert_eq!(fleet.nodes_in_region(Region::Texas), vec![NodeId(0)]);
         assert_eq!(fleet.nodes_in_region(Region::Caiso), Vec::<NodeId>::new());
         // Default fleets are single-region.
-        assert_eq!(Fleet::from(skus::pair_a()).regions(), vec![Region::Caiso]);
+        assert_eq!(skus::fleet_a().regions(), vec![Region::Caiso]);
     }
 
     #[test]
     fn concat_renumbers_ids_and_keeps_regions() {
-        let a = Fleet::from(skus::pair_a()).with_uniform_region(Region::Tennessee);
-        let b = Fleet::from(skus::pair_a()).with_uniform_region(Region::NewYork);
+        let a = skus::fleet_a().with_uniform_region(Region::Tennessee);
+        let b = skus::fleet_a().with_uniform_region(Region::NewYork);
         let both = Fleet::concat(&[a.clone(), b]);
         assert_eq!(both.len(), 4);
         assert_eq!(both.node(NodeId(2)).region, Region::NewYork);
@@ -341,7 +309,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "fleet ids must equal positions")]
     fn rejects_misnumbered_nodes() {
-        let pair = skus::pair_a();
-        Fleet::new(vec![pair.new, pair.old]);
+        let a = skus::fleet_a();
+        Fleet::new(vec![a.node(NodeId(1)).clone(), a.node(NodeId(0)).clone()]);
     }
 }

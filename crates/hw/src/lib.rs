@@ -19,9 +19,12 @@
 //! simulator charges every execution and keep-alive at the acting
 //! node's own grid intensity.
 //!
-//! ## The paper's two-node special case
+//! ## The paper's hardware pairs
 //!
-//! The paper (Sec. II, Table I) evaluates three old/new hardware pairs:
+//! The paper (Sec. II, Table I) evaluates three old/new hardware pairs.
+//! Each is a two-SKU fleet ([`skus::fleet_a`], [`skus::fleet_b`],
+//! [`skus::fleet_c`]) with the old node at `NodeId(0)` and the new node
+//! at `NodeId(1)`:
 //!
 //! | Pair | Old CPU (year)              | New CPU (year)                | Old DRAM          | New DRAM           |
 //! |------|-----------------------------|-------------------------------|-------------------|--------------------|
@@ -29,11 +32,8 @@
 //! | B    | Xeon Platinum 8124M (2017)  | Xeon Platinum 8252C (2020)    | Micron-192 (2018) | Samsung-192 (2019) |
 //! | C    | Xeon Platinum 8275L (2019)  | Xeon Platinum 8252C (2020)    | Samsung-192 (2019)| Samsung-192 (2019) |
 //!
-//! [`HardwarePair`] survives as a thin two-node constructor for these
-//! configurations, and [`Generation`] as the compatibility alias into the
-//! canonical pair layout (`Old` → node 0, `New` → node 1 via
-//! `From<Generation> for NodeId`), so paper figures keep their Old/New
-//! semantics while everything else speaks fleet.
+//! Code that needs a node's era on an arbitrary fleet asks
+//! [`Fleet::oldest`] / [`Fleet::newest`] rather than assuming a layout.
 //!
 //! ## The physical trade-off
 //!
@@ -54,7 +54,6 @@ pub mod cpu;
 pub mod dram;
 pub mod fleet;
 pub mod node;
-pub mod pair;
 pub mod perf;
 pub mod power;
 pub mod region;
@@ -63,8 +62,7 @@ pub mod skus;
 pub use cpu::CpuModel;
 pub use dram::DramModel;
 pub use fleet::Fleet;
-pub use node::{Generation, HardwareNode, NodeId};
-pub use pair::{HardwarePair, PairId};
+pub use node::{HardwareNode, NodeId};
 pub use perf::PerfModel;
 pub use power::PowerDraw;
 pub use region::{Region, RegionProfile};

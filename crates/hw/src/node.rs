@@ -1,58 +1,6 @@
-//! A schedulable hardware node: one CPU package plus its DRAM, tagged with
-//! the generation it belongs to.
+//! A schedulable hardware node: one CPU package plus its DRAM.
 
 use crate::{CpuModel, DramModel, Region};
-
-/// Which side of a two-generation pair a node belongs to.
-///
-/// The paper's decision space is two-valued in this dimension
-/// (Sec. IV-A: "keep-alive locations l (older-generation hardware or
-/// newer-generation hardware)"). The simulator and schedulers have since
-/// been generalized to N-node [`Fleet`](crate::Fleet)s keyed by
-/// [`NodeId`]; `Generation` remains as (a) the era tag carried by each
-/// node for paper-figure labelling and (b) a compatibility alias into the
-/// canonical two-node fleet layout, where `Old` is node 0 and `New` is
-/// node 1 (see the `From<Generation> for NodeId` impl).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum Generation {
-    /// Older-generation hardware: lower embodied carbon, slower.
-    Old,
-    /// Newer-generation hardware: faster, lower operational carbon per
-    /// unit of work, higher embodied carbon.
-    New,
-}
-
-impl Generation {
-    /// The other generation of the pair.
-    #[inline]
-    pub fn other(self) -> Generation {
-        match self {
-            Generation::Old => Generation::New,
-            Generation::New => Generation::Old,
-        }
-    }
-
-    /// Both generations, old first (indexing matches `HardwarePair`).
-    pub const ALL: [Generation; 2] = [Generation::Old, Generation::New];
-
-    /// Stable index for array-backed per-generation state.
-    #[inline]
-    pub fn index(self) -> usize {
-        match self {
-            Generation::Old => 0,
-            Generation::New => 1,
-        }
-    }
-}
-
-impl std::fmt::Display for Generation {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Generation::Old => write!(f, "old"),
-            Generation::New => write!(f, "new"),
-        }
-    }
-}
 
 /// Identifier of a node inside a fleet: equal to the node's position in
 /// [`Fleet`](crate::Fleet) order, so it doubles as an index for
@@ -74,23 +22,7 @@ impl std::fmt::Display for NodeId {
     }
 }
 
-/// The compatibility bridge from the paper's two-generation vocabulary
-/// into the canonical two-node fleet layout produced by
-/// `Fleet::from(HardwarePair)`: `Old` is node 0, `New` is node 1.
-///
-/// The conversion is positional, so it is only meaningful on fleets
-/// that follow the canonical layout; on other fleets, compare against
-/// the node's own `generation` tag instead. No `PartialEq<Generation>`
-/// sugar is provided for exactly that reason — an equality that ignored
-/// a fleet's actual tags would silently match the wrong node.
-impl From<Generation> for NodeId {
-    #[inline]
-    fn from(generation: Generation) -> NodeId {
-        NodeId(generation.index() as u32)
-    }
-}
-
-/// One bare-metal node (CPU + DRAM) from a given generation.
+/// One bare-metal node (CPU + DRAM).
 ///
 /// `keepalive_mem_mib` bounds the warm pool hosted on this node — the paper
 /// varies this independently of the physical DRAM size in the Fig. 11
@@ -99,7 +31,6 @@ impl From<Generation> for NodeId {
 #[derive(Debug, Clone, PartialEq)]
 pub struct HardwareNode {
     pub id: NodeId,
-    pub generation: Generation,
     pub cpu: CpuModel,
     pub dram: DramModel,
     /// The grid region this node is deployed in: its executions and
@@ -116,11 +47,10 @@ pub struct HardwareNode {
 impl HardwareNode {
     /// Build a node with the default four-year lifetime and the full DRAM
     /// capacity available for keep-alive.
-    pub fn new(id: NodeId, generation: Generation, cpu: CpuModel, dram: DramModel) -> Self {
+    pub fn new(id: NodeId, cpu: CpuModel, dram: DramModel) -> Self {
         let keepalive_mem_mib = dram.capacity_mib;
         HardwareNode {
             id,
-            generation,
             cpu,
             dram,
             region: Region::Caiso,
@@ -168,42 +98,23 @@ mod tests {
     use crate::skus;
 
     #[test]
-    fn generation_other_is_involutive() {
-        assert_eq!(Generation::Old.other(), Generation::New);
-        assert_eq!(Generation::New.other(), Generation::Old);
-        for g in Generation::ALL {
-            assert_eq!(g.other().other(), g);
-        }
-    }
-
-    #[test]
-    fn generation_indices_are_distinct_and_stable() {
-        assert_eq!(Generation::Old.index(), 0);
-        assert_eq!(Generation::New.index(), 1);
-    }
-
-    #[test]
     fn display_formats() {
-        assert_eq!(Generation::Old.to_string(), "old");
-        assert_eq!(Generation::New.to_string(), "new");
         assert_eq!(NodeId(3).to_string(), "n3");
     }
 
     #[test]
     fn generation_maps_to_canonical_pair_slots() {
-        assert_eq!(NodeId::from(Generation::Old), NodeId(0));
-        assert_eq!(NodeId::from(Generation::New), NodeId(1));
+        // Every Table I pair fleet puts its old node first.
+        for fleet in [skus::fleet_a(), skus::fleet_b(), skus::fleet_c()] {
+            assert_eq!(fleet.oldest(), NodeId(0));
+            assert_eq!(fleet.newest(), NodeId(1));
+        }
         assert_eq!(NodeId(0).index(), 0);
     }
 
     #[test]
     fn new_node_defaults_keepalive_budget_to_dram_capacity() {
-        let n = HardwareNode::new(
-            NodeId(0),
-            Generation::Old,
-            skus::xeon_e5_2686(),
-            skus::micron_512(),
-        );
+        let n = HardwareNode::new(NodeId(0), skus::xeon_e5_2686(), skus::micron_512());
         assert_eq!(n.keepalive_mem_mib, n.dram.capacity_mib);
         assert_eq!(n.lifetime_ms, crate::DEFAULT_LIFETIME_MS);
         // The paper's default deployment region.
@@ -212,44 +123,24 @@ mod tests {
 
     #[test]
     fn with_region_tags_the_node() {
-        let n = HardwareNode::new(
-            NodeId(0),
-            Generation::Old,
-            skus::xeon_e5_2686(),
-            skus::micron_512(),
-        )
-        .with_region(Region::Texas);
+        let n = HardwareNode::new(NodeId(0), skus::xeon_e5_2686(), skus::micron_512())
+            .with_region(Region::Texas);
         assert_eq!(n.region, Region::Texas);
     }
 
     #[test]
     fn budget_and_lifetime_builders() {
-        let n = HardwareNode::new(
-            NodeId(1),
-            Generation::New,
-            skus::xeon_platinum_8252c(),
-            skus::samsung_192(),
-        )
-        .with_keepalive_budget_mib(15 * 1024)
-        .with_lifetime_ms(1_000);
+        let n = HardwareNode::new(NodeId(1), skus::xeon_platinum_8252c(), skus::samsung_192())
+            .with_keepalive_budget_mib(15 * 1024)
+            .with_lifetime_ms(1_000);
         assert_eq!(n.keepalive_mem_mib, 15 * 1024);
         assert_eq!(n.lifetime_ms, 1_000);
     }
 
     #[test]
     fn year_gap_signed() {
-        let old = HardwareNode::new(
-            NodeId(0),
-            Generation::Old,
-            skus::xeon_e5_2686(),
-            skus::micron_512(),
-        );
-        let new = HardwareNode::new(
-            NodeId(1),
-            Generation::New,
-            skus::xeon_platinum_8252c(),
-            skus::samsung_192(),
-        );
+        let old = HardwareNode::new(NodeId(0), skus::xeon_e5_2686(), skus::micron_512());
+        let new = HardwareNode::new(NodeId(1), skus::xeon_platinum_8252c(), skus::samsung_192());
         assert_eq!(new.year_gap(&old), 4);
         assert_eq!(old.year_gap(&new), -4);
     }

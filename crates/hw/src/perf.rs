@@ -62,7 +62,7 @@ impl PerfModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::skus;
+    use crate::{skus, NodeId};
 
     #[test]
     fn reference_cpu_runs_at_base_speed() {
@@ -99,10 +99,11 @@ mod tests {
 
     #[test]
     fn cold_service_is_sum_of_parts() {
-        let p = skus::pair_a();
-        let cold = PerfModel::cold_service_ms(&p.old, 1_000, 2_000, 0.64);
-        let warm = PerfModel::warm_service_ms(&p.old, 1_000, 0.64);
-        assert_eq!(cold, warm + PerfModel::cold_start_ms(&p.old.cpu, 2_000));
+        let f = skus::fleet_a();
+        let old = f.node(NodeId(0));
+        let cold = PerfModel::cold_service_ms(old, 1_000, 2_000, 0.64);
+        let warm = PerfModel::warm_service_ms(old, 1_000, 0.64);
+        assert_eq!(cold, warm + PerfModel::cold_start_ms(&old.cpu, 2_000));
     }
 
     #[test]
@@ -110,9 +111,10 @@ mod tests {
         // The Fig. 3 Case A vs Case B service-time claim: warm execution on
         // old hardware beats a cold start on new hardware whenever the cold
         // start overhead exceeds the generation slowdown penalty.
-        let p = skus::pair_a();
-        let warm_old = PerfModel::warm_service_ms(&p.old, 2_000, 0.64);
-        let cold_new = PerfModel::cold_service_ms(&p.new, 2_000, 2_500, 0.64);
+        let f = skus::fleet_a();
+        let (old, new) = (f.node(NodeId(0)), f.node(NodeId(1)));
+        let warm_old = PerfModel::warm_service_ms(old, 2_000, 0.64);
+        let cold_new = PerfModel::cold_service_ms(new, 2_000, 2_500, 0.64);
         assert!(warm_old < cold_new);
     }
 }

@@ -63,28 +63,29 @@ impl PowerDraw {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::skus;
+    use crate::{skus, NodeId};
 
     #[test]
     fn executing_power_uses_full_package() {
-        let p = skus::pair_a();
-        let d = PowerDraw::executing(&p.new, 1024);
-        assert_eq!(d.cpu_w, p.new.cpu.active_power_w);
-        assert!((d.dram_w - p.new.dram.active_w_per_gib).abs() < 1e-12);
+        let f = skus::fleet_a();
+        let new = f.node(NodeId(1));
+        let d = PowerDraw::executing(new, 1024);
+        assert_eq!(d.cpu_w, new.cpu.active_power_w);
+        assert!((d.dram_w - new.dram.active_w_per_gib).abs() < 1e-12);
     }
 
     #[test]
     fn keepalive_power_uses_one_core() {
-        let p = skus::pair_a();
-        let d = PowerDraw::keepalive(&p.new, 2048);
-        assert_eq!(d.cpu_w, p.new.cpu.idle_core_power_w);
-        assert!((d.dram_w - 2.0 * p.new.dram.idle_w_per_gib).abs() < 1e-12);
+        let f = skus::fleet_a();
+        let new = f.node(NodeId(1));
+        let d = PowerDraw::keepalive(new, 2048);
+        assert_eq!(d.cpu_w, new.cpu.idle_core_power_w);
+        assert!((d.dram_w - 2.0 * new.dram.idle_w_per_gib).abs() < 1e-12);
     }
 
     #[test]
     fn keepalive_power_is_far_below_executing_power() {
-        let p = skus::pair_a();
-        for node in [&p.old, &p.new] {
+        for node in skus::fleet_a().iter() {
             let exec = PowerDraw::executing(node, 512).total_w();
             let warm = PowerDraw::keepalive(node, 512).total_w();
             assert!(
@@ -99,17 +100,19 @@ mod tests {
 
     #[test]
     fn cold_start_power_equals_executing_power() {
-        let p = skus::pair_a();
+        let f = skus::fleet_a();
+        let old = f.node(NodeId(0));
         assert_eq!(
-            PowerDraw::cold_starting(&p.old, 512),
-            PowerDraw::executing(&p.old, 512)
+            PowerDraw::cold_starting(old, 512),
+            PowerDraw::executing(old, 512)
         );
     }
 
     #[test]
     fn energy_scales_linearly() {
-        let p = skus::pair_a();
-        let d = PowerDraw::executing(&p.new, 512);
+        let f = skus::fleet_a();
+        let new = f.node(NodeId(1));
+        let d = PowerDraw::executing(new, 512);
         let e1 = d.energy_kwh(1_000);
         let e5 = d.energy_kwh(5_000);
         assert!((e5 - 5.0 * e1).abs() < 1e-15);

@@ -28,9 +28,7 @@
 //!   paper measures (Fig. 2: A_OLD saves 23.8% total carbon over a
 //!   10-minute keep-alive episode while costing 15.9% execution time).
 
-use crate::{
-    CpuModel, DramModel, Fleet, Generation, HardwareNode, HardwarePair, NodeId, PairId, Region,
-};
+use crate::{CpuModel, DramModel, Fleet, HardwareNode, NodeId, Region};
 
 // ---------------------------------------------------------------------------
 // CPU SKUs (Table I)
@@ -130,64 +128,6 @@ pub fn samsung_192() -> DramModel {
 }
 
 // ---------------------------------------------------------------------------
-// Pairs
-// ---------------------------------------------------------------------------
-
-/// Pair A (default evaluation configuration, Sec. V): four-year gap.
-pub fn pair_a() -> HardwarePair {
-    HardwarePair::new(
-        PairId::A,
-        HardwareNode::new(NodeId(0), Generation::Old, xeon_e5_2686(), micron_512()),
-        HardwareNode::new(
-            NodeId(1),
-            Generation::New,
-            xeon_platinum_8252c(),
-            samsung_192(),
-        ),
-    )
-}
-
-/// Pair B: three-year gap.
-pub fn pair_b() -> HardwarePair {
-    HardwarePair::new(
-        PairId::B,
-        HardwareNode::new(
-            NodeId(0),
-            Generation::Old,
-            xeon_platinum_8124m(),
-            micron_192(),
-        ),
-        HardwareNode::new(
-            NodeId(1),
-            Generation::New,
-            xeon_platinum_8252c(),
-            samsung_192(),
-        ),
-    )
-}
-
-/// Pair C: one-year gap (old and new are closest here; the carbon gap is
-/// the smallest and the performance gap nearly vanishes, which is what
-/// makes the Graph-BFS example in Fig. 2 interesting).
-pub fn pair_c() -> HardwarePair {
-    HardwarePair::new(
-        PairId::C,
-        HardwareNode::new(
-            NodeId(0),
-            Generation::Old,
-            xeon_platinum_8275l(),
-            samsung_192(),
-        ),
-        HardwareNode::new(
-            NodeId(1),
-            Generation::New,
-            xeon_platinum_8252c(),
-            samsung_192(),
-        ),
-    )
-}
-
-// ---------------------------------------------------------------------------
 // Node SKUs and fleets
 // ---------------------------------------------------------------------------
 
@@ -240,8 +180,7 @@ impl Sku {
         self.cpu().embodied_g + self.dram().embodied_g
     }
 
-    /// The SKU's CPU release year (fleet-relative era tags and planner
-    /// reports key on this).
+    /// The SKU's CPU release year.
     pub fn year(self) -> u16 {
         self.cpu().year
     }
@@ -282,46 +221,33 @@ pub fn fleet_of_counts(counts: &[(Sku, u32)]) -> Fleet {
 }
 
 /// Build a fleet from a SKU list: node `i` gets `NodeId(i)`.
-///
-/// Each node's `Generation` era tag is assigned relative to the fleet:
-/// the newest CPU year present tags `New`, everything older tags `Old`.
-/// Fleet code paths key on `NodeId`; the tag only feeds labels and the
-/// two-node compatibility surface.
 pub fn fleet_of(skus: &[Sku]) -> Fleet {
     assert!(!skus.is_empty(), "a fleet needs at least one SKU");
-    let newest_year = skus
-        .iter()
-        .map(|s| s.cpu().year)
-        .max()
-        .expect("non-empty SKU list");
     Fleet::new(
         skus.iter()
             .enumerate()
-            .map(|(i, s)| {
-                let tag = if s.cpu().year == newest_year {
-                    Generation::New
-                } else {
-                    Generation::Old
-                };
-                HardwareNode::new(NodeId(i as u32), tag, s.cpu(), s.dram())
-            })
+            .map(|(i, s)| HardwareNode::new(NodeId(i as u32), s.cpu(), s.dram()))
             .collect(),
     )
 }
 
-/// Pair A as a two-node fleet (the default evaluation configuration).
+/// Table I's pair A (default evaluation configuration, Sec. V): the
+/// `i3.metal` old node and the `m5zn.metal` new node, a four-year gap.
 pub fn fleet_a() -> Fleet {
-    Fleet::from(pair_a())
+    fleet_of(&[Sku::I3Metal, Sku::M5znMetal])
 }
 
-/// Pair B as a two-node fleet.
+/// Table I's pair B: `c5.metal` and `m5zn.metal`, a three-year gap.
 pub fn fleet_b() -> Fleet {
-    Fleet::from(pair_b())
+    fleet_of(&[Sku::C5Metal, Sku::M5znMetal])
 }
 
-/// Pair C as a two-node fleet.
+/// Table I's pair C: `m5.metal` and `m5zn.metal`, a one-year gap (old
+/// and new are closest here; the carbon gap is the smallest and the
+/// performance gap nearly vanishes, which is what makes the Graph-BFS
+/// example in Fig. 2 interesting).
 pub fn fleet_c() -> Fleet {
-    Fleet::from(pair_c())
+    fleet_of(&[Sku::M5Metal, Sku::M5znMetal])
 }
 
 /// The three-generation demo fleet: A_OLD (2016) + the mid-generation
@@ -333,8 +259,7 @@ pub fn fleet_three_generations() -> Fleet {
 }
 
 /// Build a fleet from (SKU, region) pairs: node `i` gets `NodeId(i)` and
-/// its region tag. Era tags are assigned relative to the whole fleet,
-/// exactly as in [`fleet_of`].
+/// its region tag.
 pub fn fleet_of_in_regions(placements: &[(Sku, Region)]) -> Fleet {
     let skus: Vec<Sku> = placements.iter().map(|&(s, _)| s).collect();
     let mut fleet = fleet_of(&skus);
@@ -358,20 +283,6 @@ pub fn fleet_five_regions() -> Fleet {
         .flat_map(|&r| [(Sku::I3Metal, r), (Sku::M5znMetal, r)])
         .collect();
     fleet_of_in_regions(&placements)
-}
-
-/// Look a pair up by id.
-pub fn pair(id: PairId) -> HardwarePair {
-    match id {
-        PairId::A => pair_a(),
-        PairId::B => pair_b(),
-        PairId::C => pair_c(),
-    }
-}
-
-/// All three pairs, in Table I order.
-pub fn all_pairs() -> Vec<HardwarePair> {
-    vec![pair_a(), pair_b(), pair_c()]
 }
 
 #[cfg(test)]
@@ -435,39 +346,38 @@ mod tests {
 
     #[test]
     fn pair_year_gaps_match_table1() {
-        assert_eq!(pair_a().new.cpu.year - pair_a().old.cpu.year, 4);
-        assert_eq!(pair_b().new.cpu.year - pair_b().old.cpu.year, 3);
-        assert_eq!(pair_c().new.cpu.year - pair_c().old.cpu.year, 1);
-    }
-
-    #[test]
-    fn pair_lookup_matches_constructors() {
-        assert_eq!(pair(PairId::A), pair_a());
-        assert_eq!(pair(PairId::B), pair_b());
-        assert_eq!(pair(PairId::C), pair_c());
-        assert_eq!(all_pairs().len(), 3);
+        for (fleet, gap) in [(fleet_a(), 4), (fleet_b(), 3), (fleet_c(), 1)] {
+            assert_eq!(fleet.node(NodeId(1)).year_gap(fleet.node(NodeId(0))), gap);
+        }
     }
 
     #[test]
     fn fleet_of_matches_pair_layouts() {
-        // A pair-derived fleet and the SKU-built fleet of the same parts
-        // must be indistinguishable: this is what makes the two-node
-        // compatibility path exact.
-        assert_eq!(fleet_of(&[Sku::I3Metal, Sku::M5znMetal]), fleet_a());
-        assert_eq!(fleet_of(&[Sku::C5Metal, Sku::M5znMetal]), fleet_b());
-        assert_eq!(fleet_of(&[Sku::M5Metal, Sku::M5znMetal]), fleet_c());
+        // Each Table I pair is a two-node fleet: the old node at NodeId(0),
+        // the shared m5zn.metal new node at NodeId(1).
+        let table1 = [
+            (fleet_a(), ["Intel Xeon E5-2686", "Micron-512"]),
+            (fleet_b(), ["Intel Xeon Platinum 8124M", "Micron-192"]),
+            (fleet_c(), ["Intel Xeon Platinum 8275L", "Samsung-192"]),
+        ];
+        for (fleet, [old_cpu, old_dram]) in table1 {
+            assert_eq!(fleet.len(), 2);
+            let (old, new) = (fleet.node(NodeId(0)), fleet.node(NodeId(1)));
+            assert_eq!((old.cpu.name, old.dram.name), (old_cpu, old_dram));
+            assert_eq!(
+                (new.cpu.name, new.dram.name),
+                ("Intel Xeon Platinum 8252C", "Samsung-192")
+            );
+        }
     }
 
     #[test]
     fn fleet_of_tags_eras_relative_to_the_fleet() {
+        // Eras are read off the fleet's own nodes, not stored on them.
         let f = fleet_three_generations();
         assert_eq!(f.len(), 3);
-        assert_eq!(f.node(NodeId(0)).generation, Generation::Old);
-        assert_eq!(f.node(NodeId(1)).generation, Generation::Old);
-        assert_eq!(f.node(NodeId(2)).generation, Generation::New);
-        // A homogeneous fleet is all-New.
-        let twin = fleet_of(&[Sku::M5Metal, Sku::M5Metal]);
-        assert!(twin.iter().all(|n| n.generation == Generation::New));
+        assert_eq!(f.oldest(), NodeId(0));
+        assert_eq!(f.newest(), NodeId(2));
     }
 
     #[test]
@@ -545,21 +455,22 @@ mod tests {
 
     #[test]
     fn pair_a_matches_aws_instance_specs() {
-        let p = pair_a();
+        let f = fleet_a();
+        let (old, new) = (f.node(NodeId(0)), f.node(NodeId(1)));
         // i3.metal: 36-core E5-2686, 512 GiB.
-        assert_eq!(p.old.cpu.cores, 36);
-        assert_eq!(p.old.dram.capacity_mib, 512 * 1024);
+        assert_eq!(old.cpu.cores, 36);
+        assert_eq!(old.dram.capacity_mib, 512 * 1024);
         // m5zn.metal: 24-core 8252C, 192 GiB.
-        assert_eq!(p.new.cpu.cores, 24);
-        assert_eq!(p.new.dram.capacity_mib, 192 * 1024);
+        assert_eq!(new.cpu.cores, 24);
+        assert_eq!(new.dram.capacity_mib, 192 * 1024);
     }
 
     #[test]
-    fn keepalive_is_cheaper_per_minute_on_old_for_pair_a() {
+    fn keepalive_is_cheaper_per_minute_on_old_for_fleet_a() {
         // One warm 512-MiB container for one minute: reserved core power +
         // idle DRAM power + per-core & per-GiB embodied shares. Computed
         // here with raw model pieces; the carbon crate owns the full model.
-        let p = pair_a();
+        let f = fleet_a();
         let minute = 60_000u64;
         let per_min = |n: &crate::HardwareNode| {
             let op_kwh = n.cpu.idle_core_energy_kwh(minute) + n.dram.idle_energy_kwh(512, minute);
@@ -568,6 +479,6 @@ mod tests {
             // Assume a mid-range carbon intensity of 300 g/kWh.
             op_kwh * 300.0 + emb
         };
-        assert!(per_min(&p.old) < per_min(&p.new));
+        assert!(per_min(f.node(NodeId(0))) < per_min(f.node(NodeId(1))));
     }
 }

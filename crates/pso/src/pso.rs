@@ -303,7 +303,7 @@ mod tests {
 
     #[test]
     fn finds_offset_optimum_in_ecolife_like_space() {
-        let space = SearchSpace::ecolife(11);
+        let space = SearchSpace::placement(2, 11);
         let mut pso = Pso::new(space, PsoConfig::default());
         // Optimum at (old hardware, period index 8).
         let f = |x: &[f64]| (x[0] - 0.2).powi(2) + ((x[1] - 8.0) / 10.0).powi(2);

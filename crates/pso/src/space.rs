@@ -49,13 +49,6 @@ impl SearchSpace {
         ])
     }
 
-    /// The paper's two-node space: dimension 0 in `[0, 1]` (`< 0.5` →
-    /// old, else new). Identical to [`SearchSpace::placement`]`(2, _)` —
-    /// kept as the named two-generation special case.
-    pub fn ecolife(n_periods: usize) -> Self {
-        SearchSpace::placement(2, n_periods)
-    }
-
     /// A continuous relaxation of an integer grid: dimension `d` spans
     /// `[0, cardinalities[d] - 1]` and decodes by rounding to the nearest
     /// index ([`decode::grid_index`]). This is how non-placement genomes
@@ -159,13 +152,6 @@ pub mod decode {
         grid_index(x0, n_nodes)
     }
 
-    /// Two-node dimension-0 decode: `< 0.5` → old (false), else new
-    /// (true). Equivalent to `node_index(x0, 2) == 1`.
-    #[inline]
-    pub fn location_is_new(x0: f64) -> bool {
-        node_index(x0, 2) == 1
-    }
-
     /// Dimension-1 decode: nearest keep-alive period index, clamped.
     #[inline]
     pub fn period_index(x1: f64, n_periods: usize) -> usize {
@@ -180,7 +166,8 @@ mod tests {
 
     #[test]
     fn ecolife_space_shape() {
-        let s = SearchSpace::ecolife(11);
+        // The paper's two-node space.
+        let s = SearchSpace::placement(2, 11);
         assert_eq!(s.dims(), 2);
         assert_eq!(s.bounds()[0], (0.0, 1.0));
         assert_eq!(s.bounds()[1], (0.0, 10.0));
@@ -193,8 +180,6 @@ mod tests {
         assert_eq!(s.dims(), 2);
         assert_eq!(s.bounds()[0], (0.0, 4.0));
         assert_eq!(s.bounds()[1], (0.0, 10.0));
-        // The two-node special case is exactly the named ecolife space.
-        assert_eq!(SearchSpace::placement(2, 11), SearchSpace::ecolife(11));
     }
 
     #[test]
@@ -242,7 +227,7 @@ mod tests {
 
     #[test]
     fn clamp_pulls_into_box() {
-        let s = SearchSpace::ecolife(11);
+        let s = SearchSpace::placement(2, 11);
         let mut x = vec![-3.0, 42.0];
         s.clamp(&mut x);
         assert_eq!(x, vec![0.0, 10.0]);
@@ -288,10 +273,11 @@ mod tests {
 
     #[test]
     fn decode_location() {
-        assert!(!decode::location_is_new(0.0));
-        assert!(!decode::location_is_new(0.49));
-        assert!(decode::location_is_new(0.5));
-        assert!(decode::location_is_new(1.0));
+        // Two nodes: `< 0.5` is node 0, else node 1.
+        assert_eq!(decode::node_index(0.0, 2), 0);
+        assert_eq!(decode::node_index(0.49, 2), 0);
+        assert_eq!(decode::node_index(0.5, 2), 1);
+        assert_eq!(decode::node_index(1.0, 2), 1);
     }
 
     #[test]

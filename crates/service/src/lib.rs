@@ -158,12 +158,7 @@ impl<'a> Service<'a> {
     /// one shared CI series (the paper's single-region setup). Unlike
     /// batch construction there is no workload yet, so CI coverage is
     /// checked per arrival instead of at build time.
-    pub fn new(
-        catalog: WorkloadCatalog,
-        ci: &'a CarbonIntensityTrace,
-        fleet: impl Into<Fleet>,
-    ) -> Self {
-        let fleet = fleet.into();
+    pub fn new(catalog: WorkloadCatalog, ci: &'a CarbonIntensityTrace, fleet: Fleet) -> Self {
         let ci = CiProvider::shared(ci, &fleet);
         Service {
             trace: Trace::new(catalog, Vec::new()),
@@ -180,9 +175,8 @@ impl<'a> Service<'a> {
     pub fn try_new_regional(
         catalog: WorkloadCatalog,
         bundle: &'a CiBundle,
-        fleet: impl Into<Fleet>,
+        fleet: Fleet,
     ) -> Result<Self, CiError> {
-        let fleet = fleet.into();
         let ci = CiProvider::from_bundle(bundle, &fleet)?;
         Ok(Service {
             trace: Trace::new(catalog, Vec::new()),

@@ -37,14 +37,13 @@ pub struct Cluster {
 impl Cluster {
     /// Build a cluster; pool budgets come from each node's
     /// `keepalive_mem_mib`. Pools run the default expiry timeline.
-    pub fn new(fleet: impl Into<Fleet>) -> Self {
+    pub fn new(fleet: Fleet) -> Self {
         Self::with_expiry(fleet, ExpiryMode::default())
     }
 
     /// Build a cluster whose pools use an explicit expiry implementation
     /// (the engine threads [`SimConfig::expiry`](crate::SimConfig) here).
-    pub fn with_expiry(fleet: impl Into<Fleet>, mode: ExpiryMode) -> Self {
-        let fleet = fleet.into();
+    pub fn with_expiry(fleet: Fleet, mode: ExpiryMode) -> Self {
         let pools = fleet
             .iter()
             .map(|n| WarmPool::with_mode(n.keepalive_mem_mib, mode))
@@ -80,9 +79,9 @@ impl Cluster {
     /// before deciding), which is how queue-aware placement reads load
     /// without `&mut` access.
     #[inline]
-    pub fn queue_wait_ms(&self, id: impl Into<NodeId>, t_ms: u64) -> u64 {
+    pub fn queue_wait_ms(&self, id: NodeId, t_ms: u64) -> u64 {
         match &self.executors {
-            Some(x) => x.queue_wait_ms(id.into(), t_ms),
+            Some(x) => x.queue_wait_ms(id, t_ms),
             None => 0,
         }
     }
@@ -90,9 +89,9 @@ impl Cluster {
     /// Queue depth (admitted, not yet started) on `id` as of the last
     /// executor advance; `0` when executors are disabled.
     #[inline]
-    pub fn queue_depth(&self, id: impl Into<NodeId>) -> usize {
+    pub fn queue_depth(&self, id: NodeId) -> usize {
         match &self.executors {
-            Some(x) => x.queue_depth(id.into()),
+            Some(x) => x.queue_depth(id),
             None => 0,
         }
     }
@@ -114,18 +113,18 @@ impl Cluster {
     }
 
     #[inline]
-    pub fn node(&self, id: impl Into<NodeId>) -> &HardwareNode {
+    pub fn node(&self, id: NodeId) -> &HardwareNode {
         self.fleet.node(id)
     }
 
     #[inline]
-    pub fn pool(&self, id: impl Into<NodeId>) -> &WarmPool {
-        &self.pools[id.into().index()]
+    pub fn pool(&self, id: NodeId) -> &WarmPool {
+        &self.pools[id.index()]
     }
 
     #[inline]
-    pub fn pool_mut(&mut self, id: impl Into<NodeId>) -> &mut WarmPool {
-        &mut self.pools[id.into().index()]
+    pub fn pool_mut(&mut self, id: NodeId) -> &mut WarmPool {
+        &mut self.pools[id.index()]
     }
 
     /// Where `func` is currently warm at time `t_ms`, if anywhere.
@@ -152,14 +151,14 @@ impl Cluster {
     /// Whether `id` is currently a fleet member (keep-alives and
     /// transfers may land there).
     #[inline]
-    pub fn is_active(&self, id: impl Into<NodeId>) -> bool {
-        self.active[id.into().index()]
+    pub fn is_active(&self, id: NodeId) -> bool {
+        self.active[id.index()]
     }
 
     /// Flip a node's membership (the engine's membership timeline calls
     /// this; a leave drains the pool first).
-    pub fn set_active(&mut self, id: impl Into<NodeId>, active: bool) {
-        self.active[id.into().index()] = active;
+    pub fn set_active(&mut self, id: NodeId, active: bool) {
+        self.active[id.index()] = active;
     }
 }
 
@@ -167,7 +166,7 @@ impl Cluster {
 mod tests {
     use super::*;
     use crate::container::WarmContainer;
-    use ecolife_hw::{skus, Generation};
+    use ecolife_hw::skus;
 
     fn warm(f: u32, since: u64, expiry: u64) -> WarmContainer {
         WarmContainer {
@@ -182,13 +181,12 @@ mod tests {
 
     #[test]
     fn pools_take_budgets_from_nodes() {
-        let pair = skus::pair_a().with_keepalive_budgets_mib(1_000, 2_000);
-        let c = Cluster::new(pair);
+        let fleet = skus::fleet_a()
+            .with_keepalive_budget_mib(NodeId(0), 1_000)
+            .with_keepalive_budget_mib(NodeId(1), 2_000);
+        let c = Cluster::new(fleet);
         assert_eq!(c.pool(NodeId(0)).capacity_mib(), 1_000);
         assert_eq!(c.pool(NodeId(1)).capacity_mib(), 2_000);
-        // Generation aliases still address the same pools.
-        assert_eq!(c.pool(Generation::Old).capacity_mib(), 1_000);
-        assert_eq!(c.pool(Generation::New).capacity_mib(), 2_000);
     }
 
     #[test]

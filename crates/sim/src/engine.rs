@@ -324,10 +324,8 @@ pub struct Simulation<'a> {
 }
 
 impl<'a> Simulation<'a> {
-    /// Build a simulation over a fleet (an
-    /// [`ecolife_hw::HardwarePair`] converts implicitly into its
-    /// two-node fleet), every node reading the one shared CI series —
-    /// the paper's single-region setup.
+    /// Build a simulation over a fleet, every node reading the one
+    /// shared CI series — the paper's single-region setup.
     ///
     /// # Panics
     /// Panics when the CI series ends before the workload does (see
@@ -337,7 +335,7 @@ impl<'a> Simulation<'a> {
     /// construction-time error, with
     /// [`CarbonIntensityTrace::extend_cyclic`] as the explicit opt-in
     /// for covering longer horizons.
-    pub fn new(trace: &'a Trace, ci: &'a CarbonIntensityTrace, fleet: impl Into<Fleet>) -> Self {
+    pub fn new(trace: &'a Trace, ci: &'a CarbonIntensityTrace, fleet: Fleet) -> Self {
         Self::try_new(trace, ci, fleet).unwrap_or_else(|e| panic!("invalid simulation: {e}"))
     }
 
@@ -346,9 +344,8 @@ impl<'a> Simulation<'a> {
     pub fn try_new(
         trace: &'a Trace,
         ci: &'a CarbonIntensityTrace,
-        fleet: impl Into<Fleet>,
+        fleet: Fleet,
     ) -> Result<Self, CiError> {
-        let fleet = fleet.into();
         let provider = CiProvider::shared(ci, &fleet);
         Self::from_provider(trace, provider, fleet)
     }
@@ -359,9 +356,8 @@ impl<'a> Simulation<'a> {
     pub fn try_new_regional(
         trace: &'a Trace,
         bundle: &'a CiBundle,
-        fleet: impl Into<Fleet>,
+        fleet: Fleet,
     ) -> Result<Self, CiError> {
-        let fleet = fleet.into();
         let provider = CiProvider::from_bundle(bundle, &fleet)?;
         Self::from_provider(trace, provider, fleet)
     }
@@ -2163,7 +2159,7 @@ mod tests {
     use super::*;
     use crate::scheduler::{AdjustPlan, Decision, KeepAliveChoice};
     use crate::MINUTE_MS;
-    use ecolife_hw::{skus, Generation};
+    use ecolife_hw::skus;
     use ecolife_trace::{FunctionId, FunctionProfile, Invocation, WorkloadCatalog};
 
     /// Fixed policy: execute on `exec`, keep alive `ka_min` minutes on
@@ -2176,10 +2172,10 @@ mod tests {
     }
 
     impl Fixed {
-        fn new(exec: impl Into<NodeId>, ka_loc: impl Into<NodeId>, ka_min: u64) -> Self {
+        fn new(exec: NodeId, ka_loc: NodeId, ka_min: u64) -> Self {
             Fixed {
-                exec: exec.into(),
-                ka_loc: ka_loc.into(),
+                exec,
+                ka_loc,
                 ka_min,
                 overflow: OverflowAction::Drop,
             }
@@ -2229,8 +2225,8 @@ mod tests {
     fn first_invocation_is_cold_second_is_warm_within_keepalive() {
         let trace = trace_of(&[0, 2 * MINUTE_MS]);
         let ci = ci300();
-        let sim = Simulation::new(&trace, &ci, skus::pair_a());
-        let m = sim.run(&mut Fixed::new(Generation::New, Generation::New, 10));
+        let sim = Simulation::new(&trace, &ci, skus::fleet_a());
+        let m = sim.run(&mut Fixed::new(NodeId(1), NodeId(1), 10));
         assert_eq!(m.invocations(), 2);
         assert!(!m.records[0].warm);
         assert!(m.records[1].warm);
@@ -2244,8 +2240,8 @@ mod tests {
     fn reinvocation_after_expiry_is_cold() {
         let trace = trace_of(&[0, 15 * MINUTE_MS]);
         let ci = ci300();
-        let sim = Simulation::new(&trace, &ci, skus::pair_a());
-        let m = sim.run(&mut Fixed::new(Generation::New, Generation::New, 10));
+        let sim = Simulation::new(&trace, &ci, skus::fleet_a());
+        let m = sim.run(&mut Fixed::new(NodeId(1), NodeId(1), 10));
         assert!(!m.records[1].warm);
         assert_eq!(m.warm_starts(), 0);
     }
@@ -2254,8 +2250,8 @@ mod tests {
     fn keepalive_carbon_attributed_to_scheduling_invocation() {
         let trace = trace_of(&[0]);
         let ci = ci300();
-        let sim = Simulation::new(&trace, &ci, skus::pair_a());
-        let m = sim.run(&mut Fixed::new(Generation::New, Generation::New, 10));
+        let sim = Simulation::new(&trace, &ci, skus::fleet_a());
+        let m = sim.run(&mut Fixed::new(NodeId(1), NodeId(1), 10));
         // The sole record carries its own 10-minute keep-alive.
         assert!(m.records[0].keepalive_carbon.total_g() > 0.0);
         // Order of magnitude: ~2 W for 600 s at 300 g/kWh ≈ 0.1 g plus
@@ -2271,17 +2267,14 @@ mod tests {
         // Reuse after 2 of 10 scheduled minutes…
         let t_short = trace_of(&[0, 2 * MINUTE_MS]);
         let m_short = Simulation::new(&t_short, &ci, fleet.clone()).run(&mut Fixed::new(
-            Generation::New,
-            Generation::New,
+            NodeId(1),
+            NodeId(1),
             10,
         ));
         // …must charge less than lapsing the full 10 minutes.
         let t_lapse = trace_of(&[0]);
-        let m_lapse = Simulation::new(&t_lapse, &ci, fleet).run(&mut Fixed::new(
-            Generation::New,
-            Generation::New,
-            10,
-        ));
+        let m_lapse =
+            Simulation::new(&t_lapse, &ci, fleet).run(&mut Fixed::new(NodeId(1), NodeId(1), 10));
         let short_ka = m_short.records[0].keepalive_carbon.total_g();
         let lapse_ka = m_lapse.records[0].keepalive_carbon.total_g();
         assert!(short_ka < 0.5 * lapse_ka, "{short_ka} vs {lapse_ka}");
@@ -2293,8 +2286,8 @@ mod tests {
         // the engine must execute the warm start on node 0 (Sec. IV-D).
         let trace = trace_of(&[0, MINUTE_MS]);
         let ci = ci300();
-        let sim = Simulation::new(&trace, &ci, skus::pair_a());
-        let m = sim.run(&mut Fixed::new(Generation::New, Generation::Old, 10));
+        let sim = Simulation::new(&trace, &ci, skus::fleet_a());
+        let m = sim.run(&mut Fixed::new(NodeId(1), NodeId(0), 10));
         assert_eq!(m.records[1].exec_location, NodeId(0));
         assert!(m.records[1].warm);
     }
@@ -2317,14 +2310,10 @@ mod tests {
     #[test]
     fn overflow_drop_counts_eviction() {
         // Pool too small for the 512-MiB container.
-        let pair = skus::pair_a().with_keepalive_budgets_mib(256, 256);
+        let fleet = skus::fleet_a().with_uniform_keepalive_budget_mib(256);
         let trace = trace_of(&[0]);
         let ci = ci300();
-        let m = Simulation::new(&trace, &ci, pair).run(&mut Fixed::new(
-            Generation::New,
-            Generation::New,
-            10,
-        ));
+        let m = Simulation::new(&trace, &ci, fleet).run(&mut Fixed::new(NodeId(1), NodeId(1), 10));
         assert_eq!(m.evicted_functions, 1);
         assert_eq!(m.records[0].keepalive_carbon.total_g(), 0.0);
     }
@@ -2390,9 +2379,9 @@ mod tests {
         // Two functions of 512 MiB each; the new pool only fits one.
         let trace = two_func_trace();
         let ci = ci300();
-        let pair = skus::pair_a().with_keepalive_budgets_mib(512, 512);
+        let fleet = skus::fleet_a().with_uniform_keepalive_budget_mib(512);
 
-        let m = Simulation::new(&trace, &ci, pair).run(&mut Adjusting {
+        let m = Simulation::new(&trace, &ci, fleet).run(&mut Adjusting {
             transfer_targets: None,
         });
         assert_eq!(m.transfers, 1);
@@ -2483,14 +2472,14 @@ mod tests {
             ],
         );
         let ci = ci300();
-        let pair = skus::pair_a().with_keepalive_budgets_mib(512, 512);
+        let fleet = skus::fleet_a().with_uniform_keepalive_budget_mib(512);
         let ka = |node: NodeId| {
             Some(KeepAliveChoice {
                 location: node,
                 duration_ms: 10 * MINUTE_MS,
             })
         };
-        let m = Simulation::new(&trace, &ci, pair).run(&mut Scripted {
+        let m = Simulation::new(&trace, &ci, fleet).run(&mut Scripted {
             decisions: vec![
                 Decision {
                     exec: NodeId(1),
@@ -2527,8 +2516,10 @@ mod tests {
         // container has nowhere to go.
         let trace = two_func_trace();
         let ci = ci300();
-        let pair = skus::pair_a().with_keepalive_budgets_mib(256, 512);
-        let m = Simulation::new(&trace, &ci, pair).run(&mut Adjusting {
+        let fleet = skus::fleet_a()
+            .with_keepalive_budget_mib(NodeId(0), 256)
+            .with_keepalive_budget_mib(NodeId(1), 512);
+        let m = Simulation::new(&trace, &ci, fleet).run(&mut Adjusting {
             transfer_targets: None,
         });
         // The displaced container does not fit the 256-MiB old pool.
@@ -2545,8 +2536,8 @@ mod tests {
         // starts cold.
         let trace = ab_trace(&[(0, 0), (1, 1_000), (0, 2_000)]);
         let ci = ci300();
-        let pair = skus::pair_a().with_keepalive_budgets_mib(512, 512);
-        let m = Simulation::new(&trace, &ci, pair).run(&mut Adjusting {
+        let fleet = skus::fleet_a().with_uniform_keepalive_budget_mib(512);
+        let m = Simulation::new(&trace, &ci, fleet).run(&mut Adjusting {
             transfer_targets: None,
         });
         assert!(m.records[0].service_ms > 2_000);
@@ -2566,7 +2557,7 @@ mod tests {
         plan: MembershipPlan,
     ) -> RunMetrics {
         let ci = ci300();
-        let pair = skus::pair_a().with_keepalive_budgets_mib(512, 512);
+        let fleet = skus::fleet_a().with_uniform_keepalive_budget_mib(512);
         let decisions = decisions
             .iter()
             .map(|&(exec, ka)| Decision {
@@ -2577,7 +2568,7 @@ mod tests {
                 }),
             })
             .collect();
-        Simulation::new(trace, &ci, pair)
+        Simulation::new(trace, &ci, fleet)
             .with_membership(plan)
             .run(&mut Scripted { decisions })
     }
@@ -2626,9 +2617,9 @@ mod tests {
     fn no_keepalive_means_no_keepalive_carbon() {
         let trace = trace_of(&[0, MINUTE_MS]);
         let ci = ci300();
-        let m = Simulation::new(&trace, &ci, skus::pair_a()).run(&mut Fixed::new(
-            Generation::New,
-            Generation::New,
+        let m = Simulation::new(&trace, &ci, skus::fleet_a()).run(&mut Fixed::new(
+            NodeId(1),
+            NodeId(1),
             0,
         ));
         assert_eq!(m.total_keepalive_carbon_g(), 0.0);
@@ -2639,14 +2630,14 @@ mod tests {
     fn energy_accumulates_service_and_keepalive() {
         let trace = trace_of(&[0]);
         let ci = ci300();
-        let m = Simulation::new(&trace, &ci, skus::pair_a()).run(&mut Fixed::new(
-            Generation::New,
-            Generation::New,
+        let m = Simulation::new(&trace, &ci, skus::fleet_a()).run(&mut Fixed::new(
+            NodeId(1),
+            NodeId(1),
             10,
         ));
-        let service_only = Simulation::new(&trace, &ci, skus::pair_a()).run(&mut Fixed::new(
-            Generation::New,
-            Generation::New,
+        let service_only = Simulation::new(&trace, &ci, skus::fleet_a()).run(&mut Fixed::new(
+            NodeId(1),
+            NodeId(1),
             0,
         ));
         assert!(m.total_energy_kwh() > service_only.total_energy_kwh());
@@ -2658,9 +2649,9 @@ mod tests {
         // the hosting node, not the exec node, carries the grams.
         let trace = trace_of(&[0]);
         let ci = ci300();
-        let m = Simulation::new(&trace, &ci, skus::pair_a()).run(&mut Fixed::new(
-            Generation::New,
-            Generation::Old,
+        let m = Simulation::new(&trace, &ci, skus::fleet_a()).run(&mut Fixed::new(
+            NodeId(1),
+            NodeId(0),
             10,
         ));
         assert_eq!(m.keepalive_g_by_node.len(), 2);
@@ -2680,9 +2671,9 @@ mod tests {
         let trace = trace_of(&[0, 30_000, 90_000, 200_000]);
         let ci = ci300();
         let run = || {
-            Simulation::new(&trace, &ci, skus::pair_a()).run(&mut Fixed::new(
-                Generation::New,
-                Generation::New,
+            Simulation::new(&trace, &ci, skus::fleet_a()).run(&mut Fixed::new(
+                NodeId(1),
+                NodeId(1),
                 5,
             ))
         };
@@ -2699,7 +2690,7 @@ mod tests {
         // is a typed construction-time error.
         let trace = trace_of(&[0, 600 * MINUTE_MS]);
         let ci = ci300();
-        let err = Simulation::try_new(&trace, &ci, skus::pair_a()).unwrap_err();
+        let err = Simulation::try_new(&trace, &ci, skus::fleet_a()).unwrap_err();
         match err {
             ecolife_carbon::CiError::TooShort {
                 ci_ms, required_ms, ..
@@ -2711,13 +2702,15 @@ mod tests {
         }
         // The explicit opt-in: extend the series cyclically, then build.
         let extended = ci.extend_cyclic(601);
-        let m = Simulation::try_new(&trace, &extended, skus::pair_a())
+        let m = Simulation::try_new(&trace, &extended, skus::fleet_a())
             .unwrap()
-            .run(&mut Fixed::new(Generation::New, Generation::New, 0));
+            .run(&mut Fixed::new(NodeId(1), NodeId(1), 0));
         assert_eq!(m.invocations(), 2);
         // Exactly covering the span passes (last arrival reads a real
         // sample).
-        assert!(Simulation::try_new(&trace_of(&[0, 599 * MINUTE_MS]), &ci, skus::pair_a()).is_ok());
+        assert!(
+            Simulation::try_new(&trace_of(&[0, 599 * MINUTE_MS]), &ci, skus::fleet_a()).is_ok()
+        );
     }
 
     #[test]
@@ -2725,7 +2718,7 @@ mod tests {
     fn new_panics_rather_than_freezing_ci() {
         let trace = trace_of(&[0, 700 * MINUTE_MS]);
         let ci = ci300();
-        Simulation::new(&trace, &ci, skus::pair_a());
+        Simulation::new(&trace, &ci, skus::fleet_a());
     }
 
     #[test]

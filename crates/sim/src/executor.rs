@@ -217,9 +217,9 @@ mod tests {
     use ecolife_hw::skus;
 
     fn two_slot_executors(queue_cap: usize) -> NodeExecutors {
-        // pair_a nodes have many cores; build a tiny hand-tuned executor
+        // fleet_a nodes have many cores; build a tiny hand-tuned executor
         // set instead so saturation is reachable in a unit test.
-        let fleet = Fleet::from(skus::pair_a());
+        let fleet = skus::fleet_a();
         let mut x = NodeExecutors::new(&fleet, ExecutorConfig { queue_cap });
         for node in &mut x.nodes {
             node.slots = 2;
@@ -323,7 +323,7 @@ mod tests {
 
     #[test]
     fn slots_derive_from_cores() {
-        let fleet = Fleet::from(skus::pair_a());
+        let fleet = skus::fleet_a();
         let x = NodeExecutors::new(&fleet, ExecutorConfig::default());
         for (exec, node) in x.nodes.iter().zip(fleet.iter()) {
             assert_eq!(exec.slots, node.executor_slots());

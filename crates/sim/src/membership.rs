@@ -46,20 +46,20 @@ impl MembershipPlan {
     }
 
     /// Append a leave at `t_ms` (builder style).
-    pub fn leave(mut self, t_ms: u64, node: impl Into<NodeId>) -> Self {
+    pub fn leave(mut self, t_ms: u64, node: NodeId) -> Self {
         self.events.push(MembershipEvent {
             t_ms,
-            node: node.into(),
+            node,
             join: false,
         });
         Self::new(self.events)
     }
 
     /// Append a (re)join at `t_ms` (builder style).
-    pub fn join(mut self, t_ms: u64, node: impl Into<NodeId>) -> Self {
+    pub fn join(mut self, t_ms: u64, node: NodeId) -> Self {
         self.events.push(MembershipEvent {
             t_ms,
-            node: node.into(),
+            node,
             join: true,
         });
         Self::new(self.events)

@@ -105,7 +105,7 @@ pub struct RunMetrics {
     /// transfer moves a container across nodes mid-keep-alive. The
     /// engine sizes it to the fleet; it is empty on a default value.
     pub keepalive_g_by_node: Vec<f64>,
-    /// Containers revoked by the sharded engine's ledger reconciliation
+    /// Containers revoked by the sharded engine's reconciliation pass
     /// (optimistic cross-shard admissions rolled back at a period
     /// boundary; each is then transferred or evicted). Always 0 for
     /// sequential runs and whenever shards never contend for a node.
@@ -441,7 +441,7 @@ mod tests {
         use ecolife_hw::skus;
         let mut m = metrics(); // all executions on node 1
         m.keepalive_g_by_node = vec![0.05, 0.10];
-        let fleet = ecolife_hw::Fleet::from(skus::pair_a())
+        let fleet = skus::fleet_a()
             .with_region(NodeId(0), Region::Texas)
             .with_region(NodeId(1), Region::NewYork);
         let by_region = m.carbon_g_by_region(&fleet);

@@ -163,7 +163,6 @@ impl<S: Scheduler + ?Sized> Scheduler for Box<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ecolife_hw::Generation;
 
     /// A trivial policy for interface-level tests.
     struct AlwaysNewest;
@@ -188,7 +187,7 @@ mod tests {
         let cluster = Cluster::new(ecolife_hw::skus::fleet_a());
         let mut s = AlwaysNewest;
         let ctx = OverflowCtx {
-            location: Generation::New.into(),
+            location: NodeId(1),
             incoming_func: FunctionId(0),
             incoming_memory_mib: 128,
             t_ms: 0,

@@ -218,7 +218,7 @@ pub enum Event {
     /// autoscale event). A leaving node has already drained its pool
     /// (see the `MEMBER_OUT`/`MEMBER_IN` lanes).
     MembershipChanged { node: u32, t_ms: u64, joined: bool },
-    /// Ledger reconciliation revoked an optimistic cross-shard
+    /// The reconciliation pass revoked an optimistic cross-shard
     /// admission (sharded engine only; the container is then transferred
     /// or evicted).
     Revoked {

@@ -16,10 +16,11 @@
 //! one memory-bounded warm pool; schedulers place execution and
 //! keep-alive on any node, and the warm-pool adjustment transfers
 //! displaced containers along an explicit cheapest-first target ranking.
-//! The paper's old/new pairs are the two-node special case:
-//! [`HardwarePair`](hw::HardwarePair) converts into a fleet with `old` at
-//! node 0 and `new` at node 1, and [`Generation`](hw::Generation)
-//! aliases those slots so figure code keeps its Old/New vocabulary.
+//! The paper's old/new pairs are two-SKU fleets with the old node at
+//! `NodeId(0)` and the new node at `NodeId(1)`
+//! ([`skus::fleet_a`](hw::skus::fleet_a) and its siblings); code that
+//! must find a fleet's oldest or newest node asks
+//! [`Fleet::oldest`](hw::Fleet::oldest) / [`Fleet::newest`](hw::Fleet::newest).
 //! Larger fleets come from [`skus::fleet_of`](hw::skus::fleet_of) (e.g.
 //! the three-generation demo fleet,
 //! [`skus::fleet_three_generations`](hw::skus::fleet_three_generations)).
@@ -101,9 +102,7 @@ pub mod prelude {
         compare, run_scheme, BruteForce, Comparison, CostModel, EcoLife, EcoLifeConfig,
         FixedPolicy, OptTarget, RunSummary,
     };
-    pub use ecolife_hw::{
-        skus, Fleet, Generation, HardwareNode, HardwarePair, NodeId, PairId, Sku,
-    };
+    pub use ecolife_hw::{skus, Fleet, HardwareNode, NodeId, Sku};
     pub use ecolife_planner::{
         FleetPlan, PlanEvaluator, PlanReport, PlanScore, PlanSpace, Planner, PlannerConfig,
         SearchAlgorithm,

@@ -1,9 +1,7 @@
 //! Cross-crate determinism: every stochastic component is seeded, so the
-//! whole experiment pipeline must be bit-for-bit reproducible — the
-//! two-node fleet built from a Table I pair must reproduce the pair
-//! path's results exactly, and the sharded parallel replay must
-//! reproduce the single-threaded path exactly, at any shard count and
-//! any worker-thread count.
+//! whole experiment pipeline must be bit-for-bit reproducible — and the
+//! sharded parallel replay must reproduce the single-threaded path
+//! exactly, at any shard count and any worker-thread count.
 
 use ecolife::prelude::*;
 use ecolife::sim::ShardOptions;
@@ -114,64 +112,6 @@ struct InvocationOutcome {
     energy_kwh: f64,
 }
 
-/// The two-node compatibility regression: scheduling over
-/// `Fleet::from(skus::pair_a())` (the seed's `HardwarePair` path, which
-/// now converts at the constructor boundary) must be bit-identical to
-/// scheduling over the SKU-built two-node fleet, for every scheduler
-/// family of the paper — every float equal, not merely close.
-#[test]
-fn two_node_fleet_is_bit_identical_to_the_pair_path() {
-    let trace = SynthTraceConfig {
-        n_functions: 16,
-        duration_min: 120,
-        seed: 77,
-        ..Default::default()
-    }
-    .generate(&WorkloadCatalog::sebs());
-    let ci = CarbonIntensityTrace::synthetic(Region::Caiso, 150, 77);
-
-    // The same two nodes, reached through both construction paths.
-    let via_pair = Fleet::from(skus::pair_a()).with_uniform_keepalive_budget_mib(8 * 1024);
-    let via_skus =
-        skus::fleet_of(&[Sku::I3Metal, Sku::M5znMetal]).with_uniform_keepalive_budget_mib(8 * 1024);
-    assert_eq!(via_pair, via_skus, "construction paths diverged");
-
-    type Factory<'a> = Box<dyn Fn(&Fleet) -> Box<dyn Scheduler> + 'a>;
-    let factories: Vec<(&str, Factory)> = vec![
-        (
-            "FixedPolicy",
-            Box::new(|_: &Fleet| Box::new(FixedPolicy::new_only()) as Box<dyn Scheduler>),
-        ),
-        (
-            "EcoLife",
-            Box::new(|f: &Fleet| {
-                Box::new(EcoLife::new(f.clone(), EcoLifeConfig::default())) as Box<dyn Scheduler>
-            }),
-        ),
-        (
-            "BruteForce::oracle",
-            Box::new(|f: &Fleet| {
-                Box::new(BruteForce::oracle(
-                    f.clone(),
-                    CarbonIntensityTrace::synthetic(Region::Caiso, 150, 77),
-                )) as Box<dyn Scheduler>
-            }),
-        ),
-    ];
-
-    for (name, mk) in &factories {
-        let mut a = mk(&via_pair);
-        let mut b = mk(&via_skus);
-        let (_, ma) = run_scheme(&trace, &ci, &via_pair, &mut a);
-        let (_, mb) = run_scheme(&trace, &ci, &via_skus, &mut b);
-        assert_eq!(
-            comparable(ma),
-            comparable(mb),
-            "{name}: pair-path and fleet-path runs diverged"
-        );
-    }
-}
-
 /// The seed workloads of this suite, as `(trace, ci, fleet)` — the same
 /// traces the pre-shard suite replays, with warm-pool budgets sized so
 /// the pools never overflow (verified below: the sequential runs report
@@ -207,8 +147,8 @@ fn seed_workloads() -> Vec<(Trace, CarbonIntensityTrace, Fleet)> {
 
 /// The same three-node workload squeezed into pools a quarter the size:
 /// the sequential run overflows constantly (transfers + evictions), so
-/// the sharded run exercises stale-snapshot admission and ledger
-/// reconciliation for real.
+/// the sharded run exercises stale-snapshot admission and the
+/// reconciliation pass for real.
 fn pressured_workload() -> (Trace, CarbonIntensityTrace, Fleet) {
     let (trace, ci, fleet) = seed_workloads().swap_remove(1);
     (trace, ci, fleet.with_uniform_keepalive_budget_mib(4 * 1024))
@@ -289,7 +229,7 @@ fn pressured_sharded_replay_is_deterministic_across_thread_counts() {
         )
     };
     let reference = run(1);
-    // The squeeze is real: the run overflows and the ledger reconciles.
+    // The squeeze is real: the run overflows and the shards reconcile.
     assert!(
         reference.transfers + reference.evicted_functions > 0,
         "pressured workload did not overflow"

@@ -6,8 +6,13 @@ use ecolife::carbon::CarbonFootprint;
 use ecolife::prelude::*;
 use proptest::prelude::*;
 
-fn any_generation() -> impl Strategy<Value = Generation> {
-    prop_oneof![Just(Generation::Old), Just(Generation::New)]
+/// One node of every catalog SKU, oldest CPU first.
+fn catalog_fleet() -> Fleet {
+    skus::fleet_of(&Sku::ALL)
+}
+
+fn any_node() -> impl Strategy<Value = NodeId> {
+    (0..Sku::ALL.len() as u32).prop_map(NodeId)
 }
 
 proptest! {
@@ -17,13 +22,13 @@ proptest! {
     /// duration, memory, and CI.
     #[test]
     fn carbon_model_monotonicity(
-        gen in any_generation(),
+        id in any_node(),
         mem in 64u64..8_192,
         dur in 1u64..3_600_000,
         ci in 20.0f64..900.0,
     ) {
-        let pair = skus::pair_a();
-        let node = pair.node(gen);
+        let fleet = catalog_fleet();
+        let node = fleet.node(id);
         let model = CarbonModel::default();
         for phase in [
             model.active_phase(node, mem, dur, ci),
@@ -48,20 +53,14 @@ proptest! {
         sens in 0.0f64..1.0,
         ci in 20.0f64..900.0,
         p in 0.0f64..1.0,
-        gen in any_generation(),
+        id in any_node(),
         k_min in 0u64..=10,
     ) {
         let f = FunctionProfile::new("prop", exec, cold, mem, sens);
-        let cost = CostModel::new(
-            skus::pair_a(),
-            CarbonModel::default(),
-            0.5,
-            0.5,
-            600_000,
-        );
+        let cost = CostModel::new(catalog_fleet(), CarbonModel::default(), 0.5, 0.5, 600_000);
         let k_ms = k_min * 60_000;
         let resident = p * k_ms as f64;
-        let obj = cost.expected_objective(&f, gen, k_ms, p, resident, &cost.uniform_ci(ci), None);
+        let obj = cost.expected_objective(&f, id, k_ms, p, resident, &cost.uniform_ci(ci), None);
         prop_assert!(obj.is_finite());
         prop_assert!(obj >= 0.0);
         prop_assert!(obj < 10.0, "objective {obj} badly normalized");
@@ -73,17 +72,11 @@ proptest! {
         exec in 1u64..60_000,
         cold in 0u64..20_000,
         sens in 0.0f64..1.0,
-        gen in any_generation(),
+        id in any_node(),
     ) {
         let f = FunctionProfile::new("prop", exec, cold, 128, sens);
-        let cost = CostModel::new(
-            skus::pair_a(),
-            CarbonModel::default(),
-            0.5,
-            0.5,
-            600_000,
-        );
-        prop_assert!(cost.warm_service_ms(gen, &f) <= cost.cold_service_ms(gen, &f));
+        let cost = CostModel::new(catalog_fleet(), CarbonModel::default(), 0.5, 0.5, 600_000);
+        prop_assert!(cost.warm_service_ms(id, &f) <= cost.cold_service_ms(id, &f));
     }
 
     /// Footprint arithmetic: addition commutes and total always equals
@@ -118,9 +111,9 @@ proptest! {
         }
         .generate(&WorkloadCatalog::sebs());
         let ci = CarbonIntensityTrace::constant(250.0, 60);
-        let fleet = Fleet::from(
-            skus::pair_a().with_keepalive_budgets_mib(old_gib * 1024, new_gib * 1024),
-        );
+        let fleet = skus::fleet_a()
+            .with_keepalive_budget_mib(NodeId(0), old_gib * 1024)
+            .with_keepalive_budget_mib(NodeId(1), new_gib * 1024);
         let mut eco = EcoLife::new(fleet.clone(), EcoLifeConfig::default());
         let (summary, metrics) = run_scheme(&trace, &ci, &fleet, &mut eco);
         prop_assert_eq!(summary.invocations, trace.len());

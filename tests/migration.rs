@@ -20,7 +20,7 @@
 //!    shard count.
 //! 4. **Shard-*count* invariance under contention** — on a workload
 //!    engineered so no shard-local budget overflows (every conflict is
-//!    resolved by the global reconcile ledger), the layout itself
+//!    resolved by the reconciliation pass), the layout itself
 //!    becomes invisible: shard counts {2, 4, 8} × threads {1, 2, 4} all
 //!    emit one identical stream, while the merged load still forces
 //!    revocations at the period boundary.
@@ -214,7 +214,7 @@ fn free_transfer_cost_replays_the_unpriced_engine_byte_for_byte() {
     }
     .generate(&WorkloadCatalog::sebs());
     let ci = CarbonIntensityTrace::synthetic(Region::Caiso, 120, 23);
-    let fleet = Fleet::from(skus::pair_a()).with_uniform_keepalive_budget_mib(6 * 1024);
+    let fleet = skus::fleet_a().with_uniform_keepalive_budget_mib(6 * 1024);
 
     let mut plain_sink = CaptureSink::default();
     let plain = Simulation::new(&trace, &ci, fleet.clone()).run_with_sink(
@@ -351,7 +351,7 @@ impl Scheduler for PinAll {
 /// budget — so no shard ever overflows locally and every admission is
 /// optimistic. The merged 8 GiB exceeds the budget, so the global
 /// reconcile at the t = 60 s period boundary must revoke — and since
-/// the ledger sees the same admissions in the same order under every
+/// the reconciliation pass sees the same admissions in the same order under every
 /// layout, records, streams, and chain tips are identical across
 /// shard counts {2, 4, 8} and worker threads {1, 2, 4}.
 #[test]
