@@ -1,7 +1,7 @@
 //! Grid carbon-intensity time series.
 //!
 //! The paper feeds EcoLife minute-resolution carbon intensity from
-//! Electricity Maps [37], primarily CISO (California ISO), plus Tennessee,
+//! Electricity Maps \[37\], primarily CISO (California ISO), plus Tennessee,
 //! Texas, Florida, and New York for the Fig. 14 robustness study. We
 //! reproduce those feeds with a seeded synthetic generator whose per-region
 //! parameters match the published statistics: CISO has a pronounced solar

@@ -38,7 +38,6 @@ pub mod config;
 pub mod ecolife;
 pub mod objective;
 pub mod predictor;
-pub mod report;
 pub mod runner;
 pub mod warmpool;
 

@@ -2,7 +2,7 @@
 //! relative performance index.
 //!
 //! The embodied-carbon values are derived from the Boavizta server
-//! manufacturing methodology [25] and the Teads AWS EC2 carbon dataset [34]
+//! manufacturing methodology \[25\] and the Teads AWS EC2 carbon dataset \[34\]
 //! cited by the paper: a modern high-core-count Xeon package lands in the
 //! 15–30 kgCO2e range, with newer, larger dies at the top of the range.
 

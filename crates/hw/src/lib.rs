@@ -70,7 +70,7 @@ pub use skus::Sku;
 
 /// Default hardware lifetime used to amortize embodied carbon:
 /// four years, per the paper (Sec. V, "a typical four-year lifetime
-/// [35], [36] for DRAM and CPU").
+/// \[35\], \[36\] for DRAM and CPU").
 pub const DEFAULT_LIFETIME_MS: u64 = 4 * 365 * 24 * 3600 * 1000;
 
 /// Milliseconds per hour, used when converting power x time to kWh.

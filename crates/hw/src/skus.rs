@@ -1,12 +1,12 @@
 //! Concrete SKU catalog matching Table I of the paper, with embodied-carbon
-//! and power values calibrated from the Boavizta methodology [25] and the
-//! Teads AWS EC2 dataset [34].
+//! and power values calibrated from the Boavizta methodology \[25\] and the
+//! Teads AWS EC2 dataset \[34\].
 //!
 //! Calibration rationale:
 //!
 //! * CPU embodied carbon grows with die size / core complexity / process
 //!   recency. Values are *compute-subsystem* attributions per the Teads
-//!   AWS dataset [34]: the server-level manufacturing footprint
+//!   AWS dataset \[34\]: the server-level manufacturing footprint
 //!   (package, motherboard, PSU, chassis share — ~0.5-0.7 tCO2e per
 //!   socket) is carried by the CPU term, exactly as the paper routes all
 //!   embodied carbon through its CPU and DRAM terms. 2016-era E5 ≈ 500 kg,

@@ -5,8 +5,8 @@
 //! not: invocations arrive one at a time from producers it does not
 //! control, and the platform must admit, place, and account for each
 //! before it knows what comes next. [`Service`] is that driver, built on
-//! the same per-invocation core ([`Engine`](ecolife_sim::Engine)) the
-//! batch replayer runs — not a reimplementation of it.
+//! the same per-invocation core ([`Engine`]) the batch replayer runs —
+//! not a reimplementation of it.
 //!
 //! ## Determinism: service ≡ batch, bit for bit
 //!

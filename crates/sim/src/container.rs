@@ -19,10 +19,10 @@ pub struct WarmContainer {
     /// its keep-alive carbon is attributed there.
     pub origin_record: usize,
     /// Latency debt from priced migrations: every transfer this
-    /// container survived adds [`TransferCost::latency_ms`]
-    /// (`ecolife_carbon::TransferCost`), and the next warm start pays
-    /// it on top of its service time. 0 for fresh containers and under
-    /// free transfer pricing.
+    /// container survived adds
+    /// [`TransferCost::latency_ms`](ecolife_carbon::TransferCost::latency_ms),
+    /// and the next warm start pays it on top of its service time. 0 for
+    /// fresh containers and under free transfer pricing.
     pub transfer_latency_ms: u64,
 }
 

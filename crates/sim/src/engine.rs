@@ -52,9 +52,9 @@
 //! Every observable action can additionally be emitted as a
 //! hash-chained event stream ([`ecolife_telemetry`]): pass a sink to
 //! [`Simulation::run_with_sink`] / [`Simulation::run_sharded_with_sink`].
-//! Both engines *collect* `(EventKey, Event)` pairs and only sort,
-//! number, and hash them at end of run, under canonical keys (global
-//! invocation index anchors — see [`ecolife_telemetry::event`]), so the
+//! Each run state's [`stream`](crate::stream) collects the events under
+//! canonical keys (global invocation index anchors) as the run reaches
+//! them, and [`Engine::seal`] sorts, numbers and hash-chains them, so the
 //! sharded stream is byte-identical to the sequential one whenever the
 //! runs themselves are (no reconciliation revocations). The sink is a
 //! *type* parameter: with [`NullSink`] (`ENABLED = false`, what
@@ -62,18 +62,11 @@
 //! compile-time dead code, which is why telemetry lives here as a
 //! generic rather than a `SimConfig` field — `SimConfig` is `Copy`, and
 //! monomorphization is what makes the disabled path cost nothing.
-//!
-//! With an enabled sink, sealing is the part of a run that scales with
-//! the event count. It works in place: the input-derived skeleton is
-//! appended to the collected body, [`finalize`] sorts that one vector
-//! without a scratch buffer (keys are unique, so the unstable sort is
-//! exact), and each event is serialized, hashed (SHA-NI where the CPU has
-//! it) and sealed into one reused buffer before the sink sees it.
 
 use crate::cluster::Cluster;
 use crate::container::WarmContainer;
 use crate::executor::{Admission, ExecutorConfig};
-use crate::faults::{Fault, FaultPlan};
+use crate::faults::FaultPlan;
 use crate::membership::{MembershipEvent, MembershipPlan};
 use crate::metrics::{InvocationRecord, RunMetrics};
 use crate::parallel::{default_threads, WorkerPool};
@@ -82,16 +75,14 @@ use crate::scheduler::{
     Decision, InvocationCtx, KeepAliveChoice, OverflowAction, OverflowCtx, Scheduler,
 };
 use crate::shard::{merge_metrics, shard_of, ShardOptions};
+use crate::stream::Stream;
 use ecolife_carbon::{
     CarbonIntensityTrace, CarbonModel, CiBundle, CiError, CiProvider, Region, StalenessPolicy,
     TransferCost,
 };
 use ecolife_hw::{Fleet, NodeId, PerfModel};
-use ecolife_telemetry::{finalize, lane, Event, EventKey, EventSink, NullSink, ReleaseCause};
+use ecolife_telemetry::{lane, Event, EventKey, EventSink, NullSink, ReleaseCause};
 use ecolife_trace::{FunctionId, Invocation, Trace};
-
-/// Collected-but-not-yet-finalized telemetry: canonical key + event.
-type EventList = Vec<(EventKey, Event)>;
 
 /// What one settlement charged — returned by `settle` so its three
 /// callers (`release`, `settle_expired` and the reconcile revocation)
@@ -100,26 +91,6 @@ type EventList = Vec<(EventKey, Event)>;
 struct Settlement {
     keepalive_g: f64,
     energy_kwh: f64,
-}
-
-/// Per-invocation event emission: numbers lane-6 events in code order so
-/// the finalized stream reads exactly like the sequential engine
-/// executed the step.
-struct StepEvents<'e> {
-    index: usize,
-    sub: u32,
-    buf: &'e mut EventList,
-}
-
-impl StepEvents<'_> {
-    #[inline]
-    fn push(&mut self, event: Event) {
-        self.buf.push((
-            EventKey::new(self.index as u64, lane::INVOCATION, self.sub, 0),
-            event,
-        ));
-        self.sub += 1;
-    }
 }
 
 /// Count one accepted keep-alive transfer `from → to` — egress grams
@@ -508,12 +479,14 @@ impl<'a> Simulation<'a> {
     /// [`Simulation::run_sharded`], additionally emitting the
     /// hash-chained event stream through `sink`.
     ///
-    /// Shards collect events locally under canonical global-index keys;
-    /// the coordinator concatenates and finalization sorts — the same
-    /// discipline as the `RunMetrics` merge — so the serialized stream
-    /// (and therefore the chain tip) is identical at any shard/thread
-    /// count, and byte-identical to the sequential stream whenever the
-    /// runs themselves are (`reconcile_revocations == 0`).
+    /// Each shard's stream collects, under canonical global-index keys,
+    /// its own run events and the input-derived events anchored at the
+    /// indices it ingests, so each event is emitted by one shard. The
+    /// coordinator concatenates the streams and the seal sorts them —
+    /// the same discipline as the `RunMetrics` merge — so the serialized
+    /// stream (and therefore the chain tip) is identical at any
+    /// shard/thread count, and byte-identical to the sequential stream
+    /// whenever the runs themselves are (`reconcile_revocations == 0`).
     pub fn run_sharded_with_sink<S, F, K>(
         &self,
         factory: F,
@@ -602,13 +575,13 @@ impl<'a> Simulation<'a> {
         }
 
         // Gather every shard's collected telemetry (empty unless `K` is
-        // enabled) while the merge consumes the states; finalization
-        // sorts by canonical key.
-        let mut stream: EventList = Vec::new();
+        // enabled) while the merge consumes the states; the seal sorts
+        // by canonical key.
+        let mut stream = Stream::new(&self.membership, &self.faults);
         let parts = states
             .into_iter()
             .map(|s| {
-                stream.extend(s.run.events);
+                stream.absorb(s.run.stream);
                 // A shard's records were pushed in `jobs` order and every
                 // job was processed, so `jobs` doubles as the
                 // record→global index map.
@@ -621,7 +594,7 @@ impl<'a> Simulation<'a> {
         // outage span), so the coordinator sets it once here.
         metrics.stale_ci_minutes = engine.stale_minutes();
         if K::ENABLED {
-            engine.finish_stream(stream, &metrics, sink);
+            stream.seal(self.trace, n_nodes, &metrics, sink);
         }
         metrics
     }
@@ -666,7 +639,7 @@ pub struct Engine<'r> {
 pub struct RunState {
     cluster: Cluster,
     metrics: RunMetrics,
-    events: EventList,
+    stream: Stream,
     timeline: FleetTimeline,
 }
 
@@ -724,17 +697,19 @@ impl<'r> Engine<'r> {
                 queue_ms_by_node: vec![0; n],
                 ..RunMetrics::default()
             },
-            events: Vec::new(),
+            stream: Stream::new(self.membership, self.faults),
             timeline: FleetTimeline::new(),
         }
     }
 
-    /// Advance one invocation: replay every fleet-timeline event due by
-    /// its arrival, then run the per-invocation step (expire, classify,
-    /// decide, admit, account, install keep-alive). `index` is the
-    /// invocation's global trace position; arrivals must come in
-    /// nondecreasing `t_ms`, which the sorted trace guarantees for batch
-    /// and the service enforces at its ingest door.
+    /// Advance one invocation: emit the input-derived events anchored at
+    /// it (with an enabled sink; see [`crate::stream`]), replay every
+    /// fleet-timeline event due by its arrival, then run the
+    /// per-invocation step (expire, classify, decide, admit, account,
+    /// install keep-alive). `index` is the invocation's global trace
+    /// position (`inv` is the trace's invocation there); arrivals must
+    /// come in nondecreasing `t_ms`, which the sorted trace guarantees
+    /// for batch and the service enforces at its ingest door.
     pub fn ingest<S: Scheduler, K: EventSink>(
         &self,
         state: &mut RunState,
@@ -742,6 +717,9 @@ impl<'r> Engine<'r> {
         inv: &Invocation,
         scheduler: &mut S,
     ) {
+        if K::ENABLED {
+            state.stream.open(self.trace, index, self.ci);
+        }
         self.catch_up::<K>(state, inv.t_ms);
         self.step::<S, K>(index, inv, scheduler, state);
     }
@@ -772,16 +750,16 @@ impl<'r> Engine<'r> {
         self.ci.distinct_regions().any(|(fr, _)| fr == r)
     }
 
-    /// Serialize the collected telemetry (when `K` is enabled) and hand
-    /// back the final metrics. Call after [`Engine::finish`].
+    /// Seal the collected telemetry through `sink` (when `K` is
+    /// enabled; see [`crate::stream`]) and hand back the final metrics.
+    /// Call after [`Engine::finish`].
     pub fn seal<K: EventSink>(&self, state: RunState, sink: &mut K) -> RunMetrics {
-        let RunState {
-            metrics, events, ..
-        } = state;
         if K::ENABLED {
-            self.finish_stream(events, &metrics, sink);
+            state
+                .stream
+                .seal(self.trace, self.fleet.len(), &state.metrics, sink);
         }
-        metrics
+        state.metrics
     }
 
     /// One invocation of the replay loop (shared verbatim by the
@@ -806,7 +784,7 @@ impl<'r> Engine<'r> {
         let RunState {
             cluster,
             metrics,
-            events,
+            stream,
             ..
         } = state;
 
@@ -817,13 +795,6 @@ impl<'r> Engine<'r> {
         if let Some(x) = cluster.executors_mut() {
             x.advance(t);
         }
-
-        // Per-invocation (lane-6) events are numbered in code order.
-        let mut ev = StepEvents {
-            index,
-            sub: 0,
-            buf: events,
-        };
 
         // (2) Warm or cold?
         let warm_at = cluster.warm_location(inv.func, t);
@@ -893,7 +864,7 @@ impl<'r> Engine<'r> {
                 Some(ka) => (ka.location.0 as i64, ka.duration_ms),
                 None => (-1, 0),
             };
-            ev.push(Event::DecisionMade {
+            stream.push_step(Event::DecisionMade {
                 index: index as u64,
                 func: inv.func.0,
                 t_ms: t,
@@ -916,7 +887,7 @@ impl<'r> Engine<'r> {
                 .records
                 .push(InvocationRecord::rejected(inv.func, t, exec_loc));
             if K::ENABLED {
-                ev.push(Event::CrashRejected {
+                stream.push_step(Event::CrashRejected {
                     index: index as u64,
                     func: inv.func.0,
                     node: exec_loc.0,
@@ -969,7 +940,7 @@ impl<'r> Engine<'r> {
                         .records
                         .push(InvocationRecord::rejected(inv.func, t, exec_loc));
                     if K::ENABLED {
-                        ev.push(Event::AdmissionRejected {
+                        stream.push_step(Event::AdmissionRejected {
                             index: index as u64,
                             func: inv.func.0,
                             node: exec_loc.0,
@@ -988,14 +959,14 @@ impl<'r> Engine<'r> {
                     if q > 0 {
                         metrics.queue_ms_by_node[exec_loc.index()] += q;
                         if K::ENABLED {
-                            ev.push(Event::Enqueued {
+                            stream.push_step(Event::Enqueued {
                                 index: index as u64,
                                 func: inv.func.0,
                                 node: exec_loc.0,
                                 t_ms: t,
                                 depth,
                             });
-                            ev.push(Event::Dequeued {
+                            stream.push_step(Event::Dequeued {
                                 index: index as u64,
                                 func: inv.func.0,
                                 node: exec_loc.0,
@@ -1016,7 +987,7 @@ impl<'r> Engine<'r> {
             if let Some(c) = cluster.pool_mut(exec_loc).remove(inv.func) {
                 debug_assert_eq!(c.transfer_latency_ms, transfer_debt_ms);
                 self.release::<K>(ReleaseCause::Reused, exec_loc, &c, t, metrics, |e| {
-                    ev.push(e)
+                    stream.push_step(e)
                 });
             }
         }
@@ -1056,7 +1027,7 @@ impl<'r> Engine<'r> {
         if K::ENABLED {
             let (func, node) = (inv.func.0, exec_loc.0);
             let service_g = service_carbon.total_g();
-            ev.push(if warm {
+            stream.push_step(if warm {
                 Event::WarmHit {
                     index: index as u64,
                     func,
@@ -1102,10 +1073,11 @@ impl<'r> Engine<'r> {
                     container,
                     ka.location,
                     t,
+                    index,
                     scheduler,
                     cluster,
                     metrics,
-                    &mut ev,
+                    stream,
                 );
             }
         }
@@ -1129,7 +1101,7 @@ impl<'r> Engine<'r> {
     fn drain<K: EventSink>(&self, state: &mut RunState) {
         for id in self.fleet.ids() {
             for c in state.cluster.pool_mut(id).drain_all() {
-                self.settle_expired::<K>(id, &c, &mut state.metrics, &mut state.events);
+                self.settle_expired::<K>(id, &c, &mut state.metrics, &mut state.stream);
             }
             state
                 .metrics
@@ -1147,7 +1119,7 @@ impl<'r> Engine<'r> {
     fn expire_due<K: EventSink>(&self, t: u64, state: &mut RunState) {
         for id in self.fleet.ids() {
             for c in state.cluster.pool_mut(id).expire_until(t) {
-                self.settle_expired::<K>(id, &c, &mut state.metrics, &mut state.events);
+                self.settle_expired::<K>(id, &c, &mut state.metrics, &mut state.stream);
             }
         }
     }
@@ -1162,11 +1134,11 @@ impl<'r> Engine<'r> {
         id: NodeId,
         c: &WarmContainer,
         metrics: &mut RunMetrics,
-        events: &mut EventList,
+        stream: &mut Stream,
     ) {
         let s = self.settle(c, id, c.expiry_ms, metrics).unwrap_or_default();
         if K::ENABLED {
-            events.push((
+            stream.push(
                 EventKey::new(self.trigger_pos(c.expiry_ms), lane::EXPIRY, id.0, c.func.0),
                 Event::Expired {
                     node: id.0,
@@ -1176,7 +1148,7 @@ impl<'r> Engine<'r> {
                     keepalive_g: s.keepalive_g,
                     energy_kwh: s.energy_kwh,
                 },
-            ));
+            );
         }
     }
 
@@ -1302,7 +1274,7 @@ impl<'r> Engine<'r> {
                     // charged nothing — the revocation itself is the
                     // observable act.
                     let s = s.unwrap_or_default();
-                    run.events.push((
+                    run.stream.push(
                         rc_key(),
                         Event::Revoked {
                             node: id.0,
@@ -1311,7 +1283,7 @@ impl<'r> Engine<'r> {
                             keepalive_g: s.keepalive_g,
                             energy_kwh: s.energy_kwh,
                         },
-                    ));
+                    );
                 }
 
                 // Retry on the remaining nodes (id order), against true
@@ -1350,7 +1322,7 @@ impl<'r> Engine<'r> {
                                     &old,
                                     t_now,
                                     &mut run.metrics,
-                                    |e| run.events.push((rc_key(), e)),
+                                    |e| run.stream.push(rc_key(), e),
                                 );
                             }
                             let e = book_transfer(
@@ -1363,7 +1335,7 @@ impl<'r> Engine<'r> {
                                 self.config.transfer_cost.latency_ms,
                             );
                             if K::ENABLED {
-                                run.events.push((rc_key(), e));
+                                run.stream.push(rc_key(), e);
                             }
                             placed = true;
                             break;
@@ -1402,10 +1374,11 @@ impl<'r> Engine<'r> {
         container: WarmContainer,
         location: NodeId,
         t: u64,
+        index: usize,
         scheduler: &mut S,
         cluster: &mut Cluster,
         metrics: &mut RunMetrics,
-        ev: &mut StepEvents<'_>,
+        stream: &mut Stream,
     ) {
         // A node that has left the fleet — or is down — accepts no
         // keep-alives: the choice is simply dropped (the scheduler's
@@ -1421,7 +1394,7 @@ impl<'r> Engine<'r> {
         // ends now).
         if let Some(old) = cluster.pool_mut(location).remove(container.func) {
             self.release::<K>(ReleaseCause::Replaced, location, &old, t, metrics, |e| {
-                ev.push(e)
+                stream.push_step(e)
             });
         }
 
@@ -1488,7 +1461,7 @@ impl<'r> Engine<'r> {
                         &displaced,
                         t,
                         metrics,
-                        |e| ev.push(e),
+                        |e| stream.push_step(e),
                     );
                     // Restart the remaining keep-alive on the first
                     // transfer target with room, under the one restart
@@ -1505,7 +1478,7 @@ impl<'r> Engine<'r> {
                                 Ok(replaced) => {
                                     self.accept_transfer::<K>(
                                         replaced, func, location, target, t, egress_g, 0, metrics,
-                                        ev,
+                                        stream,
                                     );
                                     break;
                                 }
@@ -1523,7 +1496,7 @@ impl<'r> Engine<'r> {
                         // places the container; the waited backoff is
                         // charged as transfer latency.
                         if pending.is_some() && !blocked.is_empty() {
-                            let seq = ev.index as u64;
+                            let seq = index as u64;
                             let mut waited = 0u64;
                             'retry: for attempt in 1..=self.faults.retry().max_attempts {
                                 let backoff = self.faults.backoff_ms(seq, attempt);
@@ -1531,7 +1504,7 @@ impl<'r> Engine<'r> {
                                 let t_probe = t + waited;
                                 metrics.transfer_retries += 1;
                                 if K::ENABLED {
-                                    ev.push(Event::TransferRetried {
+                                    stream.push_step(Event::TransferRetried {
                                         func: func.0,
                                         node: location.0,
                                         t_ms: t,
@@ -1548,7 +1521,7 @@ impl<'r> Engine<'r> {
                                         Ok(replaced) => {
                                             self.accept_transfer::<K>(
                                                 replaced, func, location, target, t, egress_g,
-                                                waited, metrics, ev,
+                                                waited, metrics, stream,
                                             );
                                             break 'retry;
                                         }
@@ -1591,17 +1564,17 @@ impl<'r> Engine<'r> {
         egress_g: f64,
         waited_ms: u64,
         metrics: &mut RunMetrics,
-        ev: &mut StepEvents<'_>,
+        stream: &mut Stream,
     ) {
         if let Some(old) = replaced {
             self.release::<K>(ReleaseCause::Replaced, target, &old, t, metrics, |e| {
-                ev.push(e)
+                stream.push_step(e)
             });
         }
         let latency_ms = self.config.transfer_cost.latency_ms + waited_ms;
         let e = book_transfer(metrics, func, location, target, t, egress_g, latency_ms);
         if K::ENABLED {
-            ev.push(e);
+            stream.push_step(e);
         }
     }
 
@@ -1734,7 +1707,7 @@ impl<'r> Engine<'r> {
                 &c,
                 t,
                 &mut state.metrics,
-                |e| state.events.push((key, e)),
+                |e| state.stream.push(key, e),
             );
             state.metrics.lost_warm_mib += c.memory_mib;
         }
@@ -1799,7 +1772,7 @@ impl<'r> Engine<'r> {
                         &c,
                         e.t_ms,
                         &mut state.metrics,
-                        |ev| state.events.push((out_key, ev)),
+                        |ev| state.stream.push(out_key, ev),
                     );
                     state.metrics.evicted_functions += 1;
                 }
@@ -1878,7 +1851,7 @@ impl<'r> Engine<'r> {
             &c,
             t,
             &mut state.metrics,
-            |e| state.events.push((out_key, e)),
+            |e| state.stream.push(out_key, e),
         );
         let egress_g = self.restart_elsewhere(&mut c, from, t);
         state
@@ -1889,7 +1862,7 @@ impl<'r> Engine<'r> {
         let latency_ms = self.config.transfer_cost.latency_ms;
         let e = book_transfer(&mut state.metrics, func, from, to, t, egress_g, latency_ms);
         if K::ENABLED {
-            state.events.push((in_key, e));
+            state.stream.push(in_key, e);
         }
     }
 
@@ -1955,202 +1928,6 @@ impl<'r> Engine<'r> {
         self.trace
             .invocations()
             .partition_point(|inv| inv.t_ms < t_ms) as u64
-    }
-
-    /// Events derivable from inputs alone — run start, period boundaries,
-    /// per-region CI observations. Both engine paths derive these from
-    /// the global trace, so they are identical by construction
-    /// (telemetry periods are the trace's *active minutes*, independent
-    /// of [`ShardOptions::period_ms`]). Appended to `events`.
-    fn push_skeleton_events(&self, events: &mut EventList) {
-        events.push((
-            EventKey::new(0, lane::RUN_STARTED, 0, 0),
-            Event::RunStarted {
-                invocations: self.trace.len() as u64,
-                functions: self.trace.catalog().len() as u64,
-                nodes: self.fleet.len() as u64,
-                horizon_ms: self.trace.horizon_ms(),
-            },
-        ));
-        let regions: Vec<(String, &CarbonIntensityTrace)> = self
-            .ci
-            .distinct_regions()
-            .map(|(r, tr)| (r.label().to_string(), tr))
-            .collect();
-        let mut open: Option<u64> = None;
-        for (i, inv) in self.trace.invocations().iter().enumerate() {
-            let minute = inv.t_ms / crate::MINUTE_MS;
-            if open == Some(minute) {
-                continue;
-            }
-            let i = i as u64;
-            if let Some(prev) = open {
-                events.push((
-                    EventKey::new(i, lane::PERIOD_ENDED, 0, 0),
-                    Event::PeriodEnded { minute: prev },
-                ));
-            }
-            events.push((
-                EventKey::new(i, lane::PERIOD_STARTED, 0, 0),
-                Event::PeriodStarted { minute },
-            ));
-            let t_ms = minute * crate::MINUTE_MS;
-            for (ri, (label, series)) in regions.iter().enumerate() {
-                events.push((
-                    EventKey::new(i, lane::CI_OBSERVED, ri as u32, 0),
-                    Event::CiObserved {
-                        region: label.clone(),
-                        t_ms,
-                        gco2_per_kwh: series.at(t_ms),
-                    },
-                ));
-            }
-            open = Some(minute);
-        }
-        if let Some(prev) = open {
-            events.push((
-                EventKey::new(self.trace.len() as u64, lane::PERIOD_ENDED, 0, 0),
-                Event::PeriodEnded { minute: prev },
-            ));
-        }
-        // Membership changes are input-derived too (the plan is fixed
-        // before the run), so the coordinator emits them exactly once —
-        // every shard *applies* the timeline, none narrates it. Events
-        // past the horizon never fire and are not emitted.
-        let horizon = self.trace.horizon_ms();
-        for (m_idx, e) in self.membership.events().iter().enumerate() {
-            if e.t_ms > horizon {
-                break;
-            }
-            events.push((
-                EventKey::new(self.trigger_pos(e.t_ms), lane::MEMBERSHIP, m_idx as u32, 0),
-                Event::MembershipChanged {
-                    node: e.node.0,
-                    t_ms: e.t_ms,
-                    joined: e.join,
-                },
-            ));
-        }
-        // Fault onsets and clearances are input-derived too: the plan is
-        // fixed before the run, so the coordinator narrates it once —
-        // shards *apply* the crash drains but never emit these markers.
-        // Onsets past the horizon never take effect and are not emitted;
-        // a clearance past the horizon is likewise withheld (the run
-        // ends with the fault still active).
-        for (idx, fault) in self.faults.faults().iter().enumerate() {
-            let idx = idx as u32;
-            match fault {
-                Fault::NodeCrash {
-                    node,
-                    at_ms,
-                    recover_at_ms,
-                } => {
-                    if *at_ms > horizon {
-                        continue;
-                    }
-                    events.push((
-                        EventKey::new(self.trigger_pos(*at_ms), lane::CRASH, idx, 0),
-                        Event::NodeCrashed {
-                            node: node.0,
-                            t_ms: *at_ms,
-                            recover_ms: *recover_at_ms,
-                        },
-                    ));
-                    if *recover_at_ms <= horizon {
-                        events.push((
-                            EventKey::new(self.trigger_pos(*recover_at_ms), lane::CRASH, idx, 1),
-                            Event::NodeRecovered {
-                                node: node.0,
-                                t_ms: *recover_at_ms,
-                            },
-                        ));
-                    }
-                }
-                Fault::CiOutage {
-                    region,
-                    from_ms,
-                    to_ms,
-                } => {
-                    if *from_ms > horizon {
-                        continue;
-                    }
-                    events.push((
-                        EventKey::new(self.trigger_pos(*from_ms), lane::CI_HEALTH, idx, 0),
-                        Event::CiStale {
-                            region: region.label().to_string(),
-                            t_ms: *from_ms,
-                            until_ms: *to_ms,
-                        },
-                    ));
-                    if *to_ms <= horizon {
-                        events.push((
-                            EventKey::new(self.trigger_pos(*to_ms), lane::CI_HEALTH, idx, 1),
-                            Event::CiRestored {
-                                region: region.label().to_string(),
-                                t_ms: *to_ms,
-                            },
-                        ));
-                    }
-                }
-                Fault::Partition {
-                    regions,
-                    from_ms,
-                    to_ms,
-                } => {
-                    if *from_ms > horizon {
-                        continue;
-                    }
-                    let sides = regions
-                        .iter()
-                        .map(|r| r.label())
-                        .collect::<Vec<_>>()
-                        .join(",");
-                    events.push((
-                        EventKey::new(self.trigger_pos(*from_ms), lane::PARTITION, idx, 0),
-                        Event::PartitionStarted {
-                            regions: sides.clone(),
-                            t_ms: *from_ms,
-                            until_ms: *to_ms,
-                        },
-                    ));
-                    if *to_ms <= horizon {
-                        events.push((
-                            EventKey::new(self.trigger_pos(*to_ms), lane::PARTITION, idx, 1),
-                            Event::PartitionHealed {
-                                regions: sides,
-                                t_ms: *to_ms,
-                            },
-                        ));
-                    }
-                }
-            }
-        }
-    }
-
-    /// Merge the run body with the input-derived skeleton, cap with
-    /// [`Event::RunEnded`], and hand the whole collection to
-    /// [`finalize`] for sorting, numbering, hash-chaining, and emission.
-    /// Appending the skeleton (a few events per active minute) to the
-    /// body, not the body to the skeleton, avoids building a second
-    /// O(events) vector.
-    fn finish_stream<K: EventSink>(
-        &self,
-        mut stream: EventList,
-        metrics: &RunMetrics,
-        sink: &mut K,
-    ) {
-        self.push_skeleton_events(&mut stream);
-        stream.push((
-            EventKey::new(self.trace.len() as u64, lane::RUN_ENDED, 0, 0),
-            Event::RunEnded {
-                invocations: metrics.invocations() as u64,
-                transfers: metrics.transfers,
-                evictions: metrics.evicted_functions,
-                revocations: metrics.reconcile_revocations,
-                expired: metrics.expiry.expired,
-            },
-        ));
-        finalize(stream, sink);
     }
 }
 

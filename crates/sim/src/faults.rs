@@ -58,24 +58,17 @@ pub enum Fault {
 }
 
 impl Fault {
-    /// The instant the fault takes effect (sort key).
-    fn start_ms(&self) -> u64 {
-        match *self {
-            Fault::NodeCrash { at_ms, .. } => at_ms,
-            Fault::CiOutage { from_ms, .. } | Fault::Partition { from_ms, .. } => from_ms,
-        }
-    }
-
-    /// Whether the fault covers no time at all (normalized away).
-    fn is_zero_duration(&self) -> bool {
+    /// When the fault takes effect and when it clears: its span
+    /// `[from, to)`.
+    pub(crate) fn span(&self) -> (u64, u64) {
         match *self {
             Fault::NodeCrash {
                 at_ms,
                 recover_at_ms,
                 ..
-            } => recover_at_ms == at_ms,
+            } => (at_ms, recover_at_ms),
             Fault::CiOutage { from_ms, to_ms, .. } | Fault::Partition { from_ms, to_ms, .. } => {
-                to_ms == from_ms
+                (from_ms, to_ms)
             }
         }
     }
@@ -159,37 +152,20 @@ impl FaultPlan {
     /// Zero-duration faults are dropped (structural no-ops).
     pub fn try_new(faults: Vec<Fault>) -> Result<Self, FaultError> {
         for fault in &faults {
-            match fault {
-                Fault::NodeCrash {
-                    at_ms,
-                    recover_at_ms,
-                    ..
-                } if recover_at_ms < at_ms => {
-                    return Err(FaultError::InvertedSpan {
-                        from_ms: *at_ms,
-                        to_ms: *recover_at_ms,
-                    });
-                }
-                Fault::CiOutage { from_ms, to_ms, .. }
-                | Fault::Partition { from_ms, to_ms, .. }
-                    if to_ms < from_ms =>
-                {
-                    return Err(FaultError::InvertedSpan {
-                        from_ms: *from_ms,
-                        to_ms: *to_ms,
-                    });
-                }
-                Fault::Partition { regions, .. } if regions.is_empty() => {
-                    return Err(FaultError::EmptyPartition);
-                }
-                _ => {}
+            let (from_ms, to_ms) = fault.span();
+            if to_ms < from_ms {
+                return Err(FaultError::InvertedSpan { from_ms, to_ms });
+            }
+            if matches!(fault, Fault::Partition { regions, .. } if regions.is_empty()) {
+                return Err(FaultError::EmptyPartition);
             }
         }
+        // Zero-duration faults cover no time at all.
         let mut faults: Vec<Fault> = faults
             .into_iter()
-            .filter(|f| !f.is_zero_duration())
+            .filter(|f| f.span().0 < f.span().1)
             .collect();
-        faults.sort_by_key(Fault::start_ms);
+        faults.sort_by_key(|f| f.span().0);
         let mut crashes: Vec<(u64, NodeId, u32)> = Vec::new();
         for (idx, fault) in faults.iter().enumerate() {
             if let Fault::NodeCrash {
@@ -422,7 +398,7 @@ mod tests {
             .ci_outage(Region::Caiso, 100, 100) // dropped
             .crash(NodeId(0), 200, 400);
         assert_eq!(plan.len(), 2);
-        assert_eq!(plan.faults()[0].start_ms(), 200);
+        assert_eq!(plan.faults()[0].span().0, 200);
         assert_eq!(plan.crash_changes(), &[(200, NodeId(0), 0)]);
         assert!(FaultPlan::default().crash(NodeId(1), 300, 300).is_empty());
     }

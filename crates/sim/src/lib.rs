@@ -46,9 +46,10 @@
 //! Both paths can additionally emit a hash-chained golden-trace event
 //! stream ([`Simulation::run_with_sink`] /
 //! [`Simulation::run_sharded_with_sink`], sinks from
-//! `ecolife-telemetry`): byte-identical between sequential and sharded
-//! execution, and zero-cost when disabled ([`NullSink`] monomorphizes
-//! every emission away). See the telemetry section of [`engine`]'s docs.
+//! `ecolife-telemetry`). Each run's [`stream`] collects every event as the
+//! run reaches its anchor, and the seal chains them: byte-identical
+//! between sequential and sharded execution, and zero-cost when disabled
+//! ([`NullSink`] monomorphizes every emission away).
 
 pub mod cluster;
 pub mod container;
@@ -61,6 +62,7 @@ pub mod parallel;
 pub mod pool;
 pub mod scheduler;
 pub mod shard;
+pub mod stream;
 
 pub use cluster::Cluster;
 pub use container::WarmContainer;

@@ -20,7 +20,7 @@
 //!
 //! [`JsonlSink`]: ecolife_telemetry::JsonlSink
 
-use ecolife_telemetry::{diff_lines, pretty, str_field, u64_field, ChainWalker};
+use ecolife_telemetry::{first_divergence, pretty, str_field, u64_field, ChainWalker};
 use std::fs::File;
 use std::io::{BufRead, BufReader, Read, Seek, SeekFrom};
 use std::process::ExitCode;
@@ -332,7 +332,7 @@ fn run() -> Result<ExitCode, ExitCode> {
             let right = read_lines(right_path)?;
             let l: Vec<&str> = left.iter().map(String::as_str).collect();
             let r: Vec<&str> = right.iter().map(String::as_str).collect();
-            match diff_lines(&l, &r) {
+            match first_divergence(&l, &r) {
                 None => {
                     println!(
                         "identical: {} events ({left_path} vs {right_path})",

@@ -21,11 +21,6 @@ pub struct Divergence {
 /// suites pin "no first divergence" instead of comparing record
 /// structs, so a claim of sameness also covers event emission.
 pub fn first_divergence(left: &[&str], right: &[&str]) -> Option<Divergence> {
-    diff_lines(left, right)
-}
-
-/// Compare two streams line by line; `None` means byte-identical.
-pub fn diff_lines(left: &[&str], right: &[&str]) -> Option<Divergence> {
     let n = left.len().max(right.len());
     for i in 0..n {
         let l = left.get(i).copied();
@@ -82,12 +77,12 @@ mod tests {
 
     #[test]
     fn identical_streams_have_no_divergence() {
-        assert_eq!(diff_lines(&["a", "b"], &["a", "b"]), None);
+        assert_eq!(first_divergence(&["a", "b"], &["a", "b"]), None);
     }
 
     #[test]
     fn first_divergent_seq_is_reported() {
-        let d = diff_lines(&["a", "b", "c"], &["a", "x", "y"]).unwrap();
+        let d = first_divergence(&["a", "b", "c"], &["a", "x", "y"]).unwrap();
         assert_eq!(d.seq, 1);
         assert_eq!(d.left.as_deref(), Some("b"));
         assert_eq!(d.right.as_deref(), Some("x"));
@@ -95,7 +90,7 @@ mod tests {
 
     #[test]
     fn truncation_diverges_at_the_missing_line() {
-        let d = diff_lines(&["a", "b"], &["a"]).unwrap();
+        let d = first_divergence(&["a", "b"], &["a"]).unwrap();
         assert_eq!(d.seq, 1);
         assert_eq!(d.right, None);
     }

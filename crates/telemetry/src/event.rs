@@ -205,7 +205,7 @@ pub enum Event {
     /// another node. `egress_g` is the priced migration's network
     /// carbon, charged to the *source* node's grid at `t_ms`;
     /// `latency_ms` is the re-warm debt added to the function's next
-    /// service. Both are 0 under [`TransferCost::free`]-style configs.
+    /// service. Both are 0 under `TransferCost::free()`-style configs.
     Transferred {
         func: u32,
         from: u32,

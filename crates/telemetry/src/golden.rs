@@ -4,7 +4,7 @@
 //! tip)` pins an entire run — the snapshot stays tiny while still
 //! detecting any behavioral drift. The full JSONL stream is checked in
 //! beside it so a failing comparison can name the first divergent event
-//! (see [`crate::diff_lines`]), not just "tip differs".
+//! (see [`crate::first_divergence`]), not just "tip differs".
 
 use crate::chain::ChainSummary;
 

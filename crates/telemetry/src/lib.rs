@@ -17,7 +17,8 @@
 //! * [`EventSink`] — [`NullSink`] (zero-cost: collection compiles out),
 //!   [`JsonlSink`] (buffered file), [`CaptureSink`] (in-memory, tests);
 //! * [`verify_lines`] — re-walk a stream's hash chain;
-//! * [`diff_lines`] — first divergent sequence number between two runs;
+//! * [`first_divergence`] — first divergent sequence number between two
+//!   runs;
 //! * [`GoldenSnapshot`] — the tiny `(workload, events, tip)` baseline
 //!   format checked into `tests/golden/`;
 //! * `ecolife-trace` (`src/bin/`) — `tail` / `filter` / `verify` /
@@ -38,7 +39,7 @@ pub mod sink;
 pub use chain::{
     finalize, verify_lines, ChainError, ChainSummary, ChainWalker, SequencedEvent, GENESIS,
 };
-pub use diff::{diff_lines, first_divergence, pretty, Divergence};
+pub use diff::{first_divergence, pretty, Divergence};
 pub use event::{lane, Event, EventKey, ReleaseCause};
 pub use golden::GoldenSnapshot;
 pub use json::{field, str_field, u64_field};

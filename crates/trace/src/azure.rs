@@ -1,4 +1,4 @@
-//! Parser for the Microsoft Azure Functions 2019 trace schema [26].
+//! Parser for the Microsoft Azure Functions 2019 trace schema \[26\].
 //!
 //! The public dataset ships per-function rows with hashed identifiers and
 //! 1440 per-minute invocation counts:

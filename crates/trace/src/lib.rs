@@ -9,7 +9,7 @@
 //!   and CPU sensitivity (how much of the runtime scales with single-thread
 //!   speed across generations).
 //! * [`azure`] — a parser for the Microsoft Azure Functions 2019 trace
-//!   CSV schema ("Serverless in the Wild" [26]) plus the trace → catalog
+//!   CSV schema ("Serverless in the Wild" \[26\]) plus the trace → catalog
 //!   mapping the paper describes ("EcoLife maps all serverless functions to
 //!   the closest match, considering the memory and execution time").
 //! * [`synth`] — a seeded synthetic Azure-like trace generator matching the

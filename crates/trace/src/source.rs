@@ -1,7 +1,7 @@
 //! Streaming invocation sources — the ingest edge of the live-service
 //! path.
 //!
-//! A batch [`Trace`] is one way to obtain invocations; a live platform
+//! A batch [`Trace`](crate::Trace) is one way to obtain invocations; a live platform
 //! receives them over time from producers it does not control. The
 //! [`InvocationSource`] trait abstracts over both: the service drives
 //! whatever source it is handed, and determinism questions reduce to

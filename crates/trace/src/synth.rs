@@ -1,6 +1,6 @@
 //! Synthetic Azure-like invocation trace generator.
 //!
-//! "Serverless in the Wild" [26] characterizes the Azure 2019 workload:
+//! "Serverless in the Wild" \[26\] characterizes the Azure 2019 workload:
 //! a heavy-tailed popularity distribution (a few functions dominate total
 //! invocations), a mix of arrival behaviours (roughly: frequent quasi-
 //! Poisson functions, timer-driven periodic functions, and rare bursty

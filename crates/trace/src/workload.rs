@@ -1,6 +1,6 @@
 //! The SeBS-style workload catalog.
 //!
-//! The paper executes functions from the SeBS benchmark suite [28] and
+//! The paper executes functions from the SeBS benchmark suite \[28\] and
 //! maps Azure-trace entries onto "the closest match, considering the
 //! memory and execution time" (Sec. V). Each profile here carries what the
 //! perf/power/carbon models need:

@@ -11,7 +11,7 @@
 //! commit the updated baselines with the change that caused them.
 
 use ecolife::golden::{run_golden, snapshot, GOLDEN_WORKLOADS};
-use ecolife::telemetry::{diff_lines, pretty, GoldenSnapshot};
+use ecolife::telemetry::{first_divergence, pretty, GoldenSnapshot};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -62,7 +62,7 @@ fn check() -> ExitCode {
             "DRIFT: {name} — baseline {} events tip {}, got {} events tip {}",
             baseline.events, baseline.tip, snap.events, snap.tip
         );
-        match diff_lines(&want, &got) {
+        match first_divergence(&want, &got) {
             Some(div) => {
                 eprintln!("{div}");
                 if let Some(ref line) = div.left {

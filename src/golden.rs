@@ -6,7 +6,7 @@
 //! Any engine change that alters observable behavior moves a hash and
 //! fails both the `tests/golden_traces.rs` pin and the CI
 //! `golden-traces` job, which reports the *first divergent event* via
-//! [`ecolife_telemetry::diff_lines`]. Intentional changes regenerate
+//! [`ecolife_telemetry::first_divergence`]. Intentional changes regenerate
 //! the baselines with `cargo run --release --bin golden_traces -- emit`.
 //!
 //! The workloads are scaled-down twins of `examples/quickstart.rs`,
@@ -186,6 +186,49 @@ pub fn chaos_day_parts() -> (Trace, CiBundle, Fleet, TransferCost) {
     (trace, bundle, fleet, cost)
 }
 
+/// The `follow_the_sun` scenario: five phase-shifted diurnal streams
+/// over the five-region fleet, priced migrations with the engine's
+/// 10-minute re-placement pass (the returned config), and node 0
+/// leaving at minute 20 and rejoining at minute 40. Split out so tests
+/// can serve the identical workload through the live service.
+pub fn follow_the_sun_parts() -> (Trace, CiBundle, Fleet, SimConfig, MembershipPlan) {
+    let base = WorkloadCatalog::sebs();
+    let mut catalog = WorkloadCatalog::default();
+    let mut invocations: Vec<Invocation> = Vec::new();
+    for i in 0..5u64 {
+        let stream = SynthTraceConfig {
+            n_functions: 4,
+            duration_min: 60,
+            seed: 0x50_1A_12 + i,
+            phase_offset_min: i * 12,
+            ..Default::default()
+        }
+        .generate(&base);
+        let offset = catalog.len() as u32;
+        for (_, profile) in stream.catalog().iter() {
+            catalog.push(profile.clone());
+        }
+        invocations.extend(stream.invocations().iter().map(|inv| Invocation {
+            func: FunctionId(inv.func.0 + offset),
+            t_ms: inv.t_ms,
+        }));
+    }
+    let trace = Trace::new(catalog, invocations);
+    let bundle = CiBundle::synthetic_all(80, 99);
+    let fleet = skus::fleet_five_regions().with_uniform_keepalive_budget_mib(64 * 1024);
+    let cost = TransferCost {
+        egress_kwh_per_mib: 2.0e-9,
+        latency_ms: 50,
+    };
+    let config = SimConfig::default()
+        .with_transfer_cost(cost)
+        .with_replacement_every_min(10);
+    let membership = MembershipPlan::default()
+        .leave(20 * 60_000, NodeId(0))
+        .join(40 * 60_000, NodeId(0));
+    (trace, bundle, fleet, config, membership)
+}
+
 /// Replay one golden workload and capture its full event stream.
 ///
 /// Panics on an unknown name — the caller iterates
@@ -260,49 +303,15 @@ pub fn run_golden(name: &str) -> CaptureSink {
         // economics end to end: egress grams, latency debt, membership
         // drains, and their event-stream keys.
         "follow_the_sun" => {
-            let base = WorkloadCatalog::sebs();
-            let mut catalog = WorkloadCatalog::default();
-            let mut invocations: Vec<Invocation> = Vec::new();
-            for i in 0..5u64 {
-                let stream = SynthTraceConfig {
-                    n_functions: 4,
-                    duration_min: 60,
-                    seed: 0x50_1A_12 + i,
-                    phase_offset_min: i * 12,
-                    ..Default::default()
-                }
-                .generate(&base);
-                let offset = catalog.len() as u32;
-                for (_, profile) in stream.catalog().iter() {
-                    catalog.push(profile.clone());
-                }
-                invocations.extend(stream.invocations().iter().map(|inv| Invocation {
-                    func: FunctionId(inv.func.0 + offset),
-                    t_ms: inv.t_ms,
-                }));
-            }
-            let trace = Trace::new(catalog, invocations);
-            let bundle = CiBundle::synthetic_all(80, 99);
-            let fleet = skus::fleet_five_regions().with_uniform_keepalive_budget_mib(64 * 1024);
-            let cost = TransferCost {
-                egress_kwh_per_mib: 2.0e-9,
-                latency_ms: 50,
-            };
-            let membership = MembershipPlan::default()
-                .leave(20 * 60_000, NodeId(0))
-                .join(40 * 60_000, NodeId(0));
+            let (trace, bundle, fleet, config, membership) = follow_the_sun_parts();
             Simulation::try_new_regional(&trace, &bundle, fleet.clone())
                 .expect("five-region bundle covers the fleet")
-                .with_config(
-                    SimConfig::default()
-                        .with_transfer_cost(cost)
-                        .with_replacement_every_min(10),
-                )
+                .with_config(config)
                 .with_membership(membership)
                 .run_with_sink(
                     &mut EcoLife::new(
                         fleet.clone(),
-                        EcoLifeConfig::default().with_transfer_cost(cost),
+                        EcoLifeConfig::default().with_transfer_cost(config.transfer_cost),
                     ),
                     &mut sink,
                 );
@@ -313,7 +322,7 @@ pub fn run_golden(name: &str) -> CaptureSink {
         // partition that strands a displacement on the deterministic
         // retry schedule, and two crashes that drain warm pools
         // ungracefully. This golden pins the whole fault surface:
-        // crash/outage/partition skeleton events, crash drains,
+        // crash/outage/partition plan events, crash drains,
         // TransferRetried scheduling, crash-rejected executions, and
         // the degraded-decision fallback — byte-identical however the
         // run is sharded (see `tests/faults.rs`).

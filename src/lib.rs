@@ -95,9 +95,6 @@ pub mod prelude {
     pub use ecolife_carbon::{
         CarbonIntensityTrace, CarbonModel, CarbonModelConfig, CiBundle, CiError, CiProvider, Region,
     };
-    pub use ecolife_core::report::{
-        placements_to_markdown, summaries_to_csv, summaries_to_markdown,
-    };
     pub use ecolife_core::{
         compare, run_scheme, BruteForce, Comparison, CostModel, EcoLife, EcoLifeConfig,
         FixedPolicy, OptTarget, RunSummary,

@@ -5,7 +5,7 @@
 //! keeps the pin inside plain `cargo test`.
 
 use ecolife::golden::{run_golden, snapshot, GOLDEN_WORKLOADS};
-use ecolife::telemetry::{diff_lines, verify_lines, GoldenSnapshot};
+use ecolife::telemetry::{first_divergence, verify_lines, GoldenSnapshot};
 use std::path::{Path, PathBuf};
 
 fn golden_dir() -> PathBuf {
@@ -29,7 +29,7 @@ fn golden_workloads_reproduce_their_checked_in_streams() {
             .unwrap_or_else(|e| panic!("{name}.jsonl unreadable: {e}"));
         let want: Vec<&str> = jsonl.lines().collect();
 
-        if let Some(div) = diff_lines(&want, &sink.lines()) {
+        if let Some(div) = first_divergence(&want, &sink.lines()) {
             panic!("{name} drifted from its golden baseline:\n{div}");
         }
         assert_eq!(snap.events, baseline.events, "{name}: event count moved");

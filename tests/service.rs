@@ -1,6 +1,6 @@
 //! Live service + bounded executors (ISSUE 9).
 //!
-//! Four pins on the streaming/executor subsystem:
+//! Five pins on the streaming/executor subsystem:
 //!
 //! 1. **Service ≡ batch under saturation** — a bursty workload on
 //!    bounded executors with queue-aware EcoLife placement replays
@@ -17,7 +17,11 @@
 //! 4. **Sharded executors stay thread-invariant** — shard-local
 //!    executors at a fixed shard count emit identical streams at worker
 //!    threads {1, 2, 4}.
+//! 5. **The service narrates a membership plan as arrivals land** —
+//!    `follow_the_sun` served live reproduces its checked-in golden
+//!    stream at producer counts {1, 2, 4}.
 
+use ecolife::golden::follow_the_sun_parts;
 use ecolife::prelude::*;
 use ecolife::sim::MINUTE_MS;
 use ecolife::telemetry::diff::first_divergence;
@@ -274,5 +278,51 @@ fn sharded_executors_are_thread_invariant() {
                 }
             }
         }
+    }
+}
+
+/// The `follow_the_sun` golden workload served live, with its membership
+/// plan: the service narrates node 0's leave and rejoin as the arrivals
+/// that anchor them land, and its stream is the checked-in golden, byte
+/// for byte, from 1, 2 and 4 producers.
+#[test]
+fn service_under_a_membership_plan_reproduces_the_golden_stream() {
+    let (trace, bundle, fleet, config, membership) = follow_the_sun_parts();
+    let golden = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/golden/follow_the_sun.jsonl"
+    ))
+    .expect("follow_the_sun.jsonl is readable");
+    let want: Vec<&str> = golden.lines().collect();
+    assert_eq!(want.len(), 1_207);
+    let all = trace.invocations().to_vec();
+    for producers in [1usize, 2, 4] {
+        let (handles, source) = live_lanes(producers, 16);
+        let chunk = all.len().div_ceil(producers);
+        let live_sink = std::thread::scope(|scope| {
+            for (handle, part) in handles.into_iter().zip(all.chunks(chunk)) {
+                scope.spawn(move || {
+                    for &inv in part {
+                        handle.send(inv).unwrap();
+                    }
+                });
+            }
+            let mut ecolife = EcoLife::new(
+                fleet.clone(),
+                EcoLifeConfig::default().with_transfer_cost(config.transfer_cost),
+            );
+            let mut sink = CaptureSink::default();
+            Service::try_new_regional(trace.catalog().clone(), &bundle, fleet.clone())
+                .unwrap()
+                .with_config(config)
+                .with_membership(membership.clone())
+                .serve_with_sink(source, &mut ecolife, &mut sink)
+                .unwrap();
+            sink
+        });
+        if let Some(d) = first_divergence(&want, &live_sink.lines()) {
+            panic!("stream diverged from the golden at {producers} producers:\n{d}");
+        }
+        assert_eq!(live_sink.tip().map(|t| &t[..8]), Some("4e6027d1"));
     }
 }

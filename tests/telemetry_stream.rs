@@ -200,6 +200,49 @@ fn stream_replays_into_run_metrics() {
     );
 }
 
+/// A trace with no invocations ingests no index to anchor its plan
+/// events at, so the seal emits them at index 0 = `trace.len()`: node 1
+/// leaving and node 0 crashing at t = 0 are narrated, and node 0's
+/// recovery, after the horizon, is not. The sequential, 2-shard and
+/// live-service streams are the same bytes.
+#[test]
+fn a_trace_with_no_invocations_narrates_its_plans_at_the_seal() {
+    let trace = Trace::new(WorkloadCatalog::sebs(), Vec::new());
+    let ci = CarbonIntensityTrace::constant(300.0, 60);
+    let fleet = skus::fleet_a();
+    let membership = MembershipPlan::default().leave(0, NodeId(1));
+    let faults = FaultPlan::default().crash(NodeId(0), 0, 1_000);
+    let ecolife = |_| EcoLife::new(fleet.clone(), EcoLifeConfig::default());
+    let sim = Simulation::new(&trace, &ci, fleet.clone())
+        .with_membership(membership.clone())
+        .with_faults(faults.clone());
+
+    let mut sequential = CaptureSink::default();
+    sim.run_with_sink(&mut ecolife(0), &mut sequential);
+    let mut sharded = CaptureSink::default();
+    sim.run_sharded_with_sink(ecolife, &ShardOptions::new(2), &mut sharded);
+    let mut live = CaptureSink::default();
+    Service::new(trace.catalog().clone(), &ci, fleet.clone())
+        .with_membership(membership)
+        .with_faults(faults)
+        .serve_with_sink(trace.source(), &mut ecolife(0), &mut live)
+        .unwrap();
+
+    assert_eq!(sharded.lines(), sequential.lines());
+    assert_eq!(live.lines(), sequential.lines());
+    let types: Vec<&str> = sequential
+        .lines()
+        .into_iter()
+        .map(|l| str_field(l, "type").unwrap())
+        .collect();
+    assert_eq!(
+        types,
+        ["RunStarted", "MembershipChanged", "NodeCrashed", "RunEnded"]
+    );
+    verify_lines(sequential.lines()).expect("chain verifies");
+    assert_eq!(sequential.tip().map(|t| &t[..8]), Some("8b0a3d2e"));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
