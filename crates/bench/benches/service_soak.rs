@@ -12,7 +12,7 @@
 //! * **service (in-process)** — the same executor run driven through
 //!   [`Service`] over a `TraceSource`, asserted record-identical;
 //! * **service (4 lanes)** — the same stream produced by 4 threads over
-//!   bounded channel lanes, the full live-ingest path.
+//!   bounded ingest lanes (`live_lanes`), the full live-ingest path.
 //!
 //! Headline numbers land in `BENCH_service.json` at the repo root.
 //!
@@ -219,12 +219,13 @@ fn write_json() {
         .float("queue_s", exec_metrics.total_queue_ms() as f64 / 1e3, 1)
         .text(
             "note",
-            "batch_ms replays with executors off (the PR-8 engine); batch_executors_ms adds \
-             bounded per-node executors + queue-aware EcoLife placement; service rows drive the \
-             identical run through the live service (tests/service.rs pins record identity) — \
-             in-process over a TraceSource, then produced by 4 threads over bounded channel \
-             lanes. service_overhead is service_in_process_ms / batch_executors_ms: the price of \
-             per-arrival ingest into the growing trace.",
+            "batch_ms replays with executors off; batch_executors_ms adds bounded per-node \
+             executors + queue-aware EcoLife placement; service rows drive the identical run \
+             through the live service (tests/service.rs pins record identity) — in-process over \
+             a TraceSource, then produced by 4 threads over live_lanes ingest lanes of 1024 \
+             arrivals, which the service drains in batches. service_overhead is \
+             service_in_process_ms / batch_executors_ms: the price of per-arrival ingest into \
+             the growing trace.",
         )
         .write("BENCH_service.json");
 }

@@ -11,13 +11,13 @@
 //!
 //! * [`TraceSource`] — replays an existing trace in order; the batch
 //!   case as a stream.
-//! * [`LiveSource`] — drains N bounded channel lanes, each fed by a
+//! * [`LiveSource`] — drains N bounded lanes, each fed by a
 //!   [`LaneIngest`] handle from its own producer thread. Lanes are
 //!   drained *in lane order* (lane 0 to exhaustion, then lane 1, …), so
 //!   when producers own contiguous, non-overlapping time ranges —
 //!   lane 0 earliest — the merged sequence is chronological and
 //!   **identical at any producer-thread count**, while the bounded
-//!   channels still exert real backpressure on fast producers
+//!   lanes still exert real backpressure on fast producers
 //!   ([`LaneIngest::try_send`] surfaces it as a typed error instead of
 //!   blocking).
 //!
@@ -27,10 +27,31 @@
 //! watermarks) to be deterministic. Owning time ranges keeps producers
 //! genuinely parallel — each fills its lane while earlier lanes drain —
 //! yet leaves the consumed order a pure function of the workload.
+//!
+//! # The batched handoff
+//!
+//! A lane is a FIFO queue behind one lock. When the [`LiveSource`] has
+//! yielded everything it took, it locks the current lane once, moves
+//! every queued arrival into a local batch, and yields from that batch
+//! without locking. A lane's `capacity` counts the arrivals sent and
+//! not yet yielded — those still queued plus those waiting in the
+//! batch — so [`LaneIngest::try_send`] reports backpressure exactly
+//! when `capacity` arrivals are in flight, however they are split.
+//!
+//! A producer that finds its lane full parks in [`LaneIngest::send`].
+//! It is woken once, when the consumer's yields leave half the lane
+//! free, not on every pull: on a full lane the consumer is the slower
+//! side, and waking the producer per arrival costs more than the hand
+//! over itself. A consumer parked on an empty lane is woken by every
+//! arrival, so a lightly loaded lane adds no latency. Dropping the
+//! source wakes every parked producer, whose send then fails with
+//! [`IngestError::Closed`].
 
 use crate::invocation::Invocation;
+use std::collections::VecDeque;
 use std::fmt;
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::SeqCst};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 /// A pull-based stream of invocations, consumed by the live service.
 ///
@@ -103,11 +124,104 @@ impl fmt::Display for IngestError {
 
 impl std::error::Error for IngestError {}
 
+/// One bounded lane, shared by its [`LaneIngest`] and the [`LiveSource`]
+/// (see the module docs for the handoff).
+#[derive(Debug)]
+struct Lane {
+    queue: Mutex<Queue>,
+    capacity: usize,
+    /// Arrivals sent and not yet yielded: queued ones plus those in the
+    /// consumer's batch. Senders raise it under the lock; the consumer
+    /// lowers it by one per yield, without the lock.
+    in_flight: AtomicUsize,
+    /// A sender is parked (or about to park) in `send` on the full lane.
+    /// Senders set it under the lock; the consumer clears it under the
+    /// lock as it wakes them.
+    sender_parked: AtomicBool,
+    /// Signalled on every arrival while the consumer is parked, and when
+    /// the sender hangs up.
+    filled: Condvar,
+    /// Signalled when half the lane is free again, and when the source
+    /// is dropped.
+    freed: Condvar,
+}
+
+#[derive(Debug, Default)]
+struct Queue {
+    items: VecDeque<Invocation>,
+    consumer_parked: bool,
+    sender_gone: bool,
+    source_gone: bool,
+}
+
+impl Lane {
+    fn new(capacity: usize) -> Self {
+        Lane {
+            queue: Mutex::default(),
+            capacity,
+            in_flight: AtomicUsize::new(0),
+            sender_parked: AtomicBool::new(false),
+            filled: Condvar::new(),
+            freed: Condvar::new(),
+        }
+    }
+
+    /// Every critical section leaves the queue and its flags valid, so a
+    /// thread that panicked while holding the lock left nothing half
+    /// done: a poisoned lock is used as is.
+    fn lock(&self) -> MutexGuard<'_, Queue> {
+        self.queue.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn has_room(&self) -> bool {
+        self.in_flight.load(SeqCst) < self.capacity
+    }
+
+    /// Queue `inv`; the caller holds `q` and has checked for room.
+    fn push(&self, q: &mut Queue, inv: Invocation) {
+        q.items.push_back(inv);
+        self.in_flight.fetch_add(1, SeqCst);
+        if q.consumer_parked {
+            self.filled.notify_one();
+        }
+    }
+
+    /// Move every queued arrival into the empty `batch`, waiting while
+    /// the lane is empty and its sender still there. `false` once the
+    /// sender has hung up and nothing is left.
+    fn refill(&self, batch: &mut VecDeque<Invocation>) -> bool {
+        let mut q = self.lock();
+        while q.items.is_empty() {
+            if q.sender_gone {
+                return false;
+            }
+            q.consumer_parked = true;
+            q = self.filled.wait(q).unwrap_or_else(PoisonError::into_inner);
+            q.consumer_parked = false;
+        }
+        std::mem::swap(&mut q.items, batch);
+        true
+    }
+
+    /// The consumer handed one arrival of its batch over. Wakes a parked
+    /// sender when this yield leaves half the lane free: a sender parks
+    /// only on a full lane, and only the consumer lowers the count, so
+    /// the count passes through this value after any sender parked.
+    fn yielded(&self) {
+        let left = self.in_flight.fetch_sub(1, SeqCst) - 1;
+        if left == self.capacity / 2 && self.sender_parked.load(SeqCst) {
+            let _q = self.lock();
+            self.sender_parked.store(false, SeqCst);
+            self.freed.notify_all();
+        }
+    }
+}
+
 /// Producer handle for one [`LiveSource`] lane. Dropping it closes the
 /// lane; the source moves on to the next lane once the buffer drains.
 #[derive(Debug)]
 pub struct LaneIngest {
-    tx: SyncSender<Invocation>,
+    shared: Arc<Lane>,
     lane: usize,
 }
 
@@ -121,16 +235,44 @@ impl LaneIngest {
     /// Non-blocking send: surfaces a full buffer as
     /// [`IngestError::Backpressure`] instead of waiting.
     pub fn try_send(&self, inv: Invocation) -> Result<(), IngestError> {
-        self.tx.try_send(inv).map_err(|e| match e {
-            TrySendError::Full(i) => IngestError::Backpressure(i),
-            TrySendError::Disconnected(i) => IngestError::Closed(i),
-        })
+        let mut q = self.shared.lock();
+        if q.source_gone {
+            Err(IngestError::Closed(inv))
+        } else if self.shared.has_room() {
+            self.shared.push(&mut q, inv);
+            Ok(())
+        } else {
+            Err(IngestError::Backpressure(inv))
+        }
     }
 
     /// Blocking send: waits while the lane is full, erring only if the
     /// consumer is gone.
     pub fn send(&self, inv: Invocation) -> Result<(), IngestError> {
-        self.tx.send(inv).map_err(|e| IngestError::Closed(e.0))
+        let lane = &*self.shared;
+        let mut q = lane.lock();
+        loop {
+            if q.source_gone {
+                return Err(IngestError::Closed(inv));
+            }
+            if lane.has_room() {
+                lane.push(&mut q, inv);
+                return Ok(());
+            }
+            lane.sender_parked.store(true, SeqCst);
+            // A yield between the check above and the flag saw no parked
+            // sender and woke nobody: look again before sleeping.
+            if !lane.has_room() {
+                q = lane.freed.wait(q).unwrap_or_else(PoisonError::into_inner);
+            }
+        }
+    }
+}
+
+impl Drop for LaneIngest {
+    fn drop(&mut self) {
+        self.shared.lock().sender_gone = true;
+        self.shared.filled.notify_one();
     }
 }
 
@@ -138,22 +280,45 @@ impl LaneIngest {
 /// for the ordering contract. Build with [`live_lanes`].
 #[derive(Debug)]
 pub struct LiveSource {
-    lanes: Vec<Receiver<Invocation>>,
+    lanes: Vec<Arc<Lane>>,
     current: usize,
+    /// Arrivals taken from `lanes[current]` and not yet yielded.
+    batch: VecDeque<Invocation>,
 }
 
 impl InvocationSource for LiveSource {
     fn next_invocation(&mut self) -> Option<Invocation> {
-        while let Some(rx) = self.lanes.get(self.current) {
-            match rx.recv() {
-                Ok(inv) => return Some(inv),
+        loop {
+            let lane = self.lanes.get(self.current)?;
+            if let Some(inv) = self.batch.pop_front() {
+                lane.yielded();
+                return Some(inv);
+            }
+            if !lane.refill(&mut self.batch) {
                 // Lane closed and drained: advance to the next one.
-                Err(_) => self.current += 1,
+                self.current += 1;
             }
         }
-        None
     }
 }
+
+impl Drop for LiveSource {
+    fn drop(&mut self) {
+        for lane in &self.lanes {
+            lane.lock().source_gone = true;
+            lane.freed.notify_all();
+        }
+    }
+}
+
+// Producer threads move or share their handles, and the service may
+// serve from another thread than the one that built the lanes.
+const _: fn() = || {
+    fn assert_send_sync<T: Send + Sync>() {}
+    fn assert_send<T: Send>() {}
+    assert_send_sync::<LaneIngest>();
+    assert_send::<LiveSource>();
+};
 
 /// Build `lanes` bounded ingest lanes of `capacity` invocations each,
 /// returning one [`LaneIngest`] per producer and the [`LiveSource`]
@@ -161,24 +326,27 @@ impl InvocationSource for LiveSource {
 ///
 /// # Panics
 ///
-/// If `lanes == 0` or `capacity == 0` (a zero-capacity rendezvous
-/// channel would make `try_send` fail unless the consumer is already
-/// parked on this exact lane — backpressure by coincidence).
+/// If `lanes == 0` or `capacity == 0` (a lane that can hold nothing
+/// would make `try_send` fail unless the consumer is already waiting
+/// on this exact lane — backpressure by coincidence).
 pub fn live_lanes(lanes: usize, capacity: usize) -> (Vec<LaneIngest>, LiveSource) {
     assert!(lanes > 0, "need at least one ingest lane");
     assert!(capacity > 0, "lanes need a nonzero buffer");
-    let mut handles = Vec::with_capacity(lanes);
-    let mut receivers = Vec::with_capacity(lanes);
-    for lane in 0..lanes {
-        let (tx, rx) = sync_channel(capacity);
-        handles.push(LaneIngest { tx, lane });
-        receivers.push(rx);
-    }
+    let shared: Vec<Arc<Lane>> = (0..lanes).map(|_| Arc::new(Lane::new(capacity))).collect();
+    let handles = shared
+        .iter()
+        .enumerate()
+        .map(|(lane, s)| LaneIngest {
+            shared: Arc::clone(s),
+            lane,
+        })
+        .collect();
     (
         handles,
         LiveSource {
-            lanes: receivers,
+            lanes: shared,
             current: 0,
+            batch: VecDeque::new(),
         },
     )
 }
@@ -264,6 +432,76 @@ mod tests {
             handles[1].try_send(inv(0, 6)),
             Err(IngestError::Closed(inv(0, 6)))
         );
+    }
+
+    #[test]
+    fn a_pull_from_a_full_lane_frees_exactly_one_slot() {
+        // The consumer takes the whole queue on its first pull, but the
+        // three arrivals it has not yielded still count toward capacity.
+        let (handles, mut source) = live_lanes(1, 4);
+        for t in 0..4 {
+            handles[0].send(inv(0, t)).unwrap();
+        }
+        assert_eq!(source.next_invocation(), Some(inv(0, 0)));
+        handles[0].try_send(inv(0, 4)).unwrap();
+        assert_eq!(
+            handles[0].try_send(inv(0, 5)),
+            Err(IngestError::Backpressure(inv(0, 5)))
+        );
+    }
+
+    #[test]
+    fn a_producer_parked_on_a_full_lane_is_closed_by_the_source_drop() {
+        let (handles, source) = live_lanes(1, 2);
+        let handle = &handles[0];
+        handle.send(inv(0, 1)).unwrap();
+        handle.send(inv(0, 2)).unwrap();
+        let (about_to_send, ready) = std::sync::mpsc::channel();
+        thread::scope(|s| {
+            let producer = s.spawn(move || {
+                about_to_send.send(()).unwrap();
+                handle.send(inv(0, 3))
+            });
+            // The lane is full, so the producer parks in `send` unless the
+            // drop below wins the race; either way it must come back
+            // closed rather than hang.
+            ready.recv().unwrap();
+            drop(source);
+            assert_eq!(
+                producer.join().unwrap(),
+                Err(IngestError::Closed(inv(0, 3)))
+            );
+        });
+    }
+
+    #[test]
+    fn threaded_lanes_drain_every_arrival_in_lane_order() {
+        // A lost wakeup hangs this test; a reordering fails the compare.
+        const PER_LANE: usize = 20_000;
+        for capacity in [1, 2, 3, 16] {
+            for lanes in [1, 3] {
+                let input: Vec<Invocation> = (0..(lanes * PER_LANE) as u64)
+                    .map(|t| inv((t % 5) as u32, t))
+                    .collect();
+                let (handles, mut source) = live_lanes(lanes, capacity);
+                let drained = thread::scope(|s| {
+                    for (handle, part) in handles.into_iter().zip(input.chunks(PER_LANE)) {
+                        s.spawn(move || {
+                            for &i in part {
+                                handle.send(i).unwrap();
+                            }
+                        });
+                    }
+                    std::iter::from_fn(|| source.next_invocation()).collect::<Vec<_>>()
+                });
+                assert!(
+                    drained == input,
+                    "capacity {capacity}, {lanes} lanes: drained sequence differs"
+                );
+                assert_eq!(source.next_invocation(), None);
+                assert_eq!(source.next_invocation(), None);
+            }
+        }
     }
 
     #[test]

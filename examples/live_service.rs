@@ -17,7 +17,7 @@
 //!   feeds the service-time term of the EPDM score and at least one
 //!   invocation lands on a different node than the classic run chose.
 //! * **The live service is the batch replayer, bit for bit** — the same
-//!   workload streamed through bounded channel lanes
+//!   workload streamed through bounded ingest lanes
 //!   ([`ecolife::trace::live_lanes`]) by 3 producer threads yields
 //!   byte-identical records, golden stream, and chain tip.
 //!
