@@ -136,7 +136,7 @@ struct Lane {
     in_flight: AtomicUsize,
     /// A sender is parked (or about to park) in `send` on the full lane.
     /// Senders set it under the lock; the consumer clears it under the
-    /// lock as it wakes them.
+    /// lock before waking them.
     sender_parked: AtomicBool,
     /// Signalled on every arrival while the consumer is parked, and when
     /// the sender hangs up.
@@ -177,11 +177,15 @@ impl Lane {
         self.in_flight.load(SeqCst) < self.capacity
     }
 
-    /// Queue `inv`; the caller holds `q` and has checked for room.
-    fn push(&self, q: &mut Queue, inv: Invocation) {
+    /// Queue `inv` and unlock; the caller checked for room under `q`.
+    /// The wake comes after the unlock, so the woken consumer does not
+    /// find the lock still held and park on it a second time.
+    fn push(&self, mut q: MutexGuard<'_, Queue>, inv: Invocation) {
         q.items.push_back(inv);
         self.in_flight.fetch_add(1, SeqCst);
-        if q.consumer_parked {
+        let wake = q.consumer_parked;
+        drop(q);
+        if wake {
             self.filled.notify_one();
         }
     }
@@ -210,8 +214,11 @@ impl Lane {
     fn yielded(&self) {
         let left = self.in_flight.fetch_sub(1, SeqCst) - 1;
         if left == self.capacity / 2 && self.sender_parked.load(SeqCst) {
-            let _q = self.lock();
+            // Under the lock, no sender is between setting the flag and
+            // sleeping; wake them after it, as `push` does.
+            let q = self.lock();
             self.sender_parked.store(false, SeqCst);
+            drop(q);
             self.freed.notify_all();
         }
     }
@@ -235,11 +242,11 @@ impl LaneIngest {
     /// Non-blocking send: surfaces a full buffer as
     /// [`IngestError::Backpressure`] instead of waiting.
     pub fn try_send(&self, inv: Invocation) -> Result<(), IngestError> {
-        let mut q = self.shared.lock();
+        let q = self.shared.lock();
         if q.source_gone {
             Err(IngestError::Closed(inv))
         } else if self.shared.has_room() {
-            self.shared.push(&mut q, inv);
+            self.shared.push(q, inv);
             Ok(())
         } else {
             Err(IngestError::Backpressure(inv))
@@ -256,12 +263,14 @@ impl LaneIngest {
                 return Err(IngestError::Closed(inv));
             }
             if lane.has_room() {
-                lane.push(&mut q, inv);
+                lane.push(q, inv);
                 return Ok(());
             }
+            // The consumer lowers the count, then reads the flag; this
+            // sets the flag, then reads the count. All four are SeqCst,
+            // so either this read sees room or the consumer sees the
+            // flag and wakes us.
             lane.sender_parked.store(true, SeqCst);
-            // A yield between the check above and the flag saw no parked
-            // sender and woke nobody: look again before sleeping.
             if !lane.has_room() {
                 q = lane.freed.wait(q).unwrap_or_else(PoisonError::into_inner);
             }
@@ -327,8 +336,7 @@ const _: fn() = || {
 /// # Panics
 ///
 /// If `lanes == 0` or `capacity == 0` (a lane that can hold nothing
-/// would make `try_send` fail unless the consumer is already waiting
-/// on this exact lane — backpressure by coincidence).
+/// would never take an arrival).
 pub fn live_lanes(lanes: usize, capacity: usize) -> (Vec<LaneIngest>, LiveSource) {
     assert!(lanes > 0, "need at least one ingest lane");
     assert!(capacity > 0, "lanes need a nonzero buffer");
