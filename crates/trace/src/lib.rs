@@ -19,7 +19,7 @@
 //!
 //! [`stats`] adds the inter-arrival bookkeeping EcoLife's online predictor
 //! is built on, and [`source`] turns workloads into pull-based streams
-//! (batch [`Trace`]s and live bounded-channel lanes behind one
+//! (batch [`Trace`]s and live bounded ingest lanes behind one
 //! [`InvocationSource`] trait) for the `ecolife-service` ingest path.
 
 pub mod azure;

@@ -41,7 +41,7 @@
 //! * [`core`] — the EcoLife scheduler, every baseline of the paper's
 //!   evaluation, and the experiment runner;
 //! * [`service`] — the engine as a live service: streaming ingest over
-//!   bounded channel lanes, bounded per-node executors with typed
+//!   bounded ingest lanes, bounded per-node executors with typed
 //!   admission, bit-identical to batch replay of the same workload;
 //! * [`planner`] — fleet capacity planning: searches SKU mixes and
 //!   memory budgets against a workload, with the scheduler + simulator
