@@ -210,7 +210,8 @@ mod tests {
     fn parallel_map_handles_empty_and_oversized_batches() {
         assert_eq!(parallel_map(Vec::<u32>::new(), |i| i), Vec::<u32>::new());
         // Far more jobs than cores: with one-thread-per-job this would
-        // spawn 2048 OS threads; the pool bounds it at the worker count.
+        // spawn 2048 OS threads; the fan-out spawns at most
+        // `threads - 1` helpers, whatever the job count.
         let n = 2048u64;
         let out = parallel_map((0..n).collect(), |i: u64| i + 1);
         assert_eq!(out.len(), n as usize);

@@ -69,7 +69,7 @@ use crate::executor::{Admission, ExecutorConfig};
 use crate::faults::FaultPlan;
 use crate::membership::{MembershipEvent, MembershipPlan};
 use crate::metrics::{InvocationRecord, RunMetrics};
-use crate::parallel::{default_threads, WorkerPool};
+use crate::parallel::{default_threads, parallel_map_threads};
 use crate::pool::ExpiryMode;
 use crate::scheduler::{
     Decision, InvocationCtx, KeepAliveChoice, OverflowAction, OverflowCtx, Scheduler,
@@ -261,9 +261,7 @@ struct ShardState<S> {
     run: RunState,
     scheduler: S,
     /// This shard's invocations, as ascending global indices into the
-    /// (sorted) trace. The processed prefix is also the
-    /// record→global-index map the merge uses: records are pushed in
-    /// exactly this order.
+    /// (sorted) trace, so its records are pushed in trace order.
     jobs: Vec<usize>,
     /// Next unprocessed entry of `jobs`.
     cursor: usize,
@@ -460,6 +458,11 @@ impl<'a> Simulation<'a> {
     /// retries them on the remaining nodes in id order, and hands every
     /// pool the other shards' post-pass bytes (see [`crate::shard`]).
     ///
+    /// Each period's shards are replayed by the calling thread and up to
+    /// `threads − 1` scoped helpers ([`parallel_map_threads`]), so
+    /// [`ShardOptions::with_threads`]`(1)` spawns no thread. A panic in
+    /// any shard's scheduler reaches the caller with its own payload.
+    ///
     /// **Determinism guarantee:** for fixed `(trace, ci, fleet, config,
     /// factory, shards, period_ms)` the result is bit-identical at any
     /// worker-thread count (shard work depends only on the shard's
@@ -522,14 +525,8 @@ impl<'a> Simulation<'a> {
             states[shard_of(inv.func, n_shards)].jobs.push(index);
         }
 
-        let workers = opts.threads.unwrap_or_else(default_threads).max(1);
+        let threads = opts.threads.unwrap_or_else(default_threads);
         let mut ledger_peak_mib = vec![0u64; n_nodes];
-
-        // One persistent worker pool for the whole run: periods are
-        // barrier-separated batches over the same threads, instead of a
-        // fresh scoped-thread set per reconciliation period (hundreds of
-        // spawn/join cycles on an hours-long trace).
-        let mut pool = WorkerPool::new(workers.min(n_shards));
 
         // Walk the periods that contain work, in time order: `next` is
         // the first invocation not yet replayed, and each period runs up
@@ -544,15 +541,17 @@ impl<'a> Simulation<'a> {
             next += invocations[next..].partition_point(|inv| inv.t_ms < t_end);
             t_final = t_end;
 
-            // Barrier phase (coordinator, deterministic shard/node
-            // order): reconcile, which also sets every pool's share of
-            // the other shards' bytes.
+            // Barrier phase (coordinator alone, deterministic
+            // shard/node order): reconcile, which also sets every pool's
+            // share of the other shards' bytes.
             engine.reconcile::<S, K>(t_start, &mut states, &mut ledger_peak_mib);
 
-            // Parallel phase: each worker replays its shard's jobs of
-            // the period against its own pools. Which worker runs which
-            // shard never affects the outcome.
-            states = pool.run_map(states, |mut state| {
+            // Parallel phase: the coordinator and its helpers each claim
+            // shards and replay their jobs of the period against the
+            // shard's own pools; the call returns once every shard is
+            // done. Which thread runs which shard never affects the
+            // outcome.
+            states = parallel_map_threads(threads, states, |mut state| {
                 let stop = state.cursor + state.jobs[state.cursor..].partition_point(|&i| i < next);
                 for &index in &state.jobs[state.cursor..stop] {
                     engine.ingest::<S, K>(
@@ -582,13 +581,10 @@ impl<'a> Simulation<'a> {
             .into_iter()
             .map(|s| {
                 stream.absorb(s.run.stream);
-                // A shard's records were pushed in `jobs` order and every
-                // job was processed, so `jobs` doubles as the
-                // record→global index map.
-                (s.jobs, s.run.metrics)
+                s.run.metrics
             })
             .collect();
-        let mut metrics = merge_metrics(self.trace.len(), n_nodes, parts, ledger_peak_mib);
+        let mut metrics = merge_metrics(invocations, n_nodes, parts, ledger_peak_mib);
         // Input-derived: `finish` stamped the same value on every shard
         // and `merge_metrics` ignores it (summing would multiply one
         // outage span), so the coordinator sets it once here.
@@ -1182,8 +1178,8 @@ impl<'r> Engine<'r> {
     }
 
     /// The deterministic cross-shard reconciliation pass, run by the
-    /// coordinator at `t_now` (a period boundary) while all workers are
-    /// parked:
+    /// coordinator at `t_now` (a period boundary), after every shard has
+    /// replayed the previous period and before any starts the next:
     ///
     /// 1. expire every shard's lapsed containers (settled at expiry, the
     ///    same grams the lazy sequential path charges);
@@ -2458,6 +2454,43 @@ mod tests {
         let b = run();
         assert_eq!(a.records, b.records);
         assert_eq!(a.evicted_functions, b.evicted_functions);
+    }
+
+    /// [`Fixed`] that panics when asked to place function `b`.
+    struct PanicsOnB(Fixed);
+
+    impl Scheduler for PanicsOnB {
+        fn name(&self) -> &'static str {
+            "panics-on-b"
+        }
+        fn decide(&mut self, ctx: &InvocationCtx<'_>) -> Decision {
+            if ctx.func == FunctionId(1) {
+                panic!("no placement for function {}", ctx.func.0);
+            }
+            self.0.decide(ctx)
+        }
+        fn on_pool_overflow(&mut self, ctx: &OverflowCtx<'_>) -> OverflowAction {
+            self.0.on_pool_overflow(ctx)
+        }
+    }
+
+    #[test]
+    fn a_scheduler_panic_in_a_shard_surfaces_its_own_message() {
+        let trace = ab_trace(&[(0, 0), (0, 70_000), (1, 130_000), (0, 190_000)]);
+        let ci = ci300();
+        let sim = Simulation::new(&trace, &ci, skus::fleet_a());
+        for threads in [1, 2] {
+            let opts = ShardOptions::new(2).with_threads(threads);
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                sim.run_sharded(|_| PanicsOnB(Fixed::new(NodeId(1), NodeId(1), 5)), &opts)
+            }));
+            let payload = caught.expect_err("the scheduler's panic must reach the caller");
+            assert_eq!(
+                payload.downcast_ref::<String>().map(String::as_str),
+                Some("no placement for function 1"),
+                "threads = {threads}"
+            );
+        }
     }
 
     #[test]

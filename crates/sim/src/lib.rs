@@ -27,9 +27,10 @@
 //! * **shards** ([`shard`]) — the million-invocation scale path:
 //!   [`Simulation::run_sharded`] partitions the trace by `FunctionId`
 //!   hash into shards, each owning its warm pools, scheduler state, and
-//!   metrics, replayed in parallel over one persistent
-//!   [`parallel::WorkerPool`] (threads live across all reconciliation
-//!   periods, with a barrier per period batch). The
+//!   metrics, replayed in parallel one reconciliation period at a time
+//!   (each period is one [`parallel::parallel_map_threads`] call: the
+//!   coordinator replays shards itself alongside its scoped helper
+//!   threads, and the call's return is the period barrier). The
 //!   one cross-shard interaction — per-node memory capacity — is counted
 //!   once, in the shards' pools: shards admit against the other shards'
 //!   bytes as they stood at the period's start, and a deterministic
@@ -77,7 +78,7 @@ pub use ecolife_telemetry::{
 pub use engine::{Engine, RunState, SimConfig, Simulation, SETUP_DELAY_MS};
 pub use executor::{Admission, ExecutorConfig, NodeExecutors};
 pub use metrics::{InvocationRecord, RunMetrics};
-pub use parallel::{parallel_map, parallel_map_threads, WorkerPool};
+pub use parallel::{parallel_map, parallel_map_threads};
 pub use pool::{ExpiryMode, ExpiryStats, WarmPool};
 pub use scheduler::{
     AdjustPlan, Decision, InvocationCtx, KeepAliveChoice, OverflowAction, OverflowCtx, Scheduler,

@@ -14,14 +14,14 @@
 //!   each pool's `external_used_mib`), never against live cross-shard
 //!   state — so its decisions are a pure function of that share and its
 //!   own sub-trace, bit-identical at any thread count;
-//! * at each period boundary the coordinator, with every worker parked,
-//!   runs a deterministic reconciliation pass — expire lapsed
-//!   containers, then, on any node over capacity, revoke optimistically
-//!   admitted containers (youngest `warm_since_ms` first, ties broken
-//!   against the higher `FunctionId`) and retry them against the
-//!   remaining nodes in id order (transfer), else evict — and then sets
-//!   every pool's external share from the other shards' post-pass
-//!   `used_mib`.
+//! * at each period boundary, after every shard has finished the
+//!   period, the coordinator alone runs a deterministic reconciliation
+//!   pass — expire lapsed containers, then, on any node over capacity,
+//!   revoke optimistically admitted containers (youngest
+//!   `warm_since_ms` first, ties broken against the higher
+//!   `FunctionId`) and retry them against the remaining nodes in id
+//!   order (transfer), else evict — and then sets every pool's external
+//!   share from the other shards' post-pass `used_mib`.
 //!
 //! After every reconciliation, per-node occupancy is at or under
 //! capacity ([`RunMetrics::ledger_peak_mib`] records the post-pass
@@ -29,10 +29,8 @@
 //! and the sharded replay is record-for-record identical to the
 //! sequential engine.
 
-use crate::metrics::{InvocationRecord, RunMetrics};
-use ecolife_carbon::CarbonFootprint;
-use ecolife_hw::NodeId;
-use ecolife_trace::FunctionId;
+use crate::metrics::RunMetrics;
+use ecolife_trace::{FunctionId, Invocation};
 
 /// The shard owning `func` when the cluster is split `n_shards` ways.
 ///
@@ -94,44 +92,44 @@ impl ShardOptions {
 
 /// Merge per-shard metrics into whole-run metrics.
 ///
-/// Records scatter back to their global trace positions; counters and
-/// per-node gram vectors sum in shard-id order (deterministic for a
-/// given shard count; the per-record floats are bit-identical across
-/// shard counts, the per-node *sums* agree up to float-summation
-/// reassociation).
+/// Records interleave back into trace order: each shard pushed its
+/// records in trace order, so walking `invocations` and taking the next
+/// record of each invocation's [`shard_of`] shard rebuilds the sequential
+/// record vector. Counters and per-node gram vectors sum in shard-id
+/// order (deterministic for a given shard count; the per-record floats
+/// are bit-identical across shard counts, the per-node *sums* agree up to
+/// float-summation reassociation).
 pub(crate) fn merge_metrics(
-    total_records: usize,
+    invocations: &[Invocation],
     n_nodes: usize,
-    parts: Vec<(Vec<usize>, RunMetrics)>,
+    mut parts: Vec<RunMetrics>,
     ledger_peak_mib: Vec<u64>,
 ) -> RunMetrics {
-    let placeholder = InvocationRecord {
-        func: FunctionId(0),
-        t_ms: 0,
-        exec_location: NodeId(0),
-        warm: false,
-        service_ms: 0,
-        queue_ms: 0,
-        rejected: false,
-        service_carbon: CarbonFootprint::ZERO,
-        keepalive_carbon: CarbonFootprint::ZERO,
-        energy_kwh: 0.0,
-    };
+    let mut shard_records: Vec<_> = parts
+        .iter_mut()
+        .map(|part| std::mem::take(&mut part.records).into_iter())
+        .collect();
+    let records = invocations
+        .iter()
+        .map(|inv| {
+            shard_records[shard_of(inv.func, parts.len())]
+                .next()
+                .expect("every invocation's shard recorded it")
+        })
+        .collect();
+    assert!(
+        shard_records.iter().all(|rest| rest.len() == 0),
+        "shard partition must cover every invocation exactly once"
+    );
     let mut merged = RunMetrics {
-        records: vec![placeholder; total_records],
+        records,
         keepalive_g_by_node: vec![0.0; n_nodes],
         transfer_g_by_node: vec![0.0; n_nodes],
         queue_ms_by_node: vec![0; n_nodes],
         ledger_peak_mib,
         ..RunMetrics::default()
     };
-    let mut placed = 0usize;
-    for (global_indices, part) in parts {
-        debug_assert_eq!(global_indices.len(), part.records.len());
-        for (local, record) in part.records.into_iter().enumerate() {
-            merged.records[global_indices[local]] = record;
-            placed += 1;
-        }
+    for part in parts {
         merged.evicted_functions += part.evicted_functions;
         merged.transfers += part.transfers;
         merged.transfer_g += part.transfer_g;
@@ -166,10 +164,6 @@ pub(crate) fn merge_metrics(
             merged.executor_peak_by_node[node] = merged.executor_peak_by_node[node].max(p);
         }
     }
-    assert_eq!(
-        placed, total_records,
-        "shard partition must cover every invocation exactly once"
-    );
     merged
 }
 
