@@ -7,9 +7,13 @@
 //! the paper describes.
 //!
 //! Run with: `cargo run --release --example azure_trace_replay [file.csv]`
+//!
+//! A file that cannot be read or parsed prints the reason (the parser's
+//! errors carry the line number) to stderr and exits with status 1.
 
 use ecolife::prelude::*;
 use ecolife::trace::azure;
+use std::process::exit;
 
 /// A small embedded sample in the Azure schema (used when no file is
 /// given): three functions with different triggers and rhythms.
@@ -22,9 +26,10 @@ o2,app2,dna,timer,11500,4096,1,0,0,0,0,1,0,0,0,0,1,0,0,0,0
 
 fn main() {
     let text = match std::env::args().nth(1) {
-        Some(path) => {
-            std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"))
-        }
+        Some(path) => std::fs::read_to_string(&path).unwrap_or_else(|e| {
+            eprintln!("azure_trace_replay: cannot read {path}: {e}");
+            exit(1)
+        }),
         None => {
             println!("(no trace file given — replaying the embedded sample)\n");
             SAMPLE.to_string()
@@ -32,7 +37,10 @@ fn main() {
     };
 
     let catalog = WorkloadCatalog::sebs();
-    let rows = azure::parse_invocations_csv(&text).expect("valid Azure-format CSV");
+    let rows = azure::parse_invocations_csv(&text).unwrap_or_else(|e| {
+        eprintln!("azure_trace_replay: invalid Azure-format CSV: {e}");
+        exit(1)
+    });
     println!("parsed {} trace functions:", rows.len());
     for row in &rows {
         let mapped = catalog.closest_match(
@@ -49,7 +57,12 @@ fn main() {
     }
 
     let trace = azure::rows_to_trace(&rows, &catalog, 7);
-    let ci = CarbonIntensityTrace::synthetic(Region::Caiso, 60, 7);
+    // Cover the trace's last arrival with half an hour to spare, and
+    // never fewer than 60 minutes: the series is generated minute by
+    // minute, so a longer one starts with the same samples and the
+    // embedded sample's output does not depend on this sizing.
+    let minutes = (trace.horizon_ms() / MINUTE_MS + 30).max(60);
+    let ci = CarbonIntensityTrace::synthetic(Region::Caiso, minutes as usize, 7);
     let fleet = skus::fleet_a();
 
     let mut ecolife = EcoLife::new(fleet.clone(), EcoLifeConfig::default());
