@@ -134,15 +134,27 @@ mod tests {
 
     #[test]
     fn a_job_panic_reaches_the_caller_with_its_own_payload() {
-        // The panicking job may run on the caller's thread or on a
-        // helper; either way the caller sees that job's own message, not
-        // a generic "a scoped thread panicked".
+        // Either way the caller sees the panicking job's own message, not
+        // a generic "a scoped thread panicked". With helpers, the caller's
+        // thread waits inside its job until the bad job has started, so
+        // it cannot claim the bad job itself unless that was its first
+        // claim (job 0, as a rule): a panic at 3 or 7 is a helper's.
+        let caller = std::thread::current().id();
         for threads in [1, 2, 4] {
             for bad in [0u32, 3, 7] {
+                let started = (Mutex::new(false), std::sync::Condvar::new());
                 let caught = catch_unwind(AssertUnwindSafe(|| {
                     parallel_map_threads(threads, (0..8u32).collect(), |i| {
                         if i == bad {
+                            *started.0.lock().expect("flag") = true;
+                            started.1.notify_all();
                             panic!("job {i} failed");
+                        }
+                        if threads > 1 && std::thread::current().id() == caller {
+                            let mut flag = started.0.lock().expect("flag");
+                            while !*flag {
+                                flag = started.1.wait(flag).expect("flag");
+                            }
                         }
                         i
                     })
