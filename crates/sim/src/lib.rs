@@ -41,8 +41,9 @@
 //!   shards never contend for a node.
 //!
 //! The sequential engine ([`Simulation::run`]) remains the
-//! single-threaded reference; experiment sweeps additionally fan whole
-//! simulations out over [`parallel::parallel_map`].
+//! single-threaded reference; experiment sweeps and the planner fan
+//! whole simulations out over the same scoped fan-out
+//! ([`parallel::parallel_map`]).
 //!
 //! Both paths can additionally emit a hash-chained golden-trace event
 //! stream ([`Simulation::run_with_sink`] /
