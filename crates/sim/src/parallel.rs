@@ -133,6 +133,25 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "at least one worker")]
+    fn zero_thread_pool_rejected() {
+        // The thread count is checked before the batch is looked at: an
+        // empty batch would otherwise run (and spawn nothing) at 0.
+        parallel_map_threads(0, Vec::<i32>::new(), |i| i);
+    }
+
+    #[test]
+    fn pool_runs_empty_batches() {
+        // An empty batch claims no job and spawns no helper, whatever
+        // the thread count; the scope still returns an empty result.
+        for threads in [1, 2, 4] {
+            let out: Vec<u32> =
+                parallel_map_threads(threads, Vec::<u32>::new(), |_| unreachable!("no jobs"));
+            assert!(out.is_empty(), "threads = {threads}");
+        }
+    }
+
+    #[test]
     fn a_job_panic_reaches_the_caller_with_its_own_payload() {
         // Either way the caller sees the panicking job's own message, not
         // a generic "a scoped thread panicked". With helpers, the caller's
