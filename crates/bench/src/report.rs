@@ -16,20 +16,59 @@ pub struct BenchJson {
     fields: Vec<(String, String)>,
 }
 
-/// `git describe --always --dirty` of the working tree, or `"unknown"`
-/// when git (or the repo) is unavailable — bench numbers should name
-/// the revision they were measured at.
+/// `git describe --always` of the working tree, stamped by [`stamp`],
+/// or `"unknown"` when git (or the repo) is unavailable — bench numbers
+/// should name the revision they were measured at.
 fn git_describe() -> String {
-    std::process::Command::new("git")
-        .args(["describe", "--always", "--dirty"])
-        .current_dir(env!("CARGO_MANIFEST_DIR"))
-        .output()
-        .ok()
-        .filter(|out| out.status.success())
-        .and_then(|out| String::from_utf8(out.stdout).ok())
+    let git = |args: &[&str]| {
+        std::process::Command::new("git")
+            .args(args)
+            .current_dir(env!("CARGO_MANIFEST_DIR"))
+            .output()
+            .ok()
+            .filter(|out| out.status.success())
+            .and_then(|out| String::from_utf8(out.stdout).ok())
+    };
+    let Some(rev) = git(&["describe", "--always"])
         .map(|s| s.trim().to_string())
         .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
+    else {
+        return "unknown".to_string();
+    };
+    match git(&["status", "--porcelain", "--untracked-files=no"]) {
+        Some(status) => stamp(&rev, &status),
+        // A tree whose state cannot be read is not known to be clean.
+        None => format!("{rev}-dirty"),
+    }
+}
+
+/// `rev`, with `-dirty` appended when `porcelain` (`git status
+/// --porcelain` output) lists a tracked change outside the `BENCH_*.json`
+/// reports at the repository root. A bench rewrites its report, so a
+/// second bench run after the first must not count that as a dirty
+/// tree. Untracked files (`??`) never count, as with `git describe
+/// --dirty`.
+fn stamp(rev: &str, porcelain: &str) -> String {
+    let is_report = |path: &str| {
+        path.strip_prefix("BENCH_")
+            .and_then(|rest| rest.strip_suffix(".json"))
+            .is_some_and(|name| !name.is_empty() && !name.contains(['/', '"']))
+    };
+    let dirty = porcelain
+        .lines()
+        .filter(|line| !line.starts_with("??"))
+        // `XY path`, or `XY from -> to` for a rename.
+        .any(|line| {
+            line.get(3..)
+                .unwrap_or("")
+                .split(" -> ")
+                .any(|p| !is_report(p))
+        });
+    if dirty {
+        format!("{rev}-dirty")
+    } else {
+        rev.to_string()
+    }
 }
 
 impl BenchJson {
@@ -111,6 +150,33 @@ impl BenchJson {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn only_changes_outside_the_bench_reports_stamp_dirty() {
+        let clean = [
+            "",
+            " M BENCH_sim.json\n",
+            " M BENCH_sim.json\n M BENCH_planner.json\n",
+            "R  BENCH_old.json -> BENCH_new.json\n",
+            "?? notes.txt\n M BENCH_service.json\n",
+        ];
+        for status in clean {
+            assert_eq!(stamp("abc1234", status), "abc1234", "{status:?}");
+        }
+        let dirty = [
+            " M crates/sim/src/engine.rs\n",
+            " M BENCH_sim.json\n M README.md\n",
+            "MM Cargo.lock\n",
+            "D  BENCH_sim.md\n",
+            " M perfbench/BENCH_sim.json\n",
+            " M BENCH_.json\n",
+            "R  engine.rs -> BENCH_sim.json\n",
+            " M \"BENCH_a\\tb.json\"\n",
+        ];
+        for status in dirty {
+            assert_eq!(stamp("abc1234", status), "abc1234-dirty", "{status:?}");
+        }
+    }
 
     #[test]
     fn header_then_rows_in_order() {

@@ -42,8 +42,8 @@
 use ecolife_carbon::{CarbonIntensityTrace, CiBundle, CiError, CiProvider, StalenessPolicy};
 use ecolife_hw::Fleet;
 use ecolife_sim::{
-    Engine, EventSink, FaultPlan, MembershipPlan, NullSink, RunMetrics, RunState, Scheduler,
-    SimConfig,
+    seal_while_running, Engine, EventSink, FaultPlan, MembershipPlan, NullSink, RunMetrics,
+    Scheduler, SimConfig,
 };
 use ecolife_trace::{FunctionId, InvocationSource, PushError, Trace, WorkloadCatalog};
 use std::fmt;
@@ -239,7 +239,13 @@ impl<'a> Service<'a> {
     /// [`Service::serve`] with a hash-chained telemetry stream: the
     /// sealed stream is byte-identical to
     /// [`Simulation::run_with_sink`](ecolife_sim::Simulation) over the
-    /// final trace.
+    /// final trace. It is sealed on a sealer thread while the service
+    /// runs ([`ecolife_sim::stream`]), so `sink` — a [`JsonlSink`] file
+    /// being tailed, say — sees the stream grow batch by batch. On a
+    /// [`ServeError`] the sink keeps the batches sealed so far, a valid
+    /// chain prefix without `RunEnded`.
+    ///
+    /// [`JsonlSink`]: ecolife_sim::JsonlSink
     pub fn serve_with_sink<S: Scheduler, K: EventSink>(
         mut self,
         mut source: impl InvocationSource,
@@ -250,40 +256,37 @@ impl<'a> Service<'a> {
         // per-function state), so priming on the still-empty trace is
         // exactly what a batch run over the final trace does first.
         scheduler.prepare(&self.trace);
-        let mut state: Option<RunState> = None;
-        while let Some(inv) = source.next_invocation() {
-            if self.ci.min_len_ms() <= inv.t_ms {
-                return Err(ServeError::CiTooShort {
-                    t_ms: inv.t_ms,
-                    ci_len_ms: self.ci.min_len_ms(),
-                });
+        seal_while_running(sink, |sealer| {
+            let mut run = self.engine().begin_sealing(sealer);
+            while let Some(inv) = source.next_invocation() {
+                if self.ci.min_len_ms() <= inv.t_ms {
+                    return Err(ServeError::CiTooShort {
+                        t_ms: inv.t_ms,
+                        ci_len_ms: self.ci.min_len_ms(),
+                    });
+                }
+                let index = self.trace.push_arrival(inv)?;
+                self.engine()
+                    .ingest::<S, K>(&mut run, index, &inv, scheduler);
             }
-            let index = self.trace.push_arrival(inv)?;
-            // Six references — free to re-assemble per arrival, and the
-            // borrow of the just-grown trace must be, since `push_arrival`
-            // needs the trace back between steps.
-            let engine = Engine::new(
-                &self.trace,
-                &self.ci,
-                &self.fleet,
-                &self.config,
-                &self.membership,
-                &self.faults,
-            );
-            let run = state.get_or_insert_with(|| engine.begin());
-            engine.ingest::<S, K>(run, index, &inv, scheduler);
-        }
-        let engine = Engine::new(
+            let engine = self.engine();
+            engine.finish::<K>(&mut run);
+            Ok(engine.close(run))
+        })
+    }
+
+    /// The engine over the trace so far. Six references — free to
+    /// re-assemble per arrival, and the borrow of the just-grown trace
+    /// must be, since `push_arrival` needs the trace back between steps.
+    fn engine(&self) -> Engine<'_> {
+        Engine::new(
             &self.trace,
             &self.ci,
             &self.fleet,
             &self.config,
             &self.membership,
             &self.faults,
-        );
-        let mut run = state.unwrap_or_else(|| engine.begin());
-        engine.finish::<K>(&mut run);
-        Ok(engine.seal::<K>(run, sink))
+        )
     }
 }
 

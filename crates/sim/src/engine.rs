@@ -54,9 +54,12 @@
 //! [`Simulation::run_with_sink`] / [`Simulation::run_sharded_with_sink`].
 //! Each run state's [`stream`](crate::stream) collects the events under
 //! canonical keys (global invocation index anchors) as the run reaches
-//! them, and [`Engine::seal`] sorts, numbers and hash-chains them, so the
-//! sharded stream is byte-identical to the sequential one whenever the
-//! runs themselves are (no reconciliation revocations). The sink is a
+//! them. A sequential run hands each batch of final events to a sealer
+//! thread that sorts, numbers and hash-chains it while the engine goes
+//! on; a sharded run sorts and chains its gathered streams at the end.
+//! Either way the stream is in key order, so the sharded stream is
+//! byte-identical to the sequential one whenever the runs themselves
+//! are (no reconciliation revocations). The sink is a
 //! *type* parameter: with [`NullSink`] (`ENABLED = false`, what
 //! [`Simulation::run`] uses) every collection site is
 //! compile-time dead code, which is why telemetry lives here as a
@@ -75,7 +78,7 @@ use crate::scheduler::{
     Decision, InvocationCtx, KeepAliveChoice, OverflowAction, OverflowCtx, Scheduler,
 };
 use crate::shard::{merge_metrics, shard_of, ShardOptions};
-use crate::stream::Stream;
+use crate::stream::{seal_while_running, Sealer, Stream};
 use ecolife_carbon::{
     CarbonIntensityTrace, CarbonModel, CiBundle, CiError, CiProvider, Region, StalenessPolicy,
     TransferCost,
@@ -409,22 +412,27 @@ impl<'a> Simulation<'a> {
     }
 
     /// [`Simulation::run`], additionally emitting the hash-chained event
-    /// stream through `sink` (see the module docs). With [`NullSink`]
-    /// this *is* `run` — every collection site is compile-time dead code.
+    /// stream through `sink` (see the module docs). The stream is sealed
+    /// on a sealer thread while the run goes, so `sink` sees each event
+    /// soon after the engine passes it ([`crate::stream`]). With
+    /// [`NullSink`] this *is* `run` — every collection site is
+    /// compile-time dead code, and no thread is spawned.
     pub fn run_with_sink<S: Scheduler, K: EventSink>(
         &self,
         scheduler: &mut S,
         sink: &mut K,
     ) -> RunMetrics {
         let engine = self.engine();
-        let mut state = engine.begin();
-        state.metrics.records.reserve(self.trace.len());
-        scheduler.prepare(self.trace);
-        for (index, inv) in self.trace.invocations().iter().enumerate() {
-            engine.ingest::<S, K>(&mut state, index, inv, scheduler);
-        }
-        engine.finish::<K>(&mut state);
-        engine.seal::<K>(state, sink)
+        seal_while_running(sink, |sealer| {
+            let mut state = engine.begin_sealing(sealer);
+            state.metrics.records.reserve(self.trace.len());
+            scheduler.prepare(self.trace);
+            for (index, inv) in self.trace.invocations().iter().enumerate() {
+                engine.ingest::<S, K>(&mut state, index, inv, scheduler);
+            }
+            engine.finish::<K>(&mut state);
+            engine.close(state)
+        })
     }
 
     /// The shared per-invocation core this simulation drives — the same
@@ -576,7 +584,7 @@ impl<'a> Simulation<'a> {
         // Gather every shard's collected telemetry (empty unless `K` is
         // enabled) while the merge consumes the states; the seal sorts
         // by canonical key.
-        let mut stream = Stream::new(&self.membership, &self.faults);
+        let mut stream = Stream::new(&self.membership, &self.faults, n_nodes, Sealer::none());
         let parts = states
             .into_iter()
             .map(|s| {
@@ -590,7 +598,7 @@ impl<'a> Simulation<'a> {
         // outage span), so the coordinator sets it once here.
         metrics.stale_ci_minutes = engine.stale_minutes();
         if K::ENABLED {
-            stream.seal(self.trace, n_nodes, &metrics, sink);
+            stream.seal(self.trace, &metrics, sink);
         }
         metrics
     }
@@ -624,8 +632,10 @@ pub struct Engine<'r> {
 /// cluster (pools + executors), metrics, collected telemetry, and the
 /// fleet-timeline cursors. Built by [`Engine::begin`], advanced by
 /// [`Engine::ingest`], closed by [`Engine::finish`] +
-/// [`Engine::seal`]. A sharded run holds one per shard and merges them
-/// after `finish` instead of sealing each.
+/// [`Engine::seal`] — or, for a run sealed while it goes, built by
+/// [`Engine::begin_sealing`] and closed by `finish` + [`Engine::close`].
+/// A sharded run holds one per shard and merges them after `finish`
+/// instead of sealing each.
 ///
 /// Every engine handler — the per-invocation step, the expiry sweep,
 /// the fleet-timeline handlers and the end-of-run drain — takes the
@@ -678,8 +688,16 @@ impl<'r> Engine<'r> {
 
     /// Fresh run state: empty pools (executors attached when the config
     /// bounds them), zeroed metrics sized to the fleet, timeline at the
-    /// origin.
+    /// origin. Its stream collects every event until [`Engine::seal`].
     pub fn begin(&self) -> RunState {
+        self.begin_sealing(Sealer::none())
+    }
+
+    /// [`Engine::begin`] for a run whose stream is sealed while it goes:
+    /// every batch of events below the index being ingested goes to
+    /// `sealer` (see [`crate::stream`]). Close the run with
+    /// [`Engine::close`], not [`Engine::seal`].
+    pub fn begin_sealing(&self, sealer: Sealer) -> RunState {
         let mut cluster = Cluster::with_expiry((*self.fleet).clone(), self.config.expiry);
         if let Some(cfg) = self.config.bounded_executors {
             cluster.enable_executors(cfg);
@@ -693,7 +711,7 @@ impl<'r> Engine<'r> {
                 queue_ms_by_node: vec![0; n],
                 ..RunMetrics::default()
             },
-            stream: Stream::new(self.membership, self.faults),
+            stream: Stream::new(self.membership, self.faults, n, sealer),
             timeline: FleetTimeline::new(),
         }
     }
@@ -748,13 +766,20 @@ impl<'r> Engine<'r> {
 
     /// Seal the collected telemetry through `sink` (when `K` is
     /// enabled; see [`crate::stream`]) and hand back the final metrics.
-    /// Call after [`Engine::finish`].
+    /// Call after [`Engine::finish`], on a state from [`Engine::begin`].
     pub fn seal<K: EventSink>(&self, state: RunState, sink: &mut K) -> RunMetrics {
         if K::ENABLED {
-            state
-                .stream
-                .seal(self.trace, self.fleet.len(), &state.metrics, sink);
+            state.stream.seal(self.trace, &state.metrics, sink);
         }
+        state.metrics
+    }
+
+    /// Hand a run's last events to its sealer and hand back the final
+    /// metrics. Call after [`Engine::finish`], on a state from
+    /// [`Engine::begin_sealing`]; the sealer has emitted the whole stream
+    /// once [`seal_while_running`] returns.
+    pub fn close(&self, state: RunState) -> RunMetrics {
+        state.stream.close(self.trace, &state.metrics);
         state.metrics
     }
 

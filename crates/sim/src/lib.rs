@@ -49,9 +49,11 @@
 //! stream ([`Simulation::run_with_sink`] /
 //! [`Simulation::run_sharded_with_sink`], sinks from
 //! `ecolife-telemetry`). Each run's [`stream`] collects every event as the
-//! run reaches its anchor, and the seal chains them: byte-identical
-//! between sequential and sharded execution, and zero-cost when disabled
-//! ([`NullSink`] monomorphizes every emission away).
+//! run reaches its anchor; a sequential run chains them on a sealer
+//! thread while it goes ([`seal_while_running`]), a sharded one at its
+//! end. The streams are byte-identical between sequential and sharded
+//! execution, and zero-cost when disabled ([`NullSink`] monomorphizes
+//! every emission away and no sealer thread starts).
 
 pub mod cluster;
 pub mod container;
@@ -85,6 +87,7 @@ pub use scheduler::{
     AdjustPlan, Decision, InvocationCtx, KeepAliveChoice, OverflowAction, OverflowCtx, Scheduler,
 };
 pub use shard::{shard_of, ShardOptions};
+pub use stream::{seal_while_running, Sealer};
 
 /// Milliseconds per minute; keep-alive periods are quoted in minutes
 /// throughout the paper.

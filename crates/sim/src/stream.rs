@@ -5,45 +5,172 @@
 //! invocation index it is anchored to (see [`ecolife_telemetry::event`]).
 //! An input-derived event at time `t` is anchored at the first index `i`
 //! with `tᵢ ≥ t`, so it goes out while `i` is ingested — exactly when
-//! `tᵢ₋₁ < t ≤ tᵢ` (or `t ≤ t₀` for `i = 0`). Period and CI marks go out
-//! when `i` opens an active minute; membership changes and fault onsets
-//! and clearances come from the run's plans, and one timed after the last
-//! arrival is never emitted. Exactly one run state ingests each index —
-//! the sequential run's, the owning shard's, or the live service's as the
-//! arrival lands — so each event is emitted once, and none needs a
-//! finished trace.
+//! `tᵢ₋₁ < t ≤ tᵢ` (or `t ≤ t₀` for `i = 0`). `RunStarted` goes out as
+//! index 0 is ingested; period and CI marks when `i` opens an active
+//! minute; membership changes and fault onsets and clearances come from
+//! the run's plans, and one timed after the last arrival is never
+//! emitted. Exactly one run state ingests each index — the sequential
+//! run's, the owning shard's, or the live service's as the arrival lands
+//! — so each event is emitted once, and none needs a finished trace.
+//! The seal appends only the last `PeriodEnded` and `RunEnded` (and, for
+//! a trace with no invocations, `RunStarted` and the plan events at index
+//! 0 = `trace.len()`).
 //!
-//! [`Engine::seal`](crate::Engine::seal) appends only `RunStarted`, the
-//! last `PeriodEnded` and `RunEnded` (and, for a trace with no
-//! invocations, its plan events at index 0 = `trace.len()`). Then
-//! [`finalize`] sorts the one collected vector in place (keys are unique,
-//! so the unstable sort is exact) and serializes, hashes (SHA-NI where the
-//! CPU has it) and seals each event into one reused buffer before the sink
-//! sees it: with an enabled sink, the part of a run that scales with the
-//! event count.
+//! ## Sealing while the run goes
+//!
+//! A sequential or live run never emits an event below the index it is
+//! ingesting, so when index `i` opens, every event anchored below `i` is
+//! final. [`Simulation::run_with_sink`](crate::Simulation::run_with_sink)
+//! and the live service run inside [`seal_while_running`]: one scoped
+//! sealer thread owns the sink and a [`Chain`], and whenever an index
+//! opens with at least [`SEAL_BATCH`] events collected, the stream hands
+//! them over a channel `SEAL_DEPTH` (8) batches deep and goes on
+//! ingesting. The sealer sorts each batch (keys are unique, so the
+//! unstable sort is exact), then numbers, serializes, hashes (SHA-NI
+//! where the CPU has it) and emits it, while the engine replays the next
+//! invocations. So the sink's `emit` runs on the sealer thread, and sinks
+//! must be `Send`. The chain asserts, in release builds too, that every
+//! batch starts above the last key of the one before. Spent batches go
+//! back to the stream for reuse, so a run's collected telemetry stays
+//! within a few batches however long it runs.
+//!
+//! With a disabled sink nothing is collected and no thread is spawned. A
+//! sharded run — and a run driven through [`Engine::begin`] …
+//! [`Engine::seal`] directly — collects the whole stream, and the seal
+//! sorts it and seals it as one batch on the same kind of chain
+//! ([`finalize`]).
+//!
+//! A panic in the sink's `emit` (a failed [`JsonlSink`] write, say) ends
+//! the sealer; the run goes on, dropping its batches, and the panic
+//! reaches the caller with its own payload when the run returns. A panic
+//! in the run (a scheduler's, say) drops the stream's end of the channel,
+//! so the sealer finishes, and the run's own panic reaches the caller.
+//!
+//! [`Engine::begin`]: crate::Engine::begin
+//! [`Engine::seal`]: crate::Engine::seal
+//! [`JsonlSink`]: ecolife_telemetry::JsonlSink
 
 use crate::faults::{Fault, FaultPlan};
 use crate::membership::MembershipPlan;
 use crate::metrics::RunMetrics;
 use crate::MINUTE_MS;
 use ecolife_carbon::CiProvider;
-use ecolife_telemetry::{finalize, lane, Event, EventKey, EventSink};
+use ecolife_telemetry::{finalize, lane, Chain, Event, EventKey, EventSink, TRACE_VERSION};
 use ecolife_trace::Trace;
+use std::sync::mpsc::{self, Receiver, SyncSender};
+
+/// Events the stream collects before it hands them to the sealer: one
+/// batch is ~80 KiB of `(EventKey, Event)` pairs.
+pub const SEAL_BATCH: usize = 1024;
+
+/// Batches the handoff channel holds before the run waits for its
+/// sealer.
+const SEAL_DEPTH: usize = 8;
+
+/// Collected `(EventKey, Event)` pairs.
+type Batch = Vec<(EventKey, Event)>;
+
+/// The run's end of the channel to its sealer thread, built by
+/// [`seal_while_running`] for [`Engine::begin_sealing`]. It is empty for
+/// a disabled sink.
+///
+/// [`Engine::begin_sealing`]: crate::Engine::begin_sealing
+#[derive(Debug)]
+pub struct Sealer(Option<Handoff>);
+
+impl Sealer {
+    /// No sealer: the stream collects every event for [`Stream::seal`].
+    pub(crate) fn none() -> Self {
+        Sealer(None)
+    }
+}
+
+#[derive(Debug)]
+struct Handoff {
+    batches: SyncSender<Batch>,
+    /// Batches the sealer is done with, empty, for reuse.
+    spares: Receiver<Batch>,
+}
+
+impl Handoff {
+    /// Hand `events` to the sealer, leaving a spare batch in its place.
+    fn send(&self, events: &mut Batch) {
+        let spare = self
+            .spares
+            .try_recv()
+            .unwrap_or_else(|_| Vec::with_capacity(2 * SEAL_BATCH));
+        // Fails only when the sealer panicked. Its panic reaches the
+        // caller as the run returns; until then there is nothing to seal
+        // the events with.
+        let _ = self.batches.send(std::mem::replace(events, spare));
+    }
+}
+
+/// Run `run` beside a sealer thread that seals, in key order, every batch
+/// the run's stream hands it and emits each event through `sink`; the
+/// sink is flushed before this returns `run`'s value. `run` passes the
+/// [`Sealer`] to [`Engine::begin_sealing`] and ends with
+/// [`Engine::close`]; it must not keep the `Sealer` in what it returns.
+///
+/// With a disabled sink (`K::ENABLED == false`) `run` runs alone and no
+/// thread is spawned. A panic in `run` or in the sink reaches the caller
+/// with its own payload (see the module docs).
+///
+/// [`Engine::begin_sealing`]: crate::Engine::begin_sealing
+/// [`Engine::close`]: crate::Engine::close
+pub fn seal_while_running<K: EventSink, R>(sink: &mut K, run: impl FnOnce(Sealer) -> R) -> R {
+    if !K::ENABLED {
+        return run(Sealer::none());
+    }
+    std::thread::scope(|scope| {
+        let (batches, inbox) = mpsc::sync_channel::<Batch>(SEAL_DEPTH);
+        let (spent, spares) = mpsc::channel();
+        let sealer = std::thread::Builder::new()
+            .name("ecolife-sealer".into())
+            .spawn_scoped(scope, move || {
+                let mut chain = Chain::new();
+                for mut batch in inbox {
+                    batch.sort_unstable_by_key(|(key, _)| *key);
+                    chain.seal(&mut batch, sink);
+                    // The run may be over and its end of the channel gone.
+                    let _ = spent.send(batch);
+                }
+                chain.finish(sink);
+            })
+            .expect("spawn the sealer thread");
+        let out = run(Sealer(Some(Handoff { batches, spares })));
+        if let Err(panic) = sealer.join() {
+            std::panic::resume_unwind(panic);
+        }
+        out
+    })
+}
 
 /// One run's collected `(EventKey, Event)` pairs (see the module docs).
 #[derive(Debug)]
 pub(crate) struct Stream {
-    events: Vec<(EventKey, Event)>,
+    events: Batch,
     /// Membership changes and fault onsets and clearances, in time
     /// order, each keyed but for its anchor.
     marks: Vec<(u64, EventKey, Event)>,
     /// The key the opened invocation's next per-invocation event gets.
     next_step: EventKey,
+    /// Fleet size, for `RunStarted`.
+    nodes: u64,
+    /// Where the stream hands its batches while the run goes; `None` for
+    /// a run that collects its whole stream for [`Stream::seal`].
+    handoff: Option<Handoff>,
 }
 
 impl Stream {
-    /// An empty stream over the run's plans.
-    pub(crate) fn new(membership: &MembershipPlan, faults: &FaultPlan) -> Self {
+    /// An empty stream over the run's plans and fleet, handing its
+    /// batches to `sealer` when it has one.
+    pub(crate) fn new(
+        membership: &MembershipPlan,
+        faults: &FaultPlan,
+        nodes: usize,
+        sealer: Sealer,
+    ) -> Self {
         let mut marks = Vec::new();
         for (m_idx, e) in membership.events().iter().enumerate() {
             let event = Event::MembershipChanged {
@@ -65,17 +192,29 @@ impl Stream {
             events: Vec::new(),
             marks,
             next_step: EventKey::new(0, lane::INVOCATION, 0, 0),
+            nodes: nodes as u64,
+            handoff: sealer.0,
         }
     }
 
-    /// Ingest `trace`'s invocation `index`: emit every event anchored at
-    /// it, and start numbering its per-invocation events.
+    /// Ingest `trace`'s invocation `index`: hand what is collected to the
+    /// sealer once it fills a batch (all of it is anchored below
+    /// `index`), emit every event anchored at `index`, and start
+    /// numbering its per-invocation events.
     pub(crate) fn open(&mut self, trace: &Trace, index: usize, ci: &CiProvider<'_>) {
+        if let Some(handoff) = &self.handoff {
+            if self.events.len() >= SEAL_BATCH {
+                handoff.send(&mut self.events);
+            }
+        }
         let arrivals = trace.invocations();
         let t_ms = arrivals[index].t_ms;
         let prev_ms = index.checked_sub(1).map(|i| arrivals[i].t_ms);
         let pos = index as u64;
         self.next_step = EventKey::new(pos, lane::INVOCATION, 0, 0);
+        if index == 0 {
+            self.run_started(trace);
+        }
         let minute = t_ms / MINUTE_MS;
         let prev_minute = prev_ms.map(|t| t / MINUTE_MS);
         if prev_minute != Some(minute) {
@@ -102,6 +241,18 @@ impl Stream {
             }
         }
         self.plan_events(pos, prev_ms, t_ms);
+    }
+
+    /// Collect `RunStarted`, the stream's first event, at index 0.
+    fn run_started(&mut self, trace: &Trace) {
+        self.push(
+            EventKey::new(0, lane::RUN_STARTED, 0, 0),
+            Event::RunStarted {
+                functions: trace.catalog().len() as u64,
+                nodes: self.nodes,
+                trace_version: TRACE_VERSION,
+            },
+        );
     }
 
     /// Emit every plan event timed in `(after_ms, until_ms]` at `pos`.
@@ -134,26 +285,11 @@ impl Stream {
         self.events.extend(shard.events);
     }
 
-    /// Append `RunStarted`, the last `PeriodEnded` and `RunEnded`, and
-    /// hand the collection to [`finalize`] for sorting, numbering,
-    /// hash-chaining and emission through `sink`.
-    pub(crate) fn seal<K: EventSink>(
-        mut self,
-        trace: &Trace,
-        nodes: usize,
-        metrics: &RunMetrics,
-        sink: &mut K,
-    ) {
+    /// Collect the run's last events: the last `PeriodEnded` (or, with
+    /// no invocation ingested, `RunStarted` and the plan events at index
+    /// 0) and `RunEnded`.
+    fn end(&mut self, trace: &Trace, metrics: &RunMetrics) {
         let end = trace.len() as u64;
-        self.push(
-            EventKey::new(0, lane::RUN_STARTED, 0, 0),
-            Event::RunStarted {
-                invocations: end,
-                functions: trace.catalog().len() as u64,
-                nodes: nodes as u64,
-                horizon_ms: trace.horizon_ms(),
-            },
-        );
         match trace.invocations().last() {
             Some(last) => {
                 let minute = last.t_ms / MINUTE_MS;
@@ -162,8 +298,10 @@ impl Stream {
                     Event::PeriodEnded { minute },
                 );
             }
-            // No index was ingested to anchor the plan events.
-            None => self.plan_events(end, None, trace.horizon_ms()),
+            None => {
+                self.run_started(trace);
+                self.plan_events(end, None, trace.horizon_ms());
+            }
         }
         self.push(
             EventKey::new(end, lane::RUN_ENDED, 0, 0),
@@ -173,9 +311,45 @@ impl Stream {
                 evictions: metrics.evicted_functions,
                 revocations: metrics.reconcile_revocations,
                 expired: metrics.expiry.expired,
+                horizon_ms: trace.horizon_ms(),
             },
         );
+    }
+
+    /// Append the run's last events and hand the whole collection to
+    /// [`finalize`] for sorting, numbering, hash-chaining and emission
+    /// through `sink`.
+    ///
+    /// # Panics
+    /// When the stream hands its batches to a sealer: that run closes
+    /// with [`Stream::close`].
+    pub(crate) fn seal<K: EventSink>(mut self, trace: &Trace, metrics: &RunMetrics, sink: &mut K) {
+        assert!(
+            self.handoff.is_none(),
+            "a run begun with a sealer closes with Engine::close"
+        );
+        self.end(trace, metrics);
         finalize(self.events, sink);
+    }
+
+    /// Append the run's last events and hand everything still collected
+    /// to the sealer as its last batch. A stream without a sealer has
+    /// collected nothing (its sink is disabled).
+    ///
+    /// # Panics
+    /// When a stream without a sealer has collected events: that run
+    /// seals with [`Stream::seal`].
+    pub(crate) fn close(mut self, trace: &Trace, metrics: &RunMetrics) {
+        match self.handoff.take() {
+            Some(handoff) => {
+                self.end(trace, metrics);
+                handoff.send(&mut self.events);
+            }
+            None => assert!(
+                self.events.is_empty(),
+                "a run begun without a sealer seals with Engine::seal"
+            ),
+        }
     }
 }
 

@@ -1,6 +1,7 @@
 //! Sequence numbering, hash chaining, and chain verification.
 //!
-//! Line format (one JSON object per line, fields in fixed order):
+//! Line format (stream format v2, one JSON object per line, fields in
+//! fixed order):
 //!
 //! ```text
 //! {"seq":N,"prev":"<hex64>","type":"…",…payload…,"hash":"<hex64>"}
@@ -12,12 +13,24 @@
 //! genesis. Re-walking a stream therefore proves both integrity (no line
 //! edited) and completeness (no line dropped or reordered); the chain
 //! tip alone pins an entire run, which is what golden snapshots store.
+//! Because each head embeds its predecessor's hash, a chain is one
+//! sequential pass: no line can be serialized before the one before it
+//! is hashed.
+//!
+//! Version 2 (`"trace_version":2` in `RunStarted`) keeps `prev` in the
+//! head and moves the run's size and horizon to `RunEnded`, so no line
+//! depends on anything after it and a stream can be sealed while its
+//! run goes: [`Chain`] takes the run's events in sorted batches, each
+//! above the last, and emits every event as soon as its batch is sealed.
+//! In the sequential replay and the live service, `ecolife-sim` runs the
+//! chain on a sealer thread beside the engine, so [`EventSink::emit`]
+//! runs there, and sinks must be `Send`. A sharded run sorts its whole
+//! collection at the end and seals it as one batch ([`finalize`]).
 
 use crate::event::{Event, EventKey};
-use crate::json::{field, write_payload};
+use crate::json::{field, push_digits, write_payload};
 use crate::sha256::{sha256, to_hex};
 use crate::sink::EventSink;
-use std::fmt::Write;
 
 /// `prev` of the first event.
 pub const GENESIS: &str = "0000000000000000000000000000000000000000000000000000000000000000";
@@ -43,7 +56,7 @@ pub struct ChainSummary {
 /// Append the head of a line — everything the hash covers — to `out`.
 fn write_head(out: &mut String, seq: u64, prev: &str, event: &Event) {
     out.push_str("{\"seq\":");
-    write!(out, "{seq}").expect("writing to a String cannot fail");
+    push_digits(out, seq);
     out.push_str(",\"prev\":\"");
     out.push_str(prev);
     out.push_str("\",\"type\":\"");
@@ -74,8 +87,86 @@ fn seal_in_place(ev: &mut SequencedEvent) {
     ev.line.push_str("\"}");
 }
 
-/// Sort the collected events into canonical order, assign sequence
-/// numbers, hash-chain, and emit through `sink`.
+/// A hash chain sealed a batch at a time: number, serialize, hash and
+/// emit the events of each sorted batch in turn, continuing the chain
+/// across batches.
+///
+/// Every event is sealed into one reused [`SequencedEvent`], so sealing
+/// allocates nothing per event beyond what the [`Event`] itself owns.
+#[derive(Debug)]
+pub struct Chain {
+    /// The event being sealed: `seq` is the next sequence number, and
+    /// `hash` the tip between events.
+    sealed: SequencedEvent,
+    /// Key of the last event sealed.
+    last: Option<EventKey>,
+}
+
+impl Chain {
+    /// A chain at [`GENESIS`], nothing sealed.
+    pub fn new() -> Self {
+        Chain {
+            sealed: SequencedEvent {
+                seq: 0,
+                // Replaced by the first event before anything is emitted.
+                event: Event::PeriodStarted { minute: 0 },
+                hash: GENESIS.to_string(),
+                line: String::with_capacity(512),
+            },
+            last: None,
+        }
+    }
+
+    /// Seal `batch` — sorted by key, keys unique (debug-asserted) — after
+    /// everything sealed so far, emitting each event through `sink`.
+    /// `batch` is left empty with its capacity, for reuse.
+    ///
+    /// # Panics
+    /// When the batch's first key is not above the last key sealed: the
+    /// stream would leave canonical order, and with it the identity of
+    /// the sequential, sharded and live streams. Checked in release
+    /// builds too.
+    pub fn seal<K: EventSink>(&mut self, batch: &mut Vec<(EventKey, Event)>, sink: &mut K) {
+        debug_assert!(
+            batch.windows(2).all(|w| w[0].0 < w[1].0),
+            "unsorted or duplicate event key: stream order would be ambiguous"
+        );
+        let (Some(&(first, _)), Some(&(last, _))) = (batch.first(), batch.last()) else {
+            return;
+        };
+        if let Some(sealed) = self.last {
+            assert!(
+                first > sealed,
+                "batch starts at {first:?}, not above the last sealed key {sealed:?}"
+            );
+        }
+        self.last = Some(last);
+        for (_, event) in batch.drain(..) {
+            self.sealed.event = event;
+            seal_in_place(&mut self.sealed);
+            sink.emit(&self.sealed);
+            self.sealed.seq += 1;
+        }
+    }
+
+    /// Close the stream: flush `sink` and report what was sealed.
+    pub fn finish<K: EventSink>(self, sink: &mut K) -> ChainSummary {
+        sink.flush();
+        ChainSummary {
+            events: self.sealed.seq,
+            tip: self.sealed.hash,
+        }
+    }
+}
+
+impl Default for Chain {
+    fn default() -> Self {
+        Chain::new()
+    }
+}
+
+/// Sort the collected events into canonical order and seal them as one
+/// [`Chain`] batch through `sink`.
 ///
 /// Keys must be unique (the engine's emission discipline guarantees it;
 /// debug builds assert it): uniqueness is what makes the serialized
@@ -84,36 +175,11 @@ fn seal_in_place(ev: &mut SequencedEvent) {
 /// unstable sort exact — with no equal keys there is only one sorted
 /// order, the one a stable sort would give — so the sort needs no
 /// scratch buffer beside the O(events) collection.
-///
-/// Every event is serialized, hashed and sealed into one reused
-/// [`SequencedEvent`], so finalization allocates nothing per event
-/// beyond what the [`Event`] itself owns.
 pub fn finalize<K: EventSink>(mut events: Vec<(EventKey, Event)>, sink: &mut K) -> ChainSummary {
     events.sort_unstable_by_key(|(key, _)| *key);
-    debug_assert!(
-        events.windows(2).all(|w| w[0].0 < w[1].0),
-        "duplicate event key: stream order would be ambiguous"
-    );
-
-    let n = events.len() as u64;
-    let mut sealed = SequencedEvent {
-        seq: 0,
-        // Replaced by the first event before anything is emitted.
-        event: Event::PeriodStarted { minute: 0 },
-        hash: GENESIS.to_string(),
-        line: String::with_capacity(512),
-    };
-    for (seq, (_, event)) in events.into_iter().enumerate() {
-        sealed.seq = seq as u64;
-        sealed.event = event;
-        seal_in_place(&mut sealed);
-        sink.emit(&sealed);
-    }
-    sink.flush();
-    ChainSummary {
-        events: n,
-        tip: sealed.hash,
-    }
+    let mut chain = Chain::new();
+    chain.seal(&mut events, sink);
+    chain.finish(sink)
 }
 
 /// Where and why a chain walk failed.
@@ -298,10 +364,9 @@ mod tests {
         let s = || label.to_string();
         let mut events = vec![
             Event::RunStarted {
-                invocations: u,
                 functions: u,
                 nodes: u,
-                horizon_ms: u,
+                trace_version: u,
             },
             Event::PeriodStarted { minute: u },
             Event::PeriodEnded { minute: u },
@@ -429,6 +494,7 @@ mod tests {
                 evictions: u,
                 revocations: u,
                 expired: u,
+                horizon_ms: u,
             },
         ];
         for cause in [
@@ -559,15 +625,15 @@ mod tests {
                     evictions: 0,
                     revocations: 0,
                     expired: 1,
+                    horizon_ms: 60_000,
                 },
             ),
             (
                 EventKey::new(0, lane::RUN_STARTED, 0, 0),
                 Event::RunStarted {
-                    invocations: 2,
                     functions: 1,
                     nodes: 2,
-                    horizon_ms: 60_000,
+                    trace_version: crate::TRACE_VERSION,
                 },
             ),
             (
@@ -595,6 +661,36 @@ mod tests {
         assert_eq!(summary.tip, cap.events[2].hash);
         let verified = verify_lines(cap.lines()).expect("fresh stream verifies");
         assert_eq!(verified, summary);
+    }
+
+    #[test]
+    fn sealing_in_batches_continues_one_chain() {
+        let mut whole = CaptureSink::default();
+        let summary = finalize(sample_events(), &mut whole);
+
+        let mut sorted = sample_events();
+        sorted.sort_unstable_by_key(|(key, _)| *key);
+        let mut batched = CaptureSink::default();
+        let mut chain = Chain::new();
+        let mut tail = sorted.split_off(1);
+        chain.seal(&mut sorted, &mut batched);
+        assert_eq!(batched.len(), 1);
+        chain.seal(&mut Vec::new(), &mut batched);
+        chain.seal(&mut tail, &mut batched);
+        assert!(sorted.is_empty() && tail.is_empty());
+        assert_eq!(chain.finish(&mut batched), summary);
+        assert_eq!(batched.lines(), whole.lines());
+    }
+
+    #[test]
+    #[should_panic(expected = "not above the last sealed key")]
+    fn a_batch_below_the_last_sealed_key_panics() {
+        let mut sorted = sample_events();
+        sorted.sort_unstable_by_key(|(key, _)| *key);
+        let mut early = sorted.drain(..1).collect();
+        let mut chain = Chain::new();
+        chain.seal(&mut sorted, &mut CaptureSink::default());
+        chain.seal(&mut early, &mut CaptureSink::default());
     }
 
     #[test]

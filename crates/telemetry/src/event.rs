@@ -9,11 +9,13 @@
 //! ## Stream identity across engines
 //!
 //! The sequential and sharded engines must serialize to *byte-identical*
-//! streams. Both collect `(EventKey, Event)` pairs and only sort, number,
-//! and hash them at end of run ([`crate::finalize`]): identity is then
-//! structural — same event set, same keys ⇒ same bytes — instead of
-//! depending on interleaving. The key is a total order designed so the
-//! sorted stream reads like the sequential engine executed:
+//! streams. Both collect `(EventKey, Event)` pairs and only number and
+//! hash them in key order ([`crate::Chain`]): a sequential run seals
+//! sorted batches as it goes, a sharded one sorts everything at its end
+//! ([`crate::finalize`]). Identity is then structural — same event set,
+//! same keys ⇒ same bytes — instead of depending on interleaving. The
+//! key is a total order designed so the sorted stream reads like the
+//! sequential engine executed:
 //!
 //! * `pos` — the global invocation index the event is anchored to: the
 //!   invocation being replayed (decision/start/release lanes), the
@@ -29,8 +31,13 @@
 //! * `a`, `b` — disambiguate within a lane (node/function for expiries,
 //!   an emission counter for per-invocation and reconciliation ops).
 //!
-//! Keys are unique per run (debug-asserted in [`crate::finalize`]), so
+//! Keys are unique per run (debug-asserted in [`crate::Chain::seal`]), so
 //! sorting admits exactly one serialization.
+
+/// The stream format version `RunStarted` announces. Version 2 moved the
+/// run's size and horizon from `RunStarted` to `RunEnded`, so the first
+/// line of a stream no longer waits for the run to end.
+pub const TRACE_VERSION: u64 = 2;
 
 /// Lane constants for [`EventKey`]: the within-`pos` ordering of event
 /// classes. `PERIOD_ENDED < PERIOD_STARTED` because at a boundary index
@@ -129,12 +136,13 @@ impl ReleaseCause {
 /// even when the stay settled to nothing.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Event {
-    /// Replay begins: workload shape and fleet size.
+    /// Replay begins: catalog and fleet size, and the stream format
+    /// ([`TRACE_VERSION`]). It carries nothing a live run learns only at
+    /// its end, so it is emitted as index 0 is ingested.
     RunStarted {
-        invocations: u64,
         functions: u64,
         nodes: u64,
-        horizon_ms: u64,
+        trace_version: u64,
     },
     /// An active wall-clock minute opens (minutes with no arrivals are
     /// skipped, same as the engine's period batching).
@@ -311,13 +319,15 @@ pub enum Event {
         node: u32,
         t_ms: u64,
     },
-    /// Replay ends: the run's headline counters.
+    /// Replay ends: the run's headline counters and its horizon (the
+    /// last arrival's instant).
     RunEnded {
         invocations: u64,
         transfers: u64,
         evictions: u64,
         revocations: u64,
         expired: u64,
+        horizon_ms: u64,
     },
 }
 

@@ -2,12 +2,15 @@
 //! event the same way on every platform, and a field extractor for the
 //! controlled format the writer emits.
 //!
-//! Floats are written with Rust's shortest-roundtrip `Display` — the
-//! minimal decimal string that parses back to the identical bits — so a
-//! line (and therefore the hash chain over it) is a bit-exact encoding
-//! of the run, stable across platforms. Scientific notation never
-//! appears (`Display` for `f64` does not produce it), and non-finite
-//! values are a bug upstream (debug-asserted).
+//! Integers go through `push_digits`, a digit writer that prints
+//! exactly what `to_string` prints without the `fmt` machinery: a
+//! sealed line is mostly integers, and serialization is most of what
+//! sealing costs. Floats are written with Rust's shortest-roundtrip
+//! `Display` — the minimal decimal string that parses back to the
+//! identical bits — so a line (and therefore the hash chain over it) is
+//! a bit-exact encoding of the run, stable across platforms. Scientific
+//! notation never appears (`Display` for `f64` does not produce it), and
+//! non-finite values are a bug upstream (debug-asserted).
 
 use crate::event::Event;
 use std::fmt::Write;
@@ -19,16 +22,50 @@ fn push_key(out: &mut String, key: &str) {
     out.push_str("\":");
 }
 
-/// Append `"key":value` (with a leading comma) for a u64. `write!`
-/// prints exactly what `to_string` prints, without the temporary.
+/// `"00" "01" … "99"`: the two digits of every value below 100.
+const DIGIT_PAIRS: &[u8; 200] = b"\
+0001020304050607080910111213141516171819\
+2021222324252627282930313233343536373839\
+4041424344454647484950515253545556575859\
+6061626364656667686970717273747576777879\
+8081828384858687888990919293949596979899";
+
+/// Append `v` in decimal, exactly as `v.to_string()` prints it: digits
+/// are written two at a time from the end of a stack buffer, then
+/// copied in one push.
+pub(crate) fn push_digits(out: &mut String, mut v: u64) {
+    // u64::MAX has 20 digits.
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    while v >= 100 {
+        let pair = (v % 100) as usize * 2;
+        v /= 100;
+        at -= 2;
+        buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    }
+    if v >= 10 {
+        let pair = v as usize * 2;
+        at -= 2;
+        buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    } else {
+        at -= 1;
+        buf[at] = b'0' + v as u8;
+    }
+    out.push_str(std::str::from_utf8(&buf[at..]).expect("decimal digits are ASCII"));
+}
+
+/// Append `"key":value` (with a leading comma) for a u64.
 fn push_u64(out: &mut String, key: &str, v: u64) {
     push_key(out, key);
-    write!(out, "{v}").expect("writing to a String cannot fail");
+    push_digits(out, v);
 }
 
 fn push_i64(out: &mut String, key: &str, v: i64) {
     push_key(out, key);
-    write!(out, "{v}").expect("writing to a String cannot fail");
+    if v < 0 {
+        out.push('-');
+    }
+    push_digits(out, v.unsigned_abs());
 }
 
 fn push_bool(out: &mut String, key: &str, v: bool) {
@@ -71,15 +108,13 @@ fn push_str(out: &mut String, key: &str, v: &str) {
 pub fn write_payload(event: &Event, out: &mut String) {
     match event {
         Event::RunStarted {
-            invocations,
             functions,
             nodes,
-            horizon_ms,
+            trace_version,
         } => {
-            push_u64(out, "invocations", *invocations);
             push_u64(out, "functions", *functions);
             push_u64(out, "nodes", *nodes);
-            push_u64(out, "horizon_ms", *horizon_ms);
+            push_u64(out, "trace_version", *trace_version);
         }
         Event::PeriodStarted { minute } | Event::PeriodEnded { minute } => {
             push_u64(out, "minute", *minute);
@@ -303,12 +338,14 @@ pub fn write_payload(event: &Event, out: &mut String) {
             evictions,
             revocations,
             expired,
+            horizon_ms,
         } => {
             push_u64(out, "invocations", *invocations);
             push_u64(out, "transfers", *transfers);
             push_u64(out, "evictions", *evictions);
             push_u64(out, "revocations", *revocations);
             push_u64(out, "expired", *expired);
+            push_u64(out, "horizon_ms", *horizon_ms);
         }
     }
 }
@@ -386,16 +423,31 @@ mod tests {
         assert_eq!(field("", "seq"), None);
     }
 
-    /// The writers print numbers exactly as `to_string` does.
+    /// The writers print numbers exactly as `to_string` does: integers
+    /// on both sides of every digit-count boundary, then floats.
     #[test]
     fn numbers_print_as_to_string() {
         let expect = |written: String, text: String| assert_eq!(written, format!(",\"k\":{text}"));
-        for v in [0, 1, 10, 1 << 53, u64::MAX] {
+        let mut unsigned = vec![0, 1, 1 << 53, u64::MAX - 1, u64::MAX];
+        let mut power = 1u64;
+        for _ in 0..19 {
+            // 9, 10, 99, 100, … 10¹⁹ − 1, 10¹⁹.
+            unsigned.extend([power * 10 - 1, power * 10]);
+            power *= 10;
+        }
+        for &v in &unsigned {
             let mut s = String::new();
             push_u64(&mut s, "k", v);
             expect(s, v.to_string());
         }
-        for v in [0, -1, i64::MIN, i64::MAX] {
+        let mut signed = vec![-1, -9, -10, i64::MIN, i64::MIN + 1, i64::MAX];
+        signed.extend(unsigned.iter().filter_map(|&v| i64::try_from(v).ok()));
+        signed.extend(
+            unsigned
+                .iter()
+                .filter_map(|&v| i64::try_from(v).ok().map(|v| -v)),
+        );
+        for v in signed {
             let mut s = String::new();
             push_i64(&mut s, "k", v);
             expect(s, v.to_string());

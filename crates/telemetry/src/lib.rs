@@ -13,9 +13,13 @@
 //! * [`Event`] / [`EventKey`] — the taxonomy and the canonical merge key
 //!   that makes the sharded engine's stream byte-identical to the
 //!   sequential reference (see [`event`] module docs);
-//! * [`finalize`] — sort, number, hash-chain, and emit a collected run;
+//! * [`Chain`] — number, hash-chain, and emit sorted batches of a run
+//!   as it goes; [`finalize`] sorts a whole collected run and seals it
+//!   as one batch;
 //! * [`EventSink`] — [`NullSink`] (zero-cost: collection compiles out),
 //!   [`JsonlSink`] (buffered file), [`CaptureSink`] (in-memory, tests);
+//!   sinks are `Send`, because sequential and live runs seal on a
+//!   thread of their own;
 //! * [`verify_lines`] — re-walk a stream's hash chain;
 //! * [`first_divergence`] — first divergent sequence number between two
 //!   runs;
@@ -37,10 +41,10 @@ pub mod sha256;
 pub mod sink;
 
 pub use chain::{
-    finalize, verify_lines, ChainError, ChainSummary, ChainWalker, SequencedEvent, GENESIS,
+    finalize, verify_lines, Chain, ChainError, ChainSummary, ChainWalker, SequencedEvent, GENESIS,
 };
 pub use diff::{first_divergence, pretty, Divergence};
-pub use event::{lane, Event, EventKey, ReleaseCause};
+pub use event::{lane, Event, EventKey, ReleaseCause, TRACE_VERSION};
 pub use golden::GoldenSnapshot;
 pub use json::{field, str_field, u64_field};
 pub use sha256::{sha256, sha256_hex};

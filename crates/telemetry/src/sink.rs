@@ -1,19 +1,27 @@
-//! Event sinks: where a finalized stream goes.
+//! Event sinks: where a sealed stream goes.
 //!
 //! The trait carries a `const ENABLED` so the engine can monomorphize
 //! telemetry away entirely: every collection point is guarded by
 //! `if K::ENABLED`, which is a compile-time constant — a run with
-//! [`NullSink`] compiles to exactly the untraced engine (the replay
-//! benches pin this: the engine row must not move with telemetry
-//! compiled in but disabled).
+//! [`NullSink`] compiles to exactly the untraced engine, and spawns no
+//! sealer thread.
+//!
+//! Sinks must be `Send`. The sequential replay and the live service
+//! seal their stream on a sealer thread while the run goes (see
+//! `ecolife-sim`'s `stream` module), so [`EventSink::emit`] and
+//! [`EventSink::flush`] run on that thread, not the caller's. A sink
+//! that panics there — [`JsonlSink`] does on a failed write — ends the
+//! sealer, and the panic reaches the run's caller with its own payload.
 
 use crate::chain::SequencedEvent;
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::Path;
 
-/// Receives the finalized, hash-chained stream in sequence order.
-pub trait EventSink {
+/// Receives the sealed, hash-chained stream in sequence order — on the
+/// sealer thread when a sequential or live run streams (see the module
+/// docs).
+pub trait EventSink: Send {
     /// Whether the engine should collect events at all. `false` turns
     /// every emission site into dead code.
     const ENABLED: bool;

@@ -3,7 +3,7 @@
 //! under it, and pin the three exits — clean at `RunEnded`, idle after
 //! `--max-polls`, and non-zero the moment the hash chain breaks.
 
-use ecolife_telemetry::{finalize, lane, CaptureSink, Event, EventKey};
+use ecolife_telemetry::{finalize, lane, CaptureSink, Event, EventKey, TRACE_VERSION};
 use std::io::Write;
 use std::process::{Command, Stdio};
 
@@ -13,10 +13,9 @@ fn chained_lines() -> Vec<String> {
         (
             EventKey::new(0, lane::RUN_STARTED, 0, 0),
             Event::RunStarted {
-                invocations: 2,
                 functions: 1,
                 nodes: 1,
-                horizon_ms: 60_000,
+                trace_version: TRACE_VERSION,
             },
         ),
         (
@@ -39,6 +38,7 @@ fn chained_lines() -> Vec<String> {
                 evictions: 0,
                 revocations: 0,
                 expired: 0,
+                horizon_ms: 60_000,
             },
         ),
     ];
@@ -72,10 +72,9 @@ fn chaos_lines() -> Vec<String> {
         (
             EventKey::new(0, lane::RUN_STARTED, 0, 0),
             Event::RunStarted {
-                invocations: 1,
                 functions: 1,
                 nodes: 2,
-                horizon_ms: 120_000,
+                trace_version: TRACE_VERSION,
             },
         ),
         (
@@ -150,6 +149,7 @@ fn chaos_lines() -> Vec<String> {
                 evictions: 1,
                 revocations: 0,
                 expired: 0,
+                horizon_ms: 120_000,
             },
         ),
     ];

@@ -323,6 +323,6 @@ fn service_under_a_membership_plan_reproduces_the_golden_stream() {
         if let Some(d) = first_divergence(&want, &live_sink.lines()) {
             panic!("stream diverged from the golden at {producers} producers:\n{d}");
         }
-        assert_eq!(live_sink.tip().map(|t| &t[..8]), Some("4e6027d1"));
+        assert_eq!(live_sink.tip().map(|t| &t[..8]), Some("d00a9d2d"));
     }
 }

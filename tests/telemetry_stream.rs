@@ -240,7 +240,7 @@ fn a_trace_with_no_invocations_narrates_its_plans_at_the_seal() {
         ["RunStarted", "MembershipChanged", "NodeCrashed", "RunEnded"]
     );
     verify_lines(sequential.lines()).expect("chain verifies");
-    assert_eq!(sequential.tip().map(|t| &t[..8]), Some("8b0a3d2e"));
+    assert_eq!(sequential.tip().map(|t| &t[..8]), Some("830025a8"));
 }
 
 proptest! {
