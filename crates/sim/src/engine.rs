@@ -54,12 +54,13 @@
 //! [`Simulation::run_with_sink`] / [`Simulation::run_sharded_with_sink`].
 //! Each run state's [`stream`](crate::stream) collects the events under
 //! canonical keys (global invocation index anchors) as the run reaches
-//! them. A sequential run hands each batch of final events to a sealer
-//! thread that sorts, numbers and hash-chains it while the engine goes
-//! on; a sharded run sorts and chains its gathered streams at the end.
-//! Either way the stream is in key order, so the sharded stream is
-//! byte-identical to the sequential one whenever the runs themselves
-//! are (no reconciliation revocations). The sink is a
+//! them, and hands each batch of final events to one sealer thread that
+//! sorts, numbers and hash-chains it while the engine goes on. A
+//! sharded run's coordinator takes over its shards' final events at
+//! each period barrier and hands them off the same way. Either way the
+//! stream is in key order, so the sharded stream is byte-identical to
+//! the sequential one whenever the runs themselves are (no
+//! reconciliation revocations). The sink is a
 //! *type* parameter: with [`NullSink`] (`ENABLED = false`, what
 //! [`Simulation::run`] uses) every collection site is
 //! compile-time dead code, which is why telemetry lives here as a
@@ -492,12 +493,14 @@ impl<'a> Simulation<'a> {
     ///
     /// Each shard's stream collects, under canonical global-index keys,
     /// its own run events and the input-derived events anchored at the
-    /// indices it ingests, so each event is emitted by one shard. The
-    /// coordinator concatenates the streams and the seal sorts them —
-    /// the same discipline as the `RunMetrics` merge — so the serialized
-    /// stream (and therefore the chain tip) is identical at any
-    /// shard/thread count, and byte-identical to the sequential stream
-    /// whenever the runs themselves are (`reconcile_revocations == 0`).
+    /// indices it ingests, so each event is emitted by one shard. At each
+    /// period barrier, once the reconcile has run, the coordinator takes
+    /// over every shard event anchored below the period's first index and
+    /// hands it to the sealer thread as the run goes ([`crate::stream`]),
+    /// so the serialized stream (and therefore the chain tip) is
+    /// identical at any shard/thread count, and byte-identical to the
+    /// sequential stream whenever the runs themselves are
+    /// (`reconcile_revocations == 0`).
     pub fn run_sharded_with_sink<S, F, K>(
         &self,
         factory: F,
@@ -514,93 +517,104 @@ impl<'a> Simulation<'a> {
         let engine = self.engine();
         let invocations = self.trace.invocations();
 
-        // Shard states: a fresh run state, own scheduler, sub-trace
-        // (global indices into the shared sorted trace — no invocation
-        // copies).
-        let mut states: Vec<ShardState<S>> = (0..n_shards)
-            .map(|s| {
-                let mut scheduler = factory(s);
-                scheduler.prepare(self.trace);
-                ShardState {
-                    run: engine.begin(),
-                    scheduler,
-                    jobs: Vec::new(),
-                    cursor: 0,
+        seal_while_running(sink, |sealer| {
+            // Shard states: a fresh run state, own scheduler, sub-trace
+            // (global indices into the shared sorted trace — no
+            // invocation copies).
+            let mut states: Vec<ShardState<S>> = (0..n_shards)
+                .map(|s| {
+                    let mut scheduler = factory(s);
+                    scheduler.prepare(self.trace);
+                    ShardState {
+                        run: engine.begin(),
+                        scheduler,
+                        jobs: Vec::new(),
+                        cursor: 0,
+                    }
+                })
+                .collect();
+            for (index, inv) in invocations.iter().enumerate() {
+                states[shard_of(inv.func, n_shards)].jobs.push(index);
+            }
+            // The coordinator's stream owns the sealer.
+            let mut stream = Stream::new(&self.membership, &self.faults, n_nodes, sealer);
+
+            let threads = opts.threads.unwrap_or_else(default_threads);
+            let mut ledger_peak_mib = vec![0u64; n_nodes];
+
+            // Walk the periods that contain work, in time order: `next`
+            // is the first invocation not yet replayed, and each period
+            // runs up to the first arrival at or past its end. Empty
+            // stretches are skipped without changing semantics, because
+            // reconciliation runs before each active period either way.
+            let mut next = 0usize;
+            let mut t_final = 0u64;
+            while next < invocations.len() {
+                let first = next as u64;
+                let t_start = invocations[next].t_ms / opts.period_ms * opts.period_ms;
+                let t_end = t_start.saturating_add(opts.period_ms);
+                next += invocations[next..].partition_point(|inv| inv.t_ms < t_end);
+                t_final = t_end;
+
+                // Barrier phase (coordinator alone, deterministic
+                // shard/node order): reconcile, which also sets every
+                // pool's share of the other shards' bytes. After it no
+                // shard emits below `first`, so what the shards hold
+                // below it is final.
+                engine.reconcile::<S, K>(t_start, &mut states, &mut ledger_peak_mib);
+                if K::ENABLED {
+                    for state in &mut states {
+                        stream.take_below(&mut state.run.stream, first);
+                    }
+                    stream.hand_off();
                 }
-            })
-            .collect();
-        for (index, inv) in invocations.iter().enumerate() {
-            states[shard_of(inv.func, n_shards)].jobs.push(index);
-        }
 
-        let threads = opts.threads.unwrap_or_else(default_threads);
-        let mut ledger_peak_mib = vec![0u64; n_nodes];
+                // Parallel phase: the coordinator and its helpers each
+                // claim shards and replay their jobs of the period
+                // against the shard's own pools; the call returns once
+                // every shard is done. Which thread runs which shard
+                // never affects the outcome.
+                states = parallel_map_threads(threads, states, |mut state| {
+                    let stop =
+                        state.cursor + state.jobs[state.cursor..].partition_point(|&i| i < next);
+                    for &index in &state.jobs[state.cursor..stop] {
+                        engine.ingest::<S, K>(
+                            &mut state.run,
+                            index,
+                            &invocations[index],
+                            &mut state.scheduler,
+                        );
+                    }
+                    state.cursor = stop;
+                    state
+                });
+            }
 
-        // Walk the periods that contain work, in time order: `next` is
-        // the first invocation not yet replayed, and each period runs up
-        // to the first arrival at or past its end. Empty stretches are
-        // skipped without changing semantics, because reconciliation
-        // runs before each active period either way.
-        let mut next = 0usize;
-        let mut t_final = 0u64;
-        while next < invocations.len() {
-            let t_start = invocations[next].t_ms / opts.period_ms * opts.period_ms;
-            let t_end = t_start.saturating_add(opts.period_ms);
-            next += invocations[next..].partition_point(|inv| inv.t_ms < t_end);
-            t_final = t_end;
+            // Final reconciliation (capacity holds at the horizon too),
+            // then end-of-run settlement in shard order.
+            engine.reconcile::<S, K>(t_final, &mut states, &mut ledger_peak_mib);
+            for state in &mut states {
+                engine.finish::<K>(&mut state.run);
+            }
 
-            // Barrier phase (coordinator alone, deterministic
-            // shard/node order): reconcile, which also sets every pool's
-            // share of the other shards' bytes.
-            engine.reconcile::<S, K>(t_start, &mut states, &mut ledger_peak_mib);
-
-            // Parallel phase: the coordinator and its helpers each claim
-            // shards and replay their jobs of the period against the
-            // shard's own pools; the call returns once every shard is
-            // done. Which thread runs which shard never affects the
-            // outcome.
-            states = parallel_map_threads(threads, states, |mut state| {
-                let stop = state.cursor + state.jobs[state.cursor..].partition_point(|&i| i < next);
-                for &index in &state.jobs[state.cursor..stop] {
-                    engine.ingest::<S, K>(
-                        &mut state.run,
-                        index,
-                        &invocations[index],
-                        &mut state.scheduler,
-                    );
-                }
-                state.cursor = stop;
-                state
-            });
-        }
-
-        // Final reconciliation (capacity holds at the horizon too), then
-        // end-of-run settlement in shard order.
-        engine.reconcile::<S, K>(t_final, &mut states, &mut ledger_peak_mib);
-        for state in &mut states {
-            engine.finish::<K>(&mut state.run);
-        }
-
-        // Gather every shard's collected telemetry (empty unless `K` is
-        // enabled) while the merge consumes the states; the seal sorts
-        // by canonical key.
-        let mut stream = Stream::new(&self.membership, &self.faults, n_nodes, Sealer::none());
-        let parts = states
-            .into_iter()
-            .map(|s| {
-                stream.absorb(s.run.stream);
-                s.run.metrics
-            })
-            .collect();
-        let mut metrics = merge_metrics(invocations, n_nodes, parts, ledger_peak_mib);
-        // Input-derived: `finish` stamped the same value on every shard
-        // and `merge_metrics` ignores it (summing would multiply one
-        // outage span), so the coordinator sets it once here.
-        metrics.stale_ci_minutes = engine.stale_minutes();
-        if K::ENABLED {
-            stream.seal(self.trace, &metrics, sink);
-        }
-        metrics
+            // Take over the shards' remaining events (none unless `K` is
+            // enabled) while the merge consumes the states.
+            let parts = states
+                .into_iter()
+                .map(|mut s| {
+                    stream.take_below(&mut s.run.stream, u64::MAX);
+                    s.run.metrics
+                })
+                .collect();
+            let mut metrics = merge_metrics(invocations, n_nodes, parts, ledger_peak_mib);
+            // Input-derived: `finish` stamped the same value on every
+            // shard and `merge_metrics` ignores it (summing would
+            // multiply one outage span), so the coordinator sets it once
+            // here.
+            metrics.stale_ci_minutes = engine.stale_minutes();
+            stream.close(self.trace, &metrics);
+            metrics
+        })
     }
 }
 
@@ -634,8 +648,9 @@ pub struct Engine<'r> {
 /// [`Engine::ingest`], closed by [`Engine::finish`] +
 /// [`Engine::seal`] — or, for a run sealed while it goes, built by
 /// [`Engine::begin_sealing`] and closed by `finish` + [`Engine::close`].
-/// A sharded run holds one per shard and merges them after `finish`
-/// instead of sealing each.
+/// A sharded run holds one per shard: its coordinator takes over the
+/// shards' events at each period barrier and merges their metrics after
+/// `finish`.
 ///
 /// Every engine handler — the per-invocation step, the expiry sweep,
 /// the fleet-timeline handlers and the end-of-run drain — takes the
@@ -647,18 +662,6 @@ pub struct RunState {
     metrics: RunMetrics,
     stream: Stream,
     timeline: FleetTimeline,
-}
-
-impl RunState {
-    /// The metrics accumulated so far (final after [`Engine::finish`]).
-    pub fn metrics(&self) -> &RunMetrics {
-        &self.metrics
-    }
-
-    /// The live cluster state (pools, membership, executor occupancy).
-    pub fn cluster(&self) -> &Cluster {
-        &self.cluster
-    }
 }
 
 impl<'r> Engine<'r> {
@@ -764,14 +767,14 @@ impl<'r> Engine<'r> {
         self.ci.distinct_regions().any(|(fr, _)| fr == r)
     }
 
-    /// Seal the collected telemetry through `sink` (when `K` is
-    /// enabled; see [`crate::stream`]) and hand back the final metrics.
-    /// Call after [`Engine::finish`], on a state from [`Engine::begin`].
-    pub fn seal<K: EventSink>(&self, state: RunState, sink: &mut K) -> RunMetrics {
-        if K::ENABLED {
-            state.stream.seal(self.trace, &state.metrics, sink);
-        }
-        state.metrics
+    /// Seal the collected telemetry through `sink` as one sealer batch
+    /// (see [`crate::stream`]) and hand back the final metrics. Call
+    /// after [`Engine::finish`], on a state from [`Engine::begin`].
+    pub fn seal<K: EventSink>(&self, mut state: RunState, sink: &mut K) -> RunMetrics {
+        seal_while_running(sink, |sealer| {
+            state.stream.attach(sealer);
+            self.close(state)
+        })
     }
 
     /// Hand a run's last events to its sealer and hand back the final

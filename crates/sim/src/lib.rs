@@ -49,11 +49,12 @@
 //! stream ([`Simulation::run_with_sink`] /
 //! [`Simulation::run_sharded_with_sink`], sinks from
 //! `ecolife-telemetry`). Each run's [`stream`] collects every event as the
-//! run reaches its anchor; a sequential run chains them on a sealer
-//! thread while it goes ([`seal_while_running`]), a sharded one at its
-//! end. The streams are byte-identical between sequential and sharded
-//! execution, and zero-cost when disabled ([`NullSink`] monomorphizes
-//! every emission away and no sealer thread starts).
+//! run reaches its anchor, and one sealer thread chains the final ones
+//! while the run goes ([`seal_while_running`]); a sharded run hands its
+//! shards' final events over at each period barrier. The streams are
+//! byte-identical between sequential and sharded execution, and
+//! zero-cost when disabled ([`NullSink`] monomorphizes every emission
+//! away and no sealer thread starts).
 
 pub mod cluster;
 pub mod container;

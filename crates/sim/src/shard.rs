@@ -34,7 +34,7 @@ use ecolife_trace::{FunctionId, Invocation};
 
 /// The shard owning `func` when the cluster is split `n_shards` ways.
 ///
-/// The [`splitmix64`](ecolife_trace::splitmix64) finalizer over the
+/// The [`splitmix64`](ecolife_trace::splitmix64) output mix of the
 /// golden-ratio-offset id: consecutive function ids spread uniformly,
 /// and the assignment depends only on `(func, n_shards)` — never on
 /// thread count or trace content.

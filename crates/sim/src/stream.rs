@@ -18,27 +18,28 @@
 //!
 //! ## Sealing while the run goes
 //!
-//! A sequential or live run never emits an event below the index it is
-//! ingesting, so when index `i` opens, every event anchored below `i` is
-//! final. [`Simulation::run_with_sink`](crate::Simulation::run_with_sink)
-//! and the live service run inside [`seal_while_running`]: one scoped
-//! sealer thread owns the sink and a [`Chain`], and whenever an index
-//! opens with at least [`SEAL_BATCH`] events collected, the stream hands
-//! them over a channel `SEAL_DEPTH` (8) batches deep and goes on
-//! ingesting. The sealer sorts each batch (keys are unique, so the
-//! unstable sort is exact), then numbers, serializes, hashes (SHA-NI
-//! where the CPU has it) and emits it, while the engine replays the next
-//! invocations. So the sink's `emit` runs on the sealer thread, and sinks
-//! must be `Send`. The chain asserts, in release builds too, that every
-//! batch starts above the last key of the one before. Spent batches go
-//! back to the stream for reuse, so a run's collected telemetry stays
-//! within a few batches however long it runs.
+//! Every run with an enabled sink runs inside [`seal_while_running`]:
+//! one scoped sealer thread owns the sink and a [`Chain`], and the run's
+//! stream hands it batches of final events over a channel `SEAL_DEPTH`
+//! (8) batches deep and goes on. The sealer sorts each batch (keys are
+//! unique, so the unstable sort is exact), then numbers, serializes,
+//! hashes (SHA-NI where the CPU has it) and emits it, while the engine
+//! replays the next invocations. So the sink's `emit` runs on the sealer
+//! thread, and sinks must be `Send`. The chain asserts, in release
+//! builds too, that every batch starts above the last key of the one
+//! before. Spent batches go back to the stream for reuse, so a run's
+//! collected telemetry stays within a few batches however long it runs.
 //!
-//! With a disabled sink nothing is collected and no thread is spawned. A
-//! sharded run — and a run driven through [`Engine::begin`] …
-//! [`Engine::seal`] directly — collects the whole stream, and the seal
-//! sorts it and seals it as one batch on the same kind of chain
-//! ([`finalize`]).
+//! A sequential or live run never emits below the index it is
+//! ingesting, so it hands off whenever an index opens with at least
+//! [`SEAL_BATCH`] events collected. A sharded run's shards never emit
+//! below a period's first index once that period's reconcile has run
+//! (its catch-up and expiry sweep still anchor events in the period
+//! before), so at each barrier, after the reconcile, the coordinator's
+//! stream takes over every shard event below that index and hands off
+//! on the same check. [`Engine::seal`] hands a stepped run's whole
+//! collection over as one batch. With a disabled sink nothing is
+//! collected and no thread is spawned.
 //!
 //! A panic in the sink's `emit` (a failed [`JsonlSink`] write, say) ends
 //! the sealer; the run goes on, dropping its batches, and the panic
@@ -46,7 +47,6 @@
 //! in the run (a scheduler's, say) drops the stream's end of the channel,
 //! so the sealer finishes, and the run's own panic reaches the caller.
 //!
-//! [`Engine::begin`]: crate::Engine::begin
 //! [`Engine::seal`]: crate::Engine::seal
 //! [`JsonlSink`]: ecolife_telemetry::JsonlSink
 
@@ -55,7 +55,7 @@ use crate::membership::MembershipPlan;
 use crate::metrics::RunMetrics;
 use crate::MINUTE_MS;
 use ecolife_carbon::CiProvider;
-use ecolife_telemetry::{finalize, lane, Chain, Event, EventKey, EventSink, TRACE_VERSION};
+use ecolife_telemetry::{lane, Chain, Event, EventKey, EventSink, TRACE_VERSION};
 use ecolife_trace::Trace;
 use std::sync::mpsc::{self, Receiver, SyncSender};
 
@@ -79,7 +79,7 @@ type Batch = Vec<(EventKey, Event)>;
 pub struct Sealer(Option<Handoff>);
 
 impl Sealer {
-    /// No sealer: the stream collects every event for [`Stream::seal`].
+    /// No sealer: the stream collects every event.
     pub(crate) fn none() -> Self {
         Sealer(None)
     }
@@ -157,8 +157,8 @@ pub(crate) struct Stream {
     next_step: EventKey,
     /// Fleet size, for `RunStarted`.
     nodes: u64,
-    /// Where the stream hands its batches while the run goes; `None` for
-    /// a run that collects its whole stream for [`Stream::seal`].
+    /// Where the stream hands its batches; `None` for a shard's stream,
+    /// and until [`Stream::attach`] for a stepped run's.
     handoff: Option<Handoff>,
 }
 
@@ -202,11 +202,7 @@ impl Stream {
     /// `index`), emit every event anchored at `index`, and start
     /// numbering its per-invocation events.
     pub(crate) fn open(&mut self, trace: &Trace, index: usize, ci: &CiProvider<'_>) {
-        if let Some(handoff) = &self.handoff {
-            if self.events.len() >= SEAL_BATCH {
-                handoff.send(&mut self.events);
-            }
-        }
+        self.hand_off();
         let arrivals = trace.invocations();
         let t_ms = arrivals[index].t_ms;
         let prev_ms = index.checked_sub(1).map(|i| arrivals[i].t_ms);
@@ -279,10 +275,22 @@ impl Stream {
         self.next_step.a += 1;
     }
 
-    /// Take over a shard's collected events: a sharded run seals one
-    /// stream.
-    pub(crate) fn absorb(&mut self, shard: Stream) {
-        self.events.extend(shard.events);
+    /// Hand everything collected to the sealer once it fills a batch.
+    /// The caller guarantees that no event still to come sorts below any
+    /// of it.
+    pub(crate) fn hand_off(&mut self) {
+        if let Some(handoff) = &self.handoff {
+            if self.events.len() >= SEAL_BATCH {
+                handoff.send(&mut self.events);
+            }
+        }
+    }
+
+    /// Take over every event a shard's stream has collected below index
+    /// `end`.
+    pub(crate) fn take_below(&mut self, shard: &mut Stream, end: u64) {
+        self.events
+            .extend(shard.events.extract_if(.., |(key, _)| key.pos < end));
     }
 
     /// Collect the run's last events: the last `PeriodEnded` (or, with
@@ -316,20 +324,16 @@ impl Stream {
         );
     }
 
-    /// Append the run's last events and hand the whole collection to
-    /// [`finalize`] for sorting, numbering, hash-chaining and emission
-    /// through `sink`.
+    /// Hand this stream's batches to `sealer` from now on.
     ///
     /// # Panics
-    /// When the stream hands its batches to a sealer: that run closes
-    /// with [`Stream::close`].
-    pub(crate) fn seal<K: EventSink>(mut self, trace: &Trace, metrics: &RunMetrics, sink: &mut K) {
+    /// When the stream has a sealer already.
+    pub(crate) fn attach(&mut self, sealer: Sealer) {
         assert!(
             self.handoff.is_none(),
             "a run begun with a sealer closes with Engine::close"
         );
-        self.end(trace, metrics);
-        finalize(self.events, sink);
+        self.handoff = sealer.0;
     }
 
     /// Append the run's last events and hand everything still collected
@@ -337,8 +341,8 @@ impl Stream {
     /// collected nothing (its sink is disabled).
     ///
     /// # Panics
-    /// When a stream without a sealer has collected events: that run
-    /// seals with [`Stream::seal`].
+    /// When a stream without a sealer has collected events: an enabled
+    /// sink's run seals through one ([`Stream::attach`]).
     pub(crate) fn close(mut self, trace: &Trace, metrics: &RunMetrics) {
         match self.handoff.take() {
             Some(handoff) => {

@@ -22,10 +22,9 @@
 //! depends on anything after it and a stream can be sealed while its
 //! run goes: [`Chain`] takes the run's events in sorted batches, each
 //! above the last, and emits every event as soon as its batch is sealed.
-//! In the sequential replay and the live service, `ecolife-sim` runs the
-//! chain on a sealer thread beside the engine, so [`EventSink::emit`]
-//! runs there, and sinks must be `Send`. A sharded run sorts its whole
-//! collection at the end and seals it as one batch ([`finalize`]).
+//! `ecolife-sim` runs the chain on a sealer thread beside every traced
+//! run — sequential, sharded or live — so [`EventSink::emit`] runs
+//! there, and sinks must be `Send`.
 
 use crate::event::{Event, EventKey};
 use crate::json::{field, push_digits, write_payload};
@@ -35,7 +34,7 @@ use crate::sink::EventSink;
 /// `prev` of the first event.
 pub const GENESIS: &str = "0000000000000000000000000000000000000000000000000000000000000000";
 
-/// A finalized event: its stream position, the event itself, its line
+/// A sealed event: its stream position, the event itself, its line
 /// hash, and the exact serialized line the JSONL sink writes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SequencedEvent {
@@ -45,7 +44,7 @@ pub struct SequencedEvent {
     pub line: String,
 }
 
-/// What finalization (or a successful verify) reports about a stream.
+/// What sealing (or a successful verify) reports about a stream.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChainSummary {
     pub events: u64,
@@ -163,23 +162,6 @@ impl Default for Chain {
     fn default() -> Self {
         Chain::new()
     }
-}
-
-/// Sort the collected events into canonical order and seal them as one
-/// [`Chain`] batch through `sink`.
-///
-/// Keys must be unique (the engine's emission discipline guarantees it;
-/// debug builds assert it): uniqueness is what makes the serialized
-/// stream independent of collection order, and therefore byte-identical
-/// between the sequential and sharded engines. It also makes the
-/// unstable sort exact — with no equal keys there is only one sorted
-/// order, the one a stable sort would give — so the sort needs no
-/// scratch buffer beside the O(events) collection.
-pub fn finalize<K: EventSink>(mut events: Vec<(EventKey, Event)>, sink: &mut K) -> ChainSummary {
-    events.sort_unstable_by_key(|(key, _)| *key);
-    let mut chain = Chain::new();
-    chain.seal(&mut events, sink);
-    chain.finish(sink)
 }
 
 /// Where and why a chain walk failed.
@@ -330,7 +312,7 @@ mod tests {
     use crate::sink::CaptureSink;
     use proptest::prelude::*;
 
-    /// The allocating writer `finalize` used before sealing in place: the
+    /// The allocating writer the chain used before sealing in place: the
     /// oracle the in-place writer must match byte for byte.
     fn serialize_head(seq: u64, prev: &str, event: &Event) -> String {
         let mut head = String::with_capacity(192);
@@ -516,7 +498,15 @@ mod tests {
         events
     }
 
-    /// Events keyed in the given order, so `finalize` keeps it.
+    /// Sort `events` by key and seal them as one batch of a fresh chain.
+    fn seal_all(mut events: Vec<(EventKey, Event)>, sink: &mut CaptureSink) -> ChainSummary {
+        events.sort_unstable_by_key(|(key, _)| *key);
+        let mut chain = Chain::new();
+        chain.seal(&mut events, sink);
+        chain.finish(sink)
+    }
+
+    /// Events keyed in the given order, so `seal_all` keeps it.
     fn keyed(events: Vec<Event>) -> Vec<(EventKey, Event)> {
         events
             .into_iter()
@@ -555,7 +545,7 @@ mod tests {
             }
         }
         let mut cap = CaptureSink::default();
-        let summary = finalize(keyed(events.clone()), &mut cap);
+        let summary = seal_all(keyed(events.clone()), &mut cap);
 
         let mut prev = GENESIS.to_string();
         for (seq, event) in events.iter().enumerate() {
@@ -579,10 +569,10 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// Any permutation of a unique-key event set finalizes to the
-        /// same lines and the same tip: the unstable sort is exact.
+        /// Any permutation of a unique-key event set seals to the same
+        /// lines and the same tip: the unstable sort is exact.
         #[test]
-        fn any_permutation_finalizes_identically(
+        fn any_permutation_seals_identically(
             raw in prop::collection::vec((0u64..40, 0u8..17, 0u32..3, 0u64..1_000), 1..120),
             shuffle_seed in 1u64..u64::MAX,
         ) {
@@ -608,8 +598,8 @@ mod tests {
                 shuffled.swap(i, (x % (i as u64 + 1)) as usize);
             }
             let (mut a, mut b) = (CaptureSink::default(), CaptureSink::default());
-            let sa = finalize(events, &mut a);
-            let sb = finalize(shuffled, &mut b);
+            let sa = seal_all(events, &mut a);
+            let sb = seal_all(shuffled, &mut b);
             prop_assert_eq!(a.lines(), b.lines());
             prop_assert_eq!(sa, sb);
         }
@@ -652,9 +642,9 @@ mod tests {
     }
 
     #[test]
-    fn finalize_sorts_chains_and_verifies() {
+    fn a_sorted_batch_chains_and_verifies() {
         let mut cap = CaptureSink::default();
-        let summary = finalize(sample_events(), &mut cap);
+        let summary = seal_all(sample_events(), &mut cap);
         assert_eq!(summary.events, 3);
         assert_eq!(cap.events[0].event.type_name(), "RunStarted");
         assert_eq!(cap.events[2].event.type_name(), "RunEnded");
@@ -666,7 +656,7 @@ mod tests {
     #[test]
     fn sealing_in_batches_continues_one_chain() {
         let mut whole = CaptureSink::default();
-        let summary = finalize(sample_events(), &mut whole);
+        let summary = seal_all(sample_events(), &mut whole);
 
         let mut sorted = sample_events();
         sorted.sort_unstable_by_key(|(key, _)| *key);
@@ -697,17 +687,17 @@ mod tests {
     fn collection_order_does_not_change_bytes() {
         let mut a = CaptureSink::default();
         let mut b = CaptureSink::default();
-        finalize(sample_events(), &mut a);
+        seal_all(sample_events(), &mut a);
         let mut reversed = sample_events();
         reversed.reverse();
-        finalize(reversed, &mut b);
+        seal_all(reversed, &mut b);
         assert_eq!(a.lines(), b.lines());
     }
 
     #[test]
     fn tampering_breaks_the_chain_at_the_edited_line() {
         let mut cap = CaptureSink::default();
-        finalize(sample_events(), &mut cap);
+        seal_all(sample_events(), &mut cap);
         let mut lines: Vec<String> = cap.lines().iter().map(|s| s.to_string()).collect();
         lines[1] = lines[1].replace("\"warm\":true", "\"warm\":false");
         let err = verify_lines(lines.iter().map(|s| s.as_str())).unwrap_err();
@@ -718,7 +708,7 @@ mod tests {
     #[test]
     fn dropping_a_line_breaks_prev_linkage() {
         let mut cap = CaptureSink::default();
-        finalize(sample_events(), &mut cap);
+        seal_all(sample_events(), &mut cap);
         let lines: Vec<&str> = cap.lines().to_vec();
         let err = verify_lines([lines[0], lines[2]]).unwrap_err();
         assert_eq!(err.seq, 1);
@@ -728,7 +718,7 @@ mod tests {
     #[test]
     fn empty_stream_tip_is_genesis() {
         let mut cap = CaptureSink::default();
-        let summary = finalize(Vec::new(), &mut cap);
+        let summary = seal_all(Vec::new(), &mut cap);
         assert_eq!(summary.tip, GENESIS);
         assert_eq!(verify_lines([]).unwrap().tip, GENESIS);
     }

@@ -10,9 +10,8 @@
 //!
 //! The sequential and sharded engines must serialize to *byte-identical*
 //! streams. Both collect `(EventKey, Event)` pairs and only number and
-//! hash them in key order ([`crate::Chain`]): a sequential run seals
-//! sorted batches as it goes, a sharded one sorts everything at its end
-//! ([`crate::finalize`]). Identity is then structural — same event set,
+//! hash them in key order, sealing sorted batches as they go
+//! ([`crate::Chain`]). Identity is then structural — same event set,
 //! same keys ⇒ same bytes — instead of depending on interleaving. The
 //! key is a total order designed so the sorted stream reads like the
 //! sequential engine executed:

@@ -14,12 +14,11 @@
 //!   that makes the sharded engine's stream byte-identical to the
 //!   sequential reference (see [`event`] module docs);
 //! * [`Chain`] — number, hash-chain, and emit sorted batches of a run
-//!   as it goes; [`finalize`] sorts a whole collected run and seals it
-//!   as one batch;
+//!   as it goes;
 //! * [`EventSink`] — [`NullSink`] (zero-cost: collection compiles out),
 //!   [`JsonlSink`] (buffered file), [`CaptureSink`] (in-memory, tests);
-//!   sinks are `Send`, because sequential and live runs seal on a
-//!   thread of their own;
+//!   sinks are `Send`, because every traced run seals on a thread of its
+//!   own;
 //! * [`verify_lines`] — re-walk a stream's hash chain;
 //! * [`first_divergence`] — first divergent sequence number between two
 //!   runs;
@@ -41,7 +40,7 @@ pub mod sha256;
 pub mod sink;
 
 pub use chain::{
-    finalize, verify_lines, Chain, ChainError, ChainSummary, ChainWalker, SequencedEvent, GENESIS,
+    verify_lines, Chain, ChainError, ChainSummary, ChainWalker, SequencedEvent, GENESIS,
 };
 pub use diff::{first_divergence, pretty, Divergence};
 pub use event::{lane, Event, EventKey, ReleaseCause, TRACE_VERSION};

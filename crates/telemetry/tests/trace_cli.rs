@@ -3,9 +3,19 @@
 //! under it, and pin the three exits — clean at `RunEnded`, idle after
 //! `--max-polls`, and non-zero the moment the hash chain breaks.
 
-use ecolife_telemetry::{finalize, lane, CaptureSink, Event, EventKey, TRACE_VERSION};
+use ecolife_telemetry::{lane, CaptureSink, Chain, Event, EventKey, TRACE_VERSION};
 use std::io::Write;
 use std::process::{Command, Stdio};
+
+/// `events`, sorted by key and sealed as one chain, as lines.
+fn sealed_lines(mut events: Vec<(EventKey, Event)>) -> Vec<String> {
+    events.sort_unstable_by_key(|(key, _)| *key);
+    let mut sink = CaptureSink::default();
+    let mut chain = Chain::new();
+    chain.seal(&mut events, &mut sink);
+    chain.finish(&mut sink);
+    sink.lines().iter().map(|l| l.to_string()).collect()
+}
 
 /// A short, fully valid hash-chained stream.
 fn chained_lines() -> Vec<String> {
@@ -42,9 +52,7 @@ fn chained_lines() -> Vec<String> {
             },
         ),
     ];
-    let mut sink = CaptureSink::default();
-    finalize(events, &mut sink);
-    sink.lines().iter().map(|l| l.to_string()).collect()
+    sealed_lines(events)
 }
 
 fn scratch_path(tag: &str) -> std::path::PathBuf {
@@ -153,9 +161,7 @@ fn chaos_lines() -> Vec<String> {
             },
         ),
     ];
-    let mut sink = CaptureSink::default();
-    finalize(events, &mut sink);
-    sink.lines().iter().map(|l| l.to_string()).collect()
+    sealed_lines(events)
 }
 
 #[test]

@@ -37,7 +37,7 @@ pub use stats::InterArrivalStats;
 pub use synth::{ArrivalClass, SynthTraceConfig};
 pub use workload::{FunctionId, FunctionProfile, WorkloadCatalog};
 
-/// The splitmix64 finalizer: a cheap, high-quality 64-bit mixer.
+/// The splitmix64 output mix: a cheap, high-quality 64-bit mixer.
 ///
 /// The single source of per-id stream derivation across the workspace:
 /// [`synth`] seeds each synthetic function's RNG with it, and the
