@@ -76,7 +76,9 @@ impl CarbonIntensityTrace {
     }
 
     /// Parse an Electricity Maps-style CSV export: one `minute,ci` pair per
-    /// line; a header line and blank lines are skipped.
+    /// line; blank lines and a header (the first non-blank line, when its
+    /// minute field is not a number) are skipped. Errors name the line
+    /// counting every line of the text from 1.
     ///
     /// Every accepted value is validated — the intensity must be finite
     /// and non-negative, and the minute column must count up from 0 in
@@ -84,36 +86,39 @@ impl CarbonIntensityTrace {
     /// silently misalign every downstream carbon charge) — so malformed
     /// input is a line-numbered `Err`, never a corrupted series.
     pub fn parse_csv(text: &str) -> Result<Self, String> {
+        let is_header = |line: &str| {
+            let minute = line.split(',').next().unwrap_or("").trim();
+            minute.parse::<f64>().is_err()
+        };
+        let mut lines = text
+            .lines()
+            .enumerate()
+            .map(|(i, line)| (i + 1, line.trim()))
+            .filter(|(_, line)| !line.is_empty())
+            .peekable();
+        lines.next_if(|&(_, line)| is_header(line));
         let mut samples = Vec::new();
-        for (ln, line) in text.lines().enumerate() {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
+        for (ln, line) in lines {
             let mut parts = line.split(',');
             let first = parts.next().unwrap_or("").trim();
-            if ln == 0 && first.parse::<f64>().is_err() {
-                continue; // header
-            }
             let minute: u64 = first
                 .parse()
-                .map_err(|e| format!("line {}: bad minute {first:?}: {e}", ln + 1))?;
+                .map_err(|e| format!("line {ln}: bad minute {first:?}: {e}"))?;
             if minute != samples.len() as u64 {
                 return Err(format!(
-                    "line {}: minute {minute} out of order (expected {})",
-                    ln + 1,
+                    "line {ln}: minute {minute} out of order (expected {})",
                     samples.len()
                 ));
             }
             let ci_field = parts
                 .next()
-                .ok_or_else(|| format!("line {}: missing intensity column", ln + 1))?
+                .ok_or_else(|| format!("line {ln}: missing intensity column"))?
                 .trim();
             let ci: f64 = ci_field
                 .parse()
-                .map_err(|e| format!("line {}: bad intensity {ci_field:?}: {e}", ln + 1))?;
+                .map_err(|e| format!("line {ln}: bad intensity {ci_field:?}: {e}"))?;
             if !ci.is_finite() || ci < 0.0 {
-                return Err(format!("line {}: intensity out of range: {ci}", ln + 1));
+                return Err(format!("line {ln}: intensity out of range: {ci}"));
             }
             samples.push(ci);
         }
@@ -322,6 +327,14 @@ mod tests {
     fn parse_csv_without_header() {
         let t = CarbonIntensityTrace::parse_csv("0,100\n1,200\n\n2,300\n").unwrap();
         assert_eq!(t.len_minutes(), 3);
+    }
+
+    #[test]
+    fn parse_csv_takes_the_header_after_blank_lines() {
+        let t = CarbonIntensityTrace::parse_csv("\nminute,intensity\n0,100\n1,120\n").unwrap();
+        assert_eq!(t.samples(), &[100.0, 120.0]);
+        let err = CarbonIntensityTrace::parse_csv("\n\nminute,ci\n0,100\n\n2,120\n").unwrap_err();
+        assert!(err.starts_with("line 6:"), "{err}");
     }
 
     #[test]

@@ -15,8 +15,12 @@ pub struct WarmContainer {
     pub warm_since_ms: u64,
     /// When the keep-alive period lapses and the container is reclaimed.
     pub expiry_ms: u64,
-    /// Index of the invocation record that scheduled this keep-alive —
-    /// its keep-alive carbon is attributed there.
+    /// Number of the invocation record that scheduled this keep-alive —
+    /// its keep-alive carbon is attributed there: the count of records
+    /// its run had pushed before it. In a sequential run that is the
+    /// invocation's trace index; in a shard of a sharded run, its place
+    /// among the shard's records, which the coordinator maps back to
+    /// the trace index.
     pub origin_record: usize,
     /// Latency debt from priced migrations: every transfer this
     /// container survived adds

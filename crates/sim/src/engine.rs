@@ -81,12 +81,13 @@ use crate::scheduler::{
 use crate::shard::{merge_metrics, shard_of, ShardOptions};
 use crate::stream::{seal_while_running, Sealer, Stream};
 use ecolife_carbon::{
-    CarbonIntensityTrace, CarbonModel, CiBundle, CiError, CiProvider, Region, StalenessPolicy,
-    TransferCost,
+    CarbonFootprint, CarbonIntensityTrace, CarbonModel, CiBundle, CiError, CiProvider, Region,
+    StalenessPolicy, TransferCost,
 };
 use ecolife_hw::{Fleet, NodeId, PerfModel};
 use ecolife_telemetry::{lane, Event, EventKey, EventSink, NullSink, ReleaseCause};
 use ecolife_trace::{FunctionId, Invocation, Trace};
+use std::ops::{Deref, DerefMut};
 
 /// What one settlement charged — returned by `settle` so its three
 /// callers (`release`, `settle_expired` and the reconcile revocation)
@@ -95,6 +96,69 @@ use ecolife_trace::{FunctionId, Invocation, Trace};
 struct Settlement {
     keepalive_g: f64,
     energy_kwh: f64,
+}
+
+/// One keep-alive charge to a record: what `settle` adds to it.
+#[derive(Debug, Clone, Copy)]
+struct Charge {
+    /// The run's record number (`WarmContainer::origin_record`).
+    record: usize,
+    footprint: CarbonFootprint,
+    energy_kwh: f64,
+}
+
+impl Charge {
+    fn apply(self, rec: &mut InvocationRecord) {
+        rec.keepalive_carbon += self.footprint;
+        rec.energy_kwh += self.energy_kwh;
+    }
+}
+
+/// A run's metrics, and how many of its records it has handed over.
+///
+/// A sequential, stepped or served run keeps every record it pushes. A
+/// sharded run's coordinator takes each shard's records over at every
+/// period barrier, so a shard's record number `i` (what a container's
+/// `origin_record` holds) sits at `metrics.records[i - handed_over]`
+/// only until then. A keep-alive charge to a record already handed over
+/// waits in `late`, in settle order, for the coordinator to apply it at
+/// the next hand-over: every record takes the same additions in the
+/// same order either way.
+#[derive(Debug)]
+struct Tally {
+    metrics: RunMetrics,
+    handed_over: usize,
+    late: Vec<Charge>,
+}
+
+impl Tally {
+    /// The number of the next record pushed.
+    fn next_record(&self) -> usize {
+        self.handed_over + self.metrics.records.len()
+    }
+
+    /// Charge a record the run still holds, or queue the charge.
+    fn charge(&mut self, charge: Charge) {
+        match charge.record.checked_sub(self.handed_over) {
+            Some(i) => charge.apply(&mut self.metrics.records[i]),
+            None => self.late.push(charge),
+        }
+    }
+}
+
+/// Every bookkeeping step but `settle` reads and writes the metrics
+/// through the tally as it would the metrics themselves.
+impl Deref for Tally {
+    type Target = RunMetrics;
+    fn deref(&self) -> &RunMetrics {
+        &self.metrics
+    }
+}
+
+impl DerefMut for Tally {
+    fn deref_mut(&mut self) -> &mut RunMetrics {
+        &mut self.metrics
+    }
 }
 
 /// Count one accepted keep-alive transfer `from → to` — egress grams
@@ -265,7 +329,8 @@ struct ShardState<S> {
     run: RunState,
     scheduler: S,
     /// This shard's invocations, as ascending global indices into the
-    /// (sorted) trace, so its records are pushed in trace order.
+    /// (sorted) trace, so its records are pushed in trace order: its
+    /// record number `i` is invocation `jobs[i]`'s.
     jobs: Vec<usize>,
     /// Next unprocessed entry of `jobs`.
     cursor: usize,
@@ -277,6 +342,40 @@ fn node_used_mib<S>(states: &[ShardState<S>], node: NodeId) -> u64 {
         .iter()
         .map(|s| s.run.cluster.pool(node).used_mib())
         .sum()
+}
+
+/// Move the records every shard pushed for `period` (the invocations
+/// replayed since the last hand-over, in trace order) onto `records`, the
+/// run's trace-ordered record vector, once each shard's late charges
+/// have reached the records it handed over before. Each shard pushed its
+/// records in trace order, so walking `period` and taking the next
+/// record of each invocation's [`shard_of`] shard is a k-way merge.
+fn hand_over<S>(
+    period: &[Invocation],
+    states: &mut [ShardState<S>],
+    records: &mut Vec<InvocationRecord>,
+) {
+    for state in states.iter_mut() {
+        for charge in state.run.metrics.late.drain(..) {
+            charge.apply(&mut records[state.jobs[charge.record]]);
+        }
+    }
+    let mut taken = vec![0usize; states.len()];
+    for inv in period {
+        let s = shard_of(inv.func, states.len());
+        records.push(states[s].run.metrics.records[taken[s]]);
+        taken[s] += 1;
+    }
+    for (state, taken) in states.iter_mut().zip(taken) {
+        let tally = &mut state.run.metrics;
+        assert_eq!(
+            taken,
+            tally.records.len(),
+            "every invocation of the period is recorded by its own shard, once"
+        );
+        tally.handed_over += taken;
+        tally.records.clear();
+    }
 }
 
 /// A configured simulation, ready to run against any scheduler — the one
@@ -472,6 +571,13 @@ impl<'a> Simulation<'a> {
     /// [`ShardOptions::with_threads`]`(1)` spawns no thread. A panic in
     /// any shard's scheduler reaches the caller with its own payload.
     ///
+    /// After each period the coordinator moves the shards' records of the
+    /// period into the run's one trace-ordered record vector, so no shard
+    /// holds more than one period of records; a keep-alive charge to a
+    /// record already moved is queued on its shard and applied by the
+    /// coordinator at the next hand-over, in the order the shard settled
+    /// it.
+    ///
     /// **Determinism guarantee:** for fixed `(trace, ci, fleet, config,
     /// factory, shards, period_ms)` the result is bit-identical at any
     /// worker-thread count (shard work depends only on the shard's
@@ -541,6 +647,7 @@ impl<'a> Simulation<'a> {
 
             let threads = opts.threads.unwrap_or_else(default_threads);
             let mut ledger_peak_mib = vec![0u64; n_nodes];
+            let mut records = Vec::with_capacity(invocations.len());
 
             // Walk the periods that contain work, in time order: `next`
             // is the first invocation not yet replayed, and each period
@@ -550,7 +657,7 @@ impl<'a> Simulation<'a> {
             let mut next = 0usize;
             let mut t_final = 0u64;
             while next < invocations.len() {
-                let first = next as u64;
+                let first = next;
                 let t_start = invocations[next].t_ms / opts.period_ms * opts.period_ms;
                 let t_end = t_start.saturating_add(opts.period_ms);
                 next += invocations[next..].partition_point(|inv| inv.t_ms < t_end);
@@ -564,7 +671,7 @@ impl<'a> Simulation<'a> {
                 engine.reconcile::<S, K>(t_start, &mut states, &mut ledger_peak_mib);
                 if K::ENABLED {
                     for state in &mut states {
-                        stream.take_below(&mut state.run.stream, first);
+                        stream.take_below(&mut state.run.stream, first as u64);
                     }
                     stream.hand_off();
                 }
@@ -588,14 +695,19 @@ impl<'a> Simulation<'a> {
                     state.cursor = stop;
                     state
                 });
+                hand_over(&invocations[first..next], &mut states, &mut records);
             }
 
             // Final reconciliation (capacity holds at the horizon too),
-            // then end-of-run settlement in shard order.
+            // then end-of-run settlement in shard order. Every record has
+            // been handed over, so what these settle waits in the shards'
+            // queues: the last hand-over applies it before the stream's
+            // `close` reads the metrics.
             engine.reconcile::<S, K>(t_final, &mut states, &mut ledger_peak_mib);
             for state in &mut states {
                 engine.finish::<K>(&mut state.run);
             }
+            hand_over(&[], &mut states, &mut records);
 
             // Take over the shards' remaining events (none unless `K` is
             // enabled) while the merge consumes the states.
@@ -603,10 +715,10 @@ impl<'a> Simulation<'a> {
                 .into_iter()
                 .map(|mut s| {
                     stream.take_below(&mut s.run.stream, u64::MAX);
-                    s.run.metrics
+                    s.run.metrics.metrics
                 })
                 .collect();
-            let mut metrics = merge_metrics(invocations, n_nodes, parts, ledger_peak_mib);
+            let mut metrics = merge_metrics(records, n_nodes, parts, ledger_peak_mib);
             // Input-derived: `finish` stamped the same value on every
             // shard and `merge_metrics` ignores it (summing would
             // multiply one outage span), so the coordinator sets it once
@@ -649,8 +761,8 @@ pub struct Engine<'r> {
 /// [`Engine::seal`] — or, for a run sealed while it goes, built by
 /// [`Engine::begin_sealing`] and closed by `finish` + [`Engine::close`].
 /// A sharded run holds one per shard: its coordinator takes over the
-/// shards' events at each period barrier and merges their metrics after
-/// `finish`.
+/// shards' events and records at each period barrier and merges their
+/// counters after `finish`.
 ///
 /// Every engine handler — the per-invocation step, the expiry sweep,
 /// the fleet-timeline handlers and the end-of-run drain — takes the
@@ -659,7 +771,7 @@ pub struct Engine<'r> {
 #[derive(Debug)]
 pub struct RunState {
     cluster: Cluster,
-    metrics: RunMetrics,
+    metrics: Tally,
     stream: Stream,
     timeline: FleetTimeline,
 }
@@ -708,11 +820,15 @@ impl<'r> Engine<'r> {
         let n = self.fleet.len();
         RunState {
             cluster,
-            metrics: RunMetrics {
-                keepalive_g_by_node: vec![0.0; n],
-                transfer_g_by_node: vec![0.0; n],
-                queue_ms_by_node: vec![0; n],
-                ..RunMetrics::default()
+            metrics: Tally {
+                metrics: RunMetrics {
+                    keepalive_g_by_node: vec![0.0; n],
+                    transfer_g_by_node: vec![0.0; n],
+                    queue_ms_by_node: vec![0; n],
+                    ..RunMetrics::default()
+                },
+                handed_over: 0,
+                late: Vec::new(),
             },
             stream: Stream::new(self.membership, self.faults, n, sealer),
             timeline: FleetTimeline::new(),
@@ -783,7 +899,7 @@ impl<'r> Engine<'r> {
     /// once [`seal_while_running`] returns.
     pub fn close(&self, state: RunState) -> RunMetrics {
         state.stream.close(self.trace, &state.metrics);
-        state.metrics
+        state.metrics.metrics
     }
 
     /// One invocation of the replay loop (shared verbatim by the
@@ -791,8 +907,8 @@ impl<'r> Engine<'r> {
     /// scheduler, account service time and carbon, install the
     /// keep-alive. `index` is the invocation's *global* trace position
     /// (what `InvocationCtx::index` promises schedulers); the record
-    /// lands at `metrics.records.len()`, which the sharded path maps
-    /// back to `index` when merging.
+    /// gets the run's next record number, which a shard's coordinator
+    /// maps back to `index` through the shard's job list.
     fn step<S: Scheduler, K: EventSink>(
         &self,
         index: usize,
@@ -1034,7 +1150,7 @@ impl<'r> Engine<'r> {
                 .carbon_model
                 .active_energy_kwh(node, profile.memory_mib, exec_ms);
 
-        let record_index = metrics.records.len();
+        let record_index = metrics.next_record();
         metrics.records.push(InvocationRecord {
             func: inv.func,
             t_ms: t,
@@ -1157,7 +1273,7 @@ impl<'r> Engine<'r> {
         &self,
         id: NodeId,
         c: &WarmContainer,
-        metrics: &mut RunMetrics,
+        metrics: &mut Tally,
         stream: &mut Stream,
     ) {
         let s = self.settle(c, id, c.expiry_ms, metrics).unwrap_or_default();
@@ -1186,7 +1302,7 @@ impl<'r> Engine<'r> {
         node: NodeId,
         c: &WarmContainer,
         end_ms: u64,
-        metrics: &mut RunMetrics,
+        metrics: &mut Tally,
         emit: impl FnOnce(Event),
     ) {
         let s = self.settle(c, node, end_ms, metrics);
@@ -1401,7 +1517,7 @@ impl<'r> Engine<'r> {
         index: usize,
         scheduler: &mut S,
         cluster: &mut Cluster,
-        metrics: &mut RunMetrics,
+        metrics: &mut Tally,
         stream: &mut Stream,
     ) {
         // A node that has left the fleet — or is down — accepts no
@@ -1587,7 +1703,7 @@ impl<'r> Engine<'r> {
         t: u64,
         egress_g: f64,
         waited_ms: u64,
-        metrics: &mut RunMetrics,
+        metrics: &mut Tally,
         stream: &mut Stream,
     ) {
         if let Some(old) = replaced {
@@ -1905,14 +2021,15 @@ impl<'r> Engine<'r> {
     }
 
     /// Charge a container's keep-alive period `[warm_since, end)` to its
-    /// origin record. Returns what was charged (for the event stream), or
-    /// `None` when the stay had zero duration and nothing was charged.
+    /// origin record (see [`Tally`]). Returns what was charged (for the
+    /// event stream), or `None` when the stay had zero duration and
+    /// nothing was charged.
     fn settle(
         &self,
         container: &WarmContainer,
         id: NodeId,
         end_ms: u64,
-        metrics: &mut RunMetrics,
+        metrics: &mut Tally,
     ) -> Option<Settlement> {
         let duration = container.resident_ms(end_ms);
         if duration == 0 {
@@ -1934,9 +2051,11 @@ impl<'r> Engine<'r> {
             self.config
                 .carbon_model
                 .keepalive_energy_kwh(node, container.memory_mib, duration);
-        let rec = &mut metrics.records[container.origin_record];
-        rec.keepalive_carbon += fp;
-        rec.energy_kwh += energy;
+        metrics.charge(Charge {
+            record: container.origin_record,
+            footprint: fp,
+            energy_kwh: energy,
+        });
         Some(Settlement {
             keepalive_g: fp.total_g(),
             energy_kwh: energy,

@@ -45,8 +45,8 @@ impl InvocationRecord {
     /// The zero-cost record of an invocation turned away before it ran
     /// (its node was down, or its executor queue was full): `exec_location`
     /// is the node that refused it. Such records keep record coverage
-    /// total — the sharded merge asserts every invocation placed exactly
-    /// one.
+    /// total — the sharded hand-over asserts that every invocation pushed
+    /// exactly one.
     pub fn rejected(func: FunctionId, t_ms: u64, exec_location: NodeId) -> Self {
         InvocationRecord {
             func,

@@ -28,9 +28,18 @@
 //! peaks). When shards never contend for a node, no revocation happens
 //! and the sharded replay is record-for-record identical to the
 //! sequential engine.
+//!
+//! Records leave the shards as the run goes: each shard pushes its
+//! records in trace order, and after every period the coordinator moves
+//! them into the run's one trace-ordered record vector (a k-way merge
+//! over the shards), so a shard holds at most one period of records. A
+//! keep-alive that ends after its record has moved is charged through a
+//! queue on its shard, which the coordinator applies at the next
+//! hand-over in the shard's own order, so every record takes the same
+//! float additions as in the sequential run.
 
-use crate::metrics::RunMetrics;
-use ecolife_trace::{FunctionId, Invocation};
+use crate::metrics::{InvocationRecord, RunMetrics};
+use ecolife_trace::FunctionId;
 
 /// The shard owning `func` when the cluster is split `n_shards` ways.
 ///
@@ -90,37 +99,20 @@ impl ShardOptions {
     }
 }
 
-/// Merge per-shard metrics into whole-run metrics.
+/// Merge per-shard metrics into whole-run metrics around `records`, the
+/// run's trace-ordered records, which the coordinator took over from the
+/// shards at each period barrier (the parts hold none).
 ///
-/// Records interleave back into trace order: each shard pushed its
-/// records in trace order, so walking `invocations` and taking the next
-/// record of each invocation's [`shard_of`] shard rebuilds the sequential
-/// record vector. Counters and per-node gram vectors sum in shard-id
-/// order (deterministic for a given shard count; the per-record floats
-/// are bit-identical across shard counts, the per-node *sums* agree up to
+/// Counters and per-node gram vectors sum in shard-id order
+/// (deterministic for a given shard count; the per-record floats are
+/// bit-identical across shard counts, the per-node *sums* agree up to
 /// float-summation reassociation).
 pub(crate) fn merge_metrics(
-    invocations: &[Invocation],
+    records: Vec<InvocationRecord>,
     n_nodes: usize,
-    mut parts: Vec<RunMetrics>,
+    parts: Vec<RunMetrics>,
     ledger_peak_mib: Vec<u64>,
 ) -> RunMetrics {
-    let mut shard_records: Vec<_> = parts
-        .iter_mut()
-        .map(|part| std::mem::take(&mut part.records).into_iter())
-        .collect();
-    let records = invocations
-        .iter()
-        .map(|inv| {
-            shard_records[shard_of(inv.func, parts.len())]
-                .next()
-                .expect("every invocation's shard recorded it")
-        })
-        .collect();
-    assert!(
-        shard_records.iter().all(|rest| rest.len() == 0),
-        "shard partition must cover every invocation exactly once"
-    );
     let mut merged = RunMetrics {
         records,
         keepalive_g_by_node: vec![0.0; n_nodes],

@@ -52,8 +52,14 @@ impl AzureFunctionRow {
 /// minute columns (`1`..`1440`) or our extended export that prefixes
 /// `duration_ms` and `memory_mib` before the minute columns.
 pub fn parse_invocations_csv(text: &str) -> Result<Vec<AzureFunctionRow>, String> {
-    let mut lines = text.lines().filter(|l| !l.trim().is_empty());
-    let header = lines.next().ok_or("empty trace file")?;
+    // Number every line of the file (1-based) before dropping blanks, so
+    // an error names the line an editor shows.
+    let mut lines = text
+        .lines()
+        .enumerate()
+        .map(|(i, line)| (i + 1, line))
+        .filter(|(_, line)| !line.trim().is_empty());
+    let (_, header) = lines.next().ok_or("empty trace file")?;
     let cols: Vec<&str> = header.split(',').map(str::trim).collect();
     if cols.len() < 5 {
         return Err(format!("header has only {} columns", cols.len()));
@@ -80,12 +86,11 @@ pub fn parse_invocations_csv(text: &str) -> Result<Vec<AzureFunctionRow>, String
     }
 
     let mut rows = Vec::new();
-    for (ln, line) in lines.enumerate() {
+    for (ln, line) in lines {
         let fields: Vec<&str> = line.split(',').map(str::trim).collect();
         if fields.len() != cols.len() {
             return Err(format!(
-                "line {}: {} fields, expected {}",
-                ln + 2,
+                "line {ln}: {} fields, expected {}",
                 fields.len(),
                 cols.len()
             ));
@@ -93,14 +98,14 @@ pub fn parse_invocations_csv(text: &str) -> Result<Vec<AzureFunctionRow>, String
         let parse_u64 = |i: usize| -> Result<u64, String> {
             fields[i]
                 .parse::<u64>()
-                .map_err(|e| format!("line {}: bad number {:?}: {e}", ln + 2, fields[i]))
+                .map_err(|e| format!("line {ln}: bad number {:?}: {e}", fields[i]))
         };
         let per_minute = minute_cols
             .iter()
             .map(|&i| {
                 fields[i]
                     .parse::<u32>()
-                    .map_err(|e| format!("line {}: bad count {:?}: {e}", ln + 2, fields[i]))
+                    .map_err(|e| format!("line {ln}: bad count {:?}: {e}", fields[i]))
             })
             .collect::<Result<Vec<_>, _>>()?;
         rows.push(AzureFunctionRow {
@@ -232,5 +237,16 @@ o1,a1,f1,queue,1,3
     fn rejects_non_numeric_counts() {
         let bad = "HashOwner,HashApp,HashFunction,Trigger,1\no1,a1,f1,http,x";
         assert!(parse_invocations_csv(bad).is_err());
+    }
+
+    #[test]
+    fn errors_count_blank_lines() {
+        let bad =
+            "HashOwner,HashApp,HashFunction,Trigger,1\n\no1,a1,f1,http,1\n\n\no2,a2,f2,http,x\n";
+        let err = parse_invocations_csv(bad).unwrap_err();
+        assert!(err.starts_with("line 6: bad count \"x\""), "{err}");
+        let short = "\nHashOwner,HashApp,HashFunction,Trigger,1\no1,a1,f1\n";
+        let err = parse_invocations_csv(short).unwrap_err();
+        assert!(err.starts_with("line 3: 3 fields"), "{err}");
     }
 }

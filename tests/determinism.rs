@@ -309,6 +309,56 @@ fn sharded_per_node_grams_match_the_sequential_split() {
     assert!((sequential.total_carbon_g() - sharded.total_carbon_g()).abs() < 1e-9);
 }
 
+/// A sharded run hands each period's records over at the next barrier,
+/// so a keep-alive that ends later charges a record its shard no longer
+/// holds: the charge waits on the shard until the next hand-over. Here
+/// every container of minute 0 takes two such charges in minute 1 —
+/// node 0 leaves (the drain settles its stay and moves it to node 1),
+/// then it expires there, swept by a later arrival of the same minute —
+/// so each record's energy is `(service + drain) + expiry`, a float sum
+/// that depends on the order the two charges are applied in.
+#[test]
+fn records_charged_twice_after_their_hand_over_match_the_sequential_run() {
+    let held = 40u32;
+    let mut profiles: Vec<FunctionProfile> = (0..held as u64)
+        .map(|i| {
+            FunctionProfile::new(
+                &format!("held-{i}"),
+                300 + 37 * i,
+                900 + 53 * i,
+                128 + 32 * i,
+                0.5,
+            )
+        })
+        .collect();
+    profiles.push(FunctionProfile::new("ticker", 100, 200, 128, 0.5));
+    let ticker = FunctionId(held);
+    let mut invocations: Vec<Invocation> = (0..held)
+        .map(|i| Invocation {
+            func: FunctionId(i),
+            t_ms: 100 * i as u64,
+        })
+        .collect();
+    for t_ms in [61_000, 119_000] {
+        invocations.push(Invocation { func: ticker, t_ms });
+    }
+    let trace = Trace::new(WorkloadCatalog::new(profiles), invocations);
+    let ci = CarbonIntensityTrace::synthetic(Region::Caiso, 10, 5);
+    let fleet = skus::fleet_a().with_uniform_keepalive_budget_mib(64 * 1024);
+    let sim = Simulation::new(&trace, &ci, fleet)
+        .with_membership(MembershipPlan::default().leave(61_000, NodeId(0)));
+    let policy = || FixedPolicy::pinned(NodeId(0), 1);
+    let sequential = sim.run(&mut policy());
+    assert_eq!(
+        sequential.transfers, held as u64,
+        "node 0's leave moves every held container"
+    );
+    for shards in [1usize, 2] {
+        let sharded = sim.run_sharded(|_| policy(), &ShardOptions::new(shards));
+        assert_eq!(sharded.records, sequential.records, "{shards} shards");
+    }
+}
+
 /// The seed engine semantics the two-node path must keep: exact warm and
 /// cold service times for pair A (cold = half-sensitivity cold start +
 /// scaled execution + 50 ms setup), pinned numerically.
