@@ -61,8 +61,12 @@ pub struct Trace {
 }
 
 impl Trace {
-    /// Build a trace; invocations are sorted by arrival time (stable, so
-    /// equal-timestamp order is preserved from the input).
+    /// Build a trace; invocations are sorted by arrival time with a
+    /// stable LSD radix sort through a scratch of half their number (the
+    /// standard library's stable sort on short inputs). Stability
+    /// matters: equal timestamps keep their input order, so the trace is
+    /// exactly `sort_by_key(|i| i.t_ms)`'s and the engine serves ties in
+    /// the order they were given.
     pub fn new(catalog: WorkloadCatalog, invocations: Vec<Invocation>) -> Self {
         for inv in &invocations {
             assert!(
@@ -77,14 +81,16 @@ impl Trace {
 
     /// Construction tail shared with [`TraceLoader`](crate::TraceLoader)
     /// (which validates function ids via a running maximum instead of
-    /// the per-invocation pass above). The **stable** sort is load-
-    /// bearing: equal-timestamp order is preserved from the input, so a
-    /// loader-built trace is byte-identical to the `Trace::new` path.
+    /// the per-invocation pass above). The **stable** radix sort
+    /// (`sort_by_arrival`, n/2 scratch) is load-bearing: equal-timestamp
+    /// order is preserved from the input, so a loader-built trace is
+    /// byte-identical to the `Trace::new` path and to
+    /// `sort_by_key(|i| i.t_ms)`.
     pub(crate) fn from_prevalidated(
         catalog: WorkloadCatalog,
         mut invocations: Vec<Invocation>,
     ) -> Self {
-        invocations.sort_by_key(|i| i.t_ms);
+        crate::sort::sort_by_arrival(&mut invocations);
         let horizon_ms = invocations.last().map(|i| i.t_ms).unwrap_or(0);
         Trace {
             catalog,

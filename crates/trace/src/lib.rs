@@ -25,6 +25,7 @@
 pub mod azure;
 pub mod invocation;
 pub mod loader;
+mod sort;
 pub mod source;
 pub mod stats;
 pub mod synth;

@@ -10,7 +10,11 @@
 //! without any per-invocation work beyond a running-maximum update, and
 //! validate once against that maximum in [`finish`](TraceLoader::finish).
 //! The result is **byte-identical** to the `Trace::new` path — both end
-//! in the same stable time sort.
+//! in the same stable LSD radix sort by arrival time, which takes a
+//! scratch of half the invocations (the standard library's stable sort
+//! on short inputs). Stability is what makes the paths agree: equal
+//! timestamps keep their push order, exactly as
+//! `sort_by_key(|i| i.t_ms)` would keep them.
 
 use crate::invocation::{Invocation, Trace};
 use crate::workload::WorkloadCatalog;
@@ -68,7 +72,8 @@ impl TraceLoader {
     }
 
     /// Validate against `catalog` and build the [`Trace`] (one stable
-    /// time sort, identical to [`Trace::new`]).
+    /// radix sort by arrival time through an n/2 scratch, identical to
+    /// [`Trace::new`]).
     ///
     /// # Panics
     /// Panics when any pushed invocation references a function outside

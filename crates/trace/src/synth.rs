@@ -275,17 +275,20 @@ impl SynthTraceConfig {
         // Time-zone rotation: the RNG draws are untouched (the stream is
         // identical for any offset); only the wall-clock placement moves,
         // wrapping past the horizon back to the start of the trace. With
-        // a zero offset this is the identity.
+        // a zero offset this is the identity. Every arrival and the
+        // offset are below the horizon, so one subtraction wraps the sum.
         let offset_ms = self
             .phase_offset_min
             .checked_mul(60_000)
             .expect("phase offset overflows ms")
             % horizon_ms.max(1);
         let shift = |t: u64| -> u64 {
-            if offset_ms == 0 {
-                t
+            debug_assert!(t < horizon_ms);
+            let s = t + offset_ms;
+            if s >= horizon_ms {
+                s - horizon_ms
             } else {
-                (t + offset_ms) % horizon_ms
+                s
             }
         };
         match class {
@@ -486,6 +489,27 @@ mod tests {
         assert_eq!(t.catalog().len(), 6_000);
     }
 
+    /// The trace's length and its invocation sequence folded through
+    /// splitmix64. The presets' pins were taken while traces were still
+    /// built with the standard library's stable sort, so a sort or a
+    /// generator that moves one invocation fails them.
+    fn digest(t: &Trace) -> (usize, u64) {
+        let h = t.invocations().iter().fold(t.len() as u64, |h, i| {
+            crate::splitmix64(crate::splitmix64(h ^ i.t_ms) ^ u64::from(i.func.0))
+        });
+        (t.len(), h)
+    }
+
+    #[test]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "million-invocation generation; run under --release"
+    )]
+    fn million_preset_builds_its_pinned_trace() {
+        let t = SynthTraceConfig::million(41).generate_scaled(&catalog());
+        assert_eq!(digest(&t), (1_064_337, 0x5d12_8bf2_a553_6a9f));
+    }
+
     #[test]
     #[cfg_attr(
         debug_assertions,
@@ -500,6 +524,7 @@ mod tests {
             t.len()
         );
         assert_eq!(t.catalog().len(), 24_000);
+        assert_eq!(digest(&t), (10_644_824, 0x4724_3dc6_7e07_9014));
         // Regenerating is bit-identical (per-function seeding).
         assert_eq!(t, cfg.generate_scaled(&catalog()));
     }

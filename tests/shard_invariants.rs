@@ -13,8 +13,9 @@
 //! The big million-invocation replay rides at the bottom, `#[ignore]`d
 //! in debug builds and exercised by the `test-release` CI job.
 
+use ecolife::carbon::CarbonFootprint;
 use ecolife::prelude::*;
-use ecolife::sim::{shard_of, ShardOptions};
+use ecolife::sim::{shard_of, InvocationRecord, ShardOptions};
 use proptest::prelude::*;
 
 /// A random fleet of 1–4 nodes drawn from the SKU catalog (duplicates
@@ -40,29 +41,74 @@ fn workload(n_functions: usize, duration_min: u64, seed: u64) -> (Trace, CarbonI
     (trace, ci)
 }
 
-/// One record's deterministic fields: everything but wall-clock noise.
-type Outcome = (FunctionId, u64, NodeId, bool, u64, f64, f64);
+/// Every field of one record, each float as its bits: two outcomes are
+/// equal only when the records are equal bit for bit.
+type Outcome = (FunctionId, u64, NodeId, bool, u64, u64, bool, [u64; 5]);
 
-/// Strip wall-clock noise (decision overhead) for exact comparison.
-fn comparable(m: &RunMetrics) -> (Vec<Outcome>, u64, u64) {
+fn outcome(r: &InvocationRecord) -> Outcome {
+    let InvocationRecord {
+        func,
+        t_ms,
+        exec_location,
+        warm,
+        service_ms,
+        queue_ms,
+        rejected,
+        service_carbon:
+            CarbonFootprint {
+                operational_g: service_op,
+                embodied_g: service_emb,
+            },
+        keepalive_carbon:
+            CarbonFootprint {
+                operational_g: keepalive_op,
+                embodied_g: keepalive_emb,
+            },
+        energy_kwh,
+    } = *r;
+    let floats = [
+        service_op,
+        service_emb,
+        keepalive_op,
+        keepalive_emb,
+        energy_kwh,
+    ];
+    let floats = floats.map(f64::to_bits);
     (
-        m.records
-            .iter()
-            .map(|r| {
-                (
-                    r.func,
-                    r.t_ms,
-                    r.exec_location,
-                    r.warm,
-                    r.service_ms,
-                    r.service_carbon.total_g(),
-                    r.keepalive_carbon.total_g(),
-                )
-            })
-            .collect(),
-        m.evicted_functions,
-        m.transfers,
+        func,
+        t_ms,
+        exec_location,
+        warm,
+        service_ms,
+        queue_ms,
+        rejected,
+        floats,
     )
+}
+
+/// `None` when two runs' records agree bit for bit and so do their
+/// eviction and transfer counts; otherwise how many records differ and
+/// the first that does, short enough to read on a million records.
+fn difference(a: &RunMetrics, b: &RunMetrics) -> Option<String> {
+    let counters = |m: &RunMetrics| (m.evicted_functions, m.transfers);
+    if counters(a) != counters(b) {
+        return Some(format!(
+            "(evictions, transfers) {:?} vs {:?}",
+            counters(a),
+            counters(b)
+        ));
+    }
+    let mut differing = (0..a.records.len().max(b.records.len()))
+        .filter(|&i| a.records.get(i).map(outcome) != b.records.get(i).map(outcome));
+    let first = differing.next()?;
+    Some(format!(
+        "{} of {} vs {} records differ; the first, at index {first}: {:?} vs {:?}",
+        1 + differing.count(),
+        a.records.len(),
+        b.records.len(),
+        a.records.get(first),
+        b.records.get(first)
+    ))
 }
 
 proptest! {
@@ -91,7 +137,7 @@ proptest! {
         );
 
         prop_assert_eq!(sharded.reconcile_revocations, 0);
-        prop_assert_eq!(comparable(&sharded), comparable(&sequential));
+        prop_assert_eq!(difference(&sharded, &sequential), None);
         // Aggregate views agree too (float sums to tolerance).
         prop_assert!((sharded.total_carbon_g() - sequential.total_carbon_g()).abs() < 1e-9);
         prop_assert_eq!(sharded.warm_starts(), sequential.warm_starts());
@@ -121,7 +167,7 @@ proptest! {
             |_| EcoLife::new(fleet.clone(), config.clone()),
             &ShardOptions::new(shards),
         );
-        prop_assert_eq!(comparable(&sharded), comparable(&sequential));
+        prop_assert_eq!(difference(&sharded, &sequential), None);
     }
 
     /// (2) Capacity after reconciliation + (3) carbon closure, under
@@ -218,6 +264,6 @@ fn million_invocation_sharded_replay_matches_sequential() {
     };
     let sharded = run(1);
     assert_eq!(sharded.reconcile_revocations, 0);
-    assert_eq!(comparable(&sharded), comparable(&sequential));
-    assert_eq!(comparable(&run(4)), comparable(&sharded));
+    assert_eq!(difference(&sharded, &sequential), None);
+    assert_eq!(difference(&run(4), &sharded), None);
 }
