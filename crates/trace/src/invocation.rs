@@ -62,11 +62,10 @@ pub struct Trace {
 
 impl Trace {
     /// Build a trace; invocations are sorted by arrival time with a
-    /// stable LSD radix sort through a scratch of half their number (the
-    /// standard library's stable sort on short inputs). Stability
-    /// matters: equal timestamps keep their input order, so the trace is
-    /// exactly `sort_by_key(|i| i.t_ms)`'s and the engine serves ties in
-    /// the order they were given.
+    /// stable LSD radix sort through a scratch of half their number.
+    /// Stability matters: equal timestamps keep their input order, so
+    /// the trace is exactly `sort_by_key(|i| i.t_ms)`'s and the engine
+    /// serves ties in the order they were given.
     pub fn new(catalog: WorkloadCatalog, invocations: Vec<Invocation>) -> Self {
         for inv in &invocations {
             assert!(

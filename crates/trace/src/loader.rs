@@ -11,9 +11,8 @@
 //! validate once against that maximum in [`finish`](TraceLoader::finish).
 //! The result is **byte-identical** to the `Trace::new` path — both end
 //! in the same stable LSD radix sort by arrival time, which takes a
-//! scratch of half the invocations (the standard library's stable sort
-//! on short inputs). Stability is what makes the paths agree: equal
-//! timestamps keep their push order, exactly as
+//! scratch of half the invocations. Stability is what makes the paths
+//! agree: equal timestamps keep their push order, exactly as
 //! `sort_by_key(|i| i.t_ms)` would keep them.
 
 use crate::invocation::{Invocation, Trace};

@@ -3,21 +3,18 @@
 //! [`Trace::new`](crate::Trace::new), [`TraceLoader::finish`](crate::TraceLoader::finish),
 //! both synthetic generators and the Azure expansion end in one stable
 //! sort by `t_ms`: equal timestamps keep their input order, so every
-//! path that builds the same invocations builds the same bytes. Above
-//! [`RADIX_CUTOFF`] invocations the sort is an LSD radix sort: each half
-//! is radix-sorted through one scratch of half the length, then the
-//! halves are merged, the left half first on ties. Its extra memory is
-//! that scratch and the digit counters: the standard library's stable
-//! sort takes the same n/2 invocations from 10⁶ of them up, and more
-//! below.
+//! path that builds the same invocations builds the same bytes. The sort
+//! is an LSD radix sort: each half is radix-sorted through one scratch
+//! of half the length, then the halves are merged, the left half first
+//! on ties. Its extra memory is that scratch and the digit counters: the
+//! standard library's stable sort takes the same n/2 invocations from
+//! 10⁶ of them up, and more below. One sort serves every length: below
+//! about a thousand invocations the counters make a build up to ~10 µs
+//! slower than a comparison sort would, and from about two thousand up
+//! it is as fast or faster.
 
 use crate::invocation::Invocation;
 use crate::workload::FunctionId;
-
-/// Below this many invocations the standard library's stable sort is
-/// used: the radix histograms do not pay for themselves on a few
-/// thousand keys.
-const RADIX_CUTOFF: usize = 4_096;
 
 /// Widest radix digit: the pass count comes from the largest key, with
 /// digits of at most this many bits (a 13-bit digit's 8 192 counters fit
@@ -29,10 +26,6 @@ const MAX_DIGIT_BITS: u32 = 13;
 /// `invocations.sort_by_key(|i| i.t_ms)` gives.
 pub(crate) fn sort_by_arrival(invocations: &mut [Invocation]) {
     let n = invocations.len();
-    if n < RADIX_CUTOFF {
-        invocations.sort_by_key(|i| i.t_ms);
-        return;
-    }
     // At least one bit, so all-zero keys take one pass that moves nothing.
     let max = invocations.iter().map(|i| i.t_ms).max().unwrap_or(0);
     let bits = (u64::BITS - max.leading_zeros()).max(1);
@@ -199,19 +192,17 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
         /// Both build paths give `sort_by_key`'s order: empty and
-        /// one-element traces, around the cutoff, and well above it
-        /// (odd and even pass counts), with keys from 1 to 64 bits
-        /// wide, with heavy ties across functions and within one busy
-        /// function.
+        /// one-element traces, a few invocations, and thousands (odd
+        /// and even lengths and pass counts), with keys from 1 to 64
+        /// bits wide, with heavy ties across functions and within one
+        /// busy function.
         #[test]
         fn trace_builds_sort_exactly_like_the_stable_sort(
             len in prop_oneof![
                 Just(0usize),
                 Just(1usize),
-                Just(RADIX_CUTOFF - 1),
-                Just(RADIX_CUTOFF),
-                Just(RADIX_CUTOFF + 1),
-                RADIX_CUTOFF..4 * RADIX_CUTOFF,
+                2usize..64,
+                64usize..16_384,
             ],
             seed in 0u64..u64::MAX,
             key_bits in 1u32..65,
@@ -224,7 +215,7 @@ mod tests {
 
     #[test]
     fn extreme_and_presorted_keys_keep_the_stable_order() {
-        let n = 3 * RADIX_CUTOFF + 7;
+        let n = 12_295;
         let mut raw = invocations(n, 1, 64, 0, 0);
         raw[n / 3].t_ms = u64::MAX;
         raw[2 * n / 3].t_ms = u64::MAX;
@@ -234,7 +225,7 @@ mod tests {
         check(invocations(n, 2, 1, 1, 0)).unwrap();
         // Sorted but for its tail, then sorted outright.
         let mut tail = oracle(&raw);
-        tail.extend(invocations(RADIX_CUTOFF, 3, 64, 5, 0));
+        tail.extend(invocations(4_096, 3, 64, 5, 0));
         check(tail.clone()).unwrap();
         check(oracle(&tail)).unwrap();
     }

@@ -2,64 +2,14 @@
 //! `Trace::new` takes a scratch of half the trace, no more than the
 //! standard library's stable sort takes at this scale.
 //!
-//! A counting global allocator tracks the live heap bytes and their
-//! peak. This file holds one test, so nothing else allocates while it
-//! measures.
+//! The counting global allocator of `tests/support/counting_alloc.rs`
+//! tracks the live heap bytes and their peak. This file holds one test,
+//! so nothing else allocates while it measures.
+
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
 use ecolife_trace::{splitmix64, FunctionId, FunctionProfile, Invocation, Trace, WorkloadCatalog};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
-
-/// Live heap bytes and their high-water mark. Plain statistics, read
-/// only between builds, so `Relaxed` is enough.
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-fn grew(bytes: usize) {
-    let live = LIVE.fetch_add(bytes, Relaxed) + bytes;
-    PEAK.fetch_max(live, Relaxed);
-}
-
-/// The system allocator, counting.
-struct Counting;
-
-// SAFETY: every method forwards its arguments to `System` unchanged and
-// returns its result, so `System`'s guarantees hold; the counters only
-// observe sizes.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        // SAFETY: the caller's `layout` contract is `System.alloc`'s.
-        let ptr = unsafe { System.alloc(layout) };
-        if !ptr.is_null() {
-            grew(layout.size());
-        }
-        ptr
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` with this `layout`.
-        unsafe { System.dealloc(ptr, layout) };
-        LIVE.fetch_sub(layout.size(), Relaxed);
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        // SAFETY: `ptr` came from `System` with this `layout`, and the
-        // caller's `new_size` contract is `System.realloc`'s.
-        let new = unsafe { System.realloc(ptr, layout, new_size) };
-        if !new.is_null() {
-            match new_size.checked_sub(layout.size()) {
-                Some(more) => grew(more),
-                None => {
-                    LIVE.fetch_sub(layout.size() - new_size, Relaxed);
-                }
-            }
-        }
-        new
-    }
-}
-
-#[global_allocator]
-static ALLOC: Counting = Counting;
 
 /// 10⁶ invocations in generator order (function by function, each
 /// ascending) over a 10-hour day. Beyond the input vector, `Trace::new`
@@ -84,10 +34,7 @@ fn building_a_trace_adds_at_most_half_its_bytes() {
         .collect();
     let input_bytes = invocations.len() * size_of::<Invocation>();
 
-    let start = LIVE.load(Relaxed);
-    PEAK.store(start, Relaxed);
-    let trace = Trace::new(catalog, invocations);
-    let added = PEAK.load(Relaxed) - start;
+    let (trace, added) = counting_alloc::peak_added(|| Trace::new(catalog, invocations));
 
     assert_eq!(trace.len(), N as usize);
     assert!(trace.invocations().is_sorted_by_key(|i| i.t_ms));

@@ -3,65 +3,15 @@
 //! of its records (and at most a period of them in the shards), not the
 //! shards' copy plus a merged one.
 //!
-//! A counting global allocator tracks the live heap bytes and their
-//! peak. This file holds one test, so nothing else allocates while it
-//! measures.
+//! The counting global allocator of `tests/support/counting_alloc.rs`
+//! tracks the live heap bytes and their peak. This file holds one test,
+//! so nothing else allocates while it measures.
+
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
 
 use ecolife::prelude::*;
 use ecolife::sim::InvocationRecord;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
-
-/// Live heap bytes and their high-water mark. Plain statistics, read
-/// only between runs, so `Relaxed` is enough.
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-fn grew(bytes: usize) {
-    let live = LIVE.fetch_add(bytes, Relaxed) + bytes;
-    PEAK.fetch_max(live, Relaxed);
-}
-
-/// The system allocator, counting.
-struct Counting;
-
-// SAFETY: every method forwards its arguments to `System` unchanged and
-// returns its result, so `System`'s guarantees hold; the counters only
-// observe sizes.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        // SAFETY: the caller's `layout` contract is `System.alloc`'s.
-        let ptr = unsafe { System.alloc(layout) };
-        if !ptr.is_null() {
-            grew(layout.size());
-        }
-        ptr
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` with this `layout`.
-        unsafe { System.dealloc(ptr, layout) };
-        LIVE.fetch_sub(layout.size(), Relaxed);
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        // SAFETY: `ptr` came from `System` with this `layout`, and the
-        // caller's `new_size` contract is `System.realloc`'s.
-        let new = unsafe { System.realloc(ptr, layout, new_size) };
-        if !new.is_null() {
-            match new_size.checked_sub(layout.size()) {
-                Some(more) => grew(more),
-                None => {
-                    LIVE.fetch_sub(layout.size() - new_size, Relaxed);
-                }
-            }
-        }
-        new
-    }
-}
-
-#[global_allocator]
-static ALLOC: Counting = Counting;
 
 /// 107 600 invocations under a pinned policy on pools nothing fills: no
 /// revocation, so the run's records are the sequential run's. The peak
@@ -84,13 +34,12 @@ fn a_sharded_replay_holds_one_copy_of_its_records() {
     let sim = Simulation::new(&trace, &ci, fleet);
     let record_bytes = trace.len() * size_of::<InvocationRecord>();
     for (shards, threads) in [(1, 1), (8, 2)] {
-        let start = LIVE.load(Relaxed);
-        PEAK.store(start, Relaxed);
-        let m = sim.run_sharded(
-            |_| FixedPolicy::pinned(newest, 10),
-            &ShardOptions::new(shards).with_threads(threads),
-        );
-        let added = PEAK.load(Relaxed) - start;
+        let (m, added) = counting_alloc::peak_added(|| {
+            sim.run_sharded(
+                |_| FixedPolicy::pinned(newest, 10),
+                &ShardOptions::new(shards).with_threads(threads),
+            )
+        });
         assert_eq!(m.records.len(), trace.len());
         assert_eq!(m.reconcile_revocations, 0);
         let ratio = added as f64 / record_bytes as f64;
