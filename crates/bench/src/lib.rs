@@ -7,8 +7,6 @@
 //! computed under identical conditions. Sweeps over other fleets (pairs
 //! B/C, N-node configurations) go through [`EvalSetup::sized`].
 
-pub mod report;
-
 use ecolife_carbon::{CarbonIntensityTrace, Region};
 use ecolife_core::{
     compare, run_scheme, BruteForce, Comparison, EcoLife, EcoLifeConfig, FixedPolicy, RunSummary,

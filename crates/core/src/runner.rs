@@ -201,24 +201,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_map_preserves_order() {
-        let out = parallel_map((0..32).collect(), |i: i32| i * i);
-        assert_eq!(out, (0..32).map(|i| i * i).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn parallel_map_handles_empty_and_oversized_batches() {
-        assert_eq!(parallel_map(Vec::<u32>::new(), |i| i), Vec::<u32>::new());
-        // Far more jobs than cores: with one-thread-per-job this would
-        // spawn 2048 OS threads; the fan-out spawns at most
-        // `threads - 1` helpers, whatever the job count.
-        let n = 2048u64;
-        let out = parallel_map((0..n).collect(), |i: u64| i + 1);
-        assert_eq!(out.len(), n as usize);
-        assert!(out.iter().enumerate().all(|(i, &v)| v == i as u64 + 1));
-    }
-
-    #[test]
     fn parallel_sweep_matches_sequential_runs() {
         let (trace, ci, fleet) = setup();
         // Wall-clock decision overhead is inherently non-deterministic;

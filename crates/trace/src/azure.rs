@@ -19,7 +19,6 @@
 //! matching how the paper replays the trace in its simulation campaign.
 
 use crate::invocation::{Invocation, Trace};
-use crate::loader::TraceLoader;
 use crate::workload::WorkloadCatalog;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -131,10 +130,10 @@ pub fn parse_invocations_csv(text: &str) -> Result<Vec<AzureFunctionRow>, String
 pub fn rows_to_trace(rows: &[AzureFunctionRow], catalog: &WorkloadCatalog, seed: u64) -> Trace {
     let mut rng = SmallRng::seed_from_u64(seed ^ 0xA2u64.rotate_left(32));
     // The schema states the total up front (per-minute counts), so the
-    // loader's one allocation is exact — a day of Azure traffic expands
-    // with zero regrowth and a single end validation.
+    // one allocation is exact — a day of Azure traffic expands with zero
+    // regrowth.
     let total: u64 = rows.iter().map(|r| r.total_invocations()).sum();
-    let mut loader = TraceLoader::with_capacity(total as usize);
+    let mut invocations = Vec::with_capacity(total as usize);
     for row in rows {
         let duration = row.duration_ms.unwrap_or(1_000);
         let memory = row.memory_mib.unwrap_or(170);
@@ -147,15 +146,15 @@ pub fn rows_to_trace(rows: &[AzureFunctionRow], catalog: &WorkloadCatalog, seed:
             let slot = 60_000 / count as u64;
             for j in 0..count as u64 {
                 let jitter = rng.gen_range(0..slot.max(1));
-                loader.push(Invocation {
+                invocations.push(Invocation {
                     func,
                     t_ms: base + j * slot + jitter,
                 });
             }
         }
     }
-    debug_assert_eq!(loader.len(), total as usize);
-    loader.finish(catalog.clone())
+    debug_assert_eq!(invocations.len(), total as usize);
+    Trace::new(catalog.clone(), invocations)
 }
 
 /// Convenience: parse + expand in one call.

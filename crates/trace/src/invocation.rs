@@ -66,29 +66,18 @@ impl Trace {
     /// Stability matters: equal timestamps keep their input order, so
     /// the trace is exactly `sort_by_key(|i| i.t_ms)`'s and the engine
     /// serves ties in the order they were given.
-    pub fn new(catalog: WorkloadCatalog, invocations: Vec<Invocation>) -> Self {
-        for inv in &invocations {
+    ///
+    /// # Panics
+    /// Panics when an invocation references a function outside the
+    /// catalog, checked once, on the largest function id.
+    pub fn new(catalog: WorkloadCatalog, mut invocations: Vec<Invocation>) -> Self {
+        if let Some(func) = invocations.iter().map(|i| i.func).max() {
             assert!(
-                inv.func.as_usize() < catalog.len(),
-                "invocation references function {} outside catalog (len {})",
-                inv.func,
+                func.as_usize() < catalog.len(),
+                "invocation references function {func} outside catalog (len {})",
                 catalog.len()
             );
         }
-        Self::from_prevalidated(catalog, invocations)
-    }
-
-    /// Construction tail shared with [`TraceLoader`](crate::TraceLoader)
-    /// (which validates function ids via a running maximum instead of
-    /// the per-invocation pass above). The **stable** radix sort
-    /// (`sort_by_arrival`, n/2 scratch) is load-bearing: equal-timestamp
-    /// order is preserved from the input, so a loader-built trace is
-    /// byte-identical to the `Trace::new` path and to
-    /// `sort_by_key(|i| i.t_ms)`.
-    pub(crate) fn from_prevalidated(
-        catalog: WorkloadCatalog,
-        mut invocations: Vec<Invocation>,
-    ) -> Self {
         crate::sort::sort_by_arrival(&mut invocations);
         let horizon_ms = invocations.last().map(|i| i.t_ms).unwrap_or(0);
         Trace {

@@ -24,7 +24,6 @@
 
 pub mod azure;
 pub mod invocation;
-pub mod loader;
 mod sort;
 pub mod source;
 pub mod stats;
@@ -32,7 +31,6 @@ pub mod synth;
 pub mod workload;
 
 pub use invocation::{Invocation, PushError, Trace};
-pub use loader::TraceLoader;
 pub use source::{live_lanes, IngestError, InvocationSource, LaneIngest, LiveSource, TraceSource};
 pub use stats::InterArrivalStats;
 pub use synth::{ArrivalClass, SynthTraceConfig};

@@ -1,12 +1,11 @@
 //! The arrival-time sort behind every trace build.
 //!
-//! [`Trace::new`](crate::Trace::new), [`TraceLoader::finish`](crate::TraceLoader::finish),
-//! both synthetic generators and the Azure expansion end in one stable
-//! sort by `t_ms`: equal timestamps keep their input order, so every
-//! path that builds the same invocations builds the same bytes. The sort
-//! is an LSD radix sort: each half is radix-sorted through one scratch
-//! of half the length, then the halves are merged, the left half first
-//! on ties. Its extra memory is that scratch and the digit counters: the
+//! [`Trace::new`](crate::Trace::new), which both synthetic generators
+//! and the Azure expansion end in, sorts by `t_ms` stably: equal
+//! timestamps keep their input order, exactly as
+//! `sort_by_key(|i| i.t_ms)` keeps them. The sort is an LSD radix sort:
+//! each half is radix-sorted through one scratch of half the length,
+//! then the halves are merged, the left half first on ties. Its extra memory is that scratch and the digit counters: the
 //! standard library's stable sort takes the same n/2 invocations from
 //! 10⁶ of them up, and more below. One sort serves every length: below
 //! about a thousand invocations the counters make a build up to ~10 µs
@@ -112,7 +111,7 @@ fn merge_halves(left: &[Invocation], v: &mut [Invocation]) {
 mod tests {
     use super::*;
     use crate::workload::{FunctionProfile, WorkloadCatalog};
-    use crate::{splitmix64, Trace, TraceLoader};
+    use crate::{splitmix64, Trace};
     use proptest::prelude::*;
 
     const FUNCTIONS: u32 = 5;
@@ -125,7 +124,7 @@ mod tests {
         )
     }
 
-    /// The order both build paths must give.
+    /// The order a build must give.
     fn oracle(raw: &[Invocation]) -> Vec<Invocation> {
         let mut want = raw.to_vec();
         want.sort_by_key(|i| i.t_ms);
@@ -134,25 +133,15 @@ mod tests {
 
     fn check(raw: Vec<Invocation>) -> Result<(), TestCaseError> {
         let want = oracle(&raw);
-        let mut loader = TraceLoader::with_capacity(raw.len());
-        for &inv in &raw {
-            loader.push(inv);
-        }
-        let via_new = Trace::new(catalog(), raw);
-        let via_loader = loader.finish(catalog());
-        for (path, got) in [
-            ("Trace::new", &via_new),
-            ("TraceLoader::finish", &via_loader),
-        ] {
-            let got = got.invocations();
-            prop_assert!(
-                got == want,
-                "{path}: {} of {} invocations, first difference at {:?}",
-                got.len(),
-                want.len(),
-                got.iter().zip(&want).position(|(g, w)| g != w)
-            );
-        }
+        let trace = Trace::new(catalog(), raw);
+        let got = trace.invocations();
+        prop_assert!(
+            got == want,
+            "Trace::new: {} of {} invocations, first difference at {:?}",
+            got.len(),
+            want.len(),
+            got.iter().zip(&want).position(|(g, w)| g != w)
+        );
         Ok(())
     }
 
@@ -191,7 +180,7 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
-        /// Both build paths give `sort_by_key`'s order: empty and
+        /// `Trace::new` gives `sort_by_key`'s order: empty and
         /// one-element traces, a few invocations, and thousands (odd
         /// and even lengths and pass counts), with keys from 1 to 64
         /// bits wide, with heavy ties across functions and within one

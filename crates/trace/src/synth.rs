@@ -9,7 +9,6 @@
 //! experiment is deterministic.
 
 use crate::invocation::{Invocation, Trace};
-use crate::loader::TraceLoader;
 use crate::workload::{FunctionId, WorkloadCatalog};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -115,9 +114,9 @@ impl SynthTraceConfig {
         }
     }
 
-    /// Expected invocation volume, for sizing the loader's one up-front
-    /// allocation: the class mix and popularity law land around 0.3
-    /// invocations per function-minute (the million preset's 3.6 M
+    /// Expected invocation volume, for sizing the invocations' one
+    /// up-front allocation: the class mix and popularity law land around
+    /// 0.3 invocations per function-minute (the million preset's 3.6 M
     /// function-minutes produce ≈1.06 M invocations). Slightly generous
     /// so the common case never regrows; an underestimate only costs a
     /// regrowth, never correctness.
@@ -146,14 +145,14 @@ impl SynthTraceConfig {
         );
 
         let mut rng = SmallRng::seed_from_u64(self.seed);
-        let mut loader = TraceLoader::with_capacity(self.estimated_invocations());
+        let mut invocations = Vec::with_capacity(self.estimated_invocations());
         let mut catalog = WorkloadCatalog::default();
 
         for fid in 0..self.n_functions {
-            self.emit_function(&mut rng, fid, base_catalog, &mut catalog, &mut loader);
+            self.emit_function(&mut rng, fid, base_catalog, &mut catalog, &mut invocations);
         }
 
-        loader.finish(catalog)
+        Trace::new(catalog, invocations)
     }
 
     /// The scale-up generation path: same marginals as
@@ -179,7 +178,7 @@ impl SynthTraceConfig {
             "class mix must sum to 1 (got {mix_sum})"
         );
 
-        let mut loader = TraceLoader::with_capacity(self.estimated_invocations());
+        let mut invocations = Vec::with_capacity(self.estimated_invocations());
         let mut catalog = WorkloadCatalog::default();
         for fid in 0..self.n_functions {
             // Per-function seed through the shared splitmix64 mixer:
@@ -188,9 +187,9 @@ impl SynthTraceConfig {
                 .seed
                 .wrapping_add((fid as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
             let mut rng = SmallRng::seed_from_u64(crate::splitmix64(s));
-            self.emit_function(&mut rng, fid, base_catalog, &mut catalog, &mut loader);
+            self.emit_function(&mut rng, fid, base_catalog, &mut catalog, &mut invocations);
         }
-        loader.finish(catalog)
+        Trace::new(catalog, invocations)
     }
 
     /// Emit one synthetic function: a perturbed catalog entry cloned from
@@ -204,7 +203,7 @@ impl SynthTraceConfig {
         fid: usize,
         base_catalog: &WorkloadCatalog,
         catalog: &mut WorkloadCatalog,
-        out: &mut TraceLoader,
+        out: &mut Vec<Invocation>,
     ) {
         let horizon_ms = self.duration_min * 60_000;
         let (_, base) = base_catalog
@@ -270,7 +269,7 @@ impl SynthTraceConfig {
         func: FunctionId,
         class: ArrivalClass,
         horizon_ms: u64,
-        out: &mut TraceLoader,
+        out: &mut Vec<Invocation>,
     ) {
         // Time-zone rotation: the RNG draws are untouched (the stream is
         // identical for any offset); only the wall-clock placement moves,

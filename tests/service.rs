@@ -5,8 +5,8 @@
 //! 1. **Service ≡ batch under saturation** — a bursty workload on
 //!    bounded executors with queue-aware EcoLife placement replays
 //!    bit-identically (records, stream, chain tip) whether driven by
-//!    the batch replayer or by the live service at producer-thread
-//!    counts {1, 2, 4}.
+//!    the batch replayer or by the live service, over an in-process
+//!    trace source and at producer-thread counts {1, 2, 4}.
 //! 2. **Admission is bounded and deterministic** — queue depth never
 //!    exceeds the configured bound, saturated nodes reject (typed,
 //!    zero-cost, telemetered), and two identical runs agree on every
@@ -72,6 +72,21 @@ fn queue_aware_ecolife(fleet: &Fleet) -> EcoLife {
     )
 }
 
+/// Serve `source` on the saturated executors, capturing the stream.
+fn serve_saturated(
+    trace: &Trace,
+    ci: &CarbonIntensityTrace,
+    fleet: &Fleet,
+    source: impl InvocationSource,
+) -> (RunMetrics, CaptureSink) {
+    let mut sink = CaptureSink::default();
+    let metrics = Service::new(trace.catalog().clone(), ci, fleet.clone())
+        .with_config(saturated_config())
+        .serve_with_sink(source, &mut queue_aware_ecolife(fleet), &mut sink)
+        .unwrap();
+    (metrics, sink)
+}
+
 #[test]
 fn service_replays_batch_bit_for_bit_under_saturation() {
     let trace = bursty_trace();
@@ -88,11 +103,29 @@ fn service_replays_batch_bit_for_bit_under_saturation() {
     );
     assert!(batch.total_queue_ms() > 0, "burst must queue");
 
+    let check = |from: &str, (live, live_sink): (RunMetrics, CaptureSink)| {
+        assert_eq!(live.records, batch.records, "records diverged {from}");
+        assert_eq!(live.rejected, batch.rejected, "{from}");
+        assert_eq!(live.queue_ms_by_node, batch.queue_ms_by_node, "{from}");
+        assert_eq!(
+            live.executor_peak_by_node, batch.executor_peak_by_node,
+            "{from}"
+        );
+        if let Some(d) = first_divergence(&batch_sink.lines(), &live_sink.lines()) {
+            panic!("stream diverged {from}: {d:?}");
+        }
+        assert_eq!(live_sink.tip(), batch_sink.tip(), "{from}");
+    };
+
+    check(
+        "from the in-process trace source",
+        serve_saturated(&trace, &ci, &fleet, trace.source()),
+    );
     let all = trace.invocations().to_vec();
     for producers in [1usize, 2, 4] {
         let (handles, source) = live_lanes(producers, 16);
         let chunk = all.len().div_ceil(producers);
-        let (live, live_sink) = std::thread::scope(|scope| {
+        let served = std::thread::scope(|scope| {
             for (handle, part) in handles.into_iter().zip(all.chunks(chunk)) {
                 scope.spawn(move || {
                     for &inv in part {
@@ -100,24 +133,9 @@ fn service_replays_batch_bit_for_bit_under_saturation() {
                     }
                 });
             }
-            let mut sink = CaptureSink::default();
-            let metrics = Service::new(trace.catalog().clone(), &ci, fleet.clone())
-                .with_config(saturated_config())
-                .serve_with_sink(source, &mut queue_aware_ecolife(&fleet), &mut sink)
-                .unwrap();
-            (metrics, sink)
+            serve_saturated(&trace, &ci, &fleet, source)
         });
-        assert_eq!(
-            live.records, batch.records,
-            "records diverged at {producers} producers"
-        );
-        assert_eq!(live.rejected, batch.rejected);
-        assert_eq!(live.queue_ms_by_node, batch.queue_ms_by_node);
-        assert_eq!(live.executor_peak_by_node, batch.executor_peak_by_node);
-        if let Some(d) = first_divergence(&batch_sink.lines(), &live_sink.lines()) {
-            panic!("stream diverged at {producers} producers: {d:?}");
-        }
-        assert_eq!(live_sink.tip(), batch_sink.tip());
+        check(&format!("at {producers} producers"), served);
     }
 }
 
