@@ -6,10 +6,8 @@
 //! stale early decisions — losing far more service time (its warm rate
 //! collapses).
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use ecolife_bench::{fmt_placement, EvalSetup};
 use ecolife_core::EcoLifeConfig;
-use std::hint::black_box;
 
 fn print_fig10() {
     let setup = EvalSetup::standard();
@@ -40,21 +38,6 @@ fn print_fig10() {
     );
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     print_fig10();
-    let setup = EvalSetup::quick();
-    c.bench_function("fig10/ecolife_no_dpso_quick", |b| {
-        b.iter(|| {
-            black_box(
-                setup.run(&mut setup.ecolife_with(EcoLifeConfig::default().without_dynamic_pso())),
-            )
-        })
-    });
 }
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(10);
-    targets = bench
-}
-criterion_main!(benches);

@@ -6,11 +6,9 @@
 //! paper reports 7.9% service and 3.7% carbon savings and 17% more
 //! functions kept alive.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use ecolife_bench::EvalSetup;
 use ecolife_core::EcoLifeConfig;
 use ecolife_hw::skus;
-use std::hint::black_box;
 
 fn print_fig11() {
     println!("\n=== Fig. 11: warm-pool adjustment across memory budgets ===");
@@ -52,18 +50,6 @@ fn print_fig11() {
     println!();
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     print_fig11();
-    let fleet = skus::fleet_a().with_uniform_keepalive_budget_mib(4 * 1024);
-    let setup = EvalSetup::sized(16, 180, fleet);
-    c.bench_function("fig11/pressured_run_quick", |b| {
-        b.iter(|| black_box(setup.run(&mut setup.ecolife())))
-    });
 }
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(10);
-    targets = bench
-}
-criterion_main!(benches);

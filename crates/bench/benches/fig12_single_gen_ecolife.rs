@@ -5,10 +5,8 @@
 //! full EcoLife (multi-generation) is closest to the Oracle on both
 //! axes, but the single-generation variants remain viable.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use ecolife_bench::EvalSetup;
 use ecolife_core::{compare, EcoLifeConfig};
-use std::hint::black_box;
 
 fn print_fig12() {
     let setup = EvalSetup::standard();
@@ -39,22 +37,6 @@ fn print_fig12() {
     println!();
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     print_fig12();
-    let setup = EvalSetup::quick();
-    let oldest = setup.fleet.oldest();
-    c.bench_function("fig12/eco_old_quick", |b| {
-        b.iter(|| {
-            black_box(
-                setup.run(&mut setup.ecolife_with(EcoLifeConfig::default().restricted_to(oldest))),
-            )
-        })
-    });
 }
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(10);
-    targets = bench
-}
-criterion_main!(benches);

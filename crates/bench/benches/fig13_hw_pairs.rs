@@ -4,12 +4,10 @@
 //! service time and carbon for every pair — the benefit is not an
 //! artifact of one particular generation gap.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use ecolife_bench::EvalSetup;
 use ecolife_core::compare;
 use ecolife_hw::skus;
 use ecolife_sim::parallel_map;
-use std::hint::black_box;
 
 fn print_fig13() {
     println!("\n=== Fig. 13: EcoLife vs Oracle across hardware pairs ===");
@@ -41,21 +39,6 @@ fn print_fig13() {
     println!();
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     print_fig13();
-    let setup = EvalSetup::sized(
-        16,
-        180,
-        skus::fleet_b().with_uniform_keepalive_budget_mib(6 * 1024),
-    );
-    c.bench_function("fig13/pair_b_quick", |b| {
-        b.iter(|| black_box(setup.run(&mut setup.ecolife())))
-    });
 }
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(10);
-    targets = bench
-}
-criterion_main!(benches);

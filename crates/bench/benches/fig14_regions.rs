@@ -3,12 +3,10 @@
 //! Paper shape: EcoLife stays within 7% (service) and 6% (carbon) of the
 //! Oracle regardless of the region's carbon-intensity profile.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use ecolife_bench::EvalSetup;
 use ecolife_carbon::Region;
 use ecolife_core::compare;
 use ecolife_sim::parallel_map;
-use std::hint::black_box;
 
 fn print_fig14() {
     println!("\n=== Fig. 14: EcoLife vs Oracle across grid regions ===");
@@ -35,17 +33,6 @@ fn print_fig14() {
     println!();
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     print_fig14();
-    let setup = EvalSetup::quick().with_region(Region::Texas);
-    c.bench_function("fig14/texas_quick", |b| {
-        b.iter(|| black_box(setup.run(&mut setup.ecolife())))
-    });
 }
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(10);
-    targets = bench
-}
-criterion_main!(benches);

@@ -7,11 +7,9 @@
 //! → 52% at 10 min), and beyond a few minutes the keep-alive carbon
 //! often exceeds the service carbon.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use ecolife_carbon::CarbonModel;
 use ecolife_hw::{skus, NodeId, PerfModel};
 use ecolife_trace::WorkloadCatalog;
-use std::hint::black_box;
 
 const CI: f64 = 300.0;
 const FUNCS: [&str; 3] = [
@@ -54,18 +52,6 @@ fn print_fig1() {
     println!();
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     print_fig1();
-    let model = CarbonModel::default();
-    let node = skus::fleet_a().node(NodeId(1)).clone();
-    c.bench_function("fig1/keepalive_phase_eval", |b| {
-        b.iter(|| black_box(model.keepalive_phase(&node, 512, 600_000, CI)))
-    });
 }
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(10);
-    targets = bench
-}
-criterion_main!(benches);

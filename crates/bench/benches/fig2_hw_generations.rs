@@ -7,11 +7,9 @@
 //! low-sensitivity functions (Graph-BFS on pair C) the performance
 //! penalty nearly vanishes while carbon savings remain.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use ecolife_carbon::CarbonModel;
 use ecolife_hw::{skus, HardwareNode, NodeId, PerfModel};
 use ecolife_trace::{FunctionProfile, WorkloadCatalog};
-use std::hint::black_box;
 
 const CI: f64 = 300.0;
 const KEEPALIVE_MS: u64 = 10 * 60_000;
@@ -75,20 +73,6 @@ fn print_fig2() {
     println!();
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     print_fig2();
-    let catalog = WorkloadCatalog::sebs();
-    let (_, f) = catalog.by_name("220.video-processing").unwrap();
-    let f = f.clone();
-    let node = skus::fleet_a().node(NodeId(0)).clone();
-    c.bench_function("fig2/episode_eval", |b| {
-        b.iter(|| black_box(episode(&node, &f)))
-    });
 }
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(10);
-    targets = bench
-}
-criterion_main!(benches);

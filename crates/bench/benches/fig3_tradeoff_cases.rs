@@ -15,11 +15,9 @@
 //! experiment is shown on the default pair A (the four-year gap), where
 //! the trade-off the figure illustrates actually exists.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use ecolife_carbon::CarbonModel;
 use ecolife_hw::{skus, NodeId, PerfModel};
 use ecolife_trace::{FunctionProfile, WorkloadCatalog};
-use std::hint::black_box;
 
 /// (service_ms, carbon_g) of one case.
 fn case(f: &FunctionProfile, ci: f64, node: NodeId, keepalive_min: u64, warm: bool) -> (u64, f64) {
@@ -74,19 +72,6 @@ fn print_fig3() {
     println!("(negative CO2 saving = the paper's 'inverted case')\n");
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     print_fig3();
-    let catalog = WorkloadCatalog::sebs();
-    let (_, f) = catalog.by_name("504.dna-visualization").unwrap();
-    let f = f.clone();
-    c.bench_function("fig3/case_eval", |b| {
-        b.iter(|| black_box(case(&f, 300.0, NodeId(0), 15, true)))
-    });
 }
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(10);
-    targets = bench
-}
-criterion_main!(benches);

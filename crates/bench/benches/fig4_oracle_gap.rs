@@ -7,9 +7,7 @@
 //! carbon and CI variation), and even the Oracle is >7% from both axes —
 //! the joint optimum genuinely trades.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use ecolife_bench::{fmt_placement, EvalSetup};
-use std::hint::black_box;
 
 fn print_fig4() {
     let setup = EvalSetup::standard();
@@ -26,17 +24,6 @@ fn print_fig4() {
     println!();
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     print_fig4();
-    let setup = EvalSetup::quick();
-    c.bench_function("fig4/oracle_run_quick", |b| {
-        b.iter(|| black_box(setup.run(&mut setup.oracle())))
-    });
 }
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(10);
-    targets = bench
-}
-criterion_main!(benches);

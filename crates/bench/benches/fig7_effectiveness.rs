@@ -4,10 +4,11 @@
 //! (carbon) of the Oracle; CO2-Opt / Service-Time-Opt / Energy-Opt each
 //! collapse one dimension; New-Only / Old-Only (Fig. 9 companions) pin
 //! themselves to a single generation.
+//!
+//! Prints every scheme's absolute totals first, then the placements of
+//! the five schemes Fig. 7 plots.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use ecolife_bench::{fmt_placement, EvalSetup};
-use std::hint::black_box;
 
 fn print_fig7() {
     let setup = EvalSetup::standard();
@@ -18,7 +19,18 @@ fn print_fig7() {
         setup.run(&mut setup.service_time_opt()),
         setup.run(&mut setup.energy_opt()),
     ];
+    let fixed = [
+        setup.run(&mut setup.new_only()),
+        setup.run(&mut setup.old_only()),
+    ];
     println!("\n=== Fig. 7: EcoLife vs Oracle and single-objective optima ===");
+    for s in summaries.iter().chain(&fixed) {
+        println!(
+            "{:<18} service {:>10} ms  carbon {:>8.2} g  warm {:.2}  ka_carbon {:>7.2} g",
+            s.name, s.total_service_ms, s.total_carbon_g, s.warm_rate, s.keepalive_carbon_g
+        );
+    }
+    println!();
     let placements = setup.placements(&summaries);
     for c in &placements {
         println!("{}", fmt_placement(c));
@@ -32,17 +44,6 @@ fn print_fig7() {
     );
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     print_fig7();
-    let setup = EvalSetup::quick();
-    c.bench_function("fig7/ecolife_run_quick", |b| {
-        b.iter(|| black_box(setup.run(&mut setup.ecolife())))
-    });
 }
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(10);
-    targets = bench
-}
-criterion_main!(benches);

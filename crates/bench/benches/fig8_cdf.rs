@@ -5,10 +5,8 @@
 //! of the Oracle's service time, and decision-making overhead below 0.4%
 //! of service time.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use ecolife_bench::EvalSetup;
 use ecolife_core::run_scheme;
-use std::hint::black_box;
 
 fn print_fig8() {
     let setup = EvalSetup::standard();
@@ -45,18 +43,6 @@ fn print_fig8() {
     );
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     print_fig8();
-    let setup = EvalSetup::quick();
-    let (_, m) = run_scheme(&setup.trace, &setup.ci, &setup.fleet, &mut setup.ecolife());
-    c.bench_function("fig8/cdf_extraction", |b| {
-        b.iter(|| (black_box(m.service_cdf()), black_box(m.carbon_cdf())))
-    });
 }
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(10);
-    targets = bench
-}
-criterion_main!(benches);

@@ -5,9 +5,7 @@
 //! the paper) and carbon against New-Only (8.6%), sitting closest to the
 //! Oracle because it mixes generations.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use ecolife_bench::{fmt_placement, EvalSetup};
-use std::hint::black_box;
 
 fn print_fig9() {
     let setup = EvalSetup::standard();
@@ -34,17 +32,6 @@ fn print_fig9() {
     );
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     print_fig9();
-    let setup = EvalSetup::quick();
-    c.bench_function("fig9/new_only_run_quick", |b| {
-        b.iter(|| black_box(setup.run(&mut setup.new_only())))
-    });
 }
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(10);
-    targets = bench
-}
-criterion_main!(benches);

@@ -7,9 +7,8 @@
 //! comparison on a *dynamic sequence* of real EcoLife objective
 //! landscapes (one per invocation of a representative function as CI and
 //! arrival statistics evolve) — the regime PSO's exploration/exploitation
-//! balance is chosen for — and time one iteration of each optimizer.
+//! balance is chosen for.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use ecolife_carbon::{CarbonIntensityTrace, CarbonModel, Region};
 use ecolife_core::CostModel;
 use ecolife_hw::{skus, NodeId};
@@ -19,7 +18,6 @@ use ecolife_pso::{
     SimulatedAnnealing,
 };
 use ecolife_trace::WorkloadCatalog;
-use std::hint::black_box;
 
 /// The evolving per-invocation objective for one representative function.
 struct LandscapeSequence {
@@ -100,38 +98,6 @@ fn print_comparison() {
     );
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     print_comparison();
-    let seq = LandscapeSequence::new();
-    let space = SearchSpace::placement(2, 11);
-    let f = seq.fitness_at(0);
-
-    c.bench_function("optimizers/pso_step", |b| {
-        let mut pso = Pso::new(space.clone(), PsoConfig::default());
-        b.iter(|| {
-            pso.step(&f);
-            black_box(pso.best_fitness())
-        })
-    });
-    c.bench_function("optimizers/ga_step", |b| {
-        let mut ga = GeneticAlgorithm::new(space.clone(), GaConfig::default());
-        b.iter(|| {
-            ga.step(&f);
-            black_box(ga.best_fitness())
-        })
-    });
-    c.bench_function("optimizers/sa_step", |b| {
-        let mut sa = SimulatedAnnealing::new(space.clone(), SaConfig::default());
-        b.iter(|| {
-            sa.step(&f);
-            black_box(sa.best_fitness())
-        })
-    });
 }
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(10);
-    targets = bench
-}
-criterion_main!(benches);

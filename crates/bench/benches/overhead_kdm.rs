@@ -1,14 +1,13 @@
 //! §VI-A decision-making overhead — the paper bounds EcoLife's
 //! decision-making at < 0.4% of service time and < 1.2% of carbon.
 //!
-//! Criterion times a single KDM+EPDM decision step (the per-invocation
-//! work EcoLife adds to the platform's critical path) and a full
-//! simulated run reports the end-to-end overhead fraction.
+//! A full simulated run through `run_scheme`, which sums the wall-clock
+//! time of every KDM+EPDM decision step (the per-invocation work EcoLife
+//! adds to the platform's critical path), reports the mean decision time
+//! and the end-to-end overhead fraction.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use ecolife_bench::EvalSetup;
 use ecolife_core::run_scheme;
-use std::hint::black_box;
 
 fn print_overhead() {
     let setup = EvalSetup::standard();
@@ -26,19 +25,6 @@ fn print_overhead() {
     );
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     print_overhead();
-    // Time a full quick run per iteration — dominated by decide() calls —
-    // which is the stable, criterion-friendly proxy for per-decision cost.
-    let setup = EvalSetup::quick();
-    c.bench_function("overhead/ecolife_decide_path", |b| {
-        b.iter(|| black_box(setup.run(&mut setup.ecolife())))
-    });
 }
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(10);
-    targets = bench
-}
-criterion_main!(benches);

@@ -9,12 +9,10 @@
 //!    reports EcoLife within 5.63% (carbon) and 8.2% (service) of the
 //!    Oracle.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use ecolife_bench::EvalSetup;
 use ecolife_carbon::{CarbonModel, CarbonModelConfig};
 use ecolife_core::{compare, BruteForce, EcoLife, EcoLifeConfig, RunSummary};
 use ecolife_sim::{Scheduler, SimConfig, Simulation};
-use std::hint::black_box;
 
 fn run_with_model(setup: &EvalSetup, model: CarbonModel) -> (f64, f64) {
     let sim =
@@ -24,8 +22,7 @@ fn run_with_model(setup: &EvalSetup, model: CarbonModel) -> (f64, f64) {
         });
     let mut eco = EcoLife::with_carbon_model(setup.fleet.clone(), EcoLifeConfig::default(), model);
     let eco_sum = RunSummary::from_metrics(eco.name(), &sim.run(&mut eco));
-    let mut oracle =
-        BruteForce::oracle(setup.fleet.clone(), setup.ci.clone()).with_carbon_model(model);
+    let mut oracle = BruteForce::oracle(setup.fleet.clone()).with_carbon_model(model);
     let oracle_sum = RunSummary::from_metrics(oracle.name(), &sim.run(&mut oracle));
     let c = compare(&eco_sum, &oracle_sum, &oracle_sum);
     (c.service_increase_pct, c.carbon_increase_pct)
@@ -63,21 +60,6 @@ fn print_robustness() {
     println!();
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     print_robustness();
-    let setup = EvalSetup::quick();
-    let model = CarbonModel::new(CarbonModelConfig {
-        embodied_scale: 1.1,
-        include_platform_components: true,
-    });
-    c.bench_function("robustness/scaled_model_quick", |b| {
-        b.iter(|| black_box(run_with_model(&setup, model)))
-    });
 }
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(10);
-    targets = bench
-}
-criterion_main!(benches);

@@ -1,13 +1,9 @@
 //! Table I — multi-generation hardware pair examples.
 //!
 //! Prints the three pair fleets (old node first) with the calibrated
-//! embodied-carbon and power attributions, then times pair-fleet
-//! construction (a pure-data operation the experiment harness performs
-//! constantly).
+//! embodied-carbon and power attributions.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use ecolife_hw::{skus, Fleet};
-use std::hint::black_box;
 
 /// Table I's pairs as two-SKU fleets.
 fn table1() -> [(&'static str, Fleet); 3] {
@@ -51,16 +47,6 @@ fn print_table1() {
     println!();
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     print_table1();
-    c.bench_function("table1/pair_construction", |b| {
-        b.iter(|| black_box(table1()))
-    });
 }
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(10);
-    targets = bench
-}
-criterion_main!(benches);

@@ -1,6 +1,7 @@
 //! Shared experiment harness for the figure-regeneration benches.
 //!
-//! Every bench in `benches/` reproduces one table or figure of the paper.
+//! Every bench in `benches/` reproduces one table or figure of the paper
+//! by printing its rows (`cargo bench`); none of them times anything.
 //! This library centralizes the default evaluation setup (Sec. V): the
 //! Azure-like trace, the CISO carbon-intensity feed, the pair-A two-node
 //! fleet, and constructors for every scheme, so that all figures are
@@ -37,15 +38,6 @@ impl EvalSetup {
             48,
             1_440,
             ecolife_hw::skus::fleet_a().with_uniform_keepalive_budget_mib(15 * 1024),
-        )
-    }
-
-    /// Small setup for fast criterion iterations: 3 hours, tighter pools.
-    pub fn quick() -> Self {
-        Self::sized(
-            16,
-            180,
-            ecolife_hw::skus::fleet_a().with_uniform_keepalive_budget_mib(6 * 1024),
         )
     }
 
@@ -86,19 +78,19 @@ impl EvalSetup {
     }
 
     pub fn oracle(&self) -> BruteForce {
-        BruteForce::oracle(self.fleet.clone(), self.ci.clone())
+        BruteForce::oracle(self.fleet.clone())
     }
 
     pub fn co2_opt(&self) -> BruteForce {
-        BruteForce::co2_opt(self.fleet.clone(), self.ci.clone())
+        BruteForce::co2_opt(self.fleet.clone())
     }
 
     pub fn service_time_opt(&self) -> BruteForce {
-        BruteForce::service_time_opt(self.fleet.clone(), self.ci.clone())
+        BruteForce::service_time_opt(self.fleet.clone())
     }
 
     pub fn energy_opt(&self) -> BruteForce {
-        BruteForce::energy_opt(self.fleet.clone(), self.ci.clone())
+        BruteForce::energy_opt(self.fleet.clone())
     }
 
     pub fn new_only(&self) -> FixedPolicy {
@@ -131,22 +123,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn quick_setup_is_consistent() {
-        let s = EvalSetup::quick();
-        assert!(!s.trace.is_empty());
-        assert!(s.ci.len_ms() >= s.trace.horizon_ms());
-        assert_eq!(s.fleet.len(), 2);
-    }
-
-    #[test]
     fn sized_accepts_fleets_directly() {
         let s = EvalSetup::sized(4, 30, ecolife_hw::skus::fleet_three_generations());
         assert_eq!(s.fleet.len(), 3);
+        assert!(!s.trace.is_empty());
+        assert!(s.ci.len_ms() >= s.trace.horizon_ms());
     }
 
     #[test]
     fn schemes_carry_expected_names() {
-        let s = EvalSetup::quick();
+        let s = EvalSetup::sized(4, 30, ecolife_hw::skus::fleet_a());
         assert_eq!(s.ecolife().name(), "EcoLife");
         assert_eq!(s.oracle().name(), "Oracle");
         assert_eq!(s.new_only().name(), "New-Only");

@@ -295,8 +295,8 @@ impl<'a> CiProvider<'a> {
     }
 
     /// The full series `node` reads (schedulers must not peek past the
-    /// current simulated minute; oracle-family baselines get their future
-    /// knowledge explicitly in `prepare`).
+    /// current simulated minute; oracle-family baselines read their
+    /// future knowledge through this provider).
     #[inline]
     pub fn series(&self, node: NodeId) -> &CarbonIntensityTrace {
         self.eff(node.index())

@@ -5,9 +5,10 @@
 //! theoretical upper bounds, which are computed via brute-forcing every
 //! possible scheduling option for each function invocation." Concretely:
 //! the baseline is granted the next-arrival gap of every invocation (from
-//! the trace) and the full carbon-intensity series, and per invocation it
-//! enumerates every (node, keep-alive) choice over the whole fleet,
-//! scoring each with exact future knowledge:
+//! the trace) and the future of the carbon-intensity series, which it
+//! reads through `InvocationCtx::ci`, the provider the engine charges
+//! with. Per invocation it enumerates every (node, keep-alive) choice
+//! over the whole fleet, scoring each with exact future knowledge:
 //!
 //! * the next invocation is warm iff the gap lands inside the keep-alive
 //!   window;
@@ -21,7 +22,7 @@
 
 use crate::objective::CostModel;
 use crate::warmpool::priority_adjustment;
-use ecolife_carbon::{CarbonIntensityTrace, CarbonModel, CiBundle, CiError};
+use ecolife_carbon::CarbonModel;
 use ecolife_hw::{Fleet, NodeId};
 use ecolife_sim::{
     Decision, InvocationCtx, KeepAliveChoice, OverflowAction, OverflowCtx, Scheduler, MINUTE_MS,
@@ -45,11 +46,6 @@ pub enum OptTarget {
 pub struct BruteForce {
     target: OptTarget,
     cost: CostModel,
-    /// The CI series each fleet node reads, indexed by `NodeId`: clones
-    /// of one shared series in the paper's single-region setup, or each
-    /// node's own region series on a multi-region fleet
-    /// ([`BruteForce::with_ci_bundle`]).
-    ci: Vec<CarbonIntensityTrace>,
     grid_min: Vec<u64>,
     /// Next-arrival gap per invocation index (filled in `prepare`).
     gaps: Vec<Option<u64>>,
@@ -60,53 +56,19 @@ pub struct BruteForce {
 }
 
 impl BruteForce {
-    pub fn new(
-        target: OptTarget,
-        fleet: Fleet,
-        ci: CarbonIntensityTrace,
-        grid_min: Vec<u64>,
-    ) -> Self {
+    pub fn new(target: OptTarget, fleet: Fleet, grid_min: Vec<u64>) -> Self {
         assert!(grid_min.len() >= 2 && grid_min[0] == 0);
         let locations: Vec<NodeId> = fleet.ids().collect();
-        let ci = vec![ci; fleet.len()];
         let max_k_ms = *grid_min.last().unwrap() * MINUTE_MS;
         let cost = CostModel::new(fleet, CarbonModel::default(), 0.5, 0.5, max_k_ms);
         BruteForce {
             target,
             cost,
-            ci,
             grid_min,
             gaps: Vec::new(),
             catalog: WorkloadCatalog::default(),
             locations,
         }
-    }
-
-    /// Re-resolve the per-node CI series from a region-keyed bundle —
-    /// the multi-region form of the future CI knowledge the brute force
-    /// is granted. Fails when a fleet node's region has no series.
-    pub fn with_ci_bundle(mut self, bundle: &CiBundle) -> Result<Self, CiError> {
-        let mut ci = Vec::with_capacity(self.cost.fleet().len());
-        for node in self.cost.fleet().iter() {
-            let series = bundle.get(node.region).ok_or(CiError::MissingRegion {
-                node: node.id,
-                region: node.region,
-            })?;
-            ci.push(series.clone());
-        }
-        self.ci = ci;
-        Ok(self)
-    }
-
-    /// The series node `l` reads.
-    #[inline]
-    fn ci_of(&self, l: NodeId) -> &CarbonIntensityTrace {
-        &self.ci[l.index()]
-    }
-
-    /// Intensity at `t` on every node's grid.
-    fn ci_now_by_node(&self, t_ms: u64) -> Vec<f64> {
-        self.ci.iter().map(|s| s.at(t_ms)).collect()
     }
 
     /// Use a non-default carbon model (robustness studies).
@@ -128,32 +90,25 @@ impl BruteForce {
     }
 
     /// The Oracle with the default 0–10-minute grid.
-    pub fn oracle(fleet: Fleet, ci: CarbonIntensityTrace) -> Self {
-        Self::new(OptTarget::Joint, fleet, ci, (0..=10).collect())
+    pub fn oracle(fleet: Fleet) -> Self {
+        Self::new(OptTarget::Joint, fleet, (0..=10).collect())
     }
 
-    pub fn co2_opt(fleet: Fleet, ci: CarbonIntensityTrace) -> Self {
-        Self::new(OptTarget::Carbon, fleet, ci, (0..=10).collect())
+    pub fn co2_opt(fleet: Fleet) -> Self {
+        Self::new(OptTarget::Carbon, fleet, (0..=10).collect())
     }
 
-    pub fn service_time_opt(fleet: Fleet, ci: CarbonIntensityTrace) -> Self {
-        Self::new(OptTarget::ServiceTime, fleet, ci, (0..=10).collect())
+    pub fn service_time_opt(fleet: Fleet) -> Self {
+        Self::new(OptTarget::ServiceTime, fleet, (0..=10).collect())
     }
 
-    pub fn energy_opt(fleet: Fleet, ci: CarbonIntensityTrace) -> Self {
-        Self::new(OptTarget::Energy, fleet, ci, (0..=10).collect())
+    pub fn energy_opt(fleet: Fleet) -> Self {
+        Self::new(OptTarget::Energy, fleet, (0..=10).collect())
     }
 
-    /// The cold-execution placement rule of this target at time `t_ms`:
-    /// the first score-minimizing node in id order, each node's carbon
-    /// priced at its own grid's intensity.
-    fn cold_choice(&self, f: &ecolife_trace::FunctionProfile, t_ms: u64) -> NodeId {
-        self.cold_choice_with(f, &self.ci_now_by_node(t_ms))
-    }
-
-    /// [`BruteForce::cold_choice`] against a precomputed per-node CI
-    /// snapshot (`decide` reuses one snapshot across its whole
-    /// node×keep-alive grid).
+    /// The cold-execution placement rule of this target: the first
+    /// score-minimizing node in id order, each node's carbon priced at
+    /// its own grid's intensity in the per-node snapshot `ci_by_node`.
     fn cold_choice_with(&self, f: &ecolife_trace::FunctionProfile, ci_by_node: &[f64]) -> NodeId {
         let score = |r: NodeId| -> f64 {
             match self.target {
@@ -214,10 +169,10 @@ impl BruteForce {
 
         // Keep-alive carbon accrues on the hosting node's grid.
         let ci_ka = if resident_ms > 0 {
-            self.ci_of(l)
-                .average_over(service_end, service_end + resident_ms)
+            ctx.ci
+                .average_over(l, service_end, service_end + resident_ms)
         } else {
-            self.ci_of(l).at(ctx.t_ms)
+            ctx.ci.at(l, ctx.t_ms)
         };
 
         let kc_g = self.cost.keepalive_carbon_g(l, f, resident_ms, ci_ka);
@@ -231,8 +186,7 @@ impl BruteForce {
                 let next_t = ctx.t_ms + g;
                 (
                     self.cost.warm_service_ms(l, f) as f64,
-                    self.cost
-                        .warm_service_carbon_g(l, f, self.ci_of(l).at(next_t)),
+                    self.cost.warm_service_carbon_g(l, f, ctx.ci.at(l, next_t)),
                     self.cost.service_energy_kwh(l, f, true),
                 )
             }
@@ -243,8 +197,7 @@ impl BruteForce {
                 let r = cold_next.expect("cold_next precomputed whenever a gap exists");
                 (
                     self.cost.cold_service_ms(r, f) as f64,
-                    self.cost
-                        .cold_service_carbon_g(r, f, self.ci_of(r).at(next_t)),
+                    self.cost.cold_service_carbon_g(r, f, ctx.ci.at(r, next_t)),
                     self.cost.service_energy_kwh(r, f, false),
                 )
             }
@@ -279,21 +232,6 @@ impl Scheduler for BruteForce {
     }
 
     fn prepare(&mut self, trace: &Trace) {
-        // The brute force is granted the *whole* future CI series; a
-        // series that runs out mid-trace would silently degrade its
-        // knowledge to a frozen last sample — the same failure mode the
-        // engine rejects at construction, so reject it here too.
-        for (node, series) in self.cost.fleet().ids().zip(&self.ci) {
-            assert!(
-                trace.is_empty() || series.len_ms() > trace.horizon_ms(),
-                "{}: CI series for node {node} ({}) covers {} ms but the trace spans {} ms; \
-                 extend the series (e.g. extend_cyclic) or trim the workload",
-                self.name(),
-                self.cost.fleet().node(node).region,
-                series.len_ms(),
-                trace.horizon_ms() + 1,
-            );
-        }
         self.gaps = trace.next_arrival_gaps();
         self.catalog = trace.catalog().clone();
     }
@@ -301,10 +239,11 @@ impl Scheduler for BruteForce {
     fn decide(&mut self, ctx: &InvocationCtx<'_>) -> Decision {
         // Constants of this decision, shared across the whole
         // (node, period) grid below.
-        let ci_by_node = self.ci_now_by_node(ctx.t_ms);
+        let ci_by_node = ctx.ci.at_each_node(ctx.t_ms);
         let exec = self.cold_choice_with(ctx.profile, &ci_by_node);
         let gap = self.gaps.get(ctx.index).copied().flatten();
-        let cold_next = gap.map(|g| self.cold_choice(ctx.profile, ctx.t_ms + g));
+        let cold_next =
+            gap.map(|g| self.cold_choice_with(ctx.profile, &ctx.ci.at_each_node(ctx.t_ms + g)));
 
         // Exact service duration of *this* invocation (mirrors the
         // engine's computation) to anchor the keep-alive window.
@@ -357,6 +296,7 @@ impl Scheduler for BruteForce {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ecolife_carbon::CarbonIntensityTrace;
     use ecolife_sim::Simulation;
     use ecolife_trace::{FunctionId, Invocation, SynthTraceConfig};
 
@@ -377,27 +317,20 @@ mod tests {
 
     fn run(target: OptTarget, trace: &Trace, ci: &CarbonIntensityTrace) -> ecolife_sim::RunMetrics {
         let fleet = skus::fleet_a();
-        let mut s = BruteForce::new(target, fleet.clone(), ci.clone(), (0..=10).collect());
+        let mut s = BruteForce::new(target, fleet.clone(), (0..=10).collect());
         Simulation::new(trace, ci, fleet).run(&mut s)
     }
 
     #[test]
     fn names() {
         let fleet = skus::fleet_a();
-        let c = CarbonIntensityTrace::constant(100.0, 10);
+        assert_eq!(BruteForce::oracle(fleet.clone()).name(), "Oracle");
+        assert_eq!(BruteForce::co2_opt(fleet.clone()).name(), "CO2-Opt");
         assert_eq!(
-            BruteForce::oracle(fleet.clone(), c.clone()).name(),
-            "Oracle"
-        );
-        assert_eq!(
-            BruteForce::co2_opt(fleet.clone(), c.clone()).name(),
-            "CO2-Opt"
-        );
-        assert_eq!(
-            BruteForce::service_time_opt(fleet.clone(), c.clone()).name(),
+            BruteForce::service_time_opt(fleet.clone()).name(),
             "Service-Time-Opt"
         );
-        assert_eq!(BruteForce::energy_opt(fleet, c).name(), "Energy-Opt");
+        assert_eq!(BruteForce::energy_opt(fleet).name(), "Energy-Opt");
     }
 
     #[test]
@@ -484,30 +417,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "extend the series")]
-    fn oracle_rejects_ci_shorter_than_its_trace() {
-        // The brute force's future CI knowledge must cover the trace:
-        // a short series would silently clamp to its last sample.
-        let catalog = WorkloadCatalog::sebs();
-        let (vid, _) = catalog.by_name("220.video-processing").unwrap();
-        let t = Trace::new(
-            catalog,
-            vec![Invocation {
-                func: vid,
-                t_ms: 120 * MINUTE_MS,
-            }],
-        );
-        let short = CarbonIntensityTrace::constant(300.0, 60);
-        let mut s = BruteForce::oracle(skus::fleet_a(), short);
-        s.prepare(&t);
-    }
-
-    #[test]
     fn restriction_is_respected() {
         let t = trace();
         let c = ci();
         let fleet = skus::fleet_a();
-        let mut s = BruteForce::oracle(fleet.clone(), c.clone()).restricted_to(NodeId(0));
+        let mut s = BruteForce::oracle(fleet.clone()).restricted_to(NodeId(0));
         let m = Simulation::new(&t, &c, fleet).run(&mut s);
         assert!(m.records.iter().all(|r| r.exec_location == NodeId(0)));
     }
@@ -528,7 +442,7 @@ mod tests {
         let t = Trace::new(catalog, invocations);
         let c = CarbonIntensityTrace::constant(300.0, 120);
         let fleet = skus::fleet_three_generations();
-        let mut s = BruteForce::oracle(fleet.clone(), c.clone());
+        let mut s = BruteForce::oracle(fleet.clone());
         let m = Simulation::new(&t, &c, fleet.clone()).run(&mut s);
         assert_eq!(m.warm_starts(), 19);
         assert!(m.records.iter().all(|r| fleet.contains(r.exec_location)));

@@ -181,20 +181,10 @@ mod tests {
             &trace,
             &ci,
             &fleet,
-            &mut BruteForce::service_time_opt(fleet.clone(), ci.clone()),
+            &mut BruteForce::service_time_opt(fleet.clone()),
         );
-        let (co2, _) = run_scheme(
-            &trace,
-            &ci,
-            &fleet,
-            &mut BruteForce::co2_opt(fleet.clone(), ci.clone()),
-        );
-        let (oracle, _) = run_scheme(
-            &trace,
-            &ci,
-            &fleet,
-            &mut BruteForce::oracle(fleet.clone(), ci.clone()),
-        );
+        let (co2, _) = run_scheme(&trace, &ci, &fleet, &mut BruteForce::co2_opt(fleet.clone()));
+        let (oracle, _) = run_scheme(&trace, &ci, &fleet, &mut BruteForce::oracle(fleet.clone()));
         let c = compare(&oracle, &st, &co2);
         assert!(c.service_increase_pct >= -1e-9, "{c:?}");
         assert!(c.carbon_increase_pct >= -0.1, "{c:?}");

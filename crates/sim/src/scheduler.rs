@@ -61,7 +61,7 @@ pub struct InvocationCtx<'a> {
     /// different nodes see different values at the same instant, which
     /// is exactly the signal cross-region placement trades on.
     /// Schedulers must not peek at minutes beyond `t_ms` — the oracle
-    /// family gets its future knowledge explicitly in `prepare`. Global
+    /// family reads its future knowledge through this provider. Global
     /// signals like EcoLife's ΔCI derive from
     /// [`CiProvider::distinct_regions`] purely as a function of
     /// simulated time and region, which keeps them identical between a

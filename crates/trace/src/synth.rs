@@ -520,24 +520,6 @@ mod tests {
     }
 
     #[test]
-    fn loader_estimate_covers_small_configs_without_regrowth_bugs() {
-        // The estimate is advisory; correctness must hold whether it
-        // over- or under-shoots. A tiny config undershoots per-function
-        // bursts; the trace must still come out identical to a fresh
-        // generation.
-        let cfg = SynthTraceConfig {
-            n_functions: 3,
-            duration_min: 200,
-            ..SynthTraceConfig::small(29)
-        };
-        assert_eq!(cfg.generate(&catalog()), cfg.generate(&catalog()));
-        assert_eq!(
-            cfg.generate_scaled(&catalog()),
-            cfg.generate_scaled(&catalog())
-        );
-    }
-
-    #[test]
     fn phase_offset_rotates_arrivals_modulo_duration() {
         let base = SynthTraceConfig::small(31); // 60-minute duration
         let a = base.clone().generate(&catalog());

@@ -37,12 +37,7 @@ fn main() {
         let mut ecolife = EcoLife::new(fleet.clone(), EcoLifeConfig::default());
         let (eco, _) = run_scheme(&trace, &ci, &fleet, &mut ecolife);
         let (fixed, _) = run_scheme(&trace, &ci, &fleet, &mut FixedPolicy::new_only());
-        let (oracle, _) = run_scheme(
-            &trace,
-            &ci,
-            &fleet,
-            &mut BruteForce::oracle(fleet.clone(), ci.clone()),
-        );
+        let (oracle, _) = run_scheme(&trace, &ci, &fleet, &mut BruteForce::oracle(fleet.clone()));
         (region, ci.mean(), eco, fixed, oracle)
     });
 

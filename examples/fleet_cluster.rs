@@ -66,7 +66,7 @@ fn main() {
 
     let mut schemes: Vec<(Box<dyn Scheduler>, &str)> = vec![
         (
-            Box::new(BruteForce::oracle(fleet.clone(), ci.clone())),
+            Box::new(BruteForce::oracle(fleet.clone())),
             "brute-force over all 3 nodes x 11 periods",
         ),
         (

@@ -32,7 +32,7 @@ fn main() {
     // 3. Schedulers: EcoLife, the Oracle upper bound, and OpenWhisk-style
     //    fixed keep-alive on the new node only.
     let mut ecolife = EcoLife::new(fleet.clone(), EcoLifeConfig::default());
-    let mut oracle = BruteForce::oracle(fleet.clone(), ci.clone());
+    let mut oracle = BruteForce::oracle(fleet.clone());
     let mut new_only = FixedPolicy::new_only();
 
     println!(

@@ -66,12 +66,7 @@ fn all_schedulers_are_deterministic() {
 
     let factories: Vec<Box<dyn Fn() -> Box<dyn Scheduler>>> = vec![
         Box::new(|| Box::new(EcoLife::new(skus::fleet_a(), EcoLifeConfig::default()))),
-        Box::new(|| {
-            Box::new(BruteForce::oracle(
-                skus::fleet_a(),
-                CarbonIntensityTrace::synthetic(Region::Caiso, 90, 3),
-            ))
-        }),
+        Box::new(|| Box::new(BruteForce::oracle(skus::fleet_a()))),
         Box::new(|| Box::new(FixedPolicy::new_only())),
         Box::new(|| Box::new(FixedPolicy::old_only())),
     ];
@@ -176,8 +171,7 @@ fn sharded_replay_is_bit_identical_to_the_sequential_path() {
             (
                 "BruteForce::oracle",
                 Box::new(|| {
-                    Box::new(BruteForce::oracle(fleet.clone(), ci.clone()))
-                        as Box<dyn Scheduler + Send>
+                    Box::new(BruteForce::oracle(fleet.clone())) as Box<dyn Scheduler + Send>
                 }),
             ),
             (

@@ -19,10 +19,10 @@ fn setup() -> (Trace, CarbonIntensityTrace, Fleet) {
 fn run_all() -> Vec<RunSummary> {
     let (trace, ci, fleet) = setup();
     let mut schemes: Vec<Box<dyn Scheduler>> = vec![
-        Box::new(BruteForce::service_time_opt(fleet.clone(), ci.clone())),
-        Box::new(BruteForce::co2_opt(fleet.clone(), ci.clone())),
-        Box::new(BruteForce::oracle(fleet.clone(), ci.clone())),
-        Box::new(BruteForce::energy_opt(fleet.clone(), ci.clone())),
+        Box::new(BruteForce::service_time_opt(fleet.clone())),
+        Box::new(BruteForce::co2_opt(fleet.clone())),
+        Box::new(BruteForce::oracle(fleet.clone())),
+        Box::new(BruteForce::energy_opt(fleet.clone())),
         Box::new(EcoLife::new(fleet.clone(), EcoLifeConfig::default())),
         Box::new(FixedPolicy::new_only()),
         Box::new(FixedPolicy::old_only()),

@@ -47,12 +47,8 @@ fn three_node_fleet_runs_ecolife_and_baselines_end_to_end() {
         &fleet,
         &mut FixedPolicy::pinned(fleet.newest(), 10),
     );
-    let (oracle_sum, oracle) = run_scheme(
-        &trace,
-        &ci,
-        &fleet,
-        &mut BruteForce::oracle(fleet.clone(), ci.clone()),
-    );
+    let (oracle_sum, oracle) =
+        run_scheme(&trace, &ci, &fleet, &mut BruteForce::oracle(fleet.clone()));
 
     // Every scheme accounts every invocation, with placements inside the
     // fleet.
@@ -113,14 +109,9 @@ fn oracle_dominance_holds_on_the_three_node_fleet() {
         &trace,
         &ci,
         &fleet,
-        &mut BruteForce::service_time_opt(fleet.clone(), ci.clone()),
+        &mut BruteForce::service_time_opt(fleet.clone()),
     );
-    let (co2, _) = run_scheme(
-        &trace,
-        &ci,
-        &fleet,
-        &mut BruteForce::co2_opt(fleet.clone(), ci.clone()),
-    );
+    let (co2, _) = run_scheme(&trace, &ci, &fleet, &mut BruteForce::co2_opt(fleet.clone()));
     let (eco, _) = run_scheme(
         &trace,
         &ci,

@@ -30,7 +30,7 @@ fn oracle_repeat_runs_emit_the_same_stream() {
     let ci = CarbonIntensityTrace::synthetic(Region::Caiso, 120, 31);
     let fleet = skus::fleet_a();
     let run = || {
-        let mut oracle = BruteForce::oracle(fleet.clone(), ci.clone());
+        let mut oracle = BruteForce::oracle(fleet.clone());
         let mut sink = CaptureSink::default();
         Simulation::new(&trace, &ci, fleet.clone()).run_with_sink(&mut oracle, &mut sink);
         sink

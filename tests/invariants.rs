@@ -135,7 +135,7 @@ proptest! {
         .generate(&WorkloadCatalog::sebs());
         let ci = CarbonIntensityTrace::constant(300.0, 60);
         let fleet = skus::fleet_a();
-        let mut oracle = BruteForce::oracle(fleet.clone(), ci.clone());
+        let mut oracle = BruteForce::oracle(fleet.clone());
         let (_, metrics) = run_scheme(&trace, &ci, &fleet, &mut oracle);
         // A warm start implies a prior invocation of the same function.
         let mut seen = std::collections::HashSet::new();
