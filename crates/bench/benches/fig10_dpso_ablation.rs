@@ -6,7 +6,7 @@
 //! stale early decisions — losing far more service time (its warm rate
 //! collapses).
 
-use ecolife_bench::{fmt_placement, EvalSetup};
+use ecolife_bench::{fmt_placement, placements, EvalSetup};
 use ecolife_core::EcoLifeConfig;
 
 fn print_fig10() {
@@ -16,12 +16,15 @@ fn print_fig10() {
         setup.run(&mut setup.ecolife()),
         setup.run(&mut setup.ecolife_with(EcoLifeConfig::default().without_dynamic_pso())),
     ];
+    let service_time_opt = setup.run(&mut setup.service_time_opt());
+    let co2_opt = setup.run(&mut setup.co2_opt());
     println!("\n=== Fig. 10: Dynamic-PSO ablation ===");
     let labels = ["Oracle", "EcoLife w/ DPSO", "EcoLife w/o DPSO"];
-    for (label, (c, s)) in labels
-        .iter()
-        .zip(setup.placements(&summaries).iter().zip(&summaries))
-    {
+    for (label, (c, s)) in labels.iter().zip(
+        placements(&summaries, &service_time_opt, &co2_opt)
+            .iter()
+            .zip(&summaries),
+    ) {
         println!(
             "{:<18} {}   warm-rate {:.3}",
             label,

@@ -7,7 +7,7 @@
 //! carbon and CI variation), and even the Oracle is >7% from both axes —
 //! the joint optimum genuinely trades.
 
-use ecolife_bench::{fmt_placement, EvalSetup};
+use ecolife_bench::{fmt_placement, placements, EvalSetup};
 
 fn print_fig4() {
     let setup = EvalSetup::standard();
@@ -18,7 +18,8 @@ fn print_fig4() {
         setup.run(&mut setup.energy_opt()),
     ];
     println!("\n=== Fig. 4: single-objective optima vs the Oracle ===");
-    for c in setup.placements(&summaries) {
+    let (co2_opt, service_time_opt) = (&summaries[0], &summaries[2]);
+    for c in placements(&summaries, service_time_opt, co2_opt) {
         println!("{}", fmt_placement(&c));
     }
     println!();

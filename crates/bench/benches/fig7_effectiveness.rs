@@ -8,7 +8,7 @@
 //! Prints every scheme's absolute totals first, then the placements of
 //! the five schemes Fig. 7 plots.
 
-use ecolife_bench::{fmt_placement, EvalSetup};
+use ecolife_bench::{fmt_placement, placements, EvalSetup};
 
 fn print_fig7() {
     let setup = EvalSetup::standard();
@@ -31,12 +31,13 @@ fn print_fig7() {
         );
     }
     println!();
-    let placements = setup.placements(&summaries);
-    for c in &placements {
+    let (co2_opt, service_time_opt) = (&summaries[0], &summaries[3]);
+    let placed = placements(&summaries, service_time_opt, co2_opt);
+    for c in &placed {
         println!("{}", fmt_placement(c));
     }
-    let oracle = &placements[1];
-    let ecolife = &placements[2];
+    let oracle = &placed[1];
+    let ecolife = &placed[2];
     println!(
         "\nEcoLife-to-Oracle gap: service {:+.2} points, carbon {:+.2} points (paper: 7.7 / 5.5)\n",
         ecolife.service_increase_pct - oracle.service_increase_pct,

@@ -5,7 +5,7 @@
 //! the paper) and carbon against New-Only (8.6%), sitting closest to the
 //! Oracle because it mixes generations.
 
-use ecolife_bench::{fmt_placement, EvalSetup};
+use ecolife_bench::{fmt_placement, placements, EvalSetup};
 
 fn print_fig9() {
     let setup = EvalSetup::standard();
@@ -15,8 +15,10 @@ fn print_fig9() {
         setup.run(&mut setup.new_only()),
         setup.run(&mut setup.old_only()),
     ];
+    let service_time_opt = setup.run(&mut setup.service_time_opt());
+    let co2_opt = setup.run(&mut setup.co2_opt());
     println!("\n=== Fig. 9: EcoLife vs single-generation fixed policies ===");
-    for c in setup.placements(&summaries) {
+    for c in placements(&summaries, &service_time_opt, &co2_opt) {
         println!("{}", fmt_placement(&c));
     }
     let eco = &summaries[1];

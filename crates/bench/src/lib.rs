@@ -100,14 +100,20 @@ impl EvalSetup {
     pub fn old_only(&self) -> FixedPolicy {
         FixedPolicy::old_only()
     }
+}
 
-    /// The two anchors plus the placement of each given scheme against
-    /// them, in one shot.
-    pub fn placements(&self, summaries: &[RunSummary]) -> Vec<Comparison> {
-        let st = self.run(&mut self.service_time_opt());
-        let co2 = self.run(&mut self.co2_opt());
-        summaries.iter().map(|s| compare(s, &st, &co2)).collect()
-    }
+/// The placement of each given scheme against the two anchors: the
+/// Service-Time-Opt and CO2-Opt runs of the same setup, which a figure
+/// runs once and may also plot.
+pub fn placements(
+    summaries: &[RunSummary],
+    service_time_opt: &RunSummary,
+    co2_opt: &RunSummary,
+) -> Vec<Comparison> {
+    summaries
+        .iter()
+        .map(|s| compare(s, service_time_opt, co2_opt))
+        .collect()
 }
 
 /// Render one figure row: `label  service+X.X%  carbon+Y.Y%`.

@@ -10,9 +10,15 @@
 //! The hash is SHA-256 over the line's *head* — everything up to and
 //! including the payload, closed with `}` — so `hash` covers `seq`,
 //! `prev`, and the full payload. `prev` of event 0 is the 64-zero
-//! genesis. Re-walking a stream therefore proves both integrity (no line
-//! edited) and completeness (no line dropped or reordered); the chain
-//! tip alone pins an entire run, which is what golden snapshots store.
+//! genesis. The head is written in one pass of byte copies, with no
+//! `core::fmt` on the way: integers print as `to_string` prints them and
+//! floats as `Display` prints them (the shortest round-trip decimal, an
+//! exact tie between the two closest rounded up), both by the crate's
+//! own digit writers; `prev` is copied in once, and the digest's hex
+//! goes through a 256-entry pair table. Re-walking a stream therefore
+//! proves both integrity (no line edited) and completeness (no line
+//! dropped or reordered); the chain tip alone pins an entire run, which
+//! is what golden snapshots store.
 //! Because each head embeds its predecessor's hash, a chain is one
 //! sequential pass: no line can be serialized before the one before it
 //! is hashed.
@@ -26,9 +32,10 @@
 //! run — sequential, sharded or live — so [`EventSink::emit`] runs
 //! there, and sinks must be `Send`.
 
+use crate::decimal::push_u64;
 use crate::event::{Event, EventKey};
-use crate::json::{field, push_digits, write_payload};
-use crate::sha256::{sha256, to_hex};
+use crate::json::{field, write_event};
+use crate::sha256::{hex_digits, sha256, to_hex};
 use crate::sink::EventSink;
 
 /// `prev` of the first event.
@@ -52,17 +59,17 @@ pub struct ChainSummary {
     pub tip: String,
 }
 
-/// Append the head of a line — everything the hash covers — to `out`.
-fn write_head(out: &mut String, seq: u64, prev: &str, event: &Event) {
-    out.push_str("{\"seq\":");
-    push_digits(out, seq);
-    out.push_str(",\"prev\":\"");
-    out.push_str(prev);
-    out.push_str("\",\"type\":\"");
-    out.push_str(event.type_name());
-    out.push('"');
-    write_payload(event, out);
-    out.push('}');
+/// Append the head of a line — everything the hash covers — to `out`:
+/// fixed-size copies of the literals and of `prev`, the digits of `seq`,
+/// then the event's fields.
+fn write_head(out: &mut Vec<u8>, seq: u64, prev: &[u8; 64], event: &Event) {
+    out.extend_from_slice(b"{\"seq\":");
+    push_u64(out, seq);
+    out.extend_from_slice(b",\"prev\":\"");
+    out.extend_from_slice(prev);
+    out.push(b'"');
+    write_event(event, out);
+    out.push(b'}');
 }
 
 /// `,"hash":"<hex64>"}` — what sealing puts in place of the head's
@@ -74,16 +81,25 @@ const SEAL_LEN: usize = 9 + 64 + 2;
 /// `ev.line` is overwritten with the sealed line. Both buffers keep their
 /// capacity, so a stream of any length allocates them once.
 fn seal_in_place(ev: &mut SequencedEvent) {
-    ev.line.clear();
-    write_head(&mut ev.line, ev.seq, &ev.hash, &ev.event);
-    let mut hex = [0; 64];
-    let hash = to_hex(&sha256(ev.line.as_bytes()), &mut hex);
+    let prev = ev
+        .hash
+        .as_bytes()
+        .try_into()
+        .expect("a hash is 64 hex digits");
+    let mut line = std::mem::take(&mut ev.line).into_bytes();
+    line.clear();
+    write_head(&mut line, ev.seq, prev, &ev.event);
+    // The seal, built on the stack and copied in once.
+    let mut seal = [b'"'; SEAL_LEN];
+    seal[..9].copy_from_slice(b",\"hash\":\"");
+    seal[9..73].copy_from_slice(&hex_digits(&sha256(&line)));
+    seal[74] = b'}';
+    line.pop();
+    line.extend_from_slice(&seal);
+    ev.line = String::from_utf8(line).expect("a line is ASCII around the event's own strings");
+    let hash = &ev.line[ev.line.len() - 66..ev.line.len() - 2];
     ev.hash.clear();
     ev.hash.push_str(hash);
-    ev.line.pop();
-    ev.line.push_str(",\"hash\":\"");
-    ev.line.push_str(hash);
-    ev.line.push_str("\"}");
 }
 
 /// A hash chain sealed a batch at a time: number, serialize, hash and
@@ -308,24 +324,25 @@ where
 mod tests {
     use super::*;
     use crate::event::{lane, ReleaseCause};
+    use crate::json::FmtFields;
     use crate::sha256::sha256_hex;
     use crate::sink::CaptureSink;
     use proptest::prelude::*;
 
-    /// The allocating writer the chain used before sealing in place: the
+    /// The allocating `fmt` writer, every number through `Display`: the
     /// oracle the in-place writer must match byte for byte.
     fn serialize_head(seq: u64, prev: &str, event: &Event) -> String {
-        let mut head = String::with_capacity(192);
-        head.push_str("{\"seq\":");
-        head.push_str(&seq.to_string());
-        head.push_str(",\"prev\":\"");
-        head.push_str(prev);
-        head.push_str("\",\"type\":\"");
-        head.push_str(event.type_name());
-        head.push('"');
-        write_payload(event, &mut head);
-        head.push('}');
-        head
+        let mut head = FmtFields(String::with_capacity(192));
+        head.0.push_str("{\"seq\":");
+        head.0.push_str(&seq.to_string());
+        head.0.push_str(",\"prev\":\"");
+        head.0.push_str(prev);
+        head.0.push_str("\",\"type\":\"");
+        head.0.push_str(event.type_name());
+        head.0.push('"');
+        write_event(event, &mut head);
+        head.0.push('}');
+        head.0
     }
 
     /// Close a head into the written line: swap the trailing `}` for
@@ -525,7 +542,14 @@ mod tests {
             1.0 / 3.0,
             f64::from_bits(1), // smallest subnormal
             f64::MIN_POSITIVE / 3.0,
+            f64::MIN_POSITIVE,
             2.5e-7,
+            1e-7,
+            // 1 + 2^-17 = 1.00000762939453125: an exact tie, which
+            // rounds up.
+            1.0 + 2f64.powi(-17),
+            390.0490987381429,
+            1e21,
             f64::MAX,
         ];
         let labels = [

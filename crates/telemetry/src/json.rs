@@ -2,131 +2,180 @@
 //! event the same way on every platform, and a field extractor for the
 //! controlled format the writer emits.
 //!
-//! Integers go through `push_digits`, a digit writer that prints
-//! exactly what `to_string` prints without the `fmt` machinery: a
-//! sealed line is mostly integers, and serialization is most of what
-//! sealing costs. Floats are written with Rust's shortest-roundtrip
-//! `Display` — the minimal decimal string that parses back to the
-//! identical bits — so a line (and therefore the hash chain over it) is
-//! a bit-exact encoding of the run, stable across platforms. Scientific
-//! notation never appears (`Display` for `f64` does not produce it), and
-//! non-finite values are a bug upstream (debug-asserted).
+//! The writer appends bytes without the `fmt` machinery, each field as
+//! one static `,"key":` literal and its value. Integers print exactly as
+//! `to_string` prints them. Floats print exactly as `Display` prints
+//! them: the shortest decimal that parses back to the identical bits,
+//! laid out positionally, with an exact tie between the two closest
+//! shortest decimals rounded up. A Ryu-style writer produces those bytes
+//! without `fmt` (see the `decimal` module). A line, and therefore the
+//! hash chain over it, is a bit-exact encoding of the run, stable across
+//! platforms. Scientific notation never appears (`Display` for `f64`
+//! does not produce it), and non-finite values are a bug upstream
+//! (debug-asserted).
 
+use crate::decimal::{push_f64, push_i64, push_u64};
 use crate::event::Event;
-use std::fmt::Write;
 
-/// Append `,"key":` — every field's prefix.
-fn push_key(out: &mut String, key: &str) {
-    out.push_str(",\"");
-    out.push_str(key);
-    out.push_str("\":");
+/// The values an event line holds, each appended after its field's
+/// `,"key":` literal. The sealer writes them into the line's bytes
+/// ([`Vec<u8>`]); the tests' oracle writes them through `fmt`.
+pub(crate) trait Fields {
+    /// `tag` is the whole `,"type":"…"` field, a literal per variant.
+    fn tag(&mut self, tag: &'static str);
+    fn uint(&mut self, key: &'static str, v: u64);
+    fn int(&mut self, key: &'static str, v: i64);
+    fn float(&mut self, key: &'static str, v: f64);
+    fn flag(&mut self, key: &'static str, v: bool);
+    fn text(&mut self, key: &'static str, v: &str);
 }
 
-/// `"00" "01" … "99"`: the two digits of every value below 100.
-const DIGIT_PAIRS: &[u8; 200] = b"\
-0001020304050607080910111213141516171819\
-2021222324252627282930313233343536373839\
-4041424344454647484950515253545556575859\
-6061626364656667686970717273747576777879\
-8081828384858687888990919293949596979899";
-
-/// Append `v` in decimal, exactly as `v.to_string()` prints it: digits
-/// are written two at a time from the end of a stack buffer, then
-/// copied in one push.
-pub(crate) fn push_digits(out: &mut String, mut v: u64) {
-    // u64::MAX has 20 digits.
-    let mut buf = [0u8; 20];
-    let mut at = buf.len();
-    while v >= 100 {
-        let pair = (v % 100) as usize * 2;
-        v /= 100;
-        at -= 2;
-        buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+/// Every method is inlined at its call site in [`write_event`], so the
+/// key, a literal there, is copied with fixed-size moves.
+impl Fields for Vec<u8> {
+    #[inline(always)]
+    fn tag(&mut self, tag: &'static str) {
+        self.extend_from_slice(tag.as_bytes());
     }
-    if v >= 10 {
-        let pair = v as usize * 2;
-        at -= 2;
-        buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+
+    #[inline(always)]
+    fn uint(&mut self, key: &'static str, v: u64) {
+        self.extend_from_slice(key.as_bytes());
+        push_u64(self, v);
+    }
+
+    #[inline(always)]
+    fn int(&mut self, key: &'static str, v: i64) {
+        self.extend_from_slice(key.as_bytes());
+        push_i64(self, v);
+    }
+
+    #[inline(always)]
+    fn float(&mut self, key: &'static str, v: f64) {
+        debug_assert!(v.is_finite(), "non-finite {key} in event stream: {v}");
+        self.extend_from_slice(key.as_bytes());
+        push_f64(self, v);
+    }
+
+    #[inline(always)]
+    fn flag(&mut self, key: &'static str, v: bool) {
+        self.extend_from_slice(key.as_bytes());
+        self.extend_from_slice(if v { b"true" } else { b"false" });
+    }
+
+    #[inline(always)]
+    fn text(&mut self, key: &'static str, v: &str) {
+        self.extend_from_slice(key.as_bytes());
+        push_quoted(self, v);
+    }
+}
+
+/// Append `v` as a JSON string. Event strings (region labels, causes)
+/// are controlled ASCII, but escape defensively anyway: quotes,
+/// backslashes and control characters. Bytes of multi-byte characters
+/// are all 0x80 or above, so they pass through whole.
+fn push_quoted(out: &mut Vec<u8>, v: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    out.push(b'"');
+    let bytes = v.as_bytes();
+    if bytes.iter().all(|&b| b >= 0x20 && b != b'"' && b != b'\\') {
+        out.extend_from_slice(bytes);
     } else {
-        at -= 1;
-        buf[at] = b'0' + v as u8;
-    }
-    out.push_str(std::str::from_utf8(&buf[at..]).expect("decimal digits are ASCII"));
-}
-
-/// Append `"key":value` (with a leading comma) for a u64.
-fn push_u64(out: &mut String, key: &str, v: u64) {
-    push_key(out, key);
-    push_digits(out, v);
-}
-
-fn push_i64(out: &mut String, key: &str, v: i64) {
-    push_key(out, key);
-    if v < 0 {
-        out.push('-');
-    }
-    push_digits(out, v.unsigned_abs());
-}
-
-fn push_bool(out: &mut String, key: &str, v: bool) {
-    push_key(out, key);
-    out.push_str(if v { "true" } else { "false" });
-}
-
-/// Append a float in shortest-roundtrip form: `Display` produces the
-/// fewest digits that parse back bit-exactly (and never scientific
-/// notation), which is what makes hash chains platform-stable.
-fn push_f64(out: &mut String, key: &str, v: f64) {
-    debug_assert!(v.is_finite(), "non-finite {key} in event stream: {v}");
-    push_key(out, key);
-    write!(out, "{v}").expect("writing to a String cannot fail");
-}
-
-/// Append a string value. Event strings (region labels, causes, type
-/// names) are controlled ASCII, but escape defensively anyway.
-fn push_str(out: &mut String, key: &str, v: &str) {
-    push_key(out, key);
-    out.push('"');
-    for c in v.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                write!(out, "\\u{:04x}", c as u32).expect("writing to a String cannot fail");
+        for &b in bytes {
+            match b {
+                b'"' => out.extend_from_slice(b"\\\""),
+                b'\\' => out.extend_from_slice(b"\\\\"),
+                b'\n' => out.extend_from_slice(b"\\n"),
+                b'\r' => out.extend_from_slice(b"\\r"),
+                b'\t' => out.extend_from_slice(b"\\t"),
+                b if b < 0x20 => {
+                    out.extend_from_slice(b"\\u00");
+                    out.extend_from_slice(&[HEX[usize::from(b >> 4)], HEX[usize::from(b & 0xf)]]);
+                }
+                b => out.push(b),
             }
-            c => out.push(c),
         }
     }
-    out.push('"');
+    out.push(b'"');
 }
 
-/// Serialize the event's payload fields (everything after the `"type"`
-/// tag) onto `out`, each with its leading comma.
-pub fn write_payload(event: &Event, out: &mut String) {
+/// The writer the byte writer must match: every value through `fmt`
+/// (`Display`), strings escaped a character at a time, and the type tag
+/// left to the caller.
+#[cfg(test)]
+#[derive(Debug, Default)]
+pub(crate) struct FmtFields(pub String);
+
+#[cfg(test)]
+impl Fields for FmtFields {
+    /// The oracle writes the type tag itself, from [`Event::type_name`].
+    fn tag(&mut self, _: &'static str) {}
+
+    fn uint(&mut self, key: &'static str, v: u64) {
+        self.0 += &format!("{key}{v}");
+    }
+
+    fn int(&mut self, key: &'static str, v: i64) {
+        self.0 += &format!("{key}{v}");
+    }
+
+    fn float(&mut self, key: &'static str, v: f64) {
+        self.0 += &format!("{key}{v}");
+    }
+
+    fn flag(&mut self, key: &'static str, v: bool) {
+        self.0 += &format!("{key}{v}");
+    }
+
+    fn text(&mut self, key: &'static str, v: &str) {
+        self.0 += key;
+        self.0.push('"');
+        for c in v.chars() {
+            match c {
+                '"' => self.0.push_str("\\\""),
+                '\\' => self.0.push_str("\\\\"),
+                '\n' => self.0.push_str("\\n"),
+                '\r' => self.0.push_str("\\r"),
+                '\t' => self.0.push_str("\\t"),
+                c if (c as u32) < 0x20 => self.0 += &format!("\\u{:04x}", c as u32),
+                c => self.0.push(c),
+            }
+        }
+        self.0.push('"');
+    }
+}
+
+/// Serialize the event's `"type"` tag and payload fields onto `out`,
+/// each with its leading comma.
+pub(crate) fn write_event<F: Fields>(event: &Event, out: &mut F) {
     match event {
         Event::RunStarted {
             functions,
             nodes,
             trace_version,
         } => {
-            push_u64(out, "functions", *functions);
-            push_u64(out, "nodes", *nodes);
-            push_u64(out, "trace_version", *trace_version);
+            out.tag(",\"type\":\"RunStarted\"");
+            out.uint(",\"functions\":", *functions);
+            out.uint(",\"nodes\":", *nodes);
+            out.uint(",\"trace_version\":", *trace_version);
         }
         Event::PeriodStarted { minute } | Event::PeriodEnded { minute } => {
-            push_u64(out, "minute", *minute);
+            out.tag(if matches!(event, Event::PeriodStarted { .. }) {
+                ",\"type\":\"PeriodStarted\""
+            } else {
+                ",\"type\":\"PeriodEnded\""
+            });
+            out.uint(",\"minute\":", *minute);
         }
         Event::CiObserved {
             region,
             t_ms,
             gco2_per_kwh,
         } => {
-            push_str(out, "region", region);
-            push_u64(out, "t_ms", *t_ms);
-            push_f64(out, "gco2_per_kwh", *gco2_per_kwh);
+            out.tag(",\"type\":\"CiObserved\"");
+            out.text(",\"region\":", region);
+            out.uint(",\"t_ms\":", *t_ms);
+            out.float(",\"gco2_per_kwh\":", *gco2_per_kwh);
         }
         Event::DecisionMade {
             index,
@@ -137,13 +186,14 @@ pub fn write_payload(event: &Event, out: &mut String) {
             ka_node,
             ka_ms,
         } => {
-            push_u64(out, "index", *index);
-            push_u64(out, "func", *func as u64);
-            push_u64(out, "t_ms", *t_ms);
-            push_u64(out, "exec_node", *exec_node as u64);
-            push_bool(out, "warm", *warm);
-            push_i64(out, "ka_node", *ka_node);
-            push_u64(out, "ka_ms", *ka_ms);
+            out.tag(",\"type\":\"DecisionMade\"");
+            out.uint(",\"index\":", *index);
+            out.uint(",\"func\":", *func as u64);
+            out.uint(",\"t_ms\":", *t_ms);
+            out.uint(",\"exec_node\":", *exec_node as u64);
+            out.flag(",\"warm\":", *warm);
+            out.int(",\"ka_node\":", *ka_node);
+            out.uint(",\"ka_ms\":", *ka_ms);
         }
         Event::ColdStarted {
             index,
@@ -163,13 +213,18 @@ pub fn write_payload(event: &Event, out: &mut String) {
             service_g,
             energy_kwh,
         } => {
-            push_u64(out, "index", *index);
-            push_u64(out, "func", *func as u64);
-            push_u64(out, "node", *node as u64);
-            push_u64(out, "t_ms", *t_ms);
-            push_u64(out, "service_ms", *service_ms);
-            push_f64(out, "service_g", *service_g);
-            push_f64(out, "energy_kwh", *energy_kwh);
+            out.tag(if matches!(event, Event::ColdStarted { .. }) {
+                ",\"type\":\"ColdStarted\""
+            } else {
+                ",\"type\":\"WarmHit\""
+            });
+            out.uint(",\"index\":", *index);
+            out.uint(",\"func\":", *func as u64);
+            out.uint(",\"node\":", *node as u64);
+            out.uint(",\"t_ms\":", *t_ms);
+            out.uint(",\"service_ms\":", *service_ms);
+            out.float(",\"service_g\":", *service_g);
+            out.float(",\"energy_kwh\":", *energy_kwh);
         }
         Event::Expired {
             node,
@@ -179,12 +234,13 @@ pub fn write_payload(event: &Event, out: &mut String) {
             keepalive_g,
             energy_kwh,
         } => {
-            push_u64(out, "node", *node as u64);
-            push_u64(out, "func", *func as u64);
-            push_u64(out, "since_ms", *since_ms);
-            push_u64(out, "expiry_ms", *expiry_ms);
-            push_f64(out, "keepalive_g", *keepalive_g);
-            push_f64(out, "energy_kwh", *energy_kwh);
+            out.tag(",\"type\":\"Expired\"");
+            out.uint(",\"node\":", *node as u64);
+            out.uint(",\"func\":", *func as u64);
+            out.uint(",\"since_ms\":", *since_ms);
+            out.uint(",\"expiry_ms\":", *expiry_ms);
+            out.float(",\"keepalive_g\":", *keepalive_g);
+            out.float(",\"energy_kwh\":", *energy_kwh);
         }
         Event::Released {
             cause,
@@ -195,13 +251,14 @@ pub fn write_payload(event: &Event, out: &mut String) {
             keepalive_g,
             energy_kwh,
         } => {
-            push_str(out, "cause", cause.as_str());
-            push_u64(out, "node", *node as u64);
-            push_u64(out, "func", *func as u64);
-            push_u64(out, "since_ms", *since_ms);
-            push_u64(out, "end_ms", *end_ms);
-            push_f64(out, "keepalive_g", *keepalive_g);
-            push_f64(out, "energy_kwh", *energy_kwh);
+            out.tag(",\"type\":\"Released\"");
+            out.text(",\"cause\":", cause.as_str());
+            out.uint(",\"node\":", *node as u64);
+            out.uint(",\"func\":", *func as u64);
+            out.uint(",\"since_ms\":", *since_ms);
+            out.uint(",\"end_ms\":", *end_ms);
+            out.float(",\"keepalive_g\":", *keepalive_g);
+            out.float(",\"energy_kwh\":", *energy_kwh);
         }
         Event::Transferred {
             func,
@@ -211,17 +268,19 @@ pub fn write_payload(event: &Event, out: &mut String) {
             egress_g,
             latency_ms,
         } => {
-            push_u64(out, "func", *func as u64);
-            push_u64(out, "from", *from as u64);
-            push_u64(out, "to", *to as u64);
-            push_u64(out, "t_ms", *t_ms);
-            push_f64(out, "egress_g", *egress_g);
-            push_u64(out, "latency_ms", *latency_ms);
+            out.tag(",\"type\":\"Transferred\"");
+            out.uint(",\"func\":", *func as u64);
+            out.uint(",\"from\":", *from as u64);
+            out.uint(",\"to\":", *to as u64);
+            out.uint(",\"t_ms\":", *t_ms);
+            out.float(",\"egress_g\":", *egress_g);
+            out.uint(",\"latency_ms\":", *latency_ms);
         }
         Event::MembershipChanged { node, t_ms, joined } => {
-            push_u64(out, "node", *node as u64);
-            push_u64(out, "t_ms", *t_ms);
-            push_bool(out, "joined", *joined);
+            out.tag(",\"type\":\"MembershipChanged\"");
+            out.uint(",\"node\":", *node as u64);
+            out.uint(",\"t_ms\":", *t_ms);
+            out.flag(",\"joined\":", *joined);
         }
         Event::Revoked {
             node,
@@ -230,11 +289,12 @@ pub fn write_payload(event: &Event, out: &mut String) {
             keepalive_g,
             energy_kwh,
         } => {
-            push_u64(out, "node", *node as u64);
-            push_u64(out, "func", *func as u64);
-            push_u64(out, "t_ms", *t_ms);
-            push_f64(out, "keepalive_g", *keepalive_g);
-            push_f64(out, "energy_kwh", *energy_kwh);
+            out.tag(",\"type\":\"Revoked\"");
+            out.uint(",\"node\":", *node as u64);
+            out.uint(",\"func\":", *func as u64);
+            out.uint(",\"t_ms\":", *t_ms);
+            out.float(",\"keepalive_g\":", *keepalive_g);
+            out.float(",\"energy_kwh\":", *energy_kwh);
         }
         Event::Enqueued {
             index,
@@ -250,11 +310,16 @@ pub fn write_payload(event: &Event, out: &mut String) {
             t_ms,
             depth,
         } => {
-            push_u64(out, "index", *index);
-            push_u64(out, "func", *func as u64);
-            push_u64(out, "node", *node as u64);
-            push_u64(out, "t_ms", *t_ms);
-            push_u64(out, "depth", *depth as u64);
+            out.tag(if matches!(event, Event::Enqueued { .. }) {
+                ",\"type\":\"Enqueued\""
+            } else {
+                ",\"type\":\"AdmissionRejected\""
+            });
+            out.uint(",\"index\":", *index);
+            out.uint(",\"func\":", *func as u64);
+            out.uint(",\"node\":", *node as u64);
+            out.uint(",\"t_ms\":", *t_ms);
+            out.uint(",\"depth\":", *depth as u64);
         }
         Event::Dequeued {
             index,
@@ -263,50 +328,57 @@ pub fn write_payload(event: &Event, out: &mut String) {
             start_ms,
             queue_ms,
         } => {
-            push_u64(out, "index", *index);
-            push_u64(out, "func", *func as u64);
-            push_u64(out, "node", *node as u64);
-            push_u64(out, "start_ms", *start_ms);
-            push_u64(out, "queue_ms", *queue_ms);
+            out.tag(",\"type\":\"Dequeued\"");
+            out.uint(",\"index\":", *index);
+            out.uint(",\"func\":", *func as u64);
+            out.uint(",\"node\":", *node as u64);
+            out.uint(",\"start_ms\":", *start_ms);
+            out.uint(",\"queue_ms\":", *queue_ms);
         }
         Event::NodeCrashed {
             node,
             t_ms,
             recover_ms,
         } => {
-            push_u64(out, "node", *node as u64);
-            push_u64(out, "t_ms", *t_ms);
-            push_u64(out, "recover_ms", *recover_ms);
+            out.tag(",\"type\":\"NodeCrashed\"");
+            out.uint(",\"node\":", *node as u64);
+            out.uint(",\"t_ms\":", *t_ms);
+            out.uint(",\"recover_ms\":", *recover_ms);
         }
         Event::NodeRecovered { node, t_ms } => {
-            push_u64(out, "node", *node as u64);
-            push_u64(out, "t_ms", *t_ms);
+            out.tag(",\"type\":\"NodeRecovered\"");
+            out.uint(",\"node\":", *node as u64);
+            out.uint(",\"t_ms\":", *t_ms);
         }
         Event::CiStale {
             region,
             t_ms,
             until_ms,
         } => {
-            push_str(out, "region", region);
-            push_u64(out, "t_ms", *t_ms);
-            push_u64(out, "until_ms", *until_ms);
+            out.tag(",\"type\":\"CiStale\"");
+            out.text(",\"region\":", region);
+            out.uint(",\"t_ms\":", *t_ms);
+            out.uint(",\"until_ms\":", *until_ms);
         }
         Event::CiRestored { region, t_ms } => {
-            push_str(out, "region", region);
-            push_u64(out, "t_ms", *t_ms);
+            out.tag(",\"type\":\"CiRestored\"");
+            out.text(",\"region\":", region);
+            out.uint(",\"t_ms\":", *t_ms);
         }
         Event::PartitionStarted {
             regions,
             t_ms,
             until_ms,
         } => {
-            push_str(out, "regions", regions);
-            push_u64(out, "t_ms", *t_ms);
-            push_u64(out, "until_ms", *until_ms);
+            out.tag(",\"type\":\"PartitionStarted\"");
+            out.text(",\"regions\":", regions);
+            out.uint(",\"t_ms\":", *t_ms);
+            out.uint(",\"until_ms\":", *until_ms);
         }
         Event::PartitionHealed { regions, t_ms } => {
-            push_str(out, "regions", regions);
-            push_u64(out, "t_ms", *t_ms);
+            out.tag(",\"type\":\"PartitionHealed\"");
+            out.text(",\"regions\":", regions);
+            out.uint(",\"t_ms\":", *t_ms);
         }
         Event::TransferRetried {
             func,
@@ -315,11 +387,12 @@ pub fn write_payload(event: &Event, out: &mut String) {
             attempt,
             backoff_ms,
         } => {
-            push_u64(out, "func", *func as u64);
-            push_u64(out, "node", *node as u64);
-            push_u64(out, "t_ms", *t_ms);
-            push_u64(out, "attempt", *attempt as u64);
-            push_u64(out, "backoff_ms", *backoff_ms);
+            out.tag(",\"type\":\"TransferRetried\"");
+            out.uint(",\"func\":", *func as u64);
+            out.uint(",\"node\":", *node as u64);
+            out.uint(",\"t_ms\":", *t_ms);
+            out.uint(",\"attempt\":", *attempt as u64);
+            out.uint(",\"backoff_ms\":", *backoff_ms);
         }
         Event::CrashRejected {
             index,
@@ -327,10 +400,11 @@ pub fn write_payload(event: &Event, out: &mut String) {
             node,
             t_ms,
         } => {
-            push_u64(out, "index", *index);
-            push_u64(out, "func", *func as u64);
-            push_u64(out, "node", *node as u64);
-            push_u64(out, "t_ms", *t_ms);
+            out.tag(",\"type\":\"CrashRejected\"");
+            out.uint(",\"index\":", *index);
+            out.uint(",\"func\":", *func as u64);
+            out.uint(",\"node\":", *node as u64);
+            out.uint(",\"t_ms\":", *t_ms);
         }
         Event::RunEnded {
             invocations,
@@ -340,12 +414,13 @@ pub fn write_payload(event: &Event, out: &mut String) {
             expired,
             horizon_ms,
         } => {
-            push_u64(out, "invocations", *invocations);
-            push_u64(out, "transfers", *transfers);
-            push_u64(out, "evictions", *evictions);
-            push_u64(out, "revocations", *revocations);
-            push_u64(out, "expired", *expired);
-            push_u64(out, "horizon_ms", *horizon_ms);
+            out.tag(",\"type\":\"RunEnded\"");
+            out.uint(",\"invocations\":", *invocations);
+            out.uint(",\"transfers\":", *transfers);
+            out.uint(",\"evictions\":", *evictions);
+            out.uint(",\"revocations\":", *revocations);
+            out.uint(",\"expired\":", *expired);
+            out.uint(",\"horizon_ms\":", *horizon_ms);
         }
     }
 }
@@ -400,9 +475,11 @@ mod tests {
             keepalive_g: 0.1,
             energy_kwh: 2.5e-7,
         };
-        let mut line = String::from("{\"seq\":9,\"prev\":\"aa\",\"type\":\"Released\"");
-        write_payload(&ev, &mut line);
-        line.push('}');
+        let mut bytes = b"{\"seq\":9,\"prev\":\"aa\"".to_vec();
+        write_event(&ev, &mut bytes);
+        bytes.push(b'}');
+        let line = String::from_utf8(bytes).unwrap();
+        assert_eq!(str_field(&line, "type"), Some("Released"));
         assert_eq!(str_field(&line, "cause"), Some("displaced"));
         assert_eq!(u64_field(&line, "node"), Some(3));
         assert_eq!(u64_field(&line, "func"), Some(17));
@@ -423,11 +500,18 @@ mod tests {
         assert_eq!(field("", "seq"), None);
     }
 
-    /// The writers print numbers exactly as `to_string` does: integers
-    /// on both sides of every digit-count boundary, then floats.
+    /// The byte writer prints every value exactly as the `fmt` oracle
+    /// does: integers on both sides of every digit-count boundary,
+    /// floats, flags and strings that need escaping.
     #[test]
     fn numbers_print_as_to_string() {
-        let expect = |written: String, text: String| assert_eq!(written, format!(",\"k\":{text}"));
+        fn expect(write: impl Fn(&mut dyn Fields)) {
+            let mut bytes = Vec::new();
+            let mut fmt = FmtFields::default();
+            write(&mut bytes);
+            write(&mut fmt);
+            assert_eq!(String::from_utf8(bytes).unwrap(), fmt.0);
+        }
         let mut unsigned = vec![0, 1, 1 << 53, u64::MAX - 1, u64::MAX];
         let mut power = 1u64;
         for _ in 0..19 {
@@ -436,9 +520,7 @@ mod tests {
             power *= 10;
         }
         for &v in &unsigned {
-            let mut s = String::new();
-            push_u64(&mut s, "k", v);
-            expect(s, v.to_string());
+            expect(|f| f.uint(",\"k\":", v));
         }
         let mut signed = vec![-1, -9, -10, i64::MIN, i64::MIN + 1, i64::MAX];
         signed.extend(unsigned.iter().filter_map(|&v| i64::try_from(v).ok()));
@@ -448,9 +530,7 @@ mod tests {
                 .filter_map(|&v| i64::try_from(v).ok().map(|v| -v)),
         );
         for v in signed {
-            let mut s = String::new();
-            push_i64(&mut s, "k", v);
-            expect(s, v.to_string());
+            expect(|f| f.int(",\"k\":", v));
         }
         for v in [
             0.0,
@@ -461,17 +541,33 @@ mod tests {
             2.5e-7,
             f64::MAX,
         ] {
-            let mut s = String::new();
-            push_f64(&mut s, "k", v);
-            expect(s, v.to_string());
+            expect(|f| f.float(",\"k\":", v));
+        }
+        for v in [true, false] {
+            expect(|f| f.flag(",\"k\":", v));
+        }
+        for v in [
+            "",
+            "CAL",
+            "a\"b\\c",
+            "tab\tnl\ncr\r",
+            "bell\u{7}esc\u{1b}\u{1f}",
+            "Zürich",
+        ] {
+            expect(|f| f.text(",\"k\":", v));
         }
     }
 
-    /// Shortest-roundtrip: every finite f64 serialized by the sink
-    /// parses back to the identical bits. Random bit patterns from a
-    /// local xorshift (the telemetry crate has no rand dependency).
+    /// Shortest-roundtrip: every finite f64 the writer prints parses
+    /// back to the identical bits. Random bit patterns from a local
+    /// xorshift (the telemetry crate has no rand dependency).
     #[test]
     fn f64_round_trips_bit_exactly() {
+        let print = |v: f64| {
+            let mut bytes = Vec::new();
+            push_f64(&mut bytes, v);
+            String::from_utf8(bytes).unwrap()
+        };
         let mut x = 0x9E37_79B9_7F4A_7C15u64;
         let mut step = || {
             x ^= x << 13;
@@ -486,7 +582,7 @@ mod tests {
             if !v.is_finite() {
                 continue;
             }
-            let s = v.to_string();
+            let s = print(v);
             assert!(
                 !s.contains(['e', 'E']),
                 "scientific notation would change the contract: {s}"
@@ -501,7 +597,7 @@ mod tests {
         }
         // And the awkward fixed points.
         for v in [0.0, -0.0, 1.0 / 3.0, f64::MIN_POSITIVE, f64::MAX, 2.5e-7] {
-            let back: f64 = v.to_string().parse().unwrap();
+            let back: f64 = print(v).parse().unwrap();
             assert_eq!(back.to_bits(), v.to_bits());
         }
     }

@@ -32,6 +32,7 @@
 //! crate emits, everything downstream only reads lines.
 
 pub mod chain;
+mod decimal;
 pub mod diff;
 pub mod event;
 pub mod golden;

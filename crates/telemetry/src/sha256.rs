@@ -218,13 +218,30 @@ pub fn sha256(data: &[u8]) -> [u8; 32] {
     sha256_scalar(data)
 }
 
+/// The two lowercase hex digits of every byte.
+const HEX_PAIRS: [[u8; 2]; 256] = {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
+    let mut pairs = [[0; 2]; 256];
+    let mut b = 0;
+    while b < 256 {
+        pairs[b] = [DIGITS[b >> 4], DIGITS[b & 0xf]];
+        b += 1;
+    }
+    pairs
+};
+
+/// `digest` in lowercase hex, a table lookup per byte.
+pub(crate) fn hex_digits(digest: &[u8; 32]) -> [u8; 64] {
+    let mut out = [0; 64];
+    for (pair, &b) in out.chunks_exact_mut(2).zip(digest) {
+        pair.copy_from_slice(&HEX_PAIRS[usize::from(b)]);
+    }
+    out
+}
+
 /// Write `digest` as lowercase hex into `out` and return it as text.
 pub(crate) fn to_hex<'a>(digest: &[u8; 32], out: &'a mut [u8; 64]) -> &'a str {
-    const DIGITS: &[u8; 16] = b"0123456789abcdef";
-    for (pair, b) in out.chunks_exact_mut(2).zip(digest) {
-        pair[0] = DIGITS[(b >> 4) as usize];
-        pair[1] = DIGITS[(b & 0xf) as usize];
-    }
+    *out = hex_digits(digest);
     std::str::from_utf8(out).expect("hex digits are ASCII")
 }
 
@@ -261,6 +278,36 @@ mod tests {
         ] {
             assert_eq!(sha256_hex(input), want);
             assert_eq!(hex(sha256_scalar(input)), want);
+        }
+    }
+
+    /// The pair table gives what a nibble at a time gives, for every
+    /// byte and for random digests.
+    #[test]
+    fn hex_table_matches_the_nibble_loop() {
+        fn nibbles(digest: &[u8; 32]) -> [u8; 64] {
+            const DIGITS: &[u8; 16] = b"0123456789abcdef";
+            let mut out = [0; 64];
+            for (pair, b) in out.chunks_exact_mut(2).zip(digest) {
+                pair[0] = DIGITS[(b >> 4) as usize];
+                pair[1] = DIGITS[(b & 0xf) as usize];
+            }
+            out
+        }
+        let mut digest = [0u8; 32];
+        for b in 0..=255u8 {
+            digest[usize::from(b) % 32] = b;
+            assert_eq!(hex_digits(&digest), nibbles(&digest), "byte {b:#04x}");
+        }
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        for _ in 0..1_000 {
+            for byte in digest.iter_mut() {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                *byte = x as u8;
+            }
+            assert_eq!(hex_digits(&digest), nibbles(&digest));
         }
     }
 

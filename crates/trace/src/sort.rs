@@ -5,20 +5,23 @@
 //! timestamps keep their input order, exactly as
 //! `sort_by_key(|i| i.t_ms)` keeps them. The sort is an LSD radix sort:
 //! each half is radix-sorted through one scratch of half the length,
-//! then the halves are merged, the left half first on ties. Its extra memory is that scratch and the digit counters: the
-//! standard library's stable sort takes the same n/2 invocations from
-//! 10⁶ of them up, and more below. One sort serves every length: below
-//! about a thousand invocations the counters make a build up to ~10 µs
-//! slower than a comparison sort would, and from about two thousand up
-//! it is as fast or faster.
+//! then the halves are merged, the left half first on ties. Its extra
+//! memory is that scratch and the digit counters: the standard
+//! library's stable sort takes the same n/2 invocations from 10⁶ of them
+//! up, and more below. One sort serves every length: a digit is never
+//! wider than the half it sorts needs (`⌈log₂ len⌉` bits), so a short
+//! trace zeroes and sums a few hundred counters per pass, not thousands.
 
 use crate::invocation::Invocation;
 use crate::workload::FunctionId;
 
 /// Widest radix digit: the pass count comes from the largest key, with
 /// digits of at most this many bits (a 13-bit digit's 8 192 counters fit
-/// in cache). Two passes cover a 10⁶-invocation synthetic trace's 26-bit
-/// keys, three the 27-bit keys of a 10⁷ one.
+/// in cache), and of at most `⌈log₂ len⌉` bits for a half of `len`
+/// invocations, so no pass has many more counters than invocations.
+/// Halves of 8 192 invocations or more keep 13-bit digits: two passes
+/// cover a 10⁶-invocation synthetic trace's 26-bit keys, three the
+/// 27-bit keys of a 10⁷ one.
 const MAX_DIGIT_BITS: u32 = 13;
 
 /// Sort `invocations` by arrival time, stably: exactly the order
@@ -28,10 +31,11 @@ pub(crate) fn sort_by_arrival(invocations: &mut [Invocation]) {
     // At least one bit, so all-zero keys take one pass that moves nothing.
     let max = invocations.iter().map(|i| i.t_ms).max().unwrap_or(0);
     let bits = (u64::BITS - max.leading_zeros()).max(1);
-    let passes = bits.div_ceil(MAX_DIGIT_BITS);
+    let mid = n / 2;
+    let widest = MAX_DIGIT_BITS.min((n - mid).max(2).next_power_of_two().ilog2());
+    let passes = bits.div_ceil(widest);
     let width = bits.div_ceil(passes);
 
-    let mid = n / 2;
     let blank = Invocation {
         func: FunctionId(0),
         t_ms: 0,
