@@ -42,68 +42,56 @@ pub enum OptTarget {
     Energy,
 }
 
+/// The longest keep-alive a baseline considers, in minutes: each
+/// decision enumerates every whole minute from 0 to this, the paper's
+/// 0–10-minute grid.
+const MAX_KEEPALIVE_MIN: u64 = 10;
+
 /// A brute-force baseline scheduler.
 pub struct BruteForce {
     target: OptTarget,
     cost: CostModel,
-    grid_min: Vec<u64>,
     /// Next-arrival gap per invocation index (filled in `prepare`).
     gaps: Vec<Option<u64>>,
     catalog: WorkloadCatalog,
-    /// The node set enumerated per decision: the whole fleet, or the
-    /// restricted node.
-    locations: Vec<NodeId>,
 }
 
 impl BruteForce {
-    pub fn new(target: OptTarget, fleet: Fleet, grid_min: Vec<u64>) -> Self {
-        assert!(grid_min.len() >= 2 && grid_min[0] == 0);
-        let locations: Vec<NodeId> = fleet.ids().collect();
-        let max_k_ms = *grid_min.last().unwrap() * MINUTE_MS;
-        let cost = CostModel::new(fleet, CarbonModel::default(), 0.5, 0.5, max_k_ms);
+    pub fn new(target: OptTarget, fleet: Fleet) -> Self {
         BruteForce {
             target,
-            cost,
-            grid_min,
+            cost: Self::cost_model(fleet, CarbonModel::default()),
             gaps: Vec::new(),
             catalog: WorkloadCatalog::default(),
-            locations,
         }
+    }
+
+    /// Equal λs/λc weights; KC_max prices the grid's longest keep-alive.
+    fn cost_model(fleet: Fleet, carbon: CarbonModel) -> CostModel {
+        CostModel::new(fleet, carbon, 0.5, 0.5, MAX_KEEPALIVE_MIN * MINUTE_MS)
     }
 
     /// Use a non-default carbon model (robustness studies).
     pub fn with_carbon_model(mut self, carbon: CarbonModel) -> Self {
-        let fleet = self.cost.fleet().clone();
-        let max_k_ms = *self.grid_min.last().unwrap() * MINUTE_MS;
-        self.cost = CostModel::new(fleet, carbon, 0.5, 0.5, max_k_ms);
+        self.cost = Self::cost_model(self.cost.fleet().clone(), carbon);
         self
     }
 
-    /// Restrict to one fleet node (used for sanity experiments).
-    pub fn restricted_to(mut self, node: NodeId) -> Self {
-        assert!(
-            self.cost.fleet().contains(node),
-            "restricted to {node:?}, which the fleet does not contain"
-        );
-        self.locations = vec![node];
-        self
-    }
-
-    /// The Oracle with the default 0–10-minute grid.
+    /// The Oracle: the joint λs/λc objective.
     pub fn oracle(fleet: Fleet) -> Self {
-        Self::new(OptTarget::Joint, fleet, (0..=10).collect())
+        Self::new(OptTarget::Joint, fleet)
     }
 
     pub fn co2_opt(fleet: Fleet) -> Self {
-        Self::new(OptTarget::Carbon, fleet, (0..=10).collect())
+        Self::new(OptTarget::Carbon, fleet)
     }
 
     pub fn service_time_opt(fleet: Fleet) -> Self {
-        Self::new(OptTarget::ServiceTime, fleet, (0..=10).collect())
+        Self::new(OptTarget::ServiceTime, fleet)
     }
 
     pub fn energy_opt(fleet: Fleet) -> Self {
-        Self::new(OptTarget::Energy, fleet, (0..=10).collect())
+        Self::new(OptTarget::Energy, fleet)
     }
 
     /// The cold-execution placement rule of this target: the first
@@ -118,11 +106,11 @@ impl BruteForce {
                 OptTarget::Energy => self.cost.service_energy_kwh(r, f, false),
             }
         };
-        *self
-            .locations
-            .iter()
-            .min_by(|a, b| score(**a).partial_cmp(&score(**b)).unwrap())
-            .expect("non-empty location set")
+        self.cost
+            .fleet()
+            .ids()
+            .min_by(|&a, &b| score(a).partial_cmp(&score(b)).unwrap())
+            .expect("non-empty fleet")
     }
 
     /// Score a keep-alive option with exact future knowledge.
@@ -255,8 +243,8 @@ impl Scheduler for BruteForce {
 
         // Brute-force every (node, period) choice.
         let mut best: Option<(f64, NodeId, u64)> = None;
-        for &l in &self.locations {
-            for &k_min in &self.grid_min {
+        for l in self.cost.fleet().ids() {
+            for k_min in 0..=MAX_KEEPALIVE_MIN {
                 let k_ms = k_min * MINUTE_MS;
                 let score =
                     self.keepalive_score(ctx, service_end, gap, &ci_by_node, cold_next, l, k_ms);
@@ -277,19 +265,7 @@ impl Scheduler for BruteForce {
     }
 
     fn on_pool_overflow(&mut self, ctx: &OverflowCtx<'_>) -> OverflowAction {
-        let mut plan = priority_adjustment(&self.cost, &self.catalog, ctx);
-        if self.locations.len() < self.cost.fleet().len() {
-            // A restricted baseline never spills onto nodes outside its
-            // allowed set.
-            plan.transfer_targets = Some(
-                self.locations
-                    .iter()
-                    .copied()
-                    .filter(|&l| l != ctx.location)
-                    .collect(),
-            );
-        }
-        OverflowAction::Adjust(plan)
+        OverflowAction::Adjust(priority_adjustment(&self.cost, &self.catalog, ctx))
     }
 }
 
@@ -317,7 +293,7 @@ mod tests {
 
     fn run(target: OptTarget, trace: &Trace, ci: &CarbonIntensityTrace) -> ecolife_sim::RunMetrics {
         let fleet = skus::fleet_a();
-        let mut s = BruteForce::new(target, fleet.clone(), (0..=10).collect());
+        let mut s = BruteForce::new(target, fleet.clone());
         Simulation::new(trace, ci, fleet).run(&mut s)
     }
 
@@ -414,16 +390,6 @@ mod tests {
         let c = CarbonIntensityTrace::constant(300.0, 60);
         let m = run(OptTarget::Carbon, &t, &c);
         assert_eq!(m.total_keepalive_carbon_g(), 0.0);
-    }
-
-    #[test]
-    fn restriction_is_respected() {
-        let t = trace();
-        let c = ci();
-        let fleet = skus::fleet_a();
-        let mut s = BruteForce::oracle(fleet.clone()).restricted_to(NodeId(0));
-        let m = Simulation::new(&t, &c, fleet).run(&mut s);
-        assert!(m.records.iter().all(|r| r.exec_location == NodeId(0)));
     }
 
     #[test]

@@ -60,10 +60,9 @@ pub struct PlannerConfig {
     /// The inner keep-alive scheduler evaluated on every candidate
     /// fleet (its `seed` field is overridden per candidate).
     pub scheduler: EcoLifeConfig,
-    /// Engine knobs for the inner replay of every candidate — the
-    /// default keeps the expiry-timeline fast path
-    /// ([`ecolife_sim::ExpiryMode::Timeline`]); scores are bit-identical
-    /// under the reference scan, only slower.
+    /// Engine knobs for the inner replay of every candidate (carbon
+    /// model, transfer pricing, re-placement cadence, bounded
+    /// executors).
     pub sim: ecolife_sim::SimConfig,
 }
 
@@ -447,35 +446,6 @@ mod tests {
         let ser_f = ser.fitness_batch(&doubled);
         assert_eq!(par_f, ser_f, "parallel and serial fitness diverged");
         assert_eq!(&par_f[..plans.len()], &par_f[plans.len()..]);
-    }
-
-    #[test]
-    fn expiry_timeline_scores_identically_to_the_reference_scan() {
-        // The planner's inner loop rides the timeline fast path; a plan's
-        // score — a pure function of the replay records — must match the
-        // scan reference to the last bit.
-        let (trace, ci) = setup();
-        let plan = FleetPlan {
-            counts: vec![1, 1],
-            mem_budget_mib: 4_096,
-        };
-        let with_expiry = |mode| PlannerConfig {
-            sim: ecolife_sim::SimConfig::default().with_expiry(mode),
-            ..quick_config()
-        };
-        let timeline = PlanEvaluator::new(
-            space(),
-            &trace,
-            &ci,
-            with_expiry(ecolife_sim::ExpiryMode::Timeline),
-        );
-        let scan = PlanEvaluator::new(
-            space(),
-            &trace,
-            &ci,
-            with_expiry(ecolife_sim::ExpiryMode::Scan),
-        );
-        assert_eq!(timeline.score(&plan), scan.score(&plan));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Cluster state: an N-node fleet plus one warm pool per node.
 
 use crate::executor::{ExecutorConfig, NodeExecutors};
-use crate::pool::{ExpiryMode, WarmPool};
+use crate::pool::WarmPool;
 use ecolife_hw::{Fleet, HardwareNode, NodeId};
 use ecolife_trace::FunctionId;
 
@@ -36,17 +36,11 @@ pub struct Cluster {
 
 impl Cluster {
     /// Build a cluster; pool budgets come from each node's
-    /// `keepalive_mem_mib`. Pools run the default expiry timeline.
+    /// `keepalive_mem_mib`.
     pub fn new(fleet: Fleet) -> Self {
-        Self::with_expiry(fleet, ExpiryMode::default())
-    }
-
-    /// Build a cluster whose pools use an explicit expiry implementation
-    /// (the engine threads [`SimConfig::expiry`](crate::SimConfig) here).
-    pub fn with_expiry(fleet: Fleet, mode: ExpiryMode) -> Self {
         let pools = fleet
             .iter()
-            .map(|n| WarmPool::with_mode(n.keepalive_mem_mib, mode))
+            .map(|n| WarmPool::new(n.keepalive_mem_mib))
             .collect();
         let warm_order = fleet.warm_preference();
         let active = vec![true; fleet.len()];

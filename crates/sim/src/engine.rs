@@ -74,7 +74,6 @@ use crate::faults::FaultPlan;
 use crate::membership::{MembershipEvent, MembershipPlan};
 use crate::metrics::{InvocationRecord, RunMetrics};
 use crate::parallel::{default_threads, parallel_map_threads};
-use crate::pool::ExpiryMode;
 use crate::scheduler::{
     Decision, InvocationCtx, KeepAliveChoice, OverflowAction, OverflowCtx, Scheduler,
 };
@@ -219,12 +218,6 @@ pub const SETUP_DELAY_MS: u64 = 50;
 pub struct SimConfig {
     /// The carbon model (embodied scaling etc.).
     pub carbon_model: CarbonModel,
-    /// How warm pools find lapsed containers: the expiry timeline
-    /// (default — a min-heap peek instead of a per-invocation pool
-    /// scan) or the original scan, kept as the bit-identity reference
-    /// ([`ExpiryMode::Scan`]). Records are identical either way; only
-    /// wall-clock differs.
-    pub expiry: ExpiryMode,
     /// Price of a cross-node container migration (egress grams at the
     /// source grid + re-warm latency). Defaults to
     /// [`TransferCost::free`]: every charge site adds `+ 0.0`/`+ 0`, so
@@ -256,7 +249,6 @@ impl Default for SimConfig {
     fn default() -> Self {
         SimConfig {
             carbon_model: CarbonModel::default(),
-            expiry: ExpiryMode::default(),
             transfer_cost: TransferCost::free(),
             replacement_every_min: 0,
             bounded_executors: None,
@@ -265,12 +257,6 @@ impl Default for SimConfig {
 }
 
 impl SimConfig {
-    /// This config with an explicit expiry implementation.
-    pub fn with_expiry(mut self, expiry: ExpiryMode) -> Self {
-        self.expiry = expiry;
-        self
-    }
-
     /// This config with priced migrations.
     pub fn with_transfer_cost(mut self, cost: TransferCost) -> Self {
         self.transfer_cost = cost;
@@ -813,7 +799,7 @@ impl<'r> Engine<'r> {
     /// `sealer` (see [`crate::stream`]). Close the run with
     /// [`Engine::close`], not [`Engine::seal`].
     pub fn begin_sealing(&self, sealer: Sealer) -> RunState {
-        let mut cluster = Cluster::with_expiry((*self.fleet).clone(), self.config.expiry);
+        let mut cluster = Cluster::new((*self.fleet).clone());
         if let Some(cfg) = self.config.bounded_executors {
             cluster.enable_executors(cfg);
         }

@@ -8,8 +8,7 @@
 //!   holding the containers kept alive between invocations in slots
 //!   indexed by function id; expiry runs off a min-heap timeline with
 //!   one live entry per function (a heap-top peek per invocation instead
-//!   of a pool scan; [`ExpiryMode::Scan`] keeps the original scan as the
-//!   bit-identity reference);
+//!   of a pool scan);
 //! * **engine** ([`engine`]) — advances invocation by invocation,
 //!   expiring containers, classifying warm/cold starts, computing service
 //!   time via the node performance model and carbon via the Sec. II
@@ -83,7 +82,7 @@ pub use engine::{Engine, RunState, SimConfig, Simulation, SETUP_DELAY_MS};
 pub use executor::{Admission, ExecutorConfig, NodeExecutors};
 pub use metrics::{InvocationRecord, RunMetrics};
 pub use parallel::{parallel_map, parallel_map_threads};
-pub use pool::{ExpiryMode, ExpiryStats, WarmPool};
+pub use pool::{ExpiryStats, WarmPool};
 pub use scheduler::{
     AdjustPlan, Decision, InvocationCtx, KeepAliveChoice, OverflowAction, OverflowCtx, Scheduler,
 };

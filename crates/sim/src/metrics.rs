@@ -130,13 +130,12 @@ pub struct RunMetrics {
     /// sharded merge takes the elementwise max across shards.
     pub executor_peak_by_node: Vec<u32>,
     /// Expiry-machinery counters summed over every pool the run touched
-    /// (`expired` is mode-independent; `timeline_pops`/`stale_pops`
-    /// count the timeline's work and the pops that expired nothing,
-    /// `scanned` the reference scan's work — see [`ExpiryStats`]). The
-    /// pop counts depend on how inserts and sweeps interleave, so a
-    /// sharded run may pop a different number of entries than the
-    /// sequential run of the same trace while expiring the same
-    /// containers.
+    /// (`expired` counts reclaimed containers, `timeline_pops` and
+    /// `stale_pops` the timeline's work and the pops that expired
+    /// nothing — see [`ExpiryStats`]). The pop counts depend on how
+    /// inserts and sweeps interleave, so a sharded run may pop a
+    /// different number of entries than the sequential run of the same
+    /// trace while expiring the same containers.
     pub expiry: ExpiryStats,
     /// Warm-pool MiB lost to ungraceful node crashes
     /// ([`FaultPlan`](crate::FaultPlan)'s `NodeCrash`): the resident set

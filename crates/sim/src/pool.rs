@@ -22,44 +22,28 @@
 //!
 //! [`WarmPool::expire_until`] is therefore O(1) when nothing is due — a
 //! heap-top peek — instead of a scan of every resident container, and
-//! pops only due entries otherwise. The scan implementation survives
-//! behind [`ExpiryMode::Scan`] as the bit-identity reference the
-//! property suites replay against.
+//! pops only due entries otherwise. The pool's model test
+//! (`tests/pool_properties.rs`) keeps that scan as its reference: over
+//! random operation sequences the pool must give every answer a
+//! function-ordered map swept in full would give.
 
 use crate::container::WarmContainer;
 use ecolife_trace::FunctionId;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// How a pool finds its lapsed containers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExpiryMode {
-    /// The expiry-timeline fast path (min-heap, one live entry per
-    /// function): `expire_until` peeks the heap top and pops only due
-    /// entries.
-    #[default]
-    Timeline,
-    /// The original full-pool scan — it walks every slot of the pool
-    /// (one per function id) per call. Kept as the reference
-    /// implementation: the timeline must reproduce its records
-    /// bit-for-bit (tests/expiry_timeline.rs, CI smoke bench).
-    Scan,
-}
-
 /// Expiry-machinery observability counters (surfaced per run through
 /// [`RunMetrics`](crate::RunMetrics)).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExpiryStats {
-    /// Containers actually reclaimed by expiry (identical across modes).
+    /// Containers actually reclaimed by expiry.
     pub expired: u64,
-    /// Timeline entries popped; `Timeline` mode only.
+    /// Timeline entries popped.
     pub timeline_pops: u64,
     /// Popped entries that expired nothing: superseded by an earlier
     /// push, left by a container that is gone, or pushed again at their
-    /// container's later expiry; `Timeline` mode only.
+    /// container's later expiry.
     pub stale_pops: u64,
-    /// Residents examined by the reference scan; `Scan` mode only.
-    pub scanned: u64,
 }
 
 impl ExpiryStats {
@@ -68,7 +52,6 @@ impl ExpiryStats {
         self.expired += other.expired;
         self.timeline_pops += other.timeline_pops;
         self.stale_pops += other.stale_pops;
-        self.scanned += other.scanned;
     }
 }
 
@@ -81,7 +64,7 @@ struct Slot {
     container: Option<WarmContainer>,
     /// Time of the function's one live timeline entry, or
     /// [`UNSCHEDULED`]. At or before `container`'s expiry while it is
-    /// resident; always `UNSCHEDULED` in [`ExpiryMode::Scan`].
+    /// resident.
     scheduled_ms: u64,
 }
 
@@ -114,24 +97,15 @@ pub struct WarmPool {
     /// Number of resident containers.
     len: usize,
     /// The expiry timeline: min-heap of `(expiry_ms, func)`, one live
-    /// entry per function (see the module docs). Unused (empty) in
-    /// [`ExpiryMode::Scan`].
+    /// entry per function (see the module docs).
     timeline: BinaryHeap<Reverse<(u64, FunctionId)>>,
-    mode: ExpiryMode,
     stats: ExpiryStats,
 }
 
 impl WarmPool {
     pub fn new(capacity_mib: u64) -> Self {
-        Self::with_mode(capacity_mib, ExpiryMode::Timeline)
-    }
-
-    /// A pool with an explicit expiry implementation (the engine threads
-    /// [`SimConfig::expiry`](crate::SimConfig) through here).
-    pub fn with_mode(capacity_mib: u64, mode: ExpiryMode) -> Self {
         WarmPool {
             capacity_mib,
-            mode,
             ..WarmPool::default()
         }
     }
@@ -144,12 +118,6 @@ impl WarmPool {
     #[inline]
     pub fn used_mib(&self) -> u64 {
         self.used_mib
-    }
-
-    /// The expiry implementation this pool runs.
-    #[inline]
-    pub fn mode(&self) -> ExpiryMode {
-        self.mode
     }
 
     /// Expiry-machinery counters accumulated so far.
@@ -213,7 +181,7 @@ impl WarmPool {
             self.slots.resize(idx + 1, Slot::EMPTY);
         }
         let slot = &mut self.slots[idx];
-        if self.mode == ExpiryMode::Timeline && container.expiry_ms < slot.scheduled_ms {
+        if container.expiry_ms < slot.scheduled_ms {
             slot.scheduled_ms = container.expiry_ms;
             self.timeline
                 .push(Reverse((container.expiry_ms, container.func)));
@@ -251,65 +219,50 @@ impl WarmPool {
     /// bit-reproducible run to run (the determinism suite compares them
     /// exactly).
     ///
-    /// Timeline mode answers the overwhelmingly common nothing-is-due
-    /// case with one heap-top peek; the scan reference walks every
-    /// resident. Both return the identical container sequence.
+    /// The overwhelmingly common nothing-is-due case is one heap-top
+    /// peek.
     pub fn expire_until(&mut self, t_ms: u64) -> Vec<WarmContainer> {
-        match self.mode {
-            ExpiryMode::Timeline => {
-                // Fast path: nothing due (or nothing resident at all).
-                match self.timeline.peek() {
-                    Some(&Reverse((expiry, _))) if expiry <= t_ms => {}
-                    _ => return Vec::new(),
-                }
-                let mut dead: Vec<WarmContainer> = Vec::new();
-                while let Some(&Reverse((expiry, func))) = self.timeline.peek() {
-                    if expiry > t_ms {
-                        break;
-                    }
-                    self.timeline.pop();
-                    self.stats.timeline_pops += 1;
-                    let slot = &mut self.slots[func.as_usize()];
-                    if slot.scheduled_ms != expiry {
-                        // Superseded by an earlier push for `func`.
-                        self.stats.stale_pops += 1;
-                        continue;
-                    }
-                    match slot.container {
-                        Some(c) if c.expiry_ms <= t_ms => {
-                            slot.scheduled_ms = UNSCHEDULED;
-                            dead.push(self.remove(func).expect("resident container"));
-                        }
-                        Some(c) => {
-                            // Kept alive past this entry: it moves to
-                            // the container's own expiry.
-                            slot.scheduled_ms = c.expiry_ms;
-                            self.timeline.push(Reverse((c.expiry_ms, func)));
-                            self.stats.stale_pops += 1;
-                        }
-                        None => {
-                            slot.scheduled_ms = UNSCHEDULED;
-                            self.stats.stale_pops += 1;
-                        }
-                    }
-                }
-                // The heap yields (expiry, func) order; the engine pins
-                // FunctionId order (see above).
-                dead.sort_unstable_by_key(|c| c.func);
-                self.stats.expired += dead.len() as u64;
-                dead
+        // Fast path: nothing due (or nothing resident at all).
+        match self.timeline.peek() {
+            Some(&Reverse((expiry, _))) if expiry <= t_ms => {}
+            _ => return Vec::new(),
+        }
+        let mut dead: Vec<WarmContainer> = Vec::new();
+        while let Some(&Reverse((expiry, func))) = self.timeline.peek() {
+            if expiry > t_ms {
+                break;
             }
-            ExpiryMode::Scan => {
-                self.stats.scanned += self.len as u64;
-                let expired: Vec<FunctionId> = self
-                    .iter()
-                    .filter(|c| c.expiry_ms <= t_ms)
-                    .map(|c| c.func)
-                    .collect();
-                self.stats.expired += expired.len() as u64;
-                expired.into_iter().filter_map(|f| self.remove(f)).collect()
+            self.timeline.pop();
+            self.stats.timeline_pops += 1;
+            let slot = &mut self.slots[func.as_usize()];
+            if slot.scheduled_ms != expiry {
+                // Superseded by an earlier push for `func`.
+                self.stats.stale_pops += 1;
+                continue;
+            }
+            match slot.container {
+                Some(c) if c.expiry_ms <= t_ms => {
+                    slot.scheduled_ms = UNSCHEDULED;
+                    dead.push(self.remove(func).expect("resident container"));
+                }
+                Some(c) => {
+                    // Kept alive past this entry: it moves to the
+                    // container's own expiry.
+                    slot.scheduled_ms = c.expiry_ms;
+                    self.timeline.push(Reverse((c.expiry_ms, func)));
+                    self.stats.stale_pops += 1;
+                }
+                None => {
+                    slot.scheduled_ms = UNSCHEDULED;
+                    self.stats.stale_pops += 1;
+                }
             }
         }
+        // The heap yields (expiry, func) order; the engine pins
+        // FunctionId order (see above).
+        dead.sort_unstable_by_key(|c| c.func);
+        self.stats.expired += dead.len() as u64;
+        dead
     }
 
     /// Drain every container (end-of-run settlement), in `FunctionId`
@@ -343,76 +296,60 @@ mod tests {
         }
     }
 
-    /// Run a test body against both expiry implementations.
-    fn both_modes(test: impl Fn(fn(u64) -> WarmPool)) {
-        test(|cap| WarmPool::with_mode(cap, ExpiryMode::Timeline));
-        test(|cap| WarmPool::with_mode(cap, ExpiryMode::Scan));
-    }
-
     #[test]
     fn insert_tracks_memory() {
-        both_modes(|pool| {
-            let mut p = pool(1_000);
-            p.insert(c(0, 400, 0, 100)).unwrap();
-            p.insert(c(1, 500, 0, 100)).unwrap();
-            assert_eq!(p.used_mib(), 900);
-            assert_eq!(p.free_mib(), 100);
-            assert_eq!(p.len(), 2);
-        });
+        let mut p = WarmPool::new(1_000);
+        p.insert(c(0, 400, 0, 100)).unwrap();
+        p.insert(c(1, 500, 0, 100)).unwrap();
+        assert_eq!(p.used_mib(), 900);
+        assert_eq!(p.free_mib(), 100);
+        assert_eq!(p.len(), 2);
     }
 
     #[test]
     fn insert_rejects_over_capacity_without_mutation() {
-        both_modes(|pool| {
-            let mut p = pool(1_000);
-            p.insert(c(0, 800, 0, 100)).unwrap();
-            let rejected = p.insert(c(1, 300, 0, 100));
-            assert!(rejected.is_err());
-            assert_eq!(p.used_mib(), 800);
-            assert_eq!(p.len(), 1);
-        });
+        let mut p = WarmPool::new(1_000);
+        p.insert(c(0, 800, 0, 100)).unwrap();
+        let rejected = p.insert(c(1, 300, 0, 100));
+        assert!(rejected.is_err());
+        assert_eq!(p.used_mib(), 800);
+        assert_eq!(p.len(), 1);
     }
 
     #[test]
     fn replacing_same_function_reclaims_memory() {
-        both_modes(|pool| {
-            let mut p = pool(1_000);
-            p.insert(c(0, 800, 0, 100)).unwrap();
-            // Same function, smaller footprint: must fit via reclaim.
-            let old = p.insert(c(0, 600, 10, 200)).unwrap();
-            assert_eq!(old.unwrap().memory_mib, 800);
-            assert_eq!(p.used_mib(), 600);
-            assert_eq!(p.len(), 1);
-            assert_eq!(p.get(FunctionId(0)).unwrap().expiry_ms, 200);
-        });
+        let mut p = WarmPool::new(1_000);
+        p.insert(c(0, 800, 0, 100)).unwrap();
+        // Same function, smaller footprint: must fit via reclaim.
+        let old = p.insert(c(0, 600, 10, 200)).unwrap();
+        assert_eq!(old.unwrap().memory_mib, 800);
+        assert_eq!(p.used_mib(), 600);
+        assert_eq!(p.len(), 1);
+        assert_eq!(p.get(FunctionId(0)).unwrap().expiry_ms, 200);
     }
 
     #[test]
     fn fits_accounts_for_replacement() {
-        both_modes(|pool| {
-            let mut p = pool(1_000);
-            p.insert(c(0, 900, 0, 100)).unwrap();
-            assert!(p.fits(&c(0, 1_000, 0, 100)));
-            assert!(!p.fits(&c(1, 200, 0, 100)));
-        });
+        let mut p = WarmPool::new(1_000);
+        p.insert(c(0, 900, 0, 100)).unwrap();
+        assert!(p.fits(&c(0, 1_000, 0, 100)));
+        assert!(!p.fits(&c(1, 200, 0, 100)));
     }
 
     #[test]
     fn expire_until_removes_only_lapsed() {
-        both_modes(|pool| {
-            let mut p = pool(10_000);
-            p.insert(c(0, 100, 0, 50)).unwrap();
-            p.insert(c(1, 100, 0, 150)).unwrap();
-            p.insert(c(2, 100, 0, 100)).unwrap();
-            let dead = p.expire_until(100);
-            // Returned in FunctionId order by contract (no re-sort here).
-            assert_eq!(dead.len(), 2);
-            assert_eq!(dead[0].func, FunctionId(0));
-            assert_eq!(dead[1].func, FunctionId(2));
-            assert_eq!(p.len(), 1);
-            assert_eq!(p.used_mib(), 100);
-            assert_eq!(p.expiry_stats().expired, 2);
-        });
+        let mut p = WarmPool::new(10_000);
+        p.insert(c(0, 100, 0, 50)).unwrap();
+        p.insert(c(1, 100, 0, 150)).unwrap();
+        p.insert(c(2, 100, 0, 100)).unwrap();
+        let dead = p.expire_until(100);
+        // Returned in FunctionId order by contract (no re-sort here).
+        assert_eq!(dead.len(), 2);
+        assert_eq!(dead[0].func, FunctionId(0));
+        assert_eq!(dead[1].func, FunctionId(2));
+        assert_eq!(p.len(), 1);
+        assert_eq!(p.used_mib(), 100);
+        assert_eq!(p.expiry_stats().expired, 2);
     }
 
     #[test]
@@ -420,77 +357,67 @@ mod tests {
         // f5 expires before f2, but a single expire_until call must
         // return FunctionId order — the settle order the sequential
         // engine pinned long before the timeline existed.
-        both_modes(|pool| {
-            let mut p = pool(10_000);
-            p.insert(c(5, 100, 0, 10)).unwrap();
-            p.insert(c(2, 100, 0, 20)).unwrap();
-            let dead = p.expire_until(30);
-            assert_eq!(dead[0].func, FunctionId(2));
-            assert_eq!(dead[1].func, FunctionId(5));
-        });
+        let mut p = WarmPool::new(10_000);
+        p.insert(c(5, 100, 0, 10)).unwrap();
+        p.insert(c(2, 100, 0, 20)).unwrap();
+        let dead = p.expire_until(30);
+        assert_eq!(dead[0].func, FunctionId(2));
+        assert_eq!(dead[1].func, FunctionId(5));
     }
 
     #[test]
     fn remove_missing_is_none() {
-        both_modes(|pool| {
-            let mut p = pool(100);
-            assert!(p.remove(FunctionId(9)).is_none());
-        });
+        let mut p = WarmPool::new(100);
+        assert!(p.remove(FunctionId(9)).is_none());
     }
 
     #[test]
     fn drain_all_resets() {
-        both_modes(|pool| {
-            let mut p = pool(1_000);
-            p.insert(c(0, 100, 0, 50)).unwrap();
-            p.insert(c(1, 100, 0, 50)).unwrap();
-            let drained = p.drain_all();
-            assert_eq!(drained.len(), 2);
-            assert!(p.is_empty());
-            assert_eq!(p.used_mib(), 0);
-            // A drained pool's timeline holds no live entries: nothing
-            // can "expire" afterwards.
-            assert!(p.expire_until(u64::MAX).is_empty());
-        });
+        let mut p = WarmPool::new(1_000);
+        p.insert(c(0, 100, 0, 50)).unwrap();
+        p.insert(c(1, 100, 0, 50)).unwrap();
+        let drained = p.drain_all();
+        assert_eq!(drained.len(), 2);
+        assert!(p.is_empty());
+        assert_eq!(p.used_mib(), 0);
+        // A drained pool's timeline holds no live entries: nothing
+        // can "expire" afterwards.
+        assert!(p.expire_until(u64::MAX).is_empty());
     }
 
     #[test]
     fn external_pressure_counts_toward_admission() {
-        both_modes(|pool| {
-            let mut p = pool(1_000);
-            p.insert(c(0, 400, 0, 100)).unwrap();
-            assert_eq!(p.free_mib(), 600);
-            p.set_external_used_mib(500);
-            assert_eq!(p.free_mib(), 100);
-            // 200 MiB no longer fits (400 own + 500 external + 200 > 1000)…
-            assert!(p.insert(c(1, 200, 0, 100)).is_err());
-            // …but replacing the resident 400-MiB entry still reclaims it.
-            assert!(p.fits(&c(0, 500, 10, 200)));
-            // Releasing the pressure restores admission; own usage was never
-            // confused with the external share.
-            p.set_external_used_mib(0);
-            assert_eq!(p.used_mib(), 400);
-            p.insert(c(1, 200, 0, 100)).unwrap();
-            assert_eq!(p.used_mib(), 600);
-        });
+        let mut p = WarmPool::new(1_000);
+        p.insert(c(0, 400, 0, 100)).unwrap();
+        assert_eq!(p.free_mib(), 600);
+        p.set_external_used_mib(500);
+        assert_eq!(p.free_mib(), 100);
+        // 200 MiB no longer fits (400 own + 500 external + 200 > 1000)…
+        assert!(p.insert(c(1, 200, 0, 100)).is_err());
+        // …but replacing the resident 400-MiB entry still reclaims it.
+        assert!(p.fits(&c(0, 500, 10, 200)));
+        // Releasing the pressure restores admission; own usage was never
+        // confused with the external share.
+        p.set_external_used_mib(0);
+        assert_eq!(p.used_mib(), 400);
+        p.insert(c(1, 200, 0, 100)).unwrap();
+        assert_eq!(p.used_mib(), 600);
     }
 
     #[test]
     fn memory_invariant_under_churn() {
         // used_mib must always equal the sum of resident footprints.
-        both_modes(|pool| {
-            let mut p = pool(5_000);
-            for i in 0..20u32 {
-                let _ = p.insert(c(i % 7, 100 + (i as u64 * 37) % 400, 0, 1 + i as u64 * 10));
+        let mut p = WarmPool::new(5_000);
+        for i in 0..20u32 {
+            let _ = p.insert(c(i % 7, 100 + (i as u64 * 37) % 400, 0, 1 + i as u64 * 10));
+            let expected: u64 = p.iter().map(|c| c.memory_mib).sum();
+            assert_eq!(p.used_mib(), expected);
+            if i % 3 == 0 {
+                p.expire_until(i as u64 * 5);
                 let expected: u64 = p.iter().map(|c| c.memory_mib).sum();
                 assert_eq!(p.used_mib(), expected);
-                if i % 3 == 0 {
-                    p.expire_until(i as u64 * 5);
-                    let expected: u64 = p.iter().map(|c| c.memory_mib).sum();
-                    assert_eq!(p.used_mib(), expected);
-                }
             }
-        });
+        }
     }
 
     #[test]
@@ -538,19 +465,17 @@ mod tests {
 
     #[test]
     fn shortened_keepalive_lapses_at_its_new_expiry() {
-        both_modes(|pool| {
-            let mut p = pool(1_000);
-            p.insert(c(0, 100, 0, 500)).unwrap();
-            p.remove(FunctionId(0)).unwrap();
-            p.insert(c(0, 100, 0, 100)).unwrap();
-            assert!(p.expire_until(99).is_empty());
-            let dead = p.expire_until(100);
-            assert_eq!(dead.len(), 1);
-            assert_eq!(dead[0].expiry_ms, 100);
-            assert!(p.is_empty());
-            assert!(p.expire_until(500).is_empty());
-            assert_eq!(p.expiry_stats().expired, 1);
-        });
+        let mut p = WarmPool::new(1_000);
+        p.insert(c(0, 100, 0, 500)).unwrap();
+        p.remove(FunctionId(0)).unwrap();
+        p.insert(c(0, 100, 0, 100)).unwrap();
+        assert!(p.expire_until(99).is_empty());
+        let dead = p.expire_until(100);
+        assert_eq!(dead.len(), 1);
+        assert_eq!(dead[0].expiry_ms, 100);
+        assert!(p.is_empty());
+        assert!(p.expire_until(500).is_empty());
+        assert_eq!(p.expiry_stats().expired, 1);
     }
 
     #[test]
@@ -569,20 +494,12 @@ mod tests {
     }
 
     #[test]
-    fn expiry_counters_split_by_mode() {
-        let mut timeline = WarmPool::new(1_000);
-        timeline.insert(c(0, 100, 0, 50)).unwrap();
-        timeline.expire_until(10); // heap-top peek only — no pops
-        timeline.expire_until(60);
-        let t = timeline.expiry_stats();
-        assert_eq!((t.expired, t.timeline_pops, t.scanned), (1, 1, 0));
-
-        let mut scan = WarmPool::with_mode(1_000, ExpiryMode::Scan);
-        scan.insert(c(0, 100, 0, 50)).unwrap();
-        scan.expire_until(10);
-        scan.expire_until(60);
-        let s = scan.expiry_stats();
-        assert_eq!((s.expired, s.timeline_pops), (1, 0));
-        assert_eq!(s.scanned, 2, "one resident examined per call");
+    fn a_sweep_with_nothing_due_pops_nothing() {
+        let mut p = WarmPool::new(1_000);
+        p.insert(c(0, 100, 0, 50)).unwrap();
+        p.expire_until(10); // heap-top peek only — no pops
+        p.expire_until(60);
+        let s = p.expiry_stats();
+        assert_eq!((s.expired, s.timeline_pops, s.stale_pops), (1, 1, 0));
     }
 }

@@ -104,13 +104,8 @@ fn main() {
             carbon_row(&fleet, &m)
         );
         println!(
-            "{:<10} {:>37} {} expired, {} timeline pops ({} stale), {} scanned",
-            "",
-            "warm-pool churn:",
-            m.expiry.expired,
-            m.expiry.timeline_pops,
-            m.expiry.stale_pops,
-            m.expiry.scanned,
+            "{:<10} {:>37} {} expired, {} timeline pops ({} stale)",
+            "", "warm-pool churn:", m.expiry.expired, m.expiry.timeline_pops, m.expiry.stale_pops,
         );
     }
 

@@ -45,7 +45,7 @@ fn main() {
         run_scheme(&trace, &ci, &fleet, &mut new_only),
     ] {
         println!(
-            "{:<10} {:>13} {:>11.2} {:>10.3} {:>9}   {} expired ({} timeline pops, {} stale, {} scanned)",
+            "{:<10} {:>13} {:>11.2} {:>10.3} {:>9}   {} expired ({} timeline pops, {} stale)",
             summary.name,
             summary.total_service_ms,
             summary.total_carbon_g,
@@ -54,7 +54,6 @@ fn main() {
             m.expiry.expired,
             m.expiry.timeline_pops,
             m.expiry.stale_pops,
-            m.expiry.scanned,
         );
     }
 

@@ -149,6 +149,23 @@ fn pressured_workload() -> (Trace, CarbonIntensityTrace, Fleet) {
     (trace, ci, fleet.with_uniform_keepalive_budget_mib(4 * 1024))
 }
 
+/// A 14-function hour on two catalog SKUs with 3 000-MiB pools: EcoLife
+/// overflows into transfers as well as evictions, where
+/// `pressured_workload` only evicts.
+fn transfer_pressured_workload() -> (Trace, CarbonIntensityTrace, Fleet) {
+    let trace = SynthTraceConfig {
+        n_functions: 14,
+        duration_min: 60,
+        seed: 11,
+        ..Default::default()
+    }
+    .generate_scaled(&WorkloadCatalog::sebs());
+    let ci = CarbonIntensityTrace::synthetic(Region::Caiso, 90, 11);
+    let catalog = skus::catalog();
+    let fleet = skus::fleet_of(&[catalog[0], catalog[2]]).with_uniform_keepalive_budget_mib(3_000);
+    (trace, ci, fleet)
+}
+
 /// Sharded replay must be **bit-identical** to the pre-shard
 /// single-threaded `Simulation::run` on the seed workloads, for every
 /// shard count in {1, 2, 8} — for EcoLife (stateful, per-function DPSO +
@@ -205,6 +222,33 @@ fn sharded_replay_is_bit_identical_to_the_sequential_path() {
             }
         }
     }
+}
+
+/// One shard adds nothing to the sequential run, also when the pools
+/// overflow into transfers and evictions: records and per-node grams
+/// are equal bit for bit.
+#[test]
+fn one_shard_matches_the_sequential_run_under_overflow() {
+    let (trace, ci, fleet) = transfer_pressured_workload();
+    let config = EcoLifeConfig {
+        pso_iters: 2,
+        ..EcoLifeConfig::default()
+    };
+    let sim = Simulation::new(&trace, &ci, fleet.clone());
+    let sequential = sim.run(&mut EcoLife::new(fleet.clone(), config.clone()));
+    assert!(
+        sequential.transfers > 0 && sequential.evicted_functions > 0,
+        "workload no longer overflows into transfers and evictions"
+    );
+    let sharded = sim.run_sharded(
+        |_| EcoLife::new(fleet.clone(), config.clone()),
+        &ShardOptions::new(1).with_threads(1),
+    );
+    let grams = |m: &RunMetrics| -> Vec<u64> {
+        m.keepalive_g_by_node.iter().map(|g| g.to_bits()).collect()
+    };
+    assert_eq!(grams(&sharded), grams(&sequential));
+    assert_eq!(comparable(sharded), comparable(sequential));
 }
 
 /// Under genuine memory pressure the sharded engine's semantics are its

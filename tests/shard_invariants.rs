@@ -15,7 +15,9 @@
 
 use ecolife::carbon::CarbonFootprint;
 use ecolife::prelude::*;
-use ecolife::sim::{shard_of, InvocationRecord, ShardOptions};
+use ecolife::sim::{
+    shard_of, Decision, InvocationCtx, InvocationRecord, KeepAliveChoice, ShardOptions,
+};
 use proptest::prelude::*;
 
 /// A random fleet of 1–4 nodes drawn from the SKU catalog (duplicates
@@ -111,6 +113,34 @@ fn difference(a: &RunMetrics, b: &RunMetrics) -> Option<String> {
     ))
 }
 
+/// Executes and keeps alive on the fleet's newest node for 10 minutes
+/// after even-indexed invocations and 20 seconds after odd ones: a
+/// function reused within a long keep-alive is often re-kept for a
+/// short one, which moves its expiry *earlier*.
+struct AlternatingKeepAlive;
+
+impl Scheduler for AlternatingKeepAlive {
+    fn name(&self) -> &'static str {
+        "alternating-keep-alive"
+    }
+
+    fn decide(&mut self, ctx: &InvocationCtx<'_>) -> Decision {
+        let newest = ctx.cluster.fleet().newest();
+        let duration_ms = if ctx.index.is_multiple_of(2) {
+            10 * MINUTE_MS
+        } else {
+            20_000
+        };
+        Decision {
+            exec: newest,
+            keepalive: Some(KeepAliveChoice {
+                location: newest,
+                duration_ms,
+            }),
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -173,7 +203,9 @@ proptest! {
     /// (2) Capacity after reconciliation + (3) carbon closure, under
     /// arbitrary pressure: tiny pools force constant overflow, stale
     /// snapshots, revocations — capacity must still hold at every
-    /// reconciliation, and the books must still balance.
+    /// reconciliation, and the books must still balance. Each case runs
+    /// a pinned 10-minute keep-alive and [`AlternatingKeepAlive`]'s
+    /// shrinking ones.
     #[test]
     fn pressured_shards_respect_capacity_and_close_the_books(
         seed in 0u64..1_000_000,
@@ -186,36 +218,47 @@ proptest! {
         let (trace, ci) = workload(n_functions, 45, seed);
         let fleet = fleet_from(&sku_picks, budget_mib);
         let sim = Simulation::new(&trace, &ci, fleet.clone());
-        let m = sim.run_sharded(
-            |_| FixedPolicy::pinned(fleet.newest(), 10),
-            &ShardOptions::new(shards).with_period_ms(period_min * MINUTE_MS),
-        );
+        let options = ShardOptions::new(shards).with_period_ms(period_min * MINUTE_MS);
+        for alternating in [false, true] {
+            let m = sim.run_sharded(
+                |_| -> Box<dyn Scheduler + Send> {
+                    if alternating {
+                        Box::new(AlternatingKeepAlive)
+                    } else {
+                        Box::new(FixedPolicy::pinned(fleet.newest(), 10))
+                    }
+                },
+                &options,
+            );
 
-        // Capacity invariant at every reconciliation boundary.
-        prop_assert_eq!(m.ledger_peak_mib.len(), fleet.len());
-        for (peak, node) in m.ledger_peak_mib.iter().zip(fleet.iter()) {
+            // Capacity invariant at every reconciliation boundary.
+            prop_assert_eq!(m.ledger_peak_mib.len(), fleet.len());
+            for (peak, node) in m.ledger_peak_mib.iter().zip(fleet.iter()) {
+                prop_assert!(
+                    *peak <= node.keepalive_mem_mib,
+                    "node {:?}: post-reconciliation occupancy {} exceeds budget {} (alternating: {})",
+                    node.id, peak, node.keepalive_mem_mib, alternating
+                );
+            }
+
+            // Carbon closure: per-node grams sum to the run total, and
+            // the keep-alive split stays consistent with the records.
+            prop_assert_eq!(m.invocations(), trace.len());
+            let by_node = m.carbon_g_by_node();
+            let total = m.total_carbon_g();
             prop_assert!(
-                *peak <= node.keepalive_mem_mib,
-                "node {:?}: post-reconciliation occupancy {} exceeds budget {}",
-                node.id, peak, node.keepalive_mem_mib
+                (by_node.iter().sum::<f64>() - total).abs() < 1e-6 * total.max(1.0),
+                "per-node carbon {:?} does not sum to total {} (alternating: {})",
+                by_node, total, alternating
+            );
+            let ka_by_node: f64 = m.keepalive_g_by_node.iter().sum();
+            let ka_records = m.total_keepalive_carbon_g();
+            prop_assert!(
+                (ka_by_node - ka_records).abs() < 1e-6 * ka_records.max(1.0),
+                "hosted keep-alive {} vs attributed {} (alternating: {})",
+                ka_by_node, ka_records, alternating
             );
         }
-
-        // Carbon closure: per-node grams sum to the run total, and the
-        // keep-alive split stays consistent with the records.
-        prop_assert_eq!(m.invocations(), trace.len());
-        let by_node = m.carbon_g_by_node();
-        let total = m.total_carbon_g();
-        prop_assert!(
-            (by_node.iter().sum::<f64>() - total).abs() < 1e-6 * total.max(1.0),
-            "per-node carbon {:?} does not sum to total {}", by_node, total
-        );
-        let ka_by_node: f64 = m.keepalive_g_by_node.iter().sum();
-        let ka_records = m.total_keepalive_carbon_g();
-        prop_assert!(
-            (ka_by_node - ka_records).abs() < 1e-6 * ka_records.max(1.0),
-            "hosted keep-alive {} vs attributed {}", ka_by_node, ka_records
-        );
     }
 
     /// Shard assignment is a pure function of the id — the partition the
