@@ -26,12 +26,13 @@
 //! the fitness is a reusable [`ObjectiveLandscape`] whose `(node,
 //! period)` cells are computed on a particle's first visit and memoized
 //! for the rest of the decision (a decision's ~130 evaluations touch a
-//! few dozen of the `nodes × grid` cells); the swarm lives in flat
-//! buffers; and per-function state lives in a slot vector keyed by the
-//! raw function id. The overflow ranking is served from the same tables:
-//! each candidate's keep-alive benefit is one row lookup (O(residents)
-//! per overflow instead of fleet-wide cost-model rescans per resident),
-//! its reuse weight `P(gap ≤ 5 min)` is a tracked predictor lookup, the
+//! few dozen of the `nodes × grid` cells); each function's swarm is one
+//! vector of 2-D particle records ([`DynamicPso`]); and per-function
+//! state lives in a slot vector keyed by the raw function id. The
+//! overflow ranking is served from the same tables: each candidate's
+//! keep-alive benefit is one row lookup (O(residents) per overflow
+//! instead of fleet-wide cost-model rescans per resident), its reuse
+//! weight `P(gap ≤ 5 min)` is a tracked predictor lookup, the
 //! transfer ranking is memoized per minute, and the tables' epoch is
 //! refreshed from the engine's intensity snapshot, because degraded
 //! decisions install keep-alives without a `decide`.

@@ -17,10 +17,20 @@
 //!   a small threshold), half of the swarm is redistributed uniformly at
 //!   random over the search space while the other half retains position —
 //!   "providing the PSO optimizer with a level of memory".
+//!
+//! The search space is EcoLife's (keep-alive location × keep-alive
+//! period), so the swarm is two-dimensional by construction: one `Vec` of
+//! fixed-size particle records, with the global best, the weights and the
+//! axes held inline. Every invocation of a function runs its swarm, so
+//! one swarm is one allocation and a step touches nothing else. Moves go
+//! through `move_slot`, the rule the N-dimensional [`Pso`](crate::Pso)
+//! moves by, so both swarms take the same trajectory through a 2-D space.
 
-use crate::pso::{Pso, PsoConfig};
+use crate::pso::{move_slot, Axis, PsoConfig, Weights};
 use crate::space::SearchSpace;
-use crate::{BatchOptimizer, Optimizer};
+use crate::Optimizer;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 
 /// Weight ranges, matching Sec. V: ω ∈ [0.5, 1.0], c ∈ [0.3, 1.0].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -51,8 +61,10 @@ impl Default for DpsoConfig {
 impl DpsoConfig {
     /// Reject weight ranges [`DynamicPso::perceive`] cannot clamp into —
     /// non-finite bounds or `min > max`, which would otherwise panic
-    /// inside `f64::clamp` at the first perception — along with an
-    /// invalid base swarm (called by [`DynamicPso::new`]).
+    /// inside `f64::clamp` at the first perception — a non-finite
+    /// perception threshold (`change > NaN` never holds, so a NaN would
+    /// silently switch perception–response off), and an invalid base
+    /// swarm (called by [`DynamicPso::new`]).
     pub fn validate(&self) {
         self.base.validate();
         for (name, bound) in [
@@ -75,6 +87,33 @@ impl DpsoConfig {
             self.c_min,
             self.c_max
         );
+        assert!(
+            self.perception_threshold.is_finite(),
+            "DPSO perception_threshold must be finite, got {}",
+            self.perception_threshold
+        );
+    }
+}
+
+/// One particle: its position, velocity and personal best.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Particle {
+    pub(crate) x: [f64; 2],
+    pub(crate) v: [f64; 2],
+    pub(crate) best: [f64; 2],
+    pub(crate) best_fitness: f64,
+}
+
+impl Particle {
+    /// A particle at rest at a uniform position, with no memory yet.
+    fn sampled(axes: &[Axis; 2], rng: &mut SmallRng) -> Self {
+        let x = [axes[0].sample(rng), axes[1].sample(rng)];
+        Particle {
+            x,
+            v: [0.0; 2],
+            best: x,
+            best_fitness: f64::INFINITY,
+        }
     }
 }
 
@@ -83,16 +122,45 @@ impl DpsoConfig {
 /// function, EcoLife assigns a PSO optimizer and preserves it").
 #[derive(Debug, Clone)]
 pub struct DynamicPso {
-    inner: Pso,
+    pub(crate) particles: Vec<Particle>,
+    pub(crate) gbest: [f64; 2],
+    pub(crate) gbest_fitness: f64,
+    pub(crate) rng: SmallRng,
+    pub(crate) weights: Weights,
+    axes: [Axis; 2],
     config: DpsoConfig,
     redistributions: u64,
 }
 
 impl DynamicPso {
+    /// Initialize `config.base.n_particles` particles uniformly over
+    /// `space`, which must be two-dimensional (keep-alive location ×
+    /// period, [`SearchSpace::placement`]). Fitness is lazily evaluated
+    /// on the first [`Optimizer::step`].
     pub fn new(space: SearchSpace, config: DpsoConfig) -> Self {
         config.validate();
+        assert_eq!(
+            space.dims(),
+            2,
+            "DynamicPso searches a two-dimensional space (keep-alive location × period), got {} dimensions",
+            space.dims()
+        );
+        let axes = [Axis::of(&space, 0), Axis::of(&space, 1)];
+        let mut rng = SmallRng::seed_from_u64(config.base.seed);
+        let particles: Vec<Particle> = (0..config.base.n_particles)
+            .map(|_| Particle::sampled(&axes, &mut rng))
+            .collect();
         DynamicPso {
-            inner: Pso::new(space, config.base),
+            gbest: particles[0].x,
+            gbest_fitness: f64::INFINITY,
+            particles,
+            rng,
+            weights: Weights {
+                inertia: config.base.inertia,
+                cognitive: config.base.cognitive,
+                social: config.base.social,
+            },
+            axes,
             config,
             redistributions: 0,
         }
@@ -105,12 +173,7 @@ impl DynamicPso {
 
     /// Current (ω, c1=c2) weights.
     pub fn weights(&self) -> (f64, f64) {
-        (self.inner.inertia, self.inner.cognitive)
-    }
-
-    /// Access the underlying swarm (read-only).
-    pub fn swarm(&self) -> &Pso {
-        &self.inner
+        (self.weights.inertia, self.weights.cognitive)
     }
 
     /// Feed the normalized environment deltas (`δF`, `δCI` ∈ [0, 1]):
@@ -124,9 +187,11 @@ impl DynamicPso {
         let omega =
             (self.config.omega_max * change).clamp(self.config.omega_min, self.config.omega_max);
         let c = (self.config.c_max * (1.0 - change)).clamp(self.config.c_min, self.config.c_max);
-        self.inner.inertia = omega;
-        self.inner.cognitive = c;
-        self.inner.social = c;
+        self.weights = Weights {
+            inertia: omega,
+            cognitive: c,
+            social: c,
+        };
 
         if change > self.config.perception_threshold {
             self.redistribute_half();
@@ -134,29 +199,14 @@ impl DynamicPso {
     }
 
     /// Randomly redistribute the first half of the swarm; reset the
-    /// redistributed particles' personal bests (their old memories refer
-    /// to a stale environment) but keep the global best as an anchor.
-    /// Rewrites the particles' buffers in place: perception fires on the
-    /// per-invocation decision path, so it allocates nothing.
+    /// redistributed particles' velocities and personal bests (their old
+    /// memories refer to a stale environment) but keep the global best
+    /// as an anchor.
     fn redistribute_half(&mut self) {
-        let Pso {
-            space,
-            dims,
-            positions,
-            velocities,
-            best_positions,
-            best_fitness,
-            rng,
-            ..
-        } = &mut self.inner;
-        let half = best_fitness.len() / 2;
-        let span = half * *dims;
-        for x in positions[..span].chunks_exact_mut(*dims) {
-            space.sample_into(rng, x);
+        let half = self.particles.len() / 2;
+        for p in &mut self.particles[..half] {
+            *p = Particle::sampled(&self.axes, &mut self.rng);
         }
-        velocities[..span].fill(0.0);
-        best_positions[..span].copy_from_slice(&positions[..span]);
-        best_fitness[..half].fill(f64::INFINITY);
         self.redistributions += 1;
     }
 
@@ -164,31 +214,52 @@ impl DynamicPso {
     /// be stale; callers re-anchor it by re-evaluating under the current
     /// fitness before stepping.
     pub fn refresh_gbest<F: Fn(&[f64]) -> f64>(&mut self, fitness: &F) {
-        self.inner.gbest_fitness = fitness(&self.inner.gbest_position);
-    }
-}
-
-impl BatchOptimizer for DynamicPso {
-    fn ask(&self) -> Vec<Vec<f64>> {
-        self.inner.ask()
-    }
-
-    fn tell(&mut self, fitnesses: &[f64]) {
-        self.inner.tell(fitnesses);
+        self.gbest_fitness = fitness(&self.gbest);
     }
 }
 
 impl Optimizer for DynamicPso {
+    /// Evaluate every particle in order, updating its personal best and
+    /// the global best, then move every particle.
     fn step<F: Fn(&[f64]) -> f64>(&mut self, fitness: &F) {
-        self.inner.step(fitness);
+        for p in &mut self.particles {
+            let f = fitness(&p.x);
+            if f < p.best_fitness {
+                p.best_fitness = f;
+                p.best = p.x;
+            }
+            if f < self.gbest_fitness {
+                self.gbest_fitness = f;
+                self.gbest = p.x;
+            }
+        }
+        // Drawing from a local copy keeps the generator's state in
+        // registers; through `self` it round-trips memory on every draw.
+        let mut rng = self.rng.clone();
+        let (w, gbest, axes) = (self.weights, self.gbest, self.axes);
+        for p in &mut self.particles {
+            for d in 0..2 {
+                let r = (rng.gen(), rng.gen());
+                move_slot(
+                    &mut p.x[d],
+                    &mut p.v[d],
+                    p.best[d],
+                    gbest[d],
+                    r,
+                    w,
+                    &axes[d],
+                );
+            }
+        }
+        self.rng = rng;
     }
 
     fn best_position(&self) -> &[f64] {
-        self.inner.best_position()
+        &self.gbest
     }
 
     fn best_fitness(&self) -> f64 {
-        self.inner.best_fitness()
+        self.gbest_fitness
     }
 }
 
@@ -238,9 +309,10 @@ mod tests {
         let mut d = DynamicPso::new(space(), DpsoConfig::default());
         let f = |x: &[f64]| x.iter().map(|v| v * v).sum::<f64>();
         d.run(&f, 5);
-        let before = d.swarm().ask();
+        let positions = |d: &DynamicPso| d.particles.iter().map(|p| p.x).collect::<Vec<_>>();
+        let before = positions(&d);
         d.perceive(1.0, 1.0);
-        let after = d.swarm().ask();
+        let after = positions(&d);
         let n = before.len();
         // Second half untouched.
         for i in n / 2..n {
@@ -326,6 +398,25 @@ mod tests {
             ..Default::default()
         }
         .validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "DPSO perception_threshold must be finite, got NaN")]
+    fn rejects_a_nan_perception_threshold() {
+        DpsoConfig {
+            perception_threshold: f64::NAN,
+            ..Default::default()
+        }
+        .validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "two-dimensional space (keep-alive location × period), got 3")]
+    fn rejects_a_space_of_other_than_two_dimensions() {
+        DynamicPso::new(
+            SearchSpace::new(vec![(-10.0, 10.0); 3]),
+            DpsoConfig::default(),
+        );
     }
 
     #[test]

@@ -10,7 +10,9 @@
 //!
 //! with `r1, r2 ~ U(0,1)` drawn per dimension, positions clamped to the
 //! search space, and velocities clamped to half the per-dimension extent
-//! (standard practice to avoid swarm explosion).
+//! (standard practice to avoid swarm explosion). `move_slot` is that
+//! rule for one coordinate; this N-dimensional swarm and EcoLife's 2-D
+//! [`DynamicPso`](crate::DynamicPso) both move through it.
 
 use crate::space::SearchSpace;
 use crate::{BatchOptimizer, Optimizer};
@@ -58,15 +60,83 @@ impl PsoConfig {
     }
 }
 
-/// The swarm, stored particle-major in flat buffers: particle `i`'s
-/// coordinates occupy `[i·dims, (i+1)·dims)` of `positions`,
-/// `velocities` and `best_positions`, and its personal best fitness is
-/// `best_fitness[i]`. A swarm is a handful of allocations however many
-/// particles it has, and one movement is a single pass over the slots.
+/// The inertia ω and the cognitive and social pulls c1, c2 of one move.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Weights {
+    pub(crate) inertia: f64,
+    pub(crate) cognitive: f64,
+    pub(crate) social: f64,
+}
+
+/// One dimension of the search box as a move reads it: the position
+/// bounds and the velocity limit, half the extent.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Axis {
+    lo: f64,
+    hi: f64,
+    vmax: f64,
+}
+
+impl Axis {
+    /// Dimension `dim` of `space`.
+    pub(crate) fn of(space: &SearchSpace, dim: usize) -> Self {
+        let (lo, hi) = space.bounds()[dim];
+        Axis {
+            lo,
+            hi,
+            vmax: space.extent(dim) * 0.5,
+        }
+    }
+
+    /// A uniform coordinate: the draw [`SearchSpace::sample_into`]
+    /// makes for this dimension.
+    #[inline]
+    pub(crate) fn sample(&self, rng: &mut SmallRng) -> f64 {
+        rng.gen_range(self.lo..=self.hi)
+    }
+}
+
+/// The PSO rule for one slot — one coordinate of one particle — given
+/// that slot's draws `(r1, r2)`: the new velocity, clamped to
+/// `±vmax`, then the moved position, clamped to the axis.
+#[inline(always)]
+pub(crate) fn move_slot(
+    x: &mut f64,
+    v: &mut f64,
+    pbest: f64,
+    gbest: f64,
+    (r1, r2): (f64, f64),
+    w: Weights,
+    axis: &Axis,
+) {
+    let velocity = w.inertia * *v + w.cognitive * r1 * (pbest - *x) + w.social * r2 * (gbest - *x);
+    *v = clamp(velocity, -axis.vmax, axis.vmax);
+    *x = clamp(*x + *v, axis.lo, axis.hi);
+}
+
+/// `f64::clamp`'s comparisons without its `lo <= hi` assert, which every
+/// axis satisfies: the same bits for every input, NaN included.
+#[inline(always)]
+fn clamp(mut x: f64, lo: f64, hi: f64) -> f64 {
+    if x < lo {
+        x = lo;
+    }
+    if x > hi {
+        x = hi;
+    }
+    x
+}
+
+/// The N-dimensional swarm, stored particle-major in flat buffers:
+/// particle `i`'s coordinates occupy `[i·dims, (i+1)·dims)` of
+/// `positions`, `velocities` and `best_positions`, and its personal best
+/// fitness is `best_fitness[i]`. A swarm is a handful of allocations
+/// however many particles it has, and one movement is a single pass over
+/// the slots.
 #[derive(Debug, Clone)]
 pub struct Pso {
-    pub(crate) space: SearchSpace,
-    pub(crate) dims: usize,
+    space: SearchSpace,
+    dims: usize,
     pub(crate) positions: Vec<f64>,
     pub(crate) velocities: Vec<f64>,
     pub(crate) best_positions: Vec<f64>,
@@ -78,10 +148,7 @@ pub struct Pso {
     pub cognitive: f64,
     pub social: f64,
     iterations: u64,
-    /// Per-dimension velocity limit: half the dimension's extent.
-    vmax: Vec<f64>,
-    /// One movement's `(r1, r2)` draws per slot, in draw order.
-    draws: Vec<f64>,
+    axes: Vec<Axis>,
 }
 
 impl Pso {
@@ -109,8 +176,7 @@ impl Pso {
             cognitive: config.cognitive,
             social: config.social,
             iterations: 0,
-            vmax: (0..dims).map(|d| space.extent(d) * 0.5).collect(),
-            draws: vec![0.0; 2 * slots],
+            axes: (0..dims).map(|d| Axis::of(&space, d)).collect(),
             space,
         }
     }
@@ -131,7 +197,7 @@ impl Pso {
     }
 
     /// Particle `i`'s current position.
-    pub(crate) fn position(&self, i: usize) -> &[f64] {
+    fn position(&self, i: usize) -> &[f64] {
         &self.positions[i * self.dims..(i + 1) * self.dims]
     }
 
@@ -151,7 +217,7 @@ impl Pso {
     }
 
     /// Evaluate fitness at every particle, updating pbest/gbest.
-    pub(crate) fn evaluate<F: Fn(&[f64]) -> f64>(&mut self, fitness: &F) {
+    fn evaluate<F: Fn(&[f64]) -> f64>(&mut self, fitness: &F) {
         for i in 0..self.n_particles() {
             let f = fitness(self.position(i));
             self.record(i, f);
@@ -174,39 +240,30 @@ impl Pso {
         }
     }
 
-    /// Move every particle per the velocity/position update rules. All
-    /// `r1`/`r2` draws come first, particle by particle and dimension by
-    /// dimension (`r1` before `r2`) — the order a per-particle loop draws
-    /// them in — then one pass updates every slot.
-    pub(crate) fn move_particles(&mut self) {
+    /// Move every particle per the velocity/position update rules, slot
+    /// by slot in particle-major order, drawing each slot's `r1` then
+    /// `r2` right before its move.
+    fn move_particles(&mut self) {
         // Drawing from a local copy keeps the generator's state in
         // registers; through `self` it round-trips memory on every draw.
         let mut rng = self.rng.clone();
-        for r in &mut self.draws {
-            *r = rng.gen();
-        }
-        self.rng = rng;
-        let per_dim = self
-            .space
-            .bounds()
-            .iter()
-            .zip(&self.vmax)
-            .zip(&self.gbest_position)
-            .cycle();
-        for ((((x, v), pbest), r), ((&(lo, hi), &vmax), gbest)) in self
+        let w = Weights {
+            inertia: self.inertia,
+            cognitive: self.cognitive,
+            social: self.social,
+        };
+        let per_dim = self.axes.iter().zip(&self.gbest_position).cycle();
+        for (((x, v), pbest), (axis, gbest)) in self
             .positions
             .iter_mut()
             .zip(&mut self.velocities)
             .zip(&self.best_positions)
-            .zip(self.draws.chunks_exact(2))
             .zip(per_dim)
         {
-            let velocity = self.inertia * *v
-                + self.cognitive * r[0] * (pbest - *x)
-                + self.social * r[1] * (gbest - *x);
-            *v = velocity.clamp(-vmax, vmax);
-            *x = (*x + *v).clamp(lo, hi);
+            let r = (rng.gen(), rng.gen());
+            move_slot(x, v, *pbest, *gbest, r, w, axis);
         }
+        self.rng = rng;
     }
 }
 

@@ -1,9 +1,12 @@
-//! The per-particle swarm the flat [`Pso`] replaced, kept as the test
-//! oracle: every particle owns its position, velocity and personal best
-//! as separate vectors, and a movement draws each slot's `r1`/`r2` right
-//! before updating it. The flat swarm — through [`Optimizer::step`],
-//! [`BatchOptimizer::ask`]/[`BatchOptimizer::tell`] and
-//! [`DynamicPso::perceive`] — must match it bit for bit.
+//! The per-particle swarm that both shipped swarms replaced, kept as the
+//! test oracle: every particle owns its position, velocity and personal
+//! best as separate vectors, and a movement draws each slot's `r1`/`r2`
+//! right before updating it. The planner's flat N-dimensional [`Pso`] —
+//! through [`Optimizer::step`] and
+//! [`BatchOptimizer::ask`]/[`BatchOptimizer::tell`] — and EcoLife's 2-D
+//! [`DynamicPso`] — through [`Optimizer::step`],
+//! [`DynamicPso::perceive`] and [`DynamicPso::refresh_gbest`] — must
+//! each match it bit for bit.
 
 use crate::dpso::{DpsoConfig, DynamicPso};
 use crate::pso::{Pso, PsoConfig};
@@ -119,52 +122,121 @@ impl ReferencePso {
     }
 }
 
-/// Bit-equality of every piece of swarm state, the RNG's next draw
-/// included.
-fn assert_same_swarm(flat: &Pso, reference: &ReferencePso) -> Result<(), TestCaseError> {
-    let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-    let dims = reference.space.dims();
-    prop_assert_eq!(flat.n_particles(), reference.particles.len());
-    for (i, p) in reference.particles.iter().enumerate() {
-        let span = i * dims..(i + 1) * dims;
-        prop_assert_eq!(
-            bits(&flat.positions[span.clone()]),
-            bits(&p.position),
-            "position {}",
-            i
-        );
-        prop_assert_eq!(
-            bits(&flat.velocities[span.clone()]),
-            bits(&p.velocity),
-            "velocity {}",
-            i
-        );
-        prop_assert_eq!(
-            bits(&flat.best_positions[span]),
-            bits(&p.best_position),
-            "pbest {}",
-            i
-        );
-        prop_assert_eq!(
-            flat.best_fitness[i].to_bits(),
-            p.best_fitness.to_bits(),
-            "pbest fitness {}",
-            i
-        );
+/// One particle's state as bits.
+#[derive(Debug, PartialEq)]
+struct ParticleBits {
+    position: Vec<u64>,
+    velocity: Vec<u64>,
+    best_position: Vec<u64>,
+    best_fitness: u64,
+}
+
+impl ParticleBits {
+    fn of(position: &[f64], velocity: &[f64], best_position: &[f64], best_fitness: f64) -> Self {
+        ParticleBits {
+            position: bits(position),
+            velocity: bits(velocity),
+            best_position: bits(best_position),
+            best_fitness: best_fitness.to_bits(),
+        }
     }
-    prop_assert_eq!(bits(&flat.gbest_position), bits(&reference.gbest_position));
-    prop_assert_eq!(
-        flat.gbest_fitness.to_bits(),
-        reference.gbest_fitness.to_bits()
+}
+
+/// Every piece of a swarm's state as bits, the RNG's next draw included.
+struct SwarmBits {
+    particles: Vec<ParticleBits>,
+    gbest_position: Vec<u64>,
+    gbest_fitness: u64,
+    /// ω, c1, c2.
+    weights: [u64; 3],
+    next_draw: u64,
+}
+
+impl SwarmBits {
+    fn of(
+        particles: Vec<ParticleBits>,
+        gbest_position: &[f64],
+        gbest_fitness: f64,
+        weights: [f64; 3],
+        rng: &SmallRng,
+    ) -> Self {
+        SwarmBits {
+            particles,
+            gbest_position: bits(gbest_position),
+            gbest_fitness: gbest_fitness.to_bits(),
+            weights: weights.map(f64::to_bits),
+            next_draw: rng.clone().gen::<f64>().to_bits(),
+        }
+    }
+}
+
+fn bits(x: &[f64]) -> Vec<u64> {
+    x.iter().map(|v| v.to_bits()).collect()
+}
+
+/// The swarm under test.
+enum Subject {
+    /// The planner's N-dimensional swarm.
+    Flat(Pso),
+    /// EcoLife's 2-D swarm.
+    Dynamic(DynamicPso),
+}
+
+/// Bit-equality of every piece of swarm state, field by field.
+fn assert_same_swarm(subject: &Subject, reference: &ReferencePso) -> Result<(), TestCaseError> {
+    let got = match subject {
+        Subject::Flat(s) => {
+            let dims = s.space().dims();
+            let particles = (0..s.n_particles())
+                .map(|i| {
+                    let span = i * dims..(i + 1) * dims;
+                    ParticleBits::of(
+                        &s.positions[span.clone()],
+                        &s.velocities[span.clone()],
+                        &s.best_positions[span],
+                        s.best_fitness[i],
+                    )
+                })
+                .collect();
+            let weights = [s.inertia, s.cognitive, s.social];
+            SwarmBits::of(
+                particles,
+                &s.gbest_position,
+                s.gbest_fitness,
+                weights,
+                &s.rng,
+            )
+        }
+        Subject::Dynamic(s) => {
+            let particles = s
+                .particles
+                .iter()
+                .map(|p| ParticleBits::of(&p.x, &p.v, &p.best, p.best_fitness))
+                .collect();
+            let w = s.weights;
+            let weights = [w.inertia, w.cognitive, w.social];
+            SwarmBits::of(particles, &s.gbest, s.gbest_fitness, weights, &s.rng)
+        }
+    };
+    let want = SwarmBits::of(
+        reference
+            .particles
+            .iter()
+            .map(|p| ParticleBits::of(&p.position, &p.velocity, &p.best_position, p.best_fitness))
+            .collect(),
+        &reference.gbest_position,
+        reference.gbest_fitness,
+        [reference.inertia, reference.cognitive, reference.social],
+        &reference.rng,
     );
-    prop_assert_eq!(
-        bits(&[flat.inertia, flat.cognitive, flat.social]),
-        bits(&[reference.inertia, reference.cognitive, reference.social])
-    );
-    prop_assert_eq!(
-        flat.rng.clone().gen::<f64>().to_bits(),
-        reference.rng.clone().gen::<f64>().to_bits()
-    );
+    prop_assert_eq!(got.particles.len(), want.particles.len());
+    for (i, (g, w)) in got.particles.iter().zip(&want.particles).enumerate() {
+        prop_assert_eq!(g, w, "particle {}", i);
+    }
+    prop_assert_eq!(got.gbest_position, want.gbest_position, "gbest");
+    prop_assert_eq!(got.gbest_fitness, want.gbest_fitness, "gbest fitness");
+    prop_assert_eq!(got.weights, want.weights, "weights");
+    prop_assert_eq!(got.next_draw, want.next_draw, "next draw");
     Ok(())
 }
 
@@ -173,20 +245,26 @@ proptest! {
 
     #[test]
     fn flat_swarm_matches_the_per_particle_swarm(
-        shape in (0usize..3, 2usize..24, 0u64..1_000_000),
+        shape in (0usize..6, 2usize..24, 0u64..1_000_000),
         boxes in prop::collection::vec((-100.0f64..100.0, 0.1f64..200.0), 5..6),
         ops in prop::collection::vec((0u32..4, 0.0f64..1.0, 0.0f64..1.0), 1..40),
     ) {
-        let (dims_choice, n_particles, seed) = shape;
-        let dims = [1, 2, 5][dims_choice];
+        // Half the cases run EcoLife's 2-D swarm, half the planner's
+        // swarm at 1, 2 and 5 dimensions.
+        let (choice, n_particles, seed) = shape;
+        let dims = [2, 2, 2, 1, 2, 5][choice];
         let space = SearchSpace::new(boxes[..dims].iter().map(|&(lo, w)| (lo, lo + w)).collect());
         let config = DpsoConfig {
             base: PsoConfig { n_particles, seed, ..Default::default() },
             ..Default::default()
         };
-        let mut flat = DynamicPso::new(space.clone(), config);
+        let mut subject = if choice < 3 {
+            Subject::Dynamic(DynamicPso::new(space.clone(), config))
+        } else {
+            Subject::Flat(Pso::new(space.clone(), config.base))
+        };
         let mut reference = ReferencePso::new(space.clone(), config.base);
-        assert_same_swarm(flat.swarm(), &reference)?;
+        assert_same_swarm(&subject, &reference)?;
         for (op, a, b) in ops {
             // A plateaued fitness whose optimum moves with `a`: ties and
             // strict improvements both occur, as with EcoLife's decoded
@@ -198,29 +276,33 @@ proptest! {
                     .map(|(xi, (lo, hi))| ((xi - lo - a * (hi - lo)) / (hi - lo) * 6.0).round().powi(2))
                     .sum()
             };
-            match op {
-                0 => {
-                    flat.step(&fitness);
-                    reference.step(&fitness);
-                }
-                1 => {
+            match (&mut subject, op) {
+                (Subject::Flat(flat), 1 | 3) => {
                     let batch = flat.ask();
                     prop_assert_eq!(batch.len(), n_particles);
                     let fitnesses: Vec<f64> = batch.iter().map(|x| fitness(x)).collect();
                     flat.tell(&fitnesses);
                     reference.tell(&fitnesses);
                 }
+                (Subject::Flat(flat), _) => {
+                    flat.step(&fitness);
+                    reference.step(&fitness);
+                }
                 // Perception with a change above the threshold (half the
                 // swarm redistributed) or, scaled down, mostly below it.
-                _ => {
+                (Subject::Dynamic(dynamic), 2 | 3) => {
                     let scale = if op == 2 { 1.0 } else { 0.04 };
-                    flat.perceive(a * scale, b * scale);
+                    dynamic.perceive(a * scale, b * scale);
                     reference.perceive(&config, a * scale, b * scale);
-                    flat.refresh_gbest(&fitness);
+                    dynamic.refresh_gbest(&fitness);
                     reference.gbest_fitness = fitness(&reference.gbest_position);
                 }
+                (Subject::Dynamic(dynamic), _) => {
+                    dynamic.step(&fitness);
+                    reference.step(&fitness);
+                }
             }
-            assert_same_swarm(flat.swarm(), &reference)?;
+            assert_same_swarm(&subject, &reference)?;
         }
     }
 }

@@ -7,8 +7,9 @@ use ecolife_pso::{
 };
 use proptest::prelude::*;
 
-fn space_strategy() -> impl Strategy<Value = SearchSpace> {
-    prop::collection::vec((-100.0f64..100.0, 0.1f64..200.0), 1..4)
+/// Random boxes with a dimension count drawn from `dims`.
+fn space_strategy(dims: std::ops::Range<usize>) -> impl Strategy<Value = SearchSpace> {
+    prop::collection::vec((-100.0f64..100.0, 0.1f64..200.0), dims)
         .prop_map(|dims| SearchSpace::new(dims.into_iter().map(|(lo, w)| (lo, lo + w)).collect()))
 }
 
@@ -42,13 +43,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     #[test]
-    fn pso_respects_space_and_monotonicity(space in space_strategy(), seed in 0u64..1_000) {
+    fn pso_respects_space_and_monotonicity(space in space_strategy(1..4), seed in 0u64..1_000) {
         let mut pso = Pso::new(space.clone(), PsoConfig { seed, ..Default::default() });
         check_optimizer(&mut pso, &space)?;
     }
 
+    /// EcoLife's swarm is two-dimensional (keep-alive location × period).
     #[test]
-    fn dpso_respects_space_even_with_perception(space in space_strategy(), seed in 0u64..1_000, df in 0.0f64..1.0, dci in 0.0f64..1.0) {
+    fn dpso_respects_space_even_with_perception(space in space_strategy(2..3), seed in 0u64..1_000, df in 0.0f64..1.0, dci in 0.0f64..1.0) {
         let cfg = DpsoConfig {
             base: PsoConfig { seed, ..Default::default() },
             ..Default::default()
@@ -63,13 +65,13 @@ proptest! {
     }
 
     #[test]
-    fn ga_respects_space_and_monotonicity(space in space_strategy(), seed in 0u64..1_000) {
+    fn ga_respects_space_and_monotonicity(space in space_strategy(1..4), seed in 0u64..1_000) {
         let mut ga = GeneticAlgorithm::new(space.clone(), GaConfig { seed, ..Default::default() });
         check_optimizer(&mut ga, &space)?;
     }
 
     #[test]
-    fn sa_respects_space_and_monotonicity(space in space_strategy(), seed in 0u64..1_000) {
+    fn sa_respects_space_and_monotonicity(space in space_strategy(1..4), seed in 0u64..1_000) {
         let mut sa = SimulatedAnnealing::new(space.clone(), SaConfig { seed, ..Default::default() });
         check_optimizer(&mut sa, &space)?;
     }

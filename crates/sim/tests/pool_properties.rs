@@ -24,22 +24,24 @@ enum Op {
     Drain,
 }
 
-fn op_strategy() -> impl Strategy<Value = Op> {
-    let insert = || {
-        (0u32..12, 64u64..2_048, 1u64..10_000).prop_map(|(func, mem, expiry)| Op::Insert {
-            func,
-            mem,
-            expiry,
-        })
-    };
+/// An insert of one of `funcs` functions.
+fn insert_strategy(funcs: u32) -> impl Strategy<Value = Op> {
+    (0..funcs, 64u64..2_048, 1u64..10_000).prop_map(|(func, mem, expiry)| Op::Insert {
+        func,
+        mem,
+        expiry,
+    })
+}
+
+fn op_strategy(funcs: u32) -> impl Strategy<Value = Op> {
     let expire = || (0u64..10_000).prop_map(|t| Op::Expire { t });
     // Uniform choice, so repeats weight it: inserts and sweeps dominate,
     // external-share changes and drains are rare.
     prop_oneof![
-        insert(),
-        insert(),
-        insert(),
-        (0u32..12).prop_map(|func| Op::Remove { func }),
+        insert_strategy(funcs),
+        insert_strategy(funcs),
+        insert_strategy(funcs),
+        (0..funcs).prop_map(|func| Op::Remove { func }),
         expire(),
         expire(),
         prop_oneof![
@@ -47,6 +49,25 @@ fn op_strategy() -> impl Strategy<Value = Op> {
             Just(Op::Drain),
         ],
     ]
+}
+
+/// A pool's capacity and its calls. Half the cases squeeze 12 functions
+/// into 512–8 191 MiB, so inserts are refused and a function's
+/// keep-alive grows, shrinks or comes back after a removal. The other
+/// half give 64 functions an unbounded pool and open with up to 39
+/// inserts, so an early sweep walks up to ~35 residents with ids up to
+/// 63.
+fn case_strategy() -> impl Strategy<Value = (u64, Vec<Op>)> {
+    let squeezed = prop::collection::vec(op_strategy(12), 1..120);
+    let opened = (
+        prop::collection::vec(insert_strategy(64), 0..40),
+        prop::collection::vec(op_strategy(64), 1..120),
+    )
+        .prop_map(|(mut calls, rest)| {
+            calls.extend(rest);
+            calls
+        });
+    prop_oneof![(512u64..8_192, squeezed), (Just(1u64 << 30), opened)]
 }
 
 /// The reference pool: its residents by function, swept by a full scan.
@@ -93,7 +114,8 @@ proptest! {
     /// each sweep's containers in `FunctionId` order, drains, residents,
     /// `used_mib`, `len` and the expiry count — so the ledger is exact.
     #[test]
-    fn memory_ledger_is_exact(capacity in 512u64..8_192, ops in prop::collection::vec(op_strategy(), 1..120)) {
+    fn memory_ledger_is_exact(case in case_strategy()) {
+        let (capacity, ops) = case;
         let mut pool = WarmPool::new(capacity);
         let mut model = ScanModel { capacity_mib: capacity, ..ScanModel::default() };
         for (i, op) in ops.into_iter().enumerate() {
@@ -137,28 +159,5 @@ proptest! {
             prop_assert_eq!(stats.expired, model.expired);
             prop_assert!(stats.timeline_pops >= stats.expired, "an expiry that never came off the heap");
         }
-    }
-
-    #[test]
-    fn expire_until_is_complete_and_minimal(
-        containers in prop::collection::vec((0u32..64, 64u64..256, 1u64..1_000), 1..30),
-        t in 0u64..1_200,
-    ) {
-        let mut pool = WarmPool::new(1 << 30);
-        for (func, mem, expiry) in &containers {
-            let _ = pool.insert(WarmContainer {
-                func: FunctionId(*func),
-                memory_mib: *mem,
-                warm_since_ms: 0,
-                expiry_ms: *expiry,
-                origin_record: 0,
-                transfer_latency_ms: 0,
-            });
-        }
-        let dead = pool.expire_until(t);
-        // Everything returned was actually expired…
-        prop_assert!(dead.iter().all(|c| c.expiry_ms <= t));
-        // …and nothing expired remains.
-        prop_assert!(pool.iter().all(|c| c.expiry_ms > t));
     }
 }
