@@ -35,7 +35,14 @@
 //! weight `P(gap ≤ 5 min)` is a tracked predictor lookup, the
 //! transfer ranking is memoized per minute, and the tables' epoch is
 //! refreshed from the engine's intensity snapshot, because degraded
-//! decisions install keep-alives without a `decide`.
+//! decisions install keep-alives without a `decide`. The packing orders
+//! only the candidates that can lose: greedy packing keeps everything
+//! ahead of its first misfit, and from there on the candidates are the
+//! shortest lowest-priority run whose memory covers what has to go, so
+//! one pass finds that run and no sort ranks the whole pool (see
+//! [`crate::warmpool`]). It packs against the room the node leaves this
+//! pool, the capacity less the other shards' share, as the engine's
+//! admission does.
 //!
 //! That is the only way EcoLife decides. The seed's loop — fleet-wide
 //! [`CostModel`] scans in every particle evaluation, the predictor's
