@@ -12,7 +12,7 @@
 use ecolife_carbon::{CarbonIntensityTrace, CarbonModel, Region};
 use ecolife_core::CostModel;
 use ecolife_hw::{skus, NodeId};
-use ecolife_pso::space::decode;
+use ecolife_pso::decode::Grid;
 use ecolife_pso::{
     GaConfig, GeneticAlgorithm, Optimizer, Pso, PsoConfig, SaConfig, SearchSpace,
     SimulatedAnnealing,
@@ -44,9 +44,10 @@ impl LandscapeSequence {
         // Arrival rhythm drifts: p(warm | k) saturates faster early in
         // the day, slower later.
         let rate_scale = 1.0 + (t_min as f64 / 240.0).sin() * 0.6;
+        let (nodes, periods) = (Grid::new(2), Grid::new(11));
         move |x: &[f64]| {
-            let l = NodeId(decode::node_index(x[0], 2) as u32);
-            let idx = decode::period_index(x[1], 11);
+            let l = NodeId(nodes.index(x[0]) as u32);
+            let idx = periods.index(x[1]);
             let k_ms = idx as u64 * 60_000;
             let mean_gap_ms = 150_000.0 * rate_scale;
             let p_warm = 1.0 - (-(k_ms as f64) / mean_gap_ms).exp();

@@ -26,7 +26,9 @@
 //! the fitness is a reusable [`ObjectiveLandscape`] whose `(node,
 //! period)` cells are computed on a particle's first visit and memoized
 //! for the rest of the decision (a decision's ~130 evaluations touch a
-//! few dozen of the `nodes × grid` cells); each function's swarm is one
+//! few dozen of the `nodes × grid` cells); a position decodes to its
+//! cell with float operations and a mask ([`Grid`]), each grid's bound
+//! converted to `f64` once per decision; each function's swarm is one
 //! vector of 2-D particle records ([`DynamicPso`]); and per-function
 //! state lives in a slot vector keyed by the raw function id. The
 //! overflow ranking is served from the same tables: each candidate's
@@ -56,7 +58,7 @@ use crate::predictor::{FunctionPredictor, NO_HISTORY_P_WARM};
 use crate::warmpool::priority_adjustment_with_targets;
 use ecolife_carbon::CarbonModel;
 use ecolife_hw::{Fleet, NodeId, Region};
-use ecolife_pso::space::decode;
+use ecolife_pso::decode::Grid;
 use ecolife_pso::{DpsoConfig, DynamicPso, Optimizer, PsoConfig, SearchSpace};
 use ecolife_sim::{
     Decision, InvocationCtx, KeepAliveChoice, OverflowAction, OverflowCtx, Scheduler, MINUTE_MS,
@@ -166,19 +168,20 @@ struct DecideScratch {
 /// Decode an optimizer position into the keep-alive (node, period-index)
 /// choice — the single decode rule shared by the fitness function and the
 /// emitted decision, so the swarm always optimizes exactly the mapping
-/// its global best is read back through.
+/// its global best is read back through. `nodes` and `periods` are the
+/// fleet's and the keep-alive grid's [`Grid`]s, built once per decision.
 #[inline]
 fn decode_placement(
     restrict: Option<NodeId>,
-    n_nodes: usize,
-    n_periods: usize,
+    nodes: Grid,
+    periods: Grid,
     x: &[f64],
 ) -> (NodeId, usize) {
     let l = match restrict {
         Some(node) => node,
-        None => NodeId(decode::node_index(x[0], n_nodes) as u32),
+        None => NodeId(nodes.index(x[0]) as u32),
     };
-    (l, decode::period_index(x[1], n_periods))
+    (l, periods.index(x[1]))
 }
 
 /// The EcoLife scheduler.
@@ -337,6 +340,7 @@ impl Scheduler for EcoLife {
 
         let n_nodes = self.tables.cost().fleet().len();
         let grid_len = self.config.keepalive_grid_min.len();
+        let (nodes, periods) = (Grid::new(n_nodes), Grid::new(grid_len));
 
         // Disjoint field borrows: predictor/swarm state, tables, and
         // scratch are touched simultaneously below.
@@ -368,7 +372,7 @@ impl Scheduler for EcoLife {
             &mut scratch.landscape,
         );
         let fitness = |x: &[f64]| -> f64 {
-            let (l, idx) = decode_placement(restrict, n_nodes, grid_len, x);
+            let (l, idx) = decode_placement(restrict, nodes, periods, x);
             landscape.objective(l, idx)
         };
 
@@ -383,8 +387,7 @@ impl Scheduler for EcoLife {
             state.swarm.step(&fitness);
         }
 
-        let (ka_loc, idx) =
-            decode_placement(restrict, n_nodes, grid_len, state.swarm.best_position());
+        let (ka_loc, idx) = decode_placement(restrict, nodes, periods, state.swarm.best_position());
         let ka_ms = config.keepalive_grid_min[idx] * MINUTE_MS;
 
         Decision {

@@ -7,8 +7,12 @@
 //! `CostModel::keepalive_benefit` and the unmemoized
 //! `CostModel::transfer_ranking`.
 //!
+//! It decodes a position with its own rounding, `f64::round` clamped
+//! onto the grid, so the shipped decode's float-only rounding is checked
+//! against std's on every particle the replays evaluate.
+//!
 //! EcoLife as it ships — `ObjectiveTables`, the memoized landscape, the
-//! tracked predictor estimates — must replay
+//! tracked predictor estimates, the float-only decode — must replay
 //! this oracle byte for byte. The tests below compare the two on
 //! hash-chained event streams ([`CaptureSink`] + [`first_divergence`]),
 //! so every placement, displacement, gram and expiry is covered by one
@@ -18,7 +22,7 @@
 //! bounded executors, restricted to one node, sequentially and through
 //! `run_sharded` at any worker-thread count.
 
-use super::{decode_placement, EcoLife, FunctionState, OVERFLOW_HORIZON_MS};
+use super::{EcoLife, FunctionState, OVERFLOW_HORIZON_MS};
 use crate::config::EcoLifeConfig;
 use crate::predictor::NO_HISTORY_P_WARM;
 use crate::warmpool::priority_adjustment_with_targets;
@@ -36,6 +40,23 @@ use ecolife_trace::{
 
 /// EcoLife deciding through the seed's uncached loop.
 struct Reference(EcoLife);
+
+/// The nearest of `n` grid points to `x` by std's rounding (half away
+/// from zero), NaN and negatives at 0.
+fn nearest(x: f64, n: usize) -> usize {
+    (x.round().max(0.0) as usize).min(n - 1)
+}
+
+/// The keep-alive `(node, period index)` a position decodes to.
+fn decode_placement(
+    restrict: Option<NodeId>,
+    n_nodes: usize,
+    n_periods: usize,
+    x: &[f64],
+) -> (NodeId, usize) {
+    let l = restrict.unwrap_or(NodeId(nearest(x[0], n_nodes) as u32));
+    (l, nearest(x[1], n_periods))
+}
 
 impl Scheduler for Reference {
     fn name(&self) -> &'static str {

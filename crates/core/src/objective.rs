@@ -32,7 +32,7 @@
 
 use ecolife_carbon::{CarbonModel, CiProvider, KeepaliveCoeffs, TransferCost};
 use ecolife_hw::{Fleet, NodeId, PerfModel};
-use ecolife_pso::decode;
+use ecolife_pso::decode::Grid;
 use ecolife_sim::SETUP_DELAY_MS;
 use ecolife_trace::{FunctionId, FunctionProfile};
 use std::cell::Cell;
@@ -787,7 +787,10 @@ impl ObjectiveTables {
             } else {
                 PeriodTerms {
                     p_warm: p_warm.clamp(0.0, 1.0),
-                    resident_ms: decode::round_to_u64(resident_ms.clamp(0.0, k_ms as f64)),
+                    resident_ms: Grid::new(
+                        usize::try_from(k_ms + 1).expect("a keep-alive period fits in usize"),
+                    )
+                    .index(resident_ms) as u64,
                 }
             });
         }

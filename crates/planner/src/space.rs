@@ -3,7 +3,8 @@
 
 use crate::plan::FleetPlan;
 use ecolife_hw::{skus, Fleet, Region, Sku};
-use ecolife_pso::{decode, SearchSpace};
+use ecolife_pso::decode::Grid;
+use ecolife_pso::SearchSpace;
 
 /// Bounds of the capacity-planning search: a SKU catalog, the regions
 /// nodes may be deployed in, a per-offering and a total node-count cap,
@@ -220,11 +221,12 @@ impl PlanSpace {
             x.len(),
             self.genome_len() + 1
         );
+        let count = Grid::new(self.max_per_sku as usize + 1);
         let counts: Vec<u32> = x[..self.genome_len()]
             .iter()
-            .map(|&xi| decode::grid_index(xi, self.max_per_sku as usize + 1) as u32)
+            .map(|&xi| count.index(xi) as u32)
             .collect();
-        let budget_idx = decode::grid_index(x[self.genome_len()], self.mem_budgets_mib.len());
+        let budget_idx = Grid::new(self.mem_budgets_mib.len()).index(x[self.genome_len()]);
         FleetPlan {
             counts,
             mem_budget_mib: self.mem_budgets_mib[budget_idx],

@@ -34,12 +34,12 @@ impl SearchSpace {
 
     /// The placement space over an N-node fleet: dimension 0 is the
     /// keep-alive location in `[0, n_nodes - 1]` (decoded by rounding to
-    /// the nearest node index, [`decode::node_index`]); dimension 1 is
-    /// the keep-alive period index in `[0, n_periods - 1]`.
+    /// the nearest node index, [`decode::Grid`]); dimension 1 is the
+    /// keep-alive period index in `[0, n_periods - 1]`.
     ///
     /// A single-node fleet gets a degenerate `[0, 1]` location axis —
-    /// [`decode::node_index`] clamps every sample to node 0, so the
-    /// optimizer effectively searches the period axis alone.
+    /// its one-point [`decode::Grid`] clamps every sample to node 0, so
+    /// the optimizer effectively searches the period axis alone.
     pub fn placement(n_nodes: usize, n_periods: usize) -> Self {
         assert!(n_nodes >= 1, "placement needs at least one node");
         assert!(n_periods >= 2, "need at least two keep-alive choices");
@@ -51,13 +51,14 @@ impl SearchSpace {
 
     /// A continuous relaxation of an integer grid: dimension `d` spans
     /// `[0, cardinalities[d] - 1]` and decodes by rounding to the nearest
-    /// index ([`decode::grid_index`]). This is how non-placement genomes
+    /// index ([`decode::Grid`]). This is how non-placement genomes
     /// (e.g. the capacity planner's per-SKU node counts) ride the same
     /// optimizers as the keep-alive space — [`SearchSpace::placement`] is
     /// the `[n_nodes, n_periods]` special case.
     ///
     /// A single-choice axis (`cardinality == 1`) gets a degenerate
-    /// `[0, 1]` interval; `grid_index` clamps every sample back to 0.
+    /// `[0, 1]` interval; its one-point grid clamps every sample back
+    /// to 0.
     pub fn grid(cardinalities: &[usize]) -> Self {
         assert!(!cardinalities.is_empty(), "grid needs ≥1 dimension");
         SearchSpace::new(
@@ -121,41 +122,91 @@ impl SearchSpace {
     }
 }
 
-/// Decode helpers for the placement and grid spaces.
+/// Rounding positions onto the integer grids of the placement and grid
+/// spaces.
 pub mod decode {
-    /// `x.round() as u64`: half away from zero, negative and NaN to 0,
-    /// saturating at `u64::MAX` — without the out-of-line call
-    /// `f64::round` compiles to on baseline x86-64 (two per particle
-    /// evaluation on the KDM hot path). Truncate, then round up when the
-    /// fraction is at least one half; the fraction is exact because below
-    /// 2^53 `x - trunc(x)` is (Sterbenz) and at or above it every `f64`
-    /// is an integer.
-    #[inline]
-    pub fn round_to_u64(x: f64) -> u64 {
-        let whole = x as u64;
-        whole.saturating_add(u64::from(x - whole as f64 >= 0.5))
+    /// 2^52, the smallest `f64` whose unit in the last place is 1.
+    const TWO_POW_52: f64 = 4_503_599_627_370_496.0;
+
+    /// The low 52 bits of an `f64`: its mantissa without the leading 1.
+    const MANTISSA: u64 = (1 << 52) - 1;
+
+    /// Nearest-index rounding onto a grid of `n ≥ 1` points `0, 1, …,
+    /// n − 1`: every `f64` maps to `(x.round().max(0.0) as usize).min(n −
+    /// 1)`, that is half away from zero, with NaN and negatives at 0 and
+    /// everything past the last point on it. The bound is converted to
+    /// `f64` once, when the grid is built, so a caller builds its grids
+    /// outside the loop that decodes.
+    ///
+    /// Baseline x86-64 has no instruction that rounds an `f64` to a
+    /// whole `f64`, and a round trip through `u64` costs a saturating
+    /// conversion each way. [`Grid::index`] stays in float arithmetic
+    /// instead:
+    ///
+    /// 1. Clamp `x` into `[0, n − 1]`, NaN and negatives to 0.
+    /// 2. Add 2^52. Below 2^53 the `f64`s are exactly the whole numbers,
+    ///    so for a clamped `y < 2^52` the sum is `2^52 + r` with `r` the
+    ///    nearest whole number to `y`, a tie going to the even one, and
+    ///    `r` is the low 52 bits of the sum.
+    /// 3. Add one where `y − r` is exactly 0.5: the tie that rounding to
+    ///    even sent down. `t − 2^52` gives `r` exactly, and `y − r` is
+    ///    exact too (Sterbenz for `y ≥ 1`; below, `r` is 0 or `y ≥ 0.5`),
+    ///    so the compare sees the true fraction. The result is at most
+    ///    `n − 1`, since a tie below the whole bound has its upper
+    ///    neighbour inside.
+    ///
+    /// The clamped value then stays below 2^52 for grids of fewer than
+    /// 2^52 points. A larger grid rounds by truncation instead, through
+    /// the saturating conversion to `u64`.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct Grid {
+        /// `n − 1` as an `f64`: the clamp bound of the float path.
+        top: f64,
+        /// `n − 1`: the clamp bound of the truncating path.
+        last: usize,
     }
 
-    /// Generic grid decode: nearest index, clamped to
-    /// `[0, cardinality - 1]`.
-    #[inline]
-    pub fn grid_index(x: f64, cardinality: usize) -> usize {
-        usize::try_from(round_to_u64(x))
-            .unwrap_or(usize::MAX)
-            .min(cardinality - 1)
-    }
+    impl Grid {
+        /// The grid of `cardinality` points `0..cardinality`.
+        ///
+        /// # Panics
+        /// Panics when `cardinality` is 0: an empty grid has no index to
+        /// decode to.
+        pub fn new(cardinality: usize) -> Self {
+            assert!(cardinality >= 1, "grid cardinality must be ≥1");
+            let last = cardinality - 1;
+            Grid {
+                top: last as f64,
+                last,
+            }
+        }
 
-    /// Dimension-0 decode: nearest fleet node index, clamped to
-    /// `[0, n_nodes - 1]`.
-    #[inline]
-    pub fn node_index(x0: f64, n_nodes: usize) -> usize {
-        grid_index(x0, n_nodes)
-    }
+        /// The grid point nearest to `x`, clamped onto the grid.
+        #[inline]
+        pub fn index(self, x: f64) -> usize {
+            if self.top >= TWO_POW_52 - 1.0 {
+                return self.index_by_truncation(x);
+            }
+            // `x > 0.0` fails for NaN, so both selects are `maxsd`/`minsd`.
+            let y = if x > 0.0 { x } else { 0.0 };
+            let y = if y < self.top { y } else { self.top };
+            let t = y + TWO_POW_52;
+            let even = (t.to_bits() & MANTISSA) as usize;
+            even + usize::from(y - (t - TWO_POW_52) == 0.5)
+        }
 
-    /// Dimension-1 decode: nearest keep-alive period index, clamped.
-    #[inline]
-    pub fn period_index(x1: f64, n_periods: usize) -> usize {
-        grid_index(x1, n_periods)
+        /// [`Grid::index`] for grids of 2^52 points or more. `x as u64`
+        /// truncates toward zero and saturates, NaN to 0; below 2^53 the
+        /// fraction `x − trunc(x)` is exact, and at or above it every
+        /// `f64` is whole.
+        #[cold]
+        fn index_by_truncation(self, x: f64) -> usize {
+            let whole = x as u64;
+            let rounded = whole.saturating_add(u64::from(x - whole as f64 >= 0.5));
+            usize::try_from(rounded)
+                .unwrap_or(usize::MAX)
+                .min(self.last)
+        }
     }
 }
 
@@ -183,16 +234,6 @@ mod tests {
     }
 
     #[test]
-    fn decode_node_index_rounds_and_clamps() {
-        assert_eq!(decode::node_index(0.0, 3), 0);
-        assert_eq!(decode::node_index(0.49, 3), 0);
-        assert_eq!(decode::node_index(0.5, 3), 1);
-        assert_eq!(decode::node_index(1.6, 3), 2);
-        assert_eq!(decode::node_index(9.0, 3), 2);
-        assert_eq!(decode::node_index(-1.0, 3), 0);
-    }
-
-    #[test]
     fn grid_space_generalizes_placement() {
         // placement(n, p) is grid(&[n, p]).
         assert_eq!(SearchSpace::grid(&[5, 11]), SearchSpace::placement(5, 11));
@@ -203,11 +244,12 @@ mod tests {
         assert_eq!(s.bounds()[1], (0.0, 1.0));
         // …and decodes to 0 everywhere.
         for x in [0.0, 0.4, 0.9, 1.0] {
-            assert_eq!(decode::grid_index(x, 1), 0);
+            assert_eq!(decode::Grid::new(1).index(x), 0);
         }
-        assert_eq!(decode::grid_index(2.4, 4), 2);
-        assert_eq!(decode::grid_index(9.0, 4), 3);
-        assert_eq!(decode::grid_index(-3.0, 4), 0);
+        let four = decode::Grid::new(4);
+        assert_eq!(four.index(2.4), 2);
+        assert_eq!(four.index(9.0), 3);
+        assert_eq!(four.index(-3.0), 0);
     }
 
     #[test]
@@ -221,7 +263,7 @@ mod tests {
         let s = SearchSpace::placement(1, 11);
         assert_eq!(s.dims(), 2);
         for x0 in [0.0, 0.3, 0.7, 1.0] {
-            assert_eq!(decode::node_index(x0, 1), 0);
+            assert_eq!(decode::Grid::new(1).index(x0), 0);
         }
     }
 
@@ -271,27 +313,70 @@ mod tests {
         assert_eq!(c.gen::<f64>().to_bits(), next);
     }
 
-    #[test]
-    fn decode_location() {
-        // Two nodes: `< 0.5` is node 0, else node 1.
-        assert_eq!(decode::node_index(0.0, 2), 0);
-        assert_eq!(decode::node_index(0.49, 2), 0);
-        assert_eq!(decode::node_index(0.5, 2), 1);
-        assert_eq!(decode::node_index(1.0, 2), 1);
+    /// The decode's model: std's rounding, half away from zero, clamped
+    /// onto the grid, NaN and negatives at 0.
+    fn rounded(x: f64, n: usize) -> usize {
+        (x.round().max(0.0) as usize).min(n - 1)
+    }
+
+    /// The EcoLife grids (2 to 11 points), the planner's 596-plan space,
+    /// the residency grid of a 10-minute keep-alive, and the grids at
+    /// and around 2^52 points, where the float path hands over to
+    /// truncation.
+    const CARDINALITIES: [usize; 11] = [
+        1,
+        2,
+        3,
+        10,
+        11,
+        596,
+        600_001,
+        (1 << 52) - 1,
+        1 << 52,
+        (1 << 52) + 1,
+        usize::MAX,
+    ];
+
+    fn assert_decodes_as_rounded(inputs: impl IntoIterator<Item = f64>) {
+        let grids = CARDINALITIES.map(|n| (n, decode::Grid::new(n)));
+        for x in inputs {
+            for (n, grid) in grids {
+                assert_eq!(
+                    grid.index(x),
+                    rounded(x, n),
+                    "x = {x:e} ({:#018x}), n = {n}",
+                    x.to_bits()
+                );
+            }
+        }
     }
 
     #[test]
-    fn round_to_u64_is_the_rounding_cast() {
+    fn decode_is_the_clamped_rounding() {
         let edges = [
             0.0,
-            -0.0,
+            0.3,
+            0.4,
+            0.49,
             0.49999999999999994,
             0.5,
+            0.7,
+            0.9,
+            1.0,
             1.5,
-            2.5,
+            1.6,
+            2.4,
             2.4999999999999996,
+            2.5,
+            3.4,
+            3.6,
+            9.0,
+            99.0,
             -0.5,
             -0.49999999999999994,
+            -1.0,
+            -2.0,
+            -3.0,
             -7.5,
             4503599627370495.5,
             4503599627370496.0,
@@ -299,36 +384,77 @@ mod tests {
             18446744073709549568.0,
             18446744073709551616.0,
             1e300,
-            f64::MIN_POSITIVE,
             f64::EPSILON,
             f64::MAX,
             f64::MIN,
-            f64::INFINITY,
-            f64::NEG_INFINITY,
-            f64::NAN,
         ];
+        // Signed zeros, subnormals, normals' edge, infinities and NaNs
+        // with either sign and a payload.
+        let specials = [
+            0x0000_0000_0000_0000,
+            0x8000_0000_0000_0000,
+            0x0000_0000_0000_0001,
+            0x000F_FFFF_FFFF_FFFF,
+            0x8000_0000_0000_0001,
+            0x800F_FFFF_FFFF_FFFF,
+            0x0010_0000_0000_0000,
+            0x7FF0_0000_0000_0000,
+            0xFFF0_0000_0000_0000,
+            0x7FF8_0000_0000_0000,
+            0xFFF8_0000_0000_0000,
+            0x7FF0_0000_0000_0001,
+            0xFFFF_FFFF_FFFF_FFFF,
+        ]
+        .map(f64::from_bits);
+        // Each grid's last point, the tie above and below it and their
+        // neighbours; then 2^40 to 2^64 the same way, where the float
+        // path's sum leaves the 2^52 binade and truncation takes over.
+        let near = |p: f64| {
+            [-1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5]
+                .map(|d| p + d)
+                .into_iter()
+                .flat_map(|y| [y.next_down(), y, y.next_up(), -y])
+        };
+        let tops = CARDINALITIES.into_iter().flat_map(|n| near((n - 1) as f64));
+        let powers = (40..=64).flat_map(|e| near(2f64.powi(e)));
+        // Every tie of the residency grid, which has up to 600 001
+        // points, with both neighbours.
+        let ties = (0..=600_000u32).flat_map(|k| {
+            let tie = f64::from(k) + 0.5;
+            [tie.next_down(), tie, tie.next_up()]
+        });
         let mut rng = SmallRng::seed_from_u64(3);
-        let random_bits = (0..200_000).map(|_| f64::from_bits(rng.next_u64()));
+        let random_bits: Vec<f64> = (0..200_000)
+            .map(|_| f64::from_bits(rng.next_u64()))
+            .collect();
         let mut rng = SmallRng::seed_from_u64(4);
-        let near_grid = (0..200_000).map(|_| rng.gen_range(-3.0..=14.0));
-        for x in edges.into_iter().chain(random_bits).chain(near_grid) {
-            assert_eq!(decode::round_to_u64(x), x.round() as u64, "x = {x:e}");
-            for n in [1, 2, 3, 11, 596] {
-                assert_eq!(
-                    decode::grid_index(x, n),
-                    (x.round().max(0.0) as usize).min(n - 1),
-                    "x = {x:e}, n = {n}"
-                );
-            }
-        }
+        let mut near_grid: Vec<f64> = (0..200_000).map(|_| rng.gen_range(-3.0..=14.0)).collect();
+        near_grid.extend((0..100_000).map(|_| rng.gen_range(-3.0..=600_003.0)));
+        assert_decodes_as_rounded(
+            edges
+                .into_iter()
+                .chain(specials)
+                .chain(tops)
+                .chain(powers)
+                .chain(ties)
+                .chain(random_bits)
+                .chain(near_grid),
+        );
+    }
+
+    /// Ten million random bit patterns, in release builds only
+    /// (`cargo test --release`).
+    #[test]
+    #[cfg_attr(debug_assertions, ignore)]
+    fn decode_is_the_clamped_rounding_on_ten_million_random_bit_patterns() {
+        let mut rng = SmallRng::seed_from_u64(0x0DEC_0DE5_F10A_7000);
+        assert_decodes_as_rounded((0..10_000_000).map(|_| f64::from_bits(rng.next_u64())));
     }
 
     #[test]
-    fn decode_period_rounds_and_clamps() {
-        assert_eq!(decode::period_index(3.4, 11), 3);
-        assert_eq!(decode::period_index(3.6, 11), 4);
-        assert_eq!(decode::period_index(-2.0, 11), 0);
-        assert_eq!(decode::period_index(99.0, 11), 10);
+    #[should_panic(expected = "grid cardinality must be ≥1")]
+    fn an_empty_grid_has_no_index_to_decode_to() {
+        decode::Grid::new(0);
     }
 
     #[test]
